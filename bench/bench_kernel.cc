@@ -694,10 +694,7 @@ main(int argc, char **argv)
     // preserved and this run appended.
     std::vector<std::string> history = readRunHistory(outPath);
     std::ostringstream runEntry;
-    // "pr" tags each history entry with the change that produced it,
-    // so the trajectory reads as a per-PR series. Entries from before
-    // the tag simply lack the field.
-    runEntry << "{\"pr\": 6, \"mode\": \"" << (smoke ? "smoke" : "full")
+    runEntry << "{\"mode\": \"" << (smoke ? "smoke" : "full")
              << "\", \"events_per_bit\": {";
     for (std::size_t i = 0; i < epb.size(); ++i) {
         runEntry << (i ? ", " : "") << "\"" << epb[i].name

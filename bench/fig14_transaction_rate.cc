@@ -41,6 +41,7 @@ main(int argc, char **argv)
         s.traffic = sweep::TrafficPattern::SingleSender;
         s.messages = 25;
         s.payloadBytes = n;
+        s.fidelity = sweep::Fidelity::Edge; // Edge-level validation.
         grid.push_back(std::move(s));
     }
     sweep::SweepConfig cfg;

@@ -50,6 +50,7 @@ main()
             s.traffic = sweep::TrafficPattern::SingleSender;
             s.messages = 10;
             s.payloadBytes = n;
+            s.fidelity = sweep::Fidelity::Edge; // Edge-level check.
             grid.push_back(std::move(s));
         }
     }

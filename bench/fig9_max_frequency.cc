@@ -46,6 +46,8 @@ main(int argc, char **argv)
         s.traffic = sweep::TrafficPattern::SingleSender;
         s.messages = 1;
         s.payloadBytes = 4;
+        // An edge-level check: the bits must survive the real ring.
+        s.fidelity = sweep::Fidelity::Edge;
         grid.push_back(std::move(s));
     }
     sweep::SweepConfig cfg;

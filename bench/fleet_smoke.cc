@@ -7,8 +7,8 @@
  *     and fingerprint byte-identical. Runs fork+exec of the real
  *     fleet_runner when --runner is given (the CI shape), plain
  *     fork workers otherwise.
- *  2. Warm cache: an immediate re-sweep simulates zero cells and
- *     beats the cold run's wall clock.
+ *  2. Warm cache: an immediate re-sweep simulates zero cells (its
+ *     wall clock against the cold run is reported, not asserted).
  *  3. One-axis grid extension: only the new cells simulate.
  *  4. Harness-version salt bump: everything misses again.
  *  5. SIGKILL a worker mid-sweep: zero cells lost, bytes identical,
@@ -16,11 +16,15 @@
  *  6. Coordinator abort + resume from the shard journals: the
  *     resumed merge is byte-identical and recovered cells were not
  *     re-simulated.
- *  7. 1 -> 4 process scaling, recorded to the bench trajectory.
+ *  7. 1 -> 4 process scaling, recorded to the bench trajectory
+ *     (report-only: a wall-clock ratio on a shared host is not a
+ *     correctness property).
  *
  * Artifacts: merged CSV (--out) and a cache/scaling stats JSON
- * (--cache-stats), both via the crash-safe writer. Exits non-zero on
- * any broken leg, so CI fails the PR.
+ * (--cache-stats), both via the crash-safe writer; --bench appends a
+ * run entry. Exits non-zero on any
+ * broken correctness leg, so CI fails the PR; wall-clock legs never
+ * decide the exit status.
  */
 
 #include <algorithm>
@@ -56,6 +60,13 @@ check(bool ok, const char *what)
     std::printf("  [%s] %s\n", ok ? "ok" : "FAIL", what);
     if (!ok)
         ++gFailures;
+}
+
+/** A wall-clock expectation: printed, never counted as a failure. */
+void
+report(bool met, const char *what)
+{
+    std::printf("  [%s] %s (report-only)\n", met ? "ok" : "miss", what);
 }
 
 double
@@ -224,7 +235,7 @@ main(int argc, char **argv)
     check(warm.stats.cacheHits == cells &&
               warm.stats.cellsSimulated == 0,
           "warm cache: zero cells simulated");
-    check(warmWall < coldWall, "warm run beats cold wall clock");
+    report(warmWall < coldWall, "warm run beats cold wall clock");
     std::printf("  %.3f s vs %.3f s cold (%.1fx)\n", warmWall,
                 coldWall, coldWall / std::max(warmWall, 1e-9));
 
@@ -326,10 +337,8 @@ main(int argc, char **argv)
     std::printf("  1p: %.1f cells/s   4p: %.1f cells/s   %.2fx\n",
                 rate1, rate4, scaling);
     unsigned cores = std::thread::hardware_concurrency();
-    if (cores >= 4)
-        check(scaling >= 2.0, "scaling >= 2x on a >=4-core host");
-    else
-        std::printf("  [skip] scaling gate (%u cores)\n", cores);
+    report(cores >= 4 && scaling >= 2.0,
+           "scaling >= 2x on a >=4-core host");
 
     // --- Artifacts ---------------------------------------------------
     bool wroteCsv = cold.result.writeCsvFile(out, true);
@@ -371,8 +380,8 @@ main(int argc, char **argv)
 
     if (!benchOut.empty()) {
         std::ostringstream entry;
-        entry << "{\"pr\": 10, \"mode\": \"fleet_smoke\", \"cells\": "
-              << cells << ", \"cells_per_s_1p\": "
+        entry << "{\"mode\": \"fleet_smoke\", \"cores\": " << cores
+              << ", \"cells\": " << cells << ", \"cells_per_s_1p\": "
               << sim::formatDouble(rate1)
               << ", \"cells_per_s_4p\": " << sim::formatDouble(rate4)
               << ", \"scaling_x\": " << sim::formatDouble(scaling)

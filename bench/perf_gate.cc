@@ -29,7 +29,14 @@
  *
  * and fails if any metric regresses more than 10% over the
  * checked-in baseline (bench/perf_baseline.json). Regenerate the
- * baseline with --write-baseline after an intentional change.
+ * baseline with --write-baseline after an intentional change. Every
+ * cell above forces Fidelity::Edge: these gate the edge engine.
+ *
+ * One more cell, fig9_n4_auto, runs the fig9_n4 shape at the default
+ * Fidelity::Auto and must land on the message-level model under a
+ * fixed events/bit ceiling (kMessageLevelCeiling, far below the edge
+ * engine's ~4): CI fails if eligible cells quietly fall back to the
+ * edge engine.
  *
  * Usage: perf_gate [--baseline PATH] [--write-baseline PATH]
  */
@@ -63,6 +70,11 @@ fig9ClockHz(int nodes)
     double hop_s = 10e-9;
     return 0.999 / (2.0 * hop_s * (nodes + 2.0));
 }
+
+/** events/bit ceiling for the auto-fidelity fig9 cell: the message
+ *  model runs a few kernel events per transaction, the edge engine
+ *  about four per wire bit. */
+constexpr double kMessageLevelCeiling = 0.5;
 
 double
 tickEventsPerEdge()
@@ -98,6 +110,7 @@ fig9EventsPerBit()
         s.traffic = sweep::TrafficPattern::SingleSender;
         s.messages = 2;
         s.payloadBytes = 4;
+        s.fidelity = sweep::Fidelity::Edge;
         grid.push_back(std::move(s));
     }
     sweep::SweepConfig cfg;
@@ -113,6 +126,29 @@ fig9EventsPerBit()
         out.push_back({c.spec.name, c.stats.eventsPerBit});
     }
     return out;
+}
+
+/** fig9_n4 at Fidelity::Auto: events per completed wire data bit,
+ *  fatal unless the message-level model produced it. */
+double
+fig9AutoEventsPerBit()
+{
+    sweep::ScenarioSpec s;
+    s.name = "fig9_n4_auto";
+    s.nodes = 4;
+    s.busClockHz = fig9ClockHz(4);
+    s.traffic = sweep::TrafficPattern::SingleSender;
+    s.messages = 2;
+    s.payloadBytes = 4;
+    sweep::ScenarioStats st = sweep::runScenario(s, 0x66696739ULL);
+    if (st.fidelity != sweep::Fidelity::Message || st.wedged ||
+        st.eventsPerBit <= 0) {
+        std::fprintf(stderr,
+                     "FAIL: %s ran on the %s model (want message)\n",
+                     s.name.c_str(), sweep::fidelityName(st.fidelity));
+        std::exit(1);
+    }
+    return st.eventsPerBit;
 }
 
 struct MixCosts
@@ -136,6 +172,7 @@ backendMixCosts(backend::BackendKind kind)
         nodes, /*clockHz=*/400e3, /*stormFrac=*/0.10,
         /*smoke=*/true);
     spec.backend = kind;
+    spec.fidelity = sweep::Fidelity::Edge;
     sweep::ScenarioStats st = sweep::runScenario(spec, 0x6d6978ULL);
     if (st.wedged || st.eventsPerBit <= 0 ||
         st.samplesDelivered == 0) {
@@ -251,6 +288,17 @@ main(int argc, char **argv)
                          m.name.c_str(), m.value, base);
             fail = true;
         }
+    }
+    double autoEpb = fig9AutoEventsPerBit();
+    std::printf("%-14s %14.5f %14.5f %8.3fx  (fixed ceiling)\n",
+                "fig9_n4_auto", autoEpb, kMessageLevelCeiling,
+                autoEpb / kMessageLevelCeiling);
+    if (autoEpb > kMessageLevelCeiling) {
+        std::fprintf(stderr,
+                     "FAIL: fig9_n4_auto events/bit %f above the "
+                     "message-level ceiling %f\n",
+                     autoEpb, kMessageLevelCeiling);
+        fail = true;
     }
     if (!fail)
         std::printf("perf gate OK (all metrics within 10%% of "

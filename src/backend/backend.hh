@@ -249,7 +249,8 @@ class BusBackend
 
     /** Listener virtual calls the fabric's nets have made so far
      *  (the dispatch-cost metric chunked dispatch reduces). Fabrics
-     *  without Net-based wiring report 0. */
+     *  without Net-based wiring report 0, except the message-level
+     *  MBus model, which counts its delivery and completion calls. */
     virtual std::uint64_t dispatchCalls() const { return 0; }
 };
 

@@ -38,7 +38,7 @@ namespace fleet {
  * Bump on any change that alters simulated physics or the stats
  * codec; every cached cell from older harnesses then misses.
  */
-constexpr std::uint64_t kHarnessVersionSalt = 0x4d425553'00000001ULL;
+constexpr std::uint64_t kHarnessVersionSalt = 0x4d425553'00000002ULL;
 
 /** The cache key for one cell: FNV-1a over canonical spec bytes,
  *  the cell seed, and the harness-version salt. */

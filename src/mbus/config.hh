@@ -98,6 +98,23 @@ struct SystemConfig
     bool useNodeArbBreak = false;
 };
 
+/**
+ * Fastest safe bus clock for a ring of @p nodes under @p cfg: a bit
+ * driven on a falling edge must settle at every receiver before that
+ * receiver's rising-edge latch, and the worst-case path wraps the
+ * whole ring, so T/2 >= (N + 2) hops (+ any software member's
+ * response latency). Infinite on a zero-latency ring.
+ */
+inline double
+safeClockLimitHz(const SystemConfig &cfg, std::size_t nodes)
+{
+    double hop_s = sim::toSeconds(cfg.hopDelay);
+    double half_period_floor =
+        hop_s * (static_cast<double>(nodes) + 2.0) +
+        sim::toSeconds(cfg.extraRingLatency);
+    return 1.0 / (2.0 * half_period_floor);
+}
+
 /** Per-node (per-chip) parameters. */
 struct NodeConfig
 {

@@ -1,5 +1,7 @@
 #include "mbus/layer_controller.hh"
 
+#include <algorithm>
+
 #include "mbus/bus_controller.hh"
 #include "sim/logging.hh"
 
@@ -17,11 +19,30 @@ beWord(const std::vector<std::uint8_t> &bytes, std::size_t offset)
            std::uint32_t(bytes[offset + 3]);
 }
 
+/**
+ * Reply words the bus could stream from @p now to @p horizon. The
+ * nominal clock never exceeds the ring's safe limit (MBusSystem
+ * rejects a faster start and ignores a faster config broadcast),
+ * hence never a one-node ring's; a config broadcast carries at most
+ * 2^32 - 1 Hz, which bounds a zero-latency ring. Fault drift windows
+ * scale the tick by under 2x, and two words of slack absorb rounding.
+ */
+double
+streamableReplyWords(const SystemConfig &cfg, sim::SimTime now,
+                     sim::SimTime horizon)
+{
+    double clockHz = std::max(
+        cfg.busClockHz, std::min(safeClockLimitHz(cfg, 1), 4294967295.0));
+    double seconds = horizon > now ? sim::toSeconds(horizon - now) : 0.0;
+    return 2.0 * clockHz * seconds * cfg.dataLanes / 32.0 + 2.0;
+}
+
 } // namespace
 
 LayerController::LayerController(sim::Simulator &sim, BusController &bus,
-                                 power::PowerDomain &layerDomain)
-    : sim_(sim), bus_(bus), layerDomain_(layerDomain)
+                                 power::PowerDomain &layerDomain,
+                                 const SystemConfig &sysCfg)
+    : sim_(sim), bus_(bus), layerDomain_(layerDomain), sysCfg_(sysCfg)
 {
 }
 
@@ -123,6 +144,20 @@ LayerController::handleMemoryRead(
     std::uint32_t len_words = beWord(payload, 4);
     Address reply = Address::decodeShort(payload[8]);
     ++memoryReads_;
+
+    // A corrupted length field must not allocate without bound, and
+    // clamping may change no reply that can finish streaming. The
+    // mediator's watchdog (Sec 7) kills any message one byte past its
+    // maximum length, so reply words beyond that are never driven.
+    // A config broadcast can raise that maximum to 4 GB, so the reply
+    // is also held to what the bus could stream before the horizon.
+    std::size_t limit =
+        std::max(sysCfg_.maxMessageBytes, kMinMaxMessageBytes);
+    double words = std::min<double>(len_words, (limit + 8) / 4);
+    if (sim_.horizon() != sim::kTimeForever)
+        words = std::min(words, streamableReplyWords(sysCfg_, sim_.now(),
+                                                     sim_.horizon()));
+    len_words = static_cast<std::uint32_t>(words);
 
     // Stream the reply as a memory-write message: the requested
     // words, prefixed with a destination word address of zero.

@@ -32,6 +32,7 @@
 #include <map>
 #include <vector>
 
+#include "mbus/config.hh"
 #include "mbus/message.hh"
 #include "power/domain.hh"
 #include "sim/simulator.hh"
@@ -61,8 +62,11 @@ class LayerController
     using BroadcastHandler =
         std::function<void(std::uint8_t channel, const ReceivedMessage &)>;
 
+    /** @p sysCfg is the live system configuration (its watchdog
+     *  limit and clock bound memory-read replies). */
     LayerController(sim::Simulator &sim, BusController &bus,
-                    power::PowerDomain &layerDomain);
+                    power::PowerDomain &layerDomain,
+                    const SystemConfig &sysCfg);
 
     /** Entry point wired to the bus controller's receive callback. */
     void onReceive(const ReceivedMessage &rx);
@@ -110,6 +114,7 @@ class LayerController
     sim::Simulator &sim_;
     BusController &bus_;
     power::PowerDomain &layerDomain_;
+    const SystemConfig &sysCfg_;
 
     std::array<std::uint32_t, 256> registers_{};
     std::map<std::uint32_t, std::uint32_t> memory_;

@@ -68,8 +68,8 @@ Node::bind(wire::Net &clkIn, wire::Net &clkOut, wire::Net &dataIn,
         ctx.laneCtls.push_back(wc.get());
 
     busCtl_ = std::make_unique<BusController>(std::move(ctx), cfg_);
-    layerCtl_ =
-        std::make_unique<LayerController>(sim_, *busCtl_, *layerDomain_);
+    layerCtl_ = std::make_unique<LayerController>(sim_, *busCtl_,
+                                                  *layerDomain_, sysCfg_);
 
     sleepCtl_->setEdgeSink(*busCtl_);
     detector_->setOnInterjection(

@@ -39,15 +39,7 @@ MBusSystem::addNode(NodeConfig cfg)
 double
 MBusSystem::maxSafeClockHz() const
 {
-    // A bit driven on a falling edge must settle at every receiver
-    // before that receiver's rising-edge latch: the worst-case path
-    // wraps the whole ring, so T/2 >= (N + 2) hops (+ any software
-    // member's response latency).
-    double hop_s = sim::toSeconds(cfg_.hopDelay);
-    double half_period_floor =
-        hop_s * (static_cast<double>(nodes_.size()) + 2.0) +
-        sim::toSeconds(cfg_.extraRingLatency);
-    return 1.0 / (2.0 * half_period_floor);
+    return safeClockLimitHz(cfg_, nodes_.size());
 }
 
 void

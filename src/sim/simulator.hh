@@ -126,6 +126,16 @@ class Simulator
     /** Request that run() return after the current event. */
     void stop() { stopRequested_ = true; }
 
+    /**
+     * The latest simulated time the owner will ever run this
+     * simulation to (kTimeForever, the default, when unknown). Cell
+     * drivers set it to their wedge guard plus the idle drain;
+     * components may size work by it -- nothing that would only
+     * finish after it can be observed.
+     */
+    SimTime horizon() const { return horizon_; }
+    void setHorizon(SimTime t) { horizon_ = t; }
+
     /** @return true if any events remain pending. */
     bool hasPendingEvents() const { return !queue_.empty(); }
 
@@ -175,6 +185,7 @@ class Simulator
     Random rng_;
     SimTime now_ = 0;
     bool stopRequested_ = false;
+    SimTime horizon_ = kTimeForever;
     trace::Tracer *tracer_ = nullptr;
 };
 

@@ -36,6 +36,13 @@ constexpr SimTime kSecond = 1000 * kMillisecond;
 /** A time that compares greater than every schedulable time. */
 constexpr SimTime kTimeForever = ~SimTime(0);
 
+/** @p a + @p b, saturating at kTimeForever. */
+constexpr SimTime
+addSaturating(SimTime a, SimTime b)
+{
+    return a > kTimeForever - b ? kTimeForever : a + b;
+}
+
 /** Convert a time in picoseconds to floating point seconds. */
 constexpr double
 toSeconds(SimTime t)

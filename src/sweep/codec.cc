@@ -409,6 +409,7 @@ encodeSpec(const ScenarioSpec &spec)
     w.b(spec.trace.protocol);
     w.b(spec.trace.flight);
     w.u64(spec.trace.flightDepth);
+    w.u64(static_cast<std::uint64_t>(spec.fidelity));
     return w.bytes();
 }
 
@@ -445,7 +446,10 @@ decodeSpec(const std::string &bytes, ScenarioSpec &out)
     s.trace.protocol = r.b();
     s.trace.flight = r.b();
     s.trace.flightDepth = static_cast<std::uint32_t>(r.u64());
-    if (!r.ok())
+    // A spec asks for Auto or Edge; Message is only ever an outcome.
+    std::uint64_t fidelity = r.u64();
+    s.fidelity = static_cast<Fidelity>(fidelity);
+    if (!r.ok() || fidelity > static_cast<std::uint64_t>(Fidelity::Edge))
         return false;
     out = std::move(s);
     return true;
@@ -548,6 +552,7 @@ encodeStats(const ScenarioStats &st)
         w.str(m.name);
         w.str(m.value);
     }
+    w.u64(static_cast<std::uint64_t>(st.fidelity));
     return w.bytes();
 }
 
@@ -662,7 +667,10 @@ decodeStats(const std::string &bytes, ScenarioStats &out)
         m.name = r.str();
         m.value = r.str();
     }
-    if (!r.ok())
+    std::uint64_t fidelity = r.u64();
+    st.fidelity = static_cast<Fidelity>(fidelity);
+    if (!r.ok() || fidelity == static_cast<std::uint64_t>(Fidelity::Auto) ||
+        fidelity > static_cast<std::uint64_t>(Fidelity::Message))
         return false;
     out = std::move(st);
     return true;

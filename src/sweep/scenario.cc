@@ -10,6 +10,7 @@
 
 #include "analysis/lifetime.hh"
 #include "backend/backend.hh"
+#include "backend/mbus_message_backend.hh"
 #include "mbus/layer_controller.hh"
 #include "mbus/message.hh"
 #include "sim/logging.hh"
@@ -28,6 +29,62 @@ trafficPatternName(TrafficPattern p)
     case TrafficPattern::BroadcastMix: return "bcast_mix";
     }
     return "?";
+}
+
+const char *
+fidelityName(Fidelity f)
+{
+    switch (f) {
+    case Fidelity::Auto: return "auto";
+    case Fidelity::Edge: return "edge";
+    case Fidelity::Message: return "message";
+    }
+    return "?";
+}
+
+bool
+messageLevelEligible(const ScenarioSpec &spec)
+{
+    if (spec.fidelity != Fidelity::Auto ||
+        spec.backend != backend::BackendKind::Mbus)
+        return false;
+    // Everything that perturbs the fixed transaction script, or asks
+    // for per-edge output, needs the edge engine.
+    if (spec.workload.enabled() || spec.faults.enabled() ||
+        spec.trace.enabled() || spec.captureVcd || spec.powerGated ||
+        spec.interjectRate > 0)
+        return false;
+    // The kernel A/B switches exist to study edge-engine cost.
+    if (!spec.edgeTrains || !spec.chunkedDispatch)
+        return false;
+    if (spec.nodes < 2 || spec.nodes > 14 || spec.dataLanes < 1 ||
+        spec.dataLanes > 4 || spec.busClockHz <= 0 ||
+        spec.payloadBytes > bus::kMinMaxMessageBytes)
+        return false;
+    const auto hop =
+        static_cast<sim::SimTime>(spec.hopDelayNs * 1000.0 + 0.5);
+    const sim::SimTime period = sim::periodFromHz(spec.busClockHz);
+    const sim::SimTime half = period / 2;
+    const sim::SimTime flush =
+        (static_cast<sim::SimTime>(spec.nodes) + 2) * hop;
+    // Every edge must flush the ring before the next is driven; at
+    // the exact safe-clock limit ring checks and ticks would tie.
+    if (hop == 0 || half <= flush)
+        return false;
+    // A wedge guard that could cut a transaction mid-script needs the
+    // edge engine's partial state: admit only plans whose worst-case
+    // duration fits the limit, and an idle return well inside the 1 s
+    // runUntilIdle window.
+    const std::uint64_t lanes = static_cast<std::uint64_t>(spec.dataLanes);
+    const std::uint64_t cycles =
+        (spec.fullAddressing ? 32 : 8) +
+        (8 * spec.payloadBytes + lanes - 1) / lanes;
+    const double perMessage =
+        static_cast<double>(2 * cycles + 24) * static_cast<double>(half) +
+        2.0 * static_cast<double>(period) + 4.0 * static_cast<double>(flush);
+    return static_cast<double>(spec.messages) * perMessage <=
+               static_cast<double>(spec.timeLimit) &&
+           2 * half + flush < sim::kSecond;
 }
 
 double
@@ -177,8 +234,14 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed)
     params.chunkedDispatch = spec.chunkedDispatch;
     params.softRxCapacity = spec.softRxCapacity;
 
+    // Eligible cells run the message-level MBus model; makeBackend
+    // always builds the edge-level fabric.
+    const bool messageLevel = messageLevelEligible(spec);
     std::unique_ptr<backend::BusBackend> backend =
-        backend::makeBackend(spec.backend, simulator, params);
+        messageLevel ? std::make_unique<backend::MbusMessageBackend>(
+                           simulator, params)
+                     : backend::makeBackend(spec.backend, simulator,
+                                            params);
 
     sim::TraceRecorder recorder;
     if (spec.captureVcd)
@@ -201,6 +264,7 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed)
     }
 
     ScenarioStats st;
+    st.fidelity = messageLevel ? Fidelity::Message : Fidelity::Edge;
     fault::RetryStats retryStats;
 
     int done = 0;
@@ -436,6 +500,10 @@ runClassicTraffic(const ScenarioSpec &spec,
 
     sim::SimTime issuedAt = 0;
     latenciesS.reserve(static_cast<std::size_t>(spec.messages));
+    // The last completion ends the traffic run through
+    // Simulator::stop() -- but only inside that run, never during the
+    // idle drain after a wedge.
+    bool stopWhenDone = true;
 
     std::function<void()> issueNext = [&] {
         if (done >= spec.messages)
@@ -495,14 +563,20 @@ runClassicTraffic(const ScenarioSpec &spec,
             if (done == 0)
                 st.firstTxLatencyS = lat;
             ++done;
+            if (done >= spec.messages && stopWhenDone)
+                simulator.stop();
             issueNext();
         });
     };
 
-    if (spec.messages > 0)
+    // Nothing runs past the wedge guard plus the idle drain.
+    simulator.setHorizon(sim::addSaturating(spec.timeLimit, sim::kSecond));
+    if (spec.messages > 0) {
         issueNext();
-    bool finished = simulator.runUntil(
-        [&] { return done >= spec.messages; }, spec.timeLimit);
+        simulator.run(spec.timeLimit);
+    }
+    stopWhenDone = false;
+    bool finished = done >= spec.messages;
     bool idle = backend.runUntilIdle(sim::kSecond);
     st.wedged = !finished || !idle;
     backend.setDeliveryHandler(nullptr);

@@ -45,6 +45,19 @@ enum class TrafficPattern : std::uint8_t {
 /** @return a short printable name ("single", "pairs", ...). */
 const char *trafficPatternName(TrafficPattern p);
 
+/**
+ * Which model simulates a cell. A spec asks for Auto or Edge;
+ * ScenarioStats::fidelity records the model that actually ran.
+ */
+enum class Fidelity : std::uint8_t {
+    Auto,    ///< Message level when messageLevelEligible(), else edge.
+    Edge,    ///< The edge-level engine: every wire transition.
+    Message, ///< The message-level MBus model (MbusMessageBackend).
+};
+
+/** @return a short printable name ("auto", "edge", "message"). */
+const char *fidelityName(Fidelity f);
+
 /** Everything that defines one sweep cell except its seed. */
 struct ScenarioSpec
 {
@@ -113,6 +126,14 @@ struct ScenarioSpec
      * so the cell's bytes are identical to a pre-trace run.
      */
     trace::TraceConfig trace;
+
+    /**
+     * Simulation model. Auto runs eligible cells (see
+     * messageLevelEligible) on the message-level MBus model and the
+     * rest on the edge engine; Edge always runs the edge engine --
+     * for waveform-level studies and the kernel-cost gates.
+     */
+    Fidelity fidelity = Fidelity::Auto;
 };
 
 /** Deterministic per-run reduction of one scenario. */
@@ -223,7 +244,26 @@ struct ScenarioStats
      *  empty otherwise). One sample per registered counter/gauge, in
      *  registration order -- the sweep packs these into one column. */
     std::vector<trace::MetricSample> metrics;
+
+    /** The model that produced this record (Edge or Message). On
+     *  Message rows the kernel-cost fields (events, events/bit, train
+     *  edges, dispatch calls, slab stats) count the model's own few
+     *  events per transaction, not wire edges. */
+    Fidelity fidelity = Fidelity::Edge;
 };
+
+/**
+ * True when @p spec runs on the message-level MBus model under
+ * Fidelity::Auto: hardware MBus with classic traffic and no faults,
+ * interjection storm, power gating, VCD or trace; the default kernel
+ * batching (edge trains, chunked dispatch); a ring whose edges flush
+ * within half a period; payloads within the mediator's watchdog
+ * limit; and a plan that provably finishes inside the time limit.
+ * Every such cell matches the edge engine exactly (outcomes, bytes,
+ * latencies, simulated time, per-node edges, clock cycles) and in
+ * energy within 1e-9 relative -- the differential suite pins it.
+ */
+bool messageLevelEligible(const ScenarioSpec &spec);
 
 /**
  * Run one cell to completion.

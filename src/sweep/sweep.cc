@@ -180,7 +180,8 @@ SweepResult::writeCsv(std::ostream &os, bool includeWallTime) const
     os << "index,name,nodes,clock_hz,hop_delay_ns,wire_length_mm,"
           "wire_cap_f_per_mm,payload_bytes,messages,lanes,"
           "traffic,gated,full_addr,priority_rate,interject_rate,"
-          "time_limit_ps,edge_trains,backend,fault_spec,max_retries,"
+          "time_limit_ps,edge_trains,backend,fidelity,fault_spec,"
+          "max_retries,"
           "seed,"
           "planned,acked,naked,broadcast,interrupted,rx_abort,failed,"
           "mismatches,wedged,bytes_delivered,tx_per_s,goodput_bps,events,"
@@ -221,6 +222,7 @@ SweepResult::writeCsv(std::ostream &os, bool includeWallTime) const
            << fmt(p.priorityRate) << ',' << fmt(p.interjectRate) << ','
            << p.timeLimit << ',' << (p.edgeTrains ? 1 : 0) << ','
            << backend::backendKindName(p.backend) << ','
+           << fidelityName(s.fidelity) << ','
            << (p.faults.enabled()
                    ? (p.faults.name.empty() ? std::string("on")
                                             : sanitizeName(p.faults.name))
@@ -364,6 +366,7 @@ SweepResult::writeJson(std::ostream &os, bool includeWallTime) const
         os << "    {\"index\": " << c.index << ", \"name\": \""
            << sanitizeName(c.spec.name) << "\", \"backend\": \""
            << backend::backendKindName(c.spec.backend)
+           << "\", \"fidelity\": \"" << fidelityName(s.fidelity)
            << "\", \"seed\": " << c.seed
            << ", \"acked\": " << s.acked
            << ", \"energy_per_sample_j\": " << fmt(s.energyPerSampleJ)

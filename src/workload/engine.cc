@@ -56,6 +56,24 @@ struct RunState
     std::size_t next = 0; ///< Plan cursor.
     int outstanding = 0;  ///< Issued sends awaiting a terminal status.
     bool sawFirstCompletion = false;
+    bool stopWhenFinished = false; ///< Set only inside drive()'s run.
+
+    /** Every op executed and every send terminated. Once true it
+     *  stays true: only plan ops issue sends. */
+    bool
+    finished() const
+    {
+        return next >= plan->size() && outstanding == 0;
+    }
+
+    /** End drive()'s run at completion instead of polling after every
+     *  kernel event: called after each state change. */
+    void
+    stopIfFinished()
+    {
+        if (stopWhenFinished && finished())
+            simulator->stop();
+    }
 
     void pump();
     void exec(const PlannedOp &op);
@@ -77,6 +95,7 @@ RunState::pump()
         ++next;
         exec(cur);
         pump();
+        stopIfFinished();
     });
 }
 
@@ -120,8 +139,10 @@ RunState::exec(const PlannedOp &op)
         // and carries the request as a broadcast on its fabric.
         ++stats.retimings;
         ++outstanding;
-        backend->retime(op.node, op.clockHz,
-                        [this] { --outstanding; });
+        backend->retime(op.node, op.clockHz, [this] {
+            --outstanding;
+            stopIfFinished();
+        });
         break;
     }
 }
@@ -237,6 +258,7 @@ RunState::execSend(const PlannedOp &op)
             if (dutyCycled && !offline[node] &&
                 backend->pendingTx(node) == 0)
                 backend->sleep(node);
+            stopIfFinished();
         });
 }
 
@@ -335,12 +357,15 @@ WorkloadEngine::drive(backend::BusBackend &backend,
             rs.onDelivery(rx);
         });
 
+    // Nothing runs past the wedge guard plus the idle drain.
+    simulator.setHorizon(sim::addSaturating(timeLimit, sim::kSecond));
     rs.pump();
-    bool finished = simulator.runUntil(
-        [&rs] {
-            return rs.next >= rs.plan->size() && rs.outstanding == 0;
-        },
-        timeLimit);
+    if (!rs.finished()) {
+        rs.stopWhenFinished = true;
+        simulator.run(timeLimit);
+        rs.stopWhenFinished = false;
+    }
+    bool finished = rs.finished();
     bool idle = backend.runUntilIdle(sim::kSecond);
     rs.stats.wedged = !finished || !idle;
 

@@ -49,6 +49,7 @@ richSpec()
     s.captureVcd = true;
     s.edgeTrains = false;
     s.backend = backend::BackendKind::Firmware;
+    s.fidelity = sweep::Fidelity::Edge;
 
     workload::ActorSpec a;
     a.name = "sensor|odd";
@@ -161,6 +162,16 @@ TEST(FleetCodec, SpecRoundTripsEveryField)
     EXPECT_EQ(back.faults.entries[0].pulses, 5);
     EXPECT_EQ(back.trace.flightDepth, 128u);
     EXPECT_DOUBLE_EQ(back.busClockHz, spec.busClockHz);
+    EXPECT_EQ(back.fidelity, sweep::Fidelity::Edge);
+
+    // The field is part of the canonical bytes (and so of cache keys);
+    // Message is an outcome, never a request.
+    sweep::ScenarioSpec autoSpec = spec;
+    autoSpec.fidelity = sweep::Fidelity::Auto;
+    EXPECT_NE(sweep::encodeSpec(autoSpec), bytes);
+    sweep::ScenarioSpec message = spec;
+    message.fidelity = sweep::Fidelity::Message;
+    EXPECT_FALSE(sweep::decodeSpec(sweep::encodeSpec(message), back));
 }
 
 TEST(FleetCodec, SpecEncodingIsCanonical)
@@ -221,6 +232,7 @@ TEST(FleetCodec, StatsRoundTripExactlyIncludingDoubles)
     st.flightDumps = {"dump one\nline2", "dump|two"};
     st.metrics.push_back({"events_executed", "42"});
     st.metrics.push_back({"weird name", "0.1"});
+    st.fidelity = sweep::Fidelity::Message;
 
     std::string bytes = sweep::encodeStats(st);
     sweep::ScenarioStats back;
@@ -233,6 +245,7 @@ TEST(FleetCodec, StatsRoundTripExactlyIncludingDoubles)
     EXPECT_EQ(back.txLatenciesS, st.txLatenciesS);
     EXPECT_EQ(back.vcd, st.vcd);
     EXPECT_EQ(back.flightDumps, st.flightDumps);
+    EXPECT_EQ(back.fidelity, sweep::Fidelity::Message);
     ASSERT_EQ(back.metrics.size(), 2u);
     EXPECT_EQ(back.metrics[1].name, "weird name");
     ASSERT_EQ(back.actorStats.size(), 1u);
