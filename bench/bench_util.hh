@@ -146,10 +146,10 @@ smokeFaults(sim::Random &rng)
 /**
  * The CI faulty five-fabric grid: @p cells scenarios cycling through
  * all five fabrics with randomized-but-seeded topology, traffic,
- * faults, and retry policies. One generator, two gates: fault_smoke
- * checks in-process shard determinism on it, fleet_smoke checks
- * multi-process byte identity on the very same cells -- the grids
- * must stay byte-identical or the two gates drift apart.
+ * faults, and retry policies. fault_smoke checks shard determinism
+ * and the cell cache on it, sweep_runner sweeps it, and the
+ * benchmark's faulty_grid workload draws the same recipe. Grid n is
+ * a prefix of grid n + k, so a grown grid reuses every cached cell.
  */
 inline std::vector<sweep::ScenarioSpec>
 faultyFiveFabricGrid(std::size_t cells = 25,

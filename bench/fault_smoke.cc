@@ -5,13 +5,17 @@
  * shard-determinism property checked end-to-end on the fault axis
  * (byte-identical CSV + equal fingerprints). Health checks: zero
  * wedges (the watchdog reclaimed every hang), every planned
- * transaction terminal, and the schedule actually fired. Exits
+ * transaction terminal, and the schedule actually fired. A cache leg
+ * sweeps the same grid through a fresh cell cache under the working
+ * directory: cold is byte-identical to the solo run, warm simulates
+ * no cell, and the grid grown by 5 cells simulates exactly 5. Exits
  * non-zero on any divergence, so CI fails the PR. The report lands
  * via the crash-safe writer (temp file + atomic rename).
  */
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -34,8 +38,6 @@ main(int argc, char **argv)
         "Fault smoke: shard determinism on a faulty five-fabric grid",
         "fault engine + watchdog + retry self-check (CI gate)");
 
-    // Shared with fleet_smoke: the fleet gate must sweep the exact
-    // same cells this gate pins in-process determinism on.
     std::vector<sweep::ScenarioSpec> grid =
         benchutil::faultyFiveFabricGrid(25);
 
@@ -87,6 +89,41 @@ main(int argc, char **argv)
     std::printf("wall: %.3f s across %zu cells (2 threads)\n",
                 a.totalWallSeconds(), a.size());
 
+    // Cache leg. Counts and bytes only: wall-clock ratios on a
+    // shared host are not a correctness property.
+    const std::string cacheDir = "fault_smoke_cache";
+    std::filesystem::remove_all(cacheDir);
+    sweep::SweepConfig cached = sharded;
+    cached.cacheDir = cacheDir;
+    sweep::SweepResult cold = sweep::SweepDriver(cached).run(grid);
+    sweep::SweepResult warm = sweep::SweepDriver(cached).run(grid);
+    std::vector<sweep::ScenarioSpec> grown =
+        benchutil::faultyFiveFabricGrid(grid.size() + 5);
+    sweep::SweepResult ext = sweep::SweepDriver(cached).run(grown);
+    sweep::SweepResult extSolo = sweep::SweepDriver(solo).run(grown);
+    auto csvOf = [](const sweep::SweepResult &r) {
+        std::ostringstream os;
+        r.writeCsv(os);
+        return os.str();
+    };
+    auto simulated = [](const sweep::SweepResult &r) {
+        return r.size() - r.cacheHits();
+    };
+    std::size_t failedStores = cold.cacheStoreFailures() +
+                               warm.cacheStoreFailures() +
+                               ext.cacheStoreFailures();
+    bool cacheOk = csvOf(cold) == csvB.str() &&
+                   csvOf(warm) == csvB.str() &&
+                   csvOf(ext) == csvOf(extSolo) &&
+                   simulated(cold) == grid.size() &&
+                   simulated(warm) == 0 && simulated(ext) == 5 &&
+                   failedStores == 0;
+    std::printf("cache: simulated cold %zu/%zu, warm %zu, +5 grid %zu; "
+                "failed stores %zu: %s\n",
+                simulated(cold), cold.size(), simulated(warm),
+                simulated(ext), failedStores,
+                cacheOk ? "OK" : "FAILED");
+
     bool wrote = a.writeCsvFile(out, /*includeWallTime=*/true);
     std::printf("%s %s (atomic rename)\n",
                 wrote ? "wrote" : "FAILED TO WRITE", out);
@@ -102,7 +139,7 @@ main(int argc, char **argv)
         agg.wedgedCells == 0 && agg.faultEvents > 0 &&
         agg.planned == agg.acked + agg.naked + agg.broadcasts +
                            agg.interrupted + agg.rxAborts + agg.failed;
-    if (!identical || !healthy || !wrote) {
+    if (!identical || !healthy || !cacheOk || !wrote) {
         std::printf("FAULT SMOKE FAILED\n");
         return 1;
     }

@@ -8,8 +8,8 @@
  * renamed into place only after a clean close. rename(2) within a
  * directory is atomic, so readers -- and a re-run after a kill --
  * see either the previous complete file or the new complete one,
- * never a torn hybrid. This is the durability half of the
- * distributed-sweep checkpoint/resume contract.
+ * never a torn hybrid. This is what lets a killed cached sweep
+ * resume from its cell cache (sweep/cache.hh).
  */
 
 #ifndef MBUS_SIM_FSIO_HH

@@ -3,7 +3,7 @@
  * The one FNV-1a implementation in the harness.
  *
  * Every content fingerprint -- the sweep CSV fingerprint, per-cell
- * VCD hashes, protocol-trace hashes, and the fleet's content-addressed
+ * VCD hashes, protocol-trace hashes, and the content-addressed
  * cell-cache keys -- uses this 64-bit FNV-1a. Centralizing it means a
  * fingerprint printed by one subsystem can always be compared against
  * one computed by another, and the incremental Fnv1a hasher lets

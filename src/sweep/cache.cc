@@ -1,18 +1,17 @@
-#include "fleet/cache.hh"
+#include "sweep/cache.hh"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
-
-#include <sys/stat.h>
-#include <sys/types.h>
+#include <system_error>
 
 #include "sim/fsio.hh"
 #include "sim/hash.hh"
 #include "sweep/codec.hh"
 
 namespace mbus {
-namespace fleet {
+namespace sweep {
 
 std::uint64_t
 cellKey(const std::string &specBytes, std::uint64_t seed,
@@ -28,8 +27,11 @@ cellKey(const std::string &specBytes, std::uint64_t seed,
 CellCache::CellCache(std::string dir, std::uint64_t salt)
     : dir_(std::move(dir)), salt_(salt)
 {
+    // A directory that cannot be created is not an error here: every
+    // store() into it then fails and is counted, which callers report.
+    std::error_code ec;
     if (!dir_.empty())
-        ::mkdir(dir_.c_str(), 0777); // Best effort; may already exist.
+        std::filesystem::create_directories(dir_, ec);
 }
 
 std::uint64_t
@@ -66,8 +68,8 @@ CellCache::lookup(std::uint64_t key, std::string &statsBytes)
     if (!got.empty() && got.back() == '\n')
         got.pop_back();
     // A value that does not decode is a miss, never a wrong answer.
-    sweep::ScenarioStats probe;
-    if (!sweep::decodeStats(got, probe)) {
+    ScenarioStats probe;
+    if (!decodeStats(got, probe)) {
         ++misses_;
         return false;
     }
@@ -81,8 +83,11 @@ CellCache::store(std::uint64_t key, const std::string &statsBytes)
 {
     if (!enabled())
         return false;
-    return sim::atomicWriteFile(pathFor(key), statsBytes + "\n");
+    if (sim::atomicWriteFile(pathFor(key), statsBytes + "\n"))
+        return true;
+    ++storeFailures_;
+    return false;
 }
 
-} // namespace fleet
+} // namespace sweep
 } // namespace mbus

@@ -1,6 +1,6 @@
 /**
  * @file
- * The content-addressed cell cache.
+ * The content-addressed cell cache behind SweepConfig::cacheDir.
  *
  * A sweep cell is a pure function of (spec, seed, harness version):
  * the simulator is deterministic, so running the same spec with the
@@ -17,13 +17,14 @@
  * decodes as a miss, so the cache can never poison a sweep -- the
  * worst case is re-simulating a cell.
  *
- * Writes go through sim::atomicWriteFile, so concurrent workers
- * racing to fill the same key are benign: both compute identical
- * bytes and the rename is atomic either way.
+ * Writes go through sim::atomicWriteFile, so a value file is either
+ * absent or complete. A sweep killed at any point therefore resumes
+ * when it is re-run on the same directory: every cell stored before
+ * the kill is served, the rest are simulated.
  */
 
-#ifndef MBUS_FLEET_CACHE_HH
-#define MBUS_FLEET_CACHE_HH
+#ifndef MBUS_SWEEP_CACHE_HH
+#define MBUS_SWEEP_CACHE_HH
 
 #include <atomic>
 #include <cstdint>
@@ -32,11 +33,13 @@
 #include "sweep/scenario.hh"
 
 namespace mbus {
-namespace fleet {
+namespace sweep {
 
 /**
  * Bump on any change that alters simulated physics or the stats
  * codec; every cached cell from older harnesses then misses.
+ * SweepCache.SaltPinsCachedStats fails until this and its pinned
+ * stats hash move together.
  */
 constexpr std::uint64_t kHarnessVersionSalt = 0x4d425553'00000002ULL;
 
@@ -49,14 +52,14 @@ std::uint64_t cellKey(const std::string &specBytes, std::uint64_t seed,
 class CellCache
 {
   public:
-    /** @param dir Cache directory (created if missing); empty
-     *         disables the cache (every lookup misses, stores drop).
+    /** @param dir Cache directory (created with any missing parents);
+     *         empty disables the cache (every lookup misses, stores
+     *         drop).
      *  @param salt Harness-version salt folded into every key. */
     explicit CellCache(std::string dir,
                        std::uint64_t salt = kHarnessVersionSalt);
 
     bool enabled() const { return !dir_.empty(); }
-    std::uint64_t salt() const { return salt_; }
 
     /** The key for a cell under this cache's salt. */
     std::uint64_t key(const std::string &specBytes,
@@ -69,11 +72,14 @@ class CellCache
      */
     bool lookup(std::uint64_t key, std::string &statsBytes);
 
-    /** Store a finished cell (encodeStats() bytes) under @p key. */
+    /** Store a finished cell (encodeStats() bytes) under @p key.
+     *  @return false (and counts a store failure) when the value
+     *          file could not be written. */
     bool store(std::uint64_t key, const std::string &statsBytes);
 
     std::uint64_t hits() const { return hits_.load(); }
     std::uint64_t misses() const { return misses_.load(); }
+    std::uint64_t storeFailures() const { return storeFailures_.load(); }
 
     /** The value-file path for @p key (16 lowercase hex + ".cell"). */
     std::string pathFor(std::uint64_t key) const;
@@ -83,9 +89,10 @@ class CellCache
     std::uint64_t salt_;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
+    std::atomic<std::uint64_t> storeFailures_{0};
 };
 
-} // namespace fleet
+} // namespace sweep
 } // namespace mbus
 
-#endif // MBUS_FLEET_CACHE_HH
+#endif // MBUS_SWEEP_CACHE_HH

@@ -8,23 +8,20 @@
  *    field (including the workload, fault, retry, and trace subtrees)
  *    in one fixed order, doubles in the 17-digit round-trip format.
  *    Two specs encode to identical bytes iff they describe identical
- *    cells, which is exactly what the fleet's content-addressed cell
- *    cache hashes (sim/hash.hh FNV-1a over spec bytes + seed + salt)
- *    and what the coordinator ships to workers over the pipe.
+ *    cells, which is exactly what the content-addressed cell cache
+ *    hashes (sweep/cache.hh: FNV-1a over spec bytes + seed + salt).
  *
  *  - encodeStats(): a complete round-trip of a ScenarioStats record,
- *    so a worker process (or a cache hit, or a checkpoint-journal
- *    replay) can hand a finished cell back to the coordinator and the
- *    merged CSV/JSON/fingerprint is byte-identical to an in-process
- *    run. decodeStats() of encodeStats() reproduces every field
- *    exactly -- doubles included (17 significant digits round-trip
- *    any IEEE-754 double).
+ *    so a cell served from the cache yields the same CSV/JSON/
+ *    fingerprint bytes as a freshly simulated one. decodeStats() of
+ *    encodeStats() reproduces every field exactly -- doubles included
+ *    (17 significant digits round-trip any IEEE-754 double).
  *
  * Framing: '|'-separated tokens; strings are percent-escaped so a
  * token never contains '|', '%', whitespace, or control bytes. Both
  * encodings carry a leading version tag ("spec1" / "stat1"); decoders
  * reject anything else, which is what lets a harness-version bump
- * invalidate stale cache entries and journals safely.
+ * invalidate stale cache entries safely.
  */
 
 #ifndef MBUS_SWEEP_CODEC_HH

@@ -276,7 +276,7 @@ ScenarioStats runScenario(const ScenarioSpec &spec, std::uint64_t seed);
 
 /** FNV-1a 64-bit, the hash used for VCD and sweep fingerprints.
  *  Forwards to the centralized sim/hash.hh implementation (which the
- *  fleet's content-addressed cell-cache keys share). */
+ *  content-addressed cell-cache keys share). */
 inline std::uint64_t
 fnv1a(const void *data, std::size_t len,
       std::uint64_t basis = sim::kFnvOffsetBasis)

@@ -12,6 +12,8 @@
 
 #include "sim/fsio.hh"
 #include "sim/random.hh"
+#include "sweep/cache.hh"
+#include "sweep/codec.hh"
 
 namespace mbus {
 namespace sweep {
@@ -467,28 +469,21 @@ SweepResult::totalWallSeconds() const
 }
 
 std::function<void(std::size_t, std::size_t)>
-stderrProgress(const std::string &label)
+stderrProgress()
 {
     auto start =
         std::make_shared<std::chrono::steady_clock::time_point>(
             std::chrono::steady_clock::now());
-    std::string tag = label.empty() ? "" : " [" + label + "]";
-    return [start, tag](std::size_t done, std::size_t total) {
+    return [start](std::size_t done, std::size_t total) {
         double s = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - *start)
                        .count();
         double rate = s > 0 ? static_cast<double>(done) / s : 0;
-        if (total == 0) {
-            // Fleet worker: the grid size lives in the coordinator.
-            std::fprintf(stderr, "sweep%s: %zu cells (%.1f cells/s)\n",
-                         tag.c_str(), done, rate);
-            return;
-        }
         double eta =
             rate > 0 ? static_cast<double>(total - done) / rate : 0;
-        std::fprintf(
-            stderr, "sweep%s: %zu/%zu cells (%.1f cells/s, eta %.0fs)\n",
-            tag.c_str(), done, total, rate, eta);
+        std::fprintf(stderr,
+                     "sweep: %zu/%zu cells (%.1f cells/s, eta %.0fs)\n",
+                     done, total, rate, eta);
     };
 }
 
@@ -529,6 +524,35 @@ SweepDriver::runCell(const ScenarioSpec &spec, std::uint64_t index) const
     return r;
 }
 
+namespace {
+
+/**
+ * One cell of a cached sweep: served from @p cache when its key
+ * resolves, otherwise simulated and stored before it is returned
+ * (and so before the cell counts as done).
+ */
+CellResult
+cachedCell(const SweepDriver &driver, CellCache &cache,
+           const ScenarioSpec &spec, std::uint64_t index)
+{
+    std::uint64_t seed = driver.cellSeed(index);
+    std::uint64_t key = cache.key(encodeSpec(spec), seed);
+    std::string bytes;
+    if (cache.lookup(key, bytes)) {
+        CellResult r;
+        r.spec = spec;
+        r.index = index;
+        r.seed = seed;
+        decodeStats(bytes, r.stats); // lookup() validated the bytes.
+        return r;
+    }
+    CellResult r = driver.runCell(spec, index);
+    cache.store(key, encodeStats(r.stats));
+    return r;
+}
+
+} // namespace
+
 SweepResult
 SweepDriver::run(const std::vector<ScenarioSpec> &grid) const
 {
@@ -557,6 +581,12 @@ SweepDriver::runRange(const std::vector<ScenarioSpec> &grid,
         want = 1;
     std::size_t workers = std::min<std::size_t>(want, count);
 
+    // Only a cached sweep builds a cache; an uncached one pays one
+    // null check per cell and nothing else.
+    std::unique_ptr<CellCache> cache;
+    if (!cfg_.cacheDir.empty())
+        cache = std::make_unique<CellCache>(cfg_.cacheDir);
+
     std::atomic<std::size_t> cursor{0};
     std::mutex progressMu;
     std::size_t completed = 0;
@@ -567,9 +597,10 @@ SweepDriver::runRange(const std::vector<ScenarioSpec> &grid,
                 return;
             // Cells keep their global grid index (and therefore
             // seed), so disjoint ranges merge byte-identically.
-            result.cells_[i] =
-                runCell(grid[first + i],
-                        static_cast<std::uint64_t>(first + i));
+            const ScenarioSpec &spec = grid[first + i];
+            auto index = static_cast<std::uint64_t>(first + i);
+            result.cells_[i] = cache ? cachedCell(*this, *cache, spec, index)
+                                     : runCell(spec, index);
             if (cfg_.progress) {
                 std::lock_guard<std::mutex> lock(progressMu);
                 cfg_.progress(++completed, count);
@@ -584,6 +615,10 @@ SweepDriver::runRange(const std::vector<ScenarioSpec> &grid,
     work(); // The caller's thread is worker 0.
     for (auto &th : pool)
         th.join();
+    if (cache) {
+        result.cacheHits_ = cache->hits();
+        result.cacheStoreFailures_ = cache->storeFailures();
+    }
     return result;
 }
 

@@ -48,6 +48,17 @@ struct SweepConfig
      * deterministic output (see stderrProgress()).
      */
     std::function<void(std::size_t, std::size_t)> progress;
+
+    /**
+     * Content-addressed cell cache directory (sweep/cache.hh); empty
+     * (the default) turns caching off. When set, each cell is looked
+     * up before it is simulated, and a simulated cell is stored
+     * before it counts as done, so a sweep that is aborted or killed
+     * resumes when it is re-run on the same directory. Missing
+     * parent directories are created. Cached and uncached sweeps of
+     * one grid produce identical deterministic bytes.
+     */
+    std::string cacheDir;
 };
 
 /**
@@ -55,15 +66,8 @@ struct SweepConfig
  * completed cell with done/total, throughput, and ETA, e.g.
  * "sweep: 12/48 cells (3.4 cells/s, eta 11s)". Stderr-only and
  * wall-clock based, so reports (and fingerprints) are untouched.
- *
- * @param label Optional tag spliced into the line -- the fleet
- *        passes "shard 3" so a multi-process run's interleaved
- *        progress stays attributable: "sweep [shard 3]: 12/48 ...".
- *        A zero total (a fleet worker does not know the grid size)
- *        drops the total and ETA: "sweep [shard 3]: 12 cells (...)".
  */
-std::function<void(std::size_t, std::size_t)>
-stderrProgress(const std::string &label = std::string());
+std::function<void(std::size_t, std::size_t)> stderrProgress();
 
 /** One finished cell: its spec, seed, stats, and (non-deterministic)
  *  wall time. */
@@ -73,7 +77,8 @@ struct CellResult
     std::uint64_t index = 0;
     std::uint64_t seed = 0;
     ScenarioStats stats;
-    double wallSeconds = 0; ///< Excluded from deterministic output.
+    double wallSeconds = 0; ///< Excluded from deterministic output;
+                            ///< 0 for a cell served from the cache.
 };
 
 /** Grid-order reduction of a whole sweep. */
@@ -180,12 +185,26 @@ class SweepResult
     double totalWallSeconds() const;
 
     /**
-     * Assemble a SweepResult from already-finished cells -- the merge
-     * hook the distributed fleet (and any out-of-process runner)
-     * uses. Cells must be complete and carry their grid indices;
-     * they are sorted into grid order here, so the CSV/JSON/
-     * fingerprint bytes are identical to an in-process run() of the
-     * same grid under @p cfg.
+     * Cells served from SweepConfig::cacheDir rather than simulated
+     * (0 when caching is off). Like wall time, never part of the
+     * CSV, JSON, or fingerprint.
+     */
+    std::size_t cacheHits() const { return cacheHits_; }
+
+    /**
+     * Simulated cells the cache failed to store (0 when caching is
+     * off): an unwritable cacheDir makes every store fail, so a
+     * non-zero count means the sweep would not resume. Never part of
+     * the CSV, JSON, or fingerprint.
+     */
+    std::size_t cacheStoreFailures() const { return cacheStoreFailures_; }
+
+    /**
+     * Assemble a SweepResult from already-finished cells, e.g. the
+     * results of several runRange() calls over disjoint ranges.
+     * Cells must be complete and carry their grid indices; they are
+     * sorted into grid order here, so the CSV/JSON/fingerprint bytes
+     * are identical to a run() of the same grid under @p cfg.
      */
     static SweepResult fromCells(const SweepConfig &cfg,
                                  std::vector<CellResult> cells);
@@ -194,6 +213,8 @@ class SweepResult
     friend class SweepDriver;
     std::vector<CellResult> cells_;
     SweepConfig cfg_;
+    std::size_t cacheHits_ = 0;
+    std::size_t cacheStoreFailures_ = 0;
 };
 
 /** Fans a grid of scenarios across a worker-thread pool. */
@@ -223,11 +244,11 @@ class SweepDriver
 
     /**
      * Run the contiguous cell range [first, first + count) of
-     * @p grid across the pool -- the fleet's shard execution unit,
-     * also usable directly to split a grid across machines by hand.
-     * Cells keep their *global* indices and seeds, so concatenating
-     * the cells of disjoint ranges and merging via
-     * SweepResult::fromCells reproduces run()'s bytes exactly.
+     * @p grid across the pool, e.g. one sub-grid at a time or one
+     * share of a grid split across machines by hand. Cells keep
+     * their *global* indices and seeds, so concatenating the cells
+     * of disjoint ranges and merging via SweepResult::fromCells
+     * reproduces run()'s bytes exactly.
      */
     SweepResult runRange(const std::vector<ScenarioSpec> &grid,
                          std::size_t first, std::size_t count) const;

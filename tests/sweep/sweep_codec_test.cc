@@ -1,27 +1,22 @@
 /**
  * @file
- * Unit tests for the fleet's building blocks: the canonical
- * spec/stats codec, the content-addressed cell cache, the per-shard
- * checkpoint journal, and the runRange/fromCells merge contract the
- * multi-process fleet is built on.
+ * Unit tests for the canonical spec/stats codec, the content-addressed
+ * cell cache's key and store, and the runRange/fromCells merge
+ * contract.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <sys/stat.h>
 
-#include "fleet/cache.hh"
-#include "fleet/journal.hh"
-#include "fleet/protocol.hh"
 #include "sim/hash.hh"
+#include "sweep/cache.hh"
 #include "sweep/codec.hh"
 #include "sweep/sweep.hh"
 
@@ -132,7 +127,7 @@ csvOf(const sweep::SweepResult &r)
 
 } // namespace
 
-TEST(FleetCodec, EscapeTokenRoundTrips)
+TEST(SweepCodec, EscapeTokenRoundTrips)
 {
     std::string raw;
     for (int c = 0; c < 256; ++c)
@@ -146,7 +141,7 @@ TEST(FleetCodec, EscapeTokenRoundTrips)
     EXPECT_EQ(sweep::unescapeToken(sweep::escapeToken("")), "");
 }
 
-TEST(FleetCodec, SpecRoundTripsEveryField)
+TEST(SweepCodec, SpecRoundTripsEveryField)
 {
     sweep::ScenarioSpec spec = richSpec();
     std::string bytes = sweep::encodeSpec(spec);
@@ -174,7 +169,7 @@ TEST(FleetCodec, SpecRoundTripsEveryField)
     EXPECT_FALSE(sweep::decodeSpec(sweep::encodeSpec(message), back));
 }
 
-TEST(FleetCodec, SpecEncodingIsCanonical)
+TEST(SweepCodec, SpecEncodingIsCanonical)
 {
     // Two default specs encode identically; any field change changes
     // the bytes (spot-checked on a few axes the cache keys off).
@@ -187,7 +182,7 @@ TEST(FleetCodec, SpecEncodingIsCanonical)
     EXPECT_NE(sweep::encodeSpec(a), sweep::encodeSpec(b));
 }
 
-TEST(FleetCodec, SpecRejectsMalformedInput)
+TEST(SweepCodec, SpecRejectsMalformedInput)
 {
     sweep::ScenarioSpec out;
     EXPECT_FALSE(sweep::decodeSpec("", out));
@@ -200,7 +195,7 @@ TEST(FleetCodec, SpecRejectsMalformedInput)
     EXPECT_TRUE(sweep::decodeSpec(good, out));
 }
 
-TEST(FleetCodec, StatsRoundTripExactlyIncludingDoubles)
+TEST(SweepCodec, StatsRoundTripExactlyIncludingDoubles)
 {
     sweep::ScenarioStats st;
     st.planned = 9;
@@ -257,39 +252,18 @@ TEST(FleetCodec, StatsRoundTripExactlyIncludingDoubles)
     EXPECT_FALSE(sweep::decodeStats("", junk));
 }
 
-TEST(FleetProtocol, MsgRoundTripAndRejection)
+TEST(SweepCache, KeySaltHitMissAndCorruption)
 {
-    fleet::Msg m;
-    m.type = "done";
-    m.fields["index"] = "42";
-    m.fields["stats"] = "stat1|a%7C\"quoted\"\\back";
-    std::string line = fleet::encodeMsg(m);
-    EXPECT_EQ(line.find('\n'), std::string::npos);
-    fleet::Msg back;
-    ASSERT_TRUE(fleet::parseMsg(line, back));
-    EXPECT_EQ(back.type, "done");
-    EXPECT_EQ(back.u64("index"), 42u);
-    EXPECT_EQ(back.str("stats"), m.fields["stats"]);
-
-    fleet::Msg junk;
-    EXPECT_FALSE(fleet::parseMsg("", junk));
-    EXPECT_FALSE(fleet::parseMsg("{\"index\":1}", junk)); // No type.
-    EXPECT_FALSE(fleet::parseMsg("{\"type\":\"x\"", junk));
-    EXPECT_FALSE(fleet::parseMsg("not json", junk));
-}
-
-TEST(FleetCache, KeySaltHitMissAndCorruption)
-{
-    const std::string dir = "fleet_test_cache";
+    const std::string dir = "sweep_codec_test_cache";
     ::mkdir(dir.c_str(), 0777);
 
     std::string specBytes =
         sweep::encodeSpec(sweep::ScenarioSpec());
-    EXPECT_NE(fleet::cellKey(specBytes, 1), fleet::cellKey(specBytes, 2));
-    EXPECT_NE(fleet::cellKey(specBytes, 1, 10),
-              fleet::cellKey(specBytes, 1, 11));
+    EXPECT_NE(sweep::cellKey(specBytes, 1), sweep::cellKey(specBytes, 2));
+    EXPECT_NE(sweep::cellKey(specBytes, 1, 10),
+              sweep::cellKey(specBytes, 1, 11));
 
-    fleet::CellCache cache(dir);
+    sweep::CellCache cache(dir);
     sweep::ScenarioStats st;
     st.acked = 3;
     std::string payload = sweep::encodeStats(st);
@@ -304,7 +278,7 @@ TEST(FleetCache, KeySaltHitMissAndCorruption)
     EXPECT_EQ(cache.misses(), 1u);
 
     // A different salt resolves to a different file: cold again.
-    fleet::CellCache bumped(dir, fleet::kHarnessVersionSalt + 1);
+    sweep::CellCache bumped(dir, sweep::kHarnessVersionSalt + 1);
     EXPECT_FALSE(bumped.lookup(bumped.key(specBytes, 7), got));
 
     // Corruption is a miss, never a wrong answer.
@@ -316,54 +290,13 @@ TEST(FleetCache, KeySaltHitMissAndCorruption)
     EXPECT_FALSE(cache.lookup(key, got));
 
     // Disabled cache: everything misses, stores drop.
-    fleet::CellCache off{std::string()};
+    sweep::CellCache off{std::string()};
     EXPECT_FALSE(off.enabled());
     EXPECT_FALSE(off.store(key, payload));
     EXPECT_FALSE(off.lookup(key, got));
 }
 
-TEST(FleetJournal, AppendReloadAndDedupe)
-{
-    const std::string path = "fleet_test_journal.journal";
-    std::remove(path.c_str());
-    {
-        fleet::Journal j(path);
-        EXPECT_EQ(j.size(), 0u);
-        EXPECT_TRUE(j.append(3, 0xAAULL, "stat1|a"));
-        EXPECT_TRUE(j.append(1, 0xBBULL, "stat1|b"));
-        EXPECT_TRUE(j.append(3, 0xCCULL, "stat1|c")); // Overwrite.
-        EXPECT_EQ(j.size(), 2u);
-    }
-    // The file never holds an index twice.
-    {
-        std::ifstream in(path);
-        std::string line;
-        std::set<std::string> firstFields;
-        std::size_t cellLines = 0;
-        while (std::getline(in, line)) {
-            if (line.rfind("cell|", 0) != 0)
-                continue;
-            ++cellLines;
-            firstFields.insert(line.substr(0, line.find('|', 5)));
-        }
-        EXPECT_EQ(cellLines, 2u);
-        EXPECT_EQ(firstFields.size(), 2u);
-    }
-    fleet::Journal back(path);
-    ASSERT_EQ(back.size(), 2u);
-    EXPECT_EQ(back.entries().at(3).key, 0xCCULL);
-    EXPECT_EQ(back.entries().at(3).statsBytes, "stat1|c");
-    EXPECT_EQ(back.entries().at(1).statsBytes, "stat1|b");
-    std::remove(path.c_str());
-
-    // Unbound journal still dedupes in memory.
-    fleet::Journal mem;
-    EXPECT_TRUE(mem.append(0, 1, "x"));
-    EXPECT_TRUE(mem.append(0, 2, "y"));
-    EXPECT_EQ(mem.size(), 1u);
-}
-
-TEST(FleetMerge, RunRangeConcatenationMatchesRun)
+TEST(SweepMerge, RunRangeConcatenationMatchesRun)
 {
     std::vector<sweep::ScenarioSpec> grid = tinyGrid(7);
     sweep::SweepConfig cfg;
@@ -400,10 +333,11 @@ TEST(FleetMerge, RunRangeConcatenationMatchesRun)
     EXPECT_EQ(driver.runRange(grid, 100, 3).size(), 0u);
 }
 
-TEST(FleetMerge, StatsCodecRoundTripsRealSimulation)
+TEST(SweepMerge, StatsCodecRoundTripsRealSimulation)
 {
     // Real simulated stats (traced, faulted) survive the codec
-    // byte-exactly -- the property the whole fleet merge rides on.
+    // byte-exactly -- the property cache hits and fromCells merges
+    // ride on.
     sweep::ScenarioSpec s;
     s.name = "real";
     s.nodes = 4;
