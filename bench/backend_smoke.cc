@@ -1,8 +1,9 @@
 /**
  * @file
  * CI smoke for the pluggable bus-backend layer: the canonical
- * sensing+imaging+storm mix swept across every backend
- * (hardware MBus, standard I2C, oracle I2C, bit-banged mixed ring)
+ * sensing+imaging+storm mix swept across all five fabrics
+ * (hardware MBus, standard I2C, oracle I2C, and the mixed ring with
+ * the software member under both its labels, bitbang and firmware)
  * in one SweepDriver grid, run on 2 worker threads and re-run
  * single-threaded, with end-to-end byte identity (CSV + JSON +
  * fingerprint) and per-cell health asserted. Exits non-zero on
@@ -36,12 +37,9 @@ main(int argc, char **argv)
         "1-thread byte identity",
         "pluggable bus-backend layer self-check (CI gate)");
 
-    // One WorkloadSpec, four fabrics; quiet and stormy variants.
+    // One WorkloadSpec, five fabrics; quiet and stormy variants.
     std::vector<sweep::ScenarioSpec> grid;
-    for (backend::BackendKind kind :
-         {backend::BackendKind::Mbus, backend::BackendKind::I2cStd,
-          backend::BackendKind::I2cOracle,
-          backend::BackendKind::Bitbang}) {
+    for (backend::BackendKind kind : benchutil::kFiveFabrics) {
         for (double storm : {0.0, 0.15}) {
             sweep::ScenarioSpec s = benchutil::canonicalWorkloadCell(
                 /*nodes=*/3, /*clockHz=*/400e3, storm, /*smoke=*/true);

@@ -56,8 +56,8 @@ probe(std::uint32_t jitterCycles, double clockHz, int messages)
     p.fwIsrJitterCycles = jitterCycles;
     p.fwMergeMissedEdges = true;
     p.allowUnsafeClock = true;
-    backend::BitbangBackend ring(
-        simulator, p, backend::BitbangBackend::SoftFlavor::Firmware);
+    backend::BitbangBackend ring(simulator, p,
+                                 backend::BackendKind::Firmware);
 
     Cell cell;
     cell.jitterCycles = jitterCycles;

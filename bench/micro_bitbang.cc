@@ -8,9 +8,9 @@
 
 #include <cstdio>
 
+#include "backend/bitbang_backend.hh"
 #include "bench/bench_util.hh"
 #include "bitbang/bitbang_i2c.hh"
-#include "bitbang/mixed_ring.hh"
 
 using namespace mbus;
 using namespace mbus::bitbang;
@@ -48,24 +48,26 @@ main()
     benchutil::section("Mixed ring demo: 2 hardware nodes + 1 "
                        "software member at 20 kHz");
     sim::Simulator simulator;
-    bus::SystemConfig cfg;
-    cfg.busClockHz = 20e3;
-    BitbangMbus::Config bb;
-    bb.shortPrefix = 3;
-    MixedRing ring(simulator, cfg, bb);
+    backend::BusParams p;
+    p.busClockHz = 20e3;
+    backend::BitbangBackend ring(simulator, p);
+    const std::size_t soft = ring.softIndex();
 
     int sw_rx = 0, hw_rx = 0;
-    ring.softNode().setReceiveCallback(
-        [&](const bus::ReceivedMessage &) { ++sw_rx; });
-    ring.hw1().layer().setMailboxHandler(
-        [&](const bus::ReceivedMessage &) { ++hw_rx; });
+    ring.setDeliveryHandler(
+        [&](std::size_t n, const bus::ReceivedMessage &) {
+            if (n == soft)
+                ++sw_rx;
+            if (n == 1)
+                ++hw_rx;
+        });
 
     // hw0 -> software member.
     bus::Message to_sw;
-    to_sw.dest = bus::Address::shortAddr(3, 0);
+    to_sw.dest = ring.unicastAddress(soft, false, 0);
     to_sw.payload = {0xBE, 0xEF};
     bool d1 = false;
-    ring.hw0().send(to_sw, [&](const bus::TxResult &r) {
+    ring.send(0, to_sw, [&](const bus::TxResult &r) {
         std::printf("hw0 -> bitbang: %s\n",
                     bus::txStatusName(r.status));
         d1 = true;
@@ -74,26 +76,25 @@ main()
 
     // Software member -> hw1 (full TX path in software).
     bus::Message to_hw;
-    to_hw.dest = bus::Address::shortAddr(2, bus::kFuMailbox);
+    to_hw.dest = ring.unicastAddress(1, false, bus::kFuMailbox);
     to_hw.payload = {0x42, 0x24, 0x99};
     bool d2 = false;
-    ring.softNode().send(to_hw, [&](const bus::TxResult &r) {
+    ring.send(soft, to_hw, [&](const bus::TxResult &r) {
         std::printf("bitbang -> hw1: %s\n",
                     bus::txStatusName(r.status));
         d2 = true;
     });
     simulator.runUntil([&] { return d2; }, 2 * sim::kSecond);
-    simulator.run(simulator.now() + 100 * sim::kMillisecond);
+    ring.runUntilIdle(100 * sim::kMillisecond);
 
+    const auto &st = ring.firmwareNode().stats();
     std::printf("deliveries: software member %d, hardware member "
                 "%d\n", sw_rx, hw_rx);
     std::printf("software ISR stats: %llu invocations, %llu cycles, "
                 "max path %d cycles (model bound %d)\n",
-                static_cast<unsigned long long>(
-                    ring.softNode().stats().isrInvocations),
-                static_cast<unsigned long long>(
-                    ring.softNode().stats().cyclesSpent),
-                ring.softNode().maxObservedPathCycles(),
+                static_cast<unsigned long long>(st.isrInvocations),
+                static_cast<unsigned long long>(st.cyclesSpent),
+                ring.firmwareNode().maxObservedPathCycles(),
                 cost.worstPathCycles());
     std::printf("\nShape: software members interoperate with "
                 "hardware MBus with zero tuning, at clocks bounded "

@@ -19,9 +19,10 @@
  *    documents), events per completed wire data bit through the
  *    workload engine's hot path;
  *  - i2c_std_mix / bitbang_mix / firmware_mix: the same canonical
- *    mix through the transactional-I2C, mixed bit-banged-ring, and
- *    firmware-in-the-loop backends, gating the scheduler cost of
- *    the non-MBus fabrics;
+ *    mix through the transactional-I2C backend and the mixed ring
+ *    with the software member, gating the scheduler cost of the
+ *    non-MBus fabrics (bitbang_mix and firmware_mix gate one engine,
+ *    firmware::FirmwareNode, under its two fabric labels);
  *  - workload_mix_dispatch / bitbang_mix_dispatch /
  *    firmware_mix_dispatch: listener virtual calls per completed
  *    wire data bit on the same cells -- the cost chunked dispatch

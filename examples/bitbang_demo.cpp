@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "bitbang/mixed_ring.hh"
+#include "backend/bitbang_backend.hh"
 
 using namespace mbus;
 using namespace mbus::bitbang;
@@ -23,31 +23,30 @@ main()
                 cost.worstPathInstructions(), cost.worstPathCycles(),
                 cost.maxBusClockHzPaper() / 1e3);
 
+    // Two hardware chips (hw0 hosts the mediator) and the software
+    // member, which runs the ported libmbus firmware.
     sim::Simulator simulator;
-    bus::SystemConfig cfg;
-    cfg.busClockHz = 20e3; // Well inside the software envelope.
-    BitbangMbus::Config bb;
-    bb.shortPrefix = 3;
-    bb.cost = cost;
-    MixedRing ring(simulator, cfg, bb);
+    backend::BusParams p;
+    p.busClockHz = 20e3; // Well inside the software envelope.
+    backend::BitbangBackend ring(simulator, p);
+    const std::size_t soft = ring.softIndex();
 
-    ring.softNode().setReceiveCallback(
-        [](const bus::ReceivedMessage &rx) {
-            std::printf("[bitbang] received %zu bytes via GPIO "
-                        "ISRs\n", rx.payload.size());
-        });
-    ring.hw1().layer().setMailboxHandler(
-        [](const bus::ReceivedMessage &rx) {
-            std::printf("[hw1] received %zu bytes from the software "
-                        "member\n", rx.payload.size());
+    ring.setDeliveryHandler(
+        [soft](std::size_t n, const bus::ReceivedMessage &rx) {
+            if (n == soft)
+                std::printf("[bitbang] received %zu bytes via GPIO "
+                            "ISRs\n", rx.payload.size());
+            else if (n == 1)
+                std::printf("[hw1] received %zu bytes from the "
+                            "software member\n", rx.payload.size());
         });
 
     // Hardware -> software.
     bus::Message down;
-    down.dest = bus::Address::shortAddr(3, 0);
+    down.dest = ring.unicastAddress(soft, false, 0);
     down.payload = {0x01, 0x02, 0x03, 0x04};
     bool d1 = false;
-    ring.hw0().send(down, [&](const bus::TxResult &r) {
+    ring.send(0, down, [&](const bus::TxResult &r) {
         std::printf("[hw0] -> bitbang: %s\n",
                     bus::txStatusName(r.status));
         d1 = true;
@@ -56,24 +55,24 @@ main()
 
     // Software -> hardware (the full TX path runs in ISRs).
     bus::Message up;
-    up.dest = bus::Address::shortAddr(2, bus::kFuMailbox);
+    up.dest = ring.unicastAddress(1, false, bus::kFuMailbox);
     up.payload = {0xAA, 0xBB};
     bool d2 = false;
-    ring.softNode().send(up, [&](const bus::TxResult &r) {
+    ring.send(soft, up, [&](const bus::TxResult &r) {
         std::printf("[bitbang] -> hw1: %s\n",
                     bus::txStatusName(r.status));
         d2 = true;
     });
     simulator.runUntil([&] { return d2; }, 2 * sim::kSecond);
-    simulator.run(simulator.now() + 100 * sim::kMillisecond);
+    ring.runUntilIdle(100 * sim::kMillisecond);
 
-    auto &st = ring.softNode().stats();
+    const auto &st = ring.firmwareNode().stats();
     std::printf("\nCPU accounting: %llu ISRs, %llu cycles total "
                 "(%.1f ms at 8 MHz), max observed path %d cycles\n",
                 static_cast<unsigned long long>(st.isrInvocations),
                 static_cast<unsigned long long>(st.cyclesSpent),
                 st.cyclesSpent / cost.cpuHz * 1e3,
-                ring.softNode().maxObservedPathCycles());
+                ring.firmwareNode().maxObservedPathCycles());
     std::printf("zero per-chip tuning was needed -- the "
                 "interoperability claim of Sec 6.5/6.6.\n");
     return 0;

@@ -51,11 +51,8 @@ makeBackend(BackendKind kind, sim::Simulator &sim,
         return std::make_unique<I2cBackend>(
             sim, params, baseline::I2cSizing::Oracle);
     case BackendKind::Bitbang:
-        return std::make_unique<BitbangBackend>(
-            sim, params, BitbangBackend::SoftFlavor::Model);
     case BackendKind::Firmware:
-        return std::make_unique<BitbangBackend>(
-            sim, params, BitbangBackend::SoftFlavor::Firmware);
+        return std::make_unique<BitbangBackend>(sim, params, kind);
     }
     mbus_fatal("unknown backend kind ", static_cast<int>(kind));
     return nullptr;

@@ -51,9 +51,10 @@ enum class BackendKind : std::uint8_t {
     Mbus,      ///< Simulated hardware MBus ring (the default).
     I2cStd,    ///< Transactional I2C, fixed 300 ns rise sizing.
     I2cOracle, ///< Transactional I2C, oracle pull-up sizing (Sec 6.2).
-    Bitbang,   ///< Mixed ring with a four-GPIO software member.
-    Firmware,  ///< Mixed ring; the software member runs the ported
-               ///< libmbus firmware FSM (firmware-in-the-loop).
+    Bitbang,   ///< Mixed ring with a four-GPIO software member
+               ///< (the ported libmbus FSM, firmware::FirmwareNode).
+    Firmware,  ///< The same mixed ring and engine as Bitbang, under
+               ///< its own fabric label.
 };
 
 /** @return a short printable name ("mbus", "i2c_std", ...). */
@@ -78,8 +79,8 @@ struct BusParams
     std::size_t softRxCapacity = 256; ///< Software member's receive
                                       ///< buffer (bitbang/firmware).
 
-    // Firmware-flavor knobs (the ISR-latency x bus-clock ceiling
-    // sweep); other kinds ignore them.
+    // Software-member knobs (the ISR-latency x bus-clock ceiling
+    // sweep); the MBus and I2C kinds ignore them.
     std::uint32_t fwIsrJitterCycles = 0; ///< Extra ISR-entry jitter.
     bool fwMergeMissedEdges = false; ///< Absorb edges while pending
                                      ///< (real-MCU interrupt flags).

@@ -16,15 +16,15 @@ namespace {
 
 /** Fraction of the mixed-ring clock envelope the backend runs at;
  *  headroom for back-to-back CLK/DATA ISRs serializing on the one
- *  CPU (MixedRing budgets 2.5x the worst path for the same reason). */
+ *  CPU (the ring budget is 2.5x the worst path for the same reason). */
 constexpr double kClockHeadroom = 0.8;
 
 } // namespace
 
 BitbangBackend::BitbangBackend(sim::Simulator &sim,
                                const BusParams &params,
-                               SoftFlavor flavor)
-    : sim_(sim), params_(params), flavor_(flavor),
+                               BackendKind kind)
+    : sim_(sim), params_(params), kind_(kind),
       nodes_(static_cast<std::size_t>(params.nodes)),
       ledger_(nodes_),
       energy_(power::kSimCalibration,
@@ -36,9 +36,11 @@ BitbangBackend::BitbangBackend(sim::Simulator &sim,
         mbus_fatal("bitbang backend needs 3..14 nodes, got ",
                    params.nodes);
 
-    bitbang::BitbangMbus::Config bbCfg;
-    bbCfg.shortPrefix = static_cast<std::uint8_t>(nodes_);
-    bbCfg.rxCapacityBytes = params.softRxCapacity;
+    firmware::FirmwareNode::Config fwCfg;
+    fwCfg.shortPrefix = static_cast<std::uint8_t>(nodes_);
+    fwCfg.rxCapacityBytes = params.softRxCapacity;
+    fwCfg.isrJitterCycles = params.fwIsrJitterCycles;
+    fwCfg.mergeMissedEdges = params.fwMergeMissedEdges;
 
     cfg_.hopDelay =
         static_cast<sim::SimTime>(params.hopDelayNs * 1000.0 + 0.5);
@@ -48,11 +50,12 @@ BitbangBackend::BitbangBackend(sim::Simulator &sim,
     cfg_.chunkedDispatch = params.chunkedDispatch;
     // The software member's CLK ISR retirements coalesce under the
     // same switch (and train length) as the net-level trains.
-    bbCfg.isrTrainMaxEdges = cfg_.edgeTrains ? cfg_.trainMaxEdges : 0;
+    fwCfg.isrTrainMaxEdges = cfg_.edgeTrains ? cfg_.trainMaxEdges : 0;
     // The software member's response latency dominates the ring
-    // round trip (same 2.5x budget MixedRing uses).
-    cfg_.extraRingLatency = 2 * bbCfg.cost.responseLatency() +
-                            bbCfg.cost.responseLatency() / 2;
+    // round trip. Budget 2.5x its worst path: CLK and DATA edges can
+    // land back-to-back and serialize on the single CPU.
+    cfg_.extraRingLatency = 2 * fwCfg.cost.responseLatency() +
+                            fwCfg.cost.responseLatency() / 2;
     // The ceiling probe deliberately overclocks the software member
     // past its ISR envelope; everything else stays clamped safe.
     cfg_.busClockHz =
@@ -114,24 +117,9 @@ BitbangBackend::BitbangBackend(sim::Simulator &sim,
                      *dataSegs_[i], {}, {}, /*isMediatorHost=*/i == 0,
                      i == 0 ? link_.get() : nullptr);
     }
-    // Both flavors attach their listeners at the same construction
-    // position, so same-timestamp event insertion order -- and with
-    // it the shared VCD waveform -- is identical across flavors.
-    if (flavor_ == SoftFlavor::Model) {
-        bitbang_ = std::make_unique<bitbang::BitbangMbus>(
-            sim_, bbCfg, *clkSegs_[nodes_ - 2], *clkSegs_[nodes_ - 1],
-            *dataSegs_[nodes_ - 2], *dataSegs_[nodes_ - 1]);
-    } else {
-        firmware::FirmwareNode::Config fwCfg;
-        fwCfg.shortPrefix = static_cast<std::uint8_t>(nodes_);
-        fwCfg.cost = bbCfg.cost;
-        fwCfg.rxCapacityBytes = params.softRxCapacity;
-        fwCfg.isrJitterCycles = params.fwIsrJitterCycles;
-        fwCfg.mergeMissedEdges = params.fwMergeMissedEdges;
-        fw_ = std::make_unique<firmware::FirmwareNode>(
-            sim_, fwCfg, *clkSegs_[nodes_ - 2], *clkSegs_[nodes_ - 1],
-            *dataSegs_[nodes_ - 2], *dataSegs_[nodes_ - 1]);
-    }
+    fw_ = std::make_unique<firmware::FirmwareNode>(
+        sim_, fwCfg, *clkSegs_[nodes_ - 2], *clkSegs_[nodes_ - 1],
+        *dataSegs_[nodes_ - 2], *dataSegs_[nodes_ - 1]);
 
     bus::Mediator::Context mctx{sim_,
                                 cfg_,
@@ -187,10 +175,7 @@ BitbangBackend::send(std::size_t node, bus::Message msg,
                      bus::SendCallback cb)
 {
     if (isSoft(node)) {
-        if (fw_)
-            fw_->send(std::move(msg), std::move(cb));
-        else
-            bitbang_->send(std::move(msg), std::move(cb));
+        fw_->send(std::move(msg), std::move(cb));
         return;
     }
     hw_[node]->send(std::move(msg), std::move(cb));
@@ -199,8 +184,8 @@ BitbangBackend::send(std::size_t node, bus::Message msg,
 void
 BitbangBackend::interject(std::size_t node)
 {
-    // The simplified software engine cannot raise a third-party
-    // interjection; only hardware members stomp the bus.
+    // libmbus exposes no third-party interjection request; only
+    // hardware members stomp the bus.
     if (!isSoft(node))
         hw_[node]->interject();
 }
@@ -221,22 +206,10 @@ BitbangBackend::wake(std::size_t node)
 }
 
 std::size_t
-BitbangBackend::softPendingTx() const
-{
-    return fw_ ? fw_->pendingTx() : bitbang_->pendingTx();
-}
-
-bool
-BitbangBackend::softIdle() const
-{
-    return fw_ ? fw_->idle() : bitbang_->idle();
-}
-
-std::size_t
 BitbangBackend::pendingTx(std::size_t node) const
 {
     if (isSoft(node))
-        return softPendingTx();
+        return fw_->pendingTx();
     return hw_[node]->busController().pendingTx();
 }
 
@@ -296,10 +269,7 @@ BitbangBackend::setDeliveryHandler(DeliveryHandler h)
             h(soft, rx);
         };
     }
-    if (fw_)
-        fw_->setReceiveCallback(std::move(softCb));
-    else
-        bitbang_->setReceiveCallback(std::move(softCb));
+    fw_->setReceiveCallback(std::move(softCb));
 }
 
 bool
@@ -310,7 +280,7 @@ BitbangBackend::runUntilIdle(sim::SimTime timeout)
                              : sim_.now() + timeout;
     return sim_.runUntil(
         [this] {
-            if (!mediator_->asleep() || !softIdle())
+            if (!mediator_->asleep() || !fw_->idle())
                 return false;
             for (auto &n : hw_) {
                 if (n->sleepController().transactionActive() ||
@@ -334,9 +304,7 @@ BitbangBackend::attachTrace(sim::TraceRecorder &recorder)
 double
 BitbangBackend::softCpuEnergyJ() const
 {
-    std::uint64_t cycles = fw_ ? fw_->stats().cyclesSpent
-                               : bitbang_->stats().cyclesSpent;
-    return static_cast<double>(cycles) *
+    return static_cast<double>(fw_->stats().cyclesSpent) *
            power::kProcessorEnergyPerCycleJ;
 }
 
@@ -538,7 +506,7 @@ BitbangBackend::watchdogPoll()
     // particular the software member can be stranded mid-receive with
     // an empty queue when a fault swallowed the edges it was counting
     // -- the forced control sequence is what clocks it back to Idle.
-    bool busy = !mediator_->asleep() || !softIdle();
+    bool busy = !mediator_->asleep() || !fw_->idle();
     for (std::size_t i = 0; i + 1 < nodes_ && !busy; ++i)
         busy = hw_[i]->busController().pendingTx() > 0 ||
                hw_[i]->sleepController().transactionActive();

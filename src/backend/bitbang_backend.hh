@@ -2,9 +2,9 @@
  * @file
  * BusBackend over a mixed hardware/software MBus ring (Sec 6.6).
  *
- * Generalizes bitbang::MixedRing to any ring population: nodes
- * 0..n-2 are hardware MBus chips (node 0 hosts the mediator), node
- * n-1 is the four-GPIO bit-banged software member. The software
+ * Any ring population: nodes 0..n-2 are hardware MBus chips (node 0
+ * hosts the mediator), node n-1 is the four-GPIO software member
+ * (firmware::FirmwareNode, the ported libmbus FSM). The software
  * member's ISR response latency is charged to the ring budget via
  * SystemConfig::extraRingLatency and throttles the whole fabric --
  * the bus clock is clamped to a conservative fraction of the mixed
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "backend/backend.hh"
-#include "bitbang/bitbang_mbus.hh"
 #include "firmware/firmware_node.hh"
 #include "mbus/mediator.hh"
 #include "mbus/node.hh"
@@ -35,25 +34,16 @@
 namespace mbus {
 namespace backend {
 
-/** The mixed hardware + bit-banged-member fabric. */
+/** The mixed hardware + software-member fabric. */
 class BitbangBackend final : public BusBackend
 {
   public:
-    /** Which engine runs the software member: the behavioral
-     *  BitbangMbus model, or the ported libmbus firmware FSM
-     *  (firmware::FirmwareNode). The two are differentially tested
-     *  to produce identical waveforms, deliveries, and energy. */
-    enum class SoftFlavor : std::uint8_t { Model, Firmware };
-
+    /** @param kind The label kind() reports: BackendKind::Bitbang or
+     *  BackendKind::Firmware (one engine, two fabric names). */
     BitbangBackend(sim::Simulator &sim, const BusParams &params,
-                   SoftFlavor flavor = SoftFlavor::Model);
+                   BackendKind kind = BackendKind::Bitbang);
 
-    BackendKind
-    kind() const override
-    {
-        return flavor_ == SoftFlavor::Model ? BackendKind::Bitbang
-                                            : BackendKind::Firmware;
-    }
+    BackendKind kind() const override { return kind_; }
     std::size_t nodeCount() const override { return nodes_; }
     double busClockHz() const override { return cfg_.busClockHz; }
     double maxSafeClockHz() const override;
@@ -95,12 +85,7 @@ class BitbangBackend final : public BusBackend
     std::uint64_t clockCycles() const override;
     std::uint64_t dispatchCalls() const override;
 
-    /** The software member (stats, ISR diagnostics).
-     *  Model flavor only -- null under SoftFlavor::Firmware. */
-    bitbang::BitbangMbus &softNode() { return *bitbang_; }
-
-    /** The firmware software member.
-     *  Firmware flavor only -- null under SoftFlavor::Model. */
+    /** The software member (stats, ISR diagnostics). */
     firmware::FirmwareNode &firmwareNode() { return *fw_; }
 
     /** Index of the software member on the ring (n - 1). */
@@ -138,8 +123,6 @@ class BitbangBackend final : public BusBackend
 
     bool isSoft(std::size_t node) const { return node == nodes_ - 1; }
     double softCpuEnergyJ() const;
-    bool softIdle() const;
-    std::size_t softPendingTx() const;
 
     /** Deliver any deferred batched edge runs (energy taps) so the
      *  ledger totals below are complete at any read point. */
@@ -152,7 +135,7 @@ class BitbangBackend final : public BusBackend
 
     sim::Simulator &sim_;
     BusParams params_;
-    SoftFlavor flavor_;
+    BackendKind kind_;
     std::size_t nodes_;
     bus::SystemConfig cfg_;
     power::EnergyLedger ledger_;
@@ -161,7 +144,6 @@ class BitbangBackend final : public BusBackend
     std::vector<std::unique_ptr<wire::Net>> clkSegs_;
     std::vector<std::unique_ptr<wire::Net>> dataSegs_;
     std::vector<std::unique_ptr<bus::Node>> hw_;
-    std::unique_ptr<bitbang::BitbangMbus> bitbang_;
     std::unique_ptr<firmware::FirmwareNode> fw_;
     std::vector<std::unique_ptr<SegmentTap>> taps_;
     std::unique_ptr<bus::MediatorHostLink> link_;

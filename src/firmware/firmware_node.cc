@@ -16,6 +16,8 @@ FirmwareNode::FirmwareNode(sim::Simulator &sim, Config cfg,
       clkOut_(sim, clkOut, wire::Gpio::Direction::Output),
       dataIn_(sim, dataIn, wire::Gpio::Direction::Input),
       dataOut_(sim, dataOut, wire::Gpio::Direction::Output),
+      coalesceClk_(cfg.isrTrainMaxEdges != 0 &&
+                   cfg.isrJitterCycles == 0 && !cfg.mergeMissedEdges),
       jitterState_(cfg.jitterSeed ? cfg.jitterSeed : 1)
 {
     clkRetire_.self = this;
@@ -45,7 +47,10 @@ FirmwareNode::FirmwareNode(sim::Simulator &sim, Config cfg,
     dataInNet_.listen(wire::Edge::Any, *this);
 }
 
-FirmwareNode::~FirmwareNode() = default;
+FirmwareNode::~FirmwareNode()
+{
+    isrTrain_.cancel();
+}
 
 void
 FirmwareNode::onNetEdge(wire::Net &net, bool value)
@@ -65,8 +70,8 @@ FirmwareNode::onEdge(Pin pin, bool level)
         return;
     }
 
-    // Same cycle formulas as bitbang::BitbangMbus, so retirement
-    // latency, CPU serialization, and energy line up bit for bit.
+    // The CLK ISR body costs the same cycle count whatever the FSM
+    // state, so without jitter its retirement latency is a constant.
     const auto &cost = cfg_.cost;
     int total;
     if (pin == Pin::Clk) {
@@ -83,22 +88,102 @@ FirmwareNode::onEdge(Pin pin, bool level)
     total += static_cast<int>(jitterDraw());
     maxPathCycles_ = std::max(maxPathCycles_, total);
 
-    sim::SimTime start = sim_.now();
+    // One CPU: a new interrupt waits for the running ISR to retire.
+    const sim::SimTime now = sim_.now();
+    sim::SimTime start = now;
     if (cpuBusyUntil_ > start) {
         ++stats_.serializationStalls;
         start = cpuBusyUntil_;
     }
-    sim::SimTime done = start + cfg_.cost.cyclesToTime(total);
+    const sim::SimTime latency = cfg_.cost.cyclesToTime(total);
+    const sim::SimTime done = start + latency;
     cpuBusyUntil_ = done;
     ++stats_.isrInvocations;
     stats_.cyclesSpent += static_cast<std::uint64_t>(total);
 
     ++pending;
-    sim_.scheduleEdge(done - sim_.now(),
+    if (pin == Pin::Clk && coalesceClk_ &&
+        rideIsrTrain(level, latency, start == now))
+        return;
+    // The output write is the last instruction before RETI: the whole
+    // response lands at ISR retirement.
+    sim_.scheduleEdge(done - now,
                       pin == Pin::Clk
                           ? static_cast<sim::EdgeSink &>(clkRetire_)
                           : static_cast<sim::EdgeSink &>(dataRetire_),
                       level);
+}
+
+bool
+FirmwareNode::rideIsrTrain(bool level, sim::SimTime latency, bool onTime)
+{
+    const sim::SimTime now = sim_.now();
+    if (isrTrainActive_) {
+        // Does this arrival confirm the train's next predicted
+        // retirement? Confirmation re-arms the edge with a tie-break
+        // sequence drawn right now -- the exact position a discrete
+        // schedule here would get -- so delivery is bit-identical.
+        if (onTime && level == isrExpectValue_ && now == isrExpectAt_ &&
+            isrTrainLeft_ > 0 && isrTrain_.confirmTrainEdge()) {
+            --isrTrainLeft_;
+            isrExpectValue_ = !level;
+            isrExpectAt_ = now + isrPeriod_;
+            if (isrTrainLeft_ == 0) {
+                // Exhausted cleanly: hand the rhythm straight back to
+                // the detector so the next matching arrival chains a
+                // new train without discrete warm-up.
+                isrTrainActive_ = false;
+                haveClkArrival_ = true;
+                haveClkGap_ = true;
+                lastClkArrival_ = now;
+                lastClkGap_ = isrPeriod_;
+            }
+            return true;
+        }
+        // Stalled, off-rhythm, or wrong level: split back to the
+        // discrete path (the committed in-flight retirement survives).
+        splitIsrTrain();
+    }
+
+    if (!onTime) {
+        // A stalled retirement lands off the pure-latency beat:
+        // restart rhythm detection from scratch.
+        haveClkArrival_ = false;
+        haveClkGap_ = false;
+        return false;
+    }
+    const sim::SimTime gap = now - lastClkArrival_;
+    if (haveClkGap_ && gap > 0 && gap == lastClkGap_ && gap > latency) {
+        // Third stall-free arrival on a steady beat: this retirement
+        // becomes the confirmed head of a train.
+        isrPeriod_ = gap;
+        isrTrain_ = sim_.scheduleSpeculativeEdgeTrain(
+            latency, gap, cfg_.isrTrainMaxEdges, clkRetire_, level);
+        isrTrainActive_ = true;
+        isrTrainLeft_ = cfg_.isrTrainMaxEdges - 1;
+        isrExpectValue_ = !level;
+        isrExpectAt_ = now + gap;
+        haveClkArrival_ = false;
+        haveClkGap_ = false;
+        return true;
+    }
+    if (haveClkArrival_) {
+        lastClkGap_ = gap;
+        haveClkGap_ = gap > 0;
+    }
+    lastClkArrival_ = now;
+    haveClkArrival_ = true;
+    return false;
+}
+
+void
+FirmwareNode::splitIsrTrain()
+{
+    (void)isrTrain_.truncateTrainToHead();
+    isrTrainActive_ = false;
+    isrTrainLeft_ = 0;
+    haveClkArrival_ = false;
+    haveClkGap_ = false;
 }
 
 void
@@ -156,15 +241,14 @@ void
 FirmwareNode::afterIsr()
 {
     // MBus_run() executes off the event kernel at the ISR's virtual
-    // timestamp -- the same +0 slot the behavioral model uses for its
-    // completion callbacks.
+    // timestamp, in the +0 slot after the handler.
     if (fsm_->eventsPending() && !runScheduled_) {
         runScheduled_ = true;
         sim_.schedule(0, [this] { drainRun(); });
     }
     // Back to IDLE with messages waiting (a finished transaction, a
-    // lost arbitration, or a squashed request): re-issue after the
-    // same 4x-response-latency guard the model's beginIdle waits.
+    // lost arbitration, or a squashed request): re-issue after a
+    // 4x-response-latency idle guard.
     if (!txQueue_.empty() && fsm_->state() == MBUS_STATE_IDLE &&
         !fsm_->requesting() && !retryScheduled_) {
         retryScheduled_ = true;

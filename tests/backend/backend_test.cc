@@ -310,7 +310,7 @@ TEST(BitbangBackend, FiveNodeRingForwardsThroughSoftMember)
     EXPECT_EQ(sendAndRun(simulator, ring, 3, msg).status,
               bus::TxStatus::Ack);
     EXPECT_EQ(seen, msg.payload);
-    EXPECT_GT(ring.softNode().stats().isrInvocations, 0u);
+    EXPECT_GT(ring.firmwareNode().stats().isrInvocations, 0u);
     // Segment switching charged; software CPU cycles priced in.
     EXPECT_GT(ring.switchingJ(), 0.0);
     EXPECT_GT(ring.nodeEnergyJ(ring.softIndex()), 0.0);

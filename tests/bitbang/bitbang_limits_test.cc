@@ -1,13 +1,13 @@
 /**
  * @file
- * Negative and stress tests for the bitbang engine: frequency
+ * Negative and stress tests for the software member: frequency
  * envelopes (a software member cannot keep up beyond its ISR budget)
  * and sustained mixed-ring traffic.
  */
 
 #include <gtest/gtest.h>
 
-#include "bitbang/mixed_ring.hh"
+#include "backend/bitbang_backend.hh"
 #include "sim/simulator.hh"
 
 using namespace mbus;
@@ -15,71 +15,66 @@ using namespace mbus::bitbang;
 
 namespace {
 
-bus::SystemConfig
-mixedCfg(double busHz)
+/** The mixed ring's clock envelope for a member with cost @p c: the
+ *  half period must cover the hop floor plus a 2.5x worst-path ISR
+ *  budget (how BitbangBackend sizes a 3-node ring at 10 ns hops). */
+double
+ringEnvelopeHz(const Msp430CostModel &c)
 {
-    bus::SystemConfig cfg;
-    cfg.busClockHz = busHz;
-    return cfg;
+    const double budget = 2.0 * sim::toSeconds(c.responseLatency()) +
+                          sim::toSeconds(c.responseLatency() / 2);
+    return 1.0 / (2.0 * (5.0 * 10e-9 + budget));
 }
 
 } // namespace
 
 TEST(BitbangLimits, FasterCpuSupportsFasterBus)
 {
-    // A 32 MHz core quadruples the envelope; run at 60 kHz.
+    // A 32 MHz core quarters the ISR response time and so roughly
+    // quadruples the envelope: 60 kHz fits it with the backend's
+    // headroom, but not an 8 MHz member's.
+    Msp430CostModel slow;
+    Msp430CostModel fast;
+    fast.cpuHz = 32e6;
+    EXPECT_NEAR(fast.maxBusClockHzPaper(), 4 * slow.maxBusClockHzPaper(),
+                1.0);
+    EXPECT_GT(0.8 * ringEnvelopeHz(fast), 60e3);
+    EXPECT_LT(ringEnvelopeHz(slow), 60e3);
+
+    // The 8 MHz backend clamps a 60 kHz request into its envelope.
     sim::Simulator simulator;
-    BitbangMbus::Config bb;
-    bb.shortPrefix = 3;
-    bb.cost.cpuHz = 32e6;
-    MixedRing ring(simulator, mixedCfg(60e3), bb);
-
-    std::optional<bus::TxResult> result;
-    bus::Message msg;
-    msg.dest = bus::Address::shortAddr(3, 0);
-    msg.payload = {0x11, 0x22};
-    ring.hw0().send(msg, [&](const bus::TxResult &r) { result = r; });
-    simulator.runUntil([&] { return result.has_value(); },
-                       sim::kSecond);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(result->status, bus::TxStatus::Ack);
-}
-
-TEST(BitbangLimitsDeath, OverfastMixedRingIsRejected)
-{
-    // 200 kHz against an 8 MHz software member: the builder refuses
-    // (the member's 65-cycle ISR cannot meet the ring budget).
-    EXPECT_EXIT(
-        {
-            sim::Simulator simulator;
-            BitbangMbus::Config bb;
-            bb.shortPrefix = 3;
-            MixedRing ring(simulator, mixedCfg(200e3), bb);
-        },
-        testing::ExitedWithCode(1), "too fast for the bitbang");
+    backend::BusParams p;
+    p.busClockHz = 60e3;
+    backend::BitbangBackend ring(simulator, p);
+    EXPECT_DOUBLE_EQ(ring.maxSafeClockHz(), ringEnvelopeHz(slow));
+    EXPECT_LT(ring.busClockHz(), 60e3);
 }
 
 TEST(BitbangLimits, SustainedBidirectionalTraffic)
 {
     sim::Simulator simulator;
-    BitbangMbus::Config bb;
-    bb.shortPrefix = 3;
-    MixedRing ring(simulator, mixedCfg(20e3), bb);
+    backend::BusParams p;
+    p.busClockHz = 20e3;
+    backend::BitbangBackend ring(simulator, p);
+    const std::size_t soft = ring.softIndex();
 
     int sw_rx = 0, hw_rx = 0;
-    ring.softNode().setReceiveCallback(
-        [&](const bus::ReceivedMessage &) { ++sw_rx; });
-    ring.hw1().layer().setMailboxHandler(
-        [&](const bus::ReceivedMessage &) { ++hw_rx; });
+    ring.setDeliveryHandler(
+        [&](std::size_t n, const bus::ReceivedMessage &) {
+            if (n == soft)
+                ++sw_rx;
+            if (n == 1)
+                ++hw_rx;
+        });
 
     const int kRounds = 5;
     int completions = 0;
     for (int i = 0; i < kRounds; ++i) {
         bus::Message down;
-        down.dest = bus::Address::shortAddr(3, 0);
+        down.dest = ring.unicastAddress(soft, false, 0);
         down.payload = {static_cast<std::uint8_t>(i)};
         bool d = false;
-        ring.hw0().send(down, [&](const bus::TxResult &r) {
+        ring.send(0, down, [&](const bus::TxResult &r) {
             EXPECT_EQ(r.status, bus::TxStatus::Ack);
             ++completions;
             d = true;
@@ -87,45 +82,46 @@ TEST(BitbangLimits, SustainedBidirectionalTraffic)
         simulator.runUntil([&] { return d; }, sim::kSecond);
 
         bus::Message up;
-        up.dest = bus::Address::shortAddr(2, bus::kFuMailbox);
+        up.dest = ring.unicastAddress(1, false, bus::kFuMailbox);
         up.payload = {static_cast<std::uint8_t>(0x80 + i), 0xFF};
         bool u = false;
-        ring.softNode().send(up, [&](const bus::TxResult &r) {
+        ring.send(soft, up, [&](const bus::TxResult &r) {
             EXPECT_EQ(r.status, bus::TxStatus::Ack);
             ++completions;
             u = true;
         });
         simulator.runUntil([&] { return u; }, 2 * sim::kSecond);
     }
-    simulator.run(simulator.now() + 200 * sim::kMillisecond);
+    EXPECT_TRUE(ring.runUntilIdle(200 * sim::kMillisecond));
 
     EXPECT_EQ(completions, 2 * kRounds);
     EXPECT_EQ(sw_rx, kRounds);
     EXPECT_EQ(hw_rx, kRounds);
     // The ISR accounting never exceeded the modelled worst case.
-    EXPECT_LE(ring.softNode().maxObservedPathCycles(),
-              bb.cost.worstPathCycles());
+    EXPECT_LE(ring.firmwareNode().maxObservedPathCycles(),
+              Msp430CostModel().worstPathCycles());
 }
 
 TEST(BitbangLimits, CpuSerializationIsAccounted)
 {
     sim::Simulator simulator;
-    BitbangMbus::Config bb;
-    bb.shortPrefix = 3;
-    MixedRing ring(simulator, mixedCfg(20e3), bb);
+    backend::BusParams p;
+    p.busClockHz = 20e3;
+    backend::BitbangBackend ring(simulator, p);
 
     bus::Message msg;
-    msg.dest = bus::Address::shortAddr(2, bus::kFuMailbox);
+    msg.dest = ring.unicastAddress(1, false, bus::kFuMailbox);
     msg.payload.assign(16, 0xA5);
     bool done = false;
-    ring.softNode().send(msg,
-                         [&](const bus::TxResult &) { done = true; });
+    ring.send(ring.softIndex(), msg,
+              [&](const bus::TxResult &) { done = true; });
     simulator.runUntil([&] { return done; }, 2 * sim::kSecond);
 
-    const auto &st = ring.softNode().stats();
+    const auto &st = ring.firmwareNode().stats();
     EXPECT_GT(st.isrInvocations, 100u); // Every edge cost an ISR.
     // CPU-seconds spent must equal cycles / f: sanity of accounting.
-    double cpu_s = static_cast<double>(st.cyclesSpent) / bb.cost.cpuHz;
+    double cpu_s = static_cast<double>(st.cyclesSpent) /
+                   Msp430CostModel().cpuHz;
     EXPECT_GT(cpu_s, 0.0);
     EXPECT_LT(cpu_s, sim::toSeconds(simulator.now()));
 }

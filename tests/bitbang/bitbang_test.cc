@@ -1,15 +1,15 @@
 /**
  * @file
- * Section 6.6 tests: the MSP430 cost model and a bitbanged MBus
- * member interoperating with hardware nodes on one ring.
+ * Section 6.6 tests: the MSP430 cost model and the bitbang I2C
+ * reference path. The software member on a mixed ring is exercised
+ * through BitbangBackend (tests/backend, tests/bitbang/
+ * bitbang_limits_test.cc).
  */
 
 #include <gtest/gtest.h>
 
 #include "bitbang/bitbang_i2c.hh"
 #include "bitbang/cost_model.hh"
-#include "bitbang/mixed_ring.hh"
-#include "sim/simulator.hh"
 
 using namespace mbus;
 using namespace mbus::bitbang;
@@ -45,119 +45,4 @@ TEST(BitbangI2cRef, LongestPathIs21Instructions)
     Msp430CostModel cost;
     EXPECT_NEAR(static_cast<double>(i2c.longestPath().cycles),
                 static_cast<double>(cost.worstPathCycles()), 15.0);
-}
-
-namespace {
-
-bus::SystemConfig
-mixedCfg(double busHz)
-{
-    bus::SystemConfig cfg;
-    cfg.busClockHz = busHz;
-    return cfg;
-}
-
-} // namespace
-
-TEST(MixedRing, HardwareToBitbangDelivery)
-{
-    // A hardware node sends; the software member receives. 20 kHz is
-    // comfortably inside the conservative envelope for an 8 MHz CPU.
-    sim::Simulator simulator;
-    BitbangMbus::Config bb;
-    bb.shortPrefix = 3;
-    MixedRing ring(simulator, mixedCfg(20e3), bb);
-
-    std::vector<std::uint8_t> seen;
-    ring.softNode().setReceiveCallback(
-        [&](const bus::ReceivedMessage &rx) { seen = rx.payload; });
-
-    bus::Message msg;
-    msg.dest = bus::Address::shortAddr(3, 0);
-    msg.payload = {0xCA, 0xFE};
-    std::optional<bus::TxResult> result;
-    ring.hw0().send(msg, [&](const bus::TxResult &r) { result = r; });
-
-    simulator.runUntil([&] { return result.has_value(); },
-                       sim::kSecond);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(result->status, bus::TxStatus::Ack);
-    simulator.run(simulator.now() + 100 * sim::kMillisecond);
-    EXPECT_EQ(seen, msg.payload);
-    EXPECT_EQ(ring.softNode().stats().messagesReceived, 1u);
-}
-
-TEST(MixedRing, BitbangToHardwareDelivery)
-{
-    sim::Simulator simulator;
-    BitbangMbus::Config bb;
-    bb.shortPrefix = 3;
-    MixedRing ring(simulator, mixedCfg(20e3), bb);
-
-    std::vector<std::uint8_t> seen;
-    ring.hw1().layer().setMailboxHandler(
-        [&](const bus::ReceivedMessage &rx) { seen = rx.payload; });
-
-    bus::Message msg;
-    msg.dest = bus::Address::shortAddr(2, bus::kFuMailbox);
-    msg.payload = {0x12, 0x34, 0x56};
-    std::optional<bus::TxResult> result;
-    ring.softNode().send(msg,
-                         [&](const bus::TxResult &r) { result = r; });
-
-    simulator.runUntil([&] { return result.has_value(); },
-                       sim::kSecond);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(result->status, bus::TxStatus::Ack);
-    simulator.run(simulator.now() + 100 * sim::kMillisecond);
-    EXPECT_EQ(seen, msg.payload);
-}
-
-TEST(MixedRing, SoftwareMemberForwardsThirdPartyTraffic)
-{
-    // hw0 -> hw1 passes THROUGH the software member's forwarding
-    // path: interoperability with zero tuning (Sec 6.5).
-    sim::Simulator simulator;
-    BitbangMbus::Config bb;
-    bb.shortPrefix = 3;
-    MixedRing ring(simulator, mixedCfg(20e3), bb);
-
-    std::vector<std::uint8_t> seen;
-    ring.hw1().layer().setMailboxHandler(
-        [&](const bus::ReceivedMessage &rx) { seen = rx.payload; });
-
-    bus::Message msg;
-    msg.dest = bus::Address::shortAddr(2, bus::kFuMailbox);
-    msg.payload = {0x99};
-    std::optional<bus::TxResult> result;
-    ring.hw0().send(msg, [&](const bus::TxResult &r) { result = r; });
-
-    simulator.runUntil([&] { return result.has_value(); },
-                       sim::kSecond);
-    ASSERT_TRUE(result.has_value());
-    EXPECT_EQ(result->status, bus::TxStatus::Ack);
-    simulator.run(simulator.now() + 100 * sim::kMillisecond);
-    EXPECT_EQ(seen, msg.payload);
-    EXPECT_GT(ring.softNode().stats().isrInvocations, 0u);
-}
-
-TEST(MixedRing, ObservedIsrPathWithinModelledWorstCase)
-{
-    sim::Simulator simulator;
-    BitbangMbus::Config bb;
-    bb.shortPrefix = 3;
-    MixedRing ring(simulator, mixedCfg(20e3), bb);
-
-    bus::Message msg;
-    msg.dest = bus::Address::shortAddr(3, 0);
-    msg.payload = {1, 2, 3, 4};
-    std::optional<bus::TxResult> result;
-    ring.hw0().send(msg, [&](const bus::TxResult &r) { result = r; });
-    simulator.runUntil([&] { return result.has_value(); },
-                       sim::kSecond);
-
-    Msp430CostModel cost;
-    EXPECT_LE(ring.softNode().maxObservedPathCycles(),
-              cost.worstPathCycles());
-    EXPECT_GT(ring.softNode().stats().cyclesSpent, 0u);
 }

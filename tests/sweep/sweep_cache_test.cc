@@ -371,5 +371,5 @@ TEST(SweepCache, SaltPinsCachedStats)
         bytes += sweep::encodeStats(c.stats);
     using Pin = std::pair<std::uint64_t, std::uint64_t>;
     EXPECT_EQ(Pin(sweep::kHarnessVersionSalt, sim::fnv1a(bytes)),
-              Pin(0x4d425553'00000002ULL, 0x033762af5b8b6277ULL));
+              Pin(0x4d425553'00000003ULL, 0x39b9d6b53528ce52ULL));
 }
