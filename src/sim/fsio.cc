@@ -37,13 +37,19 @@ atomicWriteFile(const std::string &path, const std::string &bytes)
     });
 }
 
+char *
+formatDouble(double v, char *buf)
+{
+    return std::to_chars(buf, buf + kDoubleChars, v,
+                         std::chars_format::general, 17)
+        .ptr;
+}
+
 std::string
 formatDouble(double v)
 {
-    char buf[40];
-    auto res = std::to_chars(buf, buf + sizeof(buf), v,
-                             std::chars_format::general, 17);
-    return std::string(buf, res.ptr);
+    char buf[kDoubleChars];
+    return std::string(buf, formatDouble(v, buf));
 }
 
 } // namespace sim

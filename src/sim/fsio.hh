@@ -45,6 +45,13 @@ bool atomicWriteFile(const std::string &path, const std::string &bytes);
  */
 std::string formatDouble(double v);
 
+/** Bytes formatDouble() can need: sign, 17 digits, point, exponent. */
+constexpr int kDoubleChars = 32;
+
+/** formatDouble() into @p buf (kDoubleChars bytes) without allocating.
+ *  @return one past the last byte written. */
+char *formatDouble(double v, char *buf);
+
 } // namespace sim
 } // namespace mbus
 

@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <system_error>
 
 #include "sim/fsio.hh"
@@ -50,30 +50,21 @@ CellCache::pathFor(std::uint64_t key) const
 }
 
 bool
-CellCache::lookup(std::uint64_t key, std::string &statsBytes)
+CellCache::lookup(std::uint64_t key, ScenarioStats &stats)
 {
-    if (!enabled()) {
-        ++misses_;
-        return false;
-    }
-    std::ifstream in(pathFor(key), std::ios::binary);
-    if (!in) {
-        ++misses_;
-        return false;
-    }
-    std::ostringstream bytes;
-    bytes << in.rdbuf();
-    std::string got = bytes.str();
+    std::ifstream in;
+    if (enabled())
+        in.open(pathFor(key), std::ios::binary);
+    std::string got{std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>()};
     // Strip the trailing newline the store appends for greppability.
     if (!got.empty() && got.back() == '\n')
         got.pop_back();
-    // A value that does not decode is a miss, never a wrong answer.
-    ScenarioStats probe;
-    if (!decodeStats(got, probe)) {
+    // A missing or undecodable value is a miss, never a wrong answer.
+    if (!in.is_open() || !decodeStats(got, stats)) {
         ++misses_;
         return false;
     }
-    statsBytes = std::move(got);
     ++hits_;
     return true;
 }

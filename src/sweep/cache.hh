@@ -66,11 +66,11 @@ class CellCache
                       std::uint64_t seed) const;
 
     /**
-     * Look up a finished cell. A hit fills @p statsBytes with the
-     * stored encodeStats() payload *after* validating that it
-     * decodes; anything unreadable or malformed is a miss.
+     * Look up a finished cell. A hit decodes the stored
+     * encodeStats() payload into @p stats; anything unreadable or
+     * malformed is a miss and leaves @p stats untouched.
      */
-    bool lookup(std::uint64_t key, std::string &statsBytes);
+    bool lookup(std::uint64_t key, ScenarioStats &stats);
 
     /** Store a finished cell (encodeStats() bytes) under @p key.
      *  @return false (and counts a store failure) when the value

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "sim/fsio.hh"
 #include "sim/random.hh"
@@ -20,12 +21,7 @@ namespace sweep {
 
 namespace {
 
-/**
- * Byte-stable double formatting (17-digit std::to_chars, shared with
- * the trace layer): two runs that computed identical values print
- * identical bytes -- the property the shard-determinism tests and
- * fingerprint() rely on.
- */
+/** Byte-stable double formatting for the JSON (sim::formatDouble). */
 std::string
 fmt(double v)
 {
@@ -35,18 +31,15 @@ fmt(double v)
 /**
  * Cell names are free-form user strings; strip the characters that
  * would corrupt the CSV column structure or the JSON string literal
- * (RFC 8259 forbids raw control characters in strings).
+ * (RFC 8259 forbids raw control characters in strings), and inside a
+ * '|'-packed column (@p pipe) the separator too.
  */
-std::string
-sanitizeName(const std::string &name)
+char
+cleanChar(char c, bool pipe = false)
 {
-    std::string out = name;
-    for (char &c : out) {
-        if (c == ',' || c == '"' || c == '\\' ||
-            static_cast<unsigned char>(c) < 0x20)
-            c = '_';
-    }
-    return out;
+    bool bad = c == ',' || c == '"' || c == '\\' || (pipe && c == '|') ||
+               static_cast<unsigned char>(c) < 0x20;
+    return bad ? '_' : c;
 }
 
 } // namespace
@@ -127,51 +120,258 @@ SweepResult::aggregate() const
 
 namespace {
 
-/** Per-node breakdown as a pipe-packed CSV/JSON-safe scalar field
- *  ("1024|988|1002"): one value per ring position. */
-std::string
-packPerNode(const std::vector<std::uint64_t> &edges)
+/** Append one CSV value to @p out: bools as 0/1, doubles via
+ *  sim::formatDouble, integers in decimal, a packed column by calling
+ *  it on @p out, and strings as they are. */
+template <class T>
+void
+put(std::string &out, const T &v)
 {
-    std::string out;
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-        if (i)
-            out += '|';
-        out += std::to_string(edges[i]);
+    if constexpr (std::is_same_v<T, bool>) {
+        out += v ? '1' : '0';
+    } else if constexpr (std::is_same_v<T, double>) {
+        char buf[sim::kDoubleChars];
+        out.append(buf, sim::formatDouble(v, buf));
+    } else if constexpr (std::is_integral_v<T>) {
+        char buf[24];
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    } else if constexpr (std::is_invocable_v<const T &, std::string &>) {
+        v(out);
+    } else {
+        out += v;
     }
-    return out;
 }
 
-/** Pipe-packed per-actor field ("v0|v1|v2"): one entry per actor of
- *  the cell's workload, formatted by @p f. Empty for classic cells. */
-template <typename F>
-std::string
-packActors(const std::vector<workload::ActorStats> &actors, F f)
+/** A name column: @p name through cleanChar(). */
+auto
+clean(const std::string &name, bool pipe = false)
 {
-    std::string out;
-    for (std::size_t i = 0; i < actors.size(); ++i) {
-        if (i)
-            out += '|';
-        out += f(actors[i]);
-    }
-    return out;
+    return [&name, pipe](std::string &out) {
+        for (char c : name)
+            out += cleanChar(c, pipe);
+    };
 }
 
-/** The cell's metrics snapshot as one pipe-packed "name=value"
- *  column ("events_executed=420|goodput_bps=1.5e3"); empty for
- *  untraced cells. Names and values are registry-formatted, so the
- *  field is CSV/JSON-safe without further quoting. */
-std::string
-packMetrics(const std::vector<trace::MetricSample> &ms)
+/** A '|'-packed column ("1024|988|1002"): @p item(out, x) for each x
+ *  of @p items; empty for an empty vector. */
+template <class T, class F>
+auto
+packed(const std::vector<T> &items, F item)
 {
-    std::string out;
-    for (std::size_t i = 0; i < ms.size(); ++i) {
-        if (i)
-            out += '|';
-        out += ms[i].name;
+    return [&items, item](std::string &out) {
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            if (i)
+                out += '|';
+            item(out, items[i]);
+        }
+    };
+}
+
+/** Per-node breakdown: one value per ring position. */
+auto
+perNode(const std::vector<std::uint64_t> &edges)
+{
+    return packed(edges,
+                  [](std::string &out, std::uint64_t e) { put(out, e); });
+}
+
+/** One member of every actor of the cell's workload (names lose '|',
+ *  this column's separator, too); empty for classic cells. */
+template <class M>
+auto
+perActor(const ScenarioStats &s, M workload::ActorStats::*m)
+{
+    return packed(s.actorStats,
+                  [m](std::string &out, const workload::ActorStats &a) {
+                      if constexpr (std::is_same_v<M, std::string>)
+                          put(out, clean(a.*m, /*pipe=*/true));
+                      else
+                          put(out, a.*m);
+                  });
+}
+
+/** The metrics snapshot as "name=value" pairs
+ *  ("events_executed=420|goodput_bps=1.5e3"); empty for untraced
+ *  cells. Names and values are registry-formatted, so the field is
+ *  CSV/JSON-safe without further quoting. */
+auto
+metricsColumn(const std::vector<trace::MetricSample> &ms)
+{
+    return packed(ms, [](std::string &out, const trace::MetricSample &m) {
+        out += m.name;
         out += '=';
-        out += ms[i].value;
-    }
+        out += m.value;
+    });
+}
+
+/** ok|interrupted|overflow|reset: the delivery/abort outcome census. */
+auto
+outcomeCounts(const ScenarioStats &s)
+{
+    return [&s](std::string &out) {
+        for (int n : {s.deliveredOk, s.deliveredInterrupted,
+                      s.deliveredOverflow}) {
+            put(out, n);
+            out += '|';
+        }
+        put(out, s.txResets);
+    };
+}
+
+/** A packed column's bytes, for the hand-written JSON. */
+template <class F>
+std::string
+render(const F &column)
+{
+    std::string out;
+    column(out);
     return out;
+}
+
+/**
+ * The CSV schema: each column's name and cell @p c's value, in column
+ * order. The header, the rows and fingerprint() all render this one
+ * list, so they cannot drift apart.
+ */
+template <class V>
+void
+columns(V &v, const CellResult &c)
+{
+    const ScenarioSpec &p = c.spec;
+    const ScenarioStats &s = c.stats;
+    using A = workload::ActorStats;
+    v("index", c.index);
+    v("name", clean(p.name));
+    v("nodes", p.nodes);
+    v("clock_hz", p.busClockHz);
+    v("hop_delay_ns", p.hopDelayNs);
+    v("wire_length_mm", p.wireLengthMm);
+    v("wire_cap_f_per_mm", p.wireCapFPerMm);
+    v("payload_bytes", p.payloadBytes);
+    v("messages", p.messages);
+    v("lanes", p.dataLanes);
+    v("traffic", trafficPatternName(p.traffic));
+    v("gated", p.powerGated);
+    v("full_addr", p.fullAddressing);
+    v("priority_rate", p.priorityRate);
+    v("interject_rate", p.interjectRate);
+    v("time_limit_ps", p.timeLimit);
+    v("edge_trains", p.edgeTrains);
+    v("backend", backend::backendKindName(p.backend));
+    v("fidelity", fidelityName(s.fidelity));
+    v("fault_spec", [&p](std::string &out) {
+        if (!p.faults.enabled())
+            put(out, "-");
+        else if (p.faults.name.empty())
+            put(out, "on");
+        else
+            put(out, clean(p.faults.name));
+    });
+    v("max_retries", p.retry.maxRetries);
+    v("seed", c.seed);
+    v("planned", s.planned);
+    v("acked", s.acked);
+    v("naked", s.naked);
+    v("broadcast", s.broadcasts);
+    v("interrupted", s.interrupted);
+    v("rx_abort", s.rxAborts);
+    v("failed", s.failed);
+    v("mismatches", s.payloadMismatches);
+    v("wedged", s.wedged);
+    v("bytes_delivered", s.bytesDelivered);
+    v("tx_per_s", s.txPerSecond);
+    v("goodput_bps", s.goodputBps);
+    v("events", s.eventsExecuted);
+    v("events_per_bit", s.eventsPerBit);
+    v("train_edges", s.trainEdges);
+    v("dispatch_calls", s.dispatchCalls);
+    v("clock_cycles", s.clockCycles);
+    v("arb_retries", s.arbitrationRetries);
+    v("switching_j", s.switchingJ);
+    v("leakage_j", s.leakageJ);
+    v("energy_per_sample_j", s.energyPerSampleJ);
+    v("lifetime_days", s.lifetimeDays);
+    v("avg_tx_latency_s", s.avgTxLatencyS);
+    v("first_tx_latency_s", s.firstTxLatencyS);
+    v("lat_p50_s", s.latencyP50S);
+    v("lat_p95_s", s.latencyP95S);
+    v("lat_p99_s", s.latencyP99S);
+    v("avg_cycles_per_tx", s.avgCyclesPerTx);
+    v("sim_time_ps", s.simTime);
+    v("per_node_edges", perNode(s.perNodeEdges));
+    v("vcd_bytes", s.vcdBytes);
+    v("vcd_hash", s.vcdHash);
+    v("workload", [&p](std::string &out) {
+        if (p.workload.enabled())
+            put(out, clean(p.workload.name));
+        else
+            put(out, "-");
+    });
+    v("samples_planned", s.samplesPlanned);
+    v("samples_delivered", s.samplesDelivered);
+    v("missed_deadlines", s.missedDeadlines);
+    v("storm_interjections", s.stormInterjections);
+    v("gate_windows", s.gateWindows);
+    v("faults", s.faultsInjected);
+    v("faults_recovered", s.faultsRecovered);
+    v("retimings", s.retimings);
+    v("fault_events", s.faultEvents);
+    v("bus_resets", s.busResets);
+    v("tx_resets", s.txResets);
+    v("retries_used", s.retries);
+    v("recovered_tx", s.recoveredTx);
+    v("abandoned_tx", s.abandonedTx);
+    v("recovery_p50_s", s.recoveryP50S);
+    v("recovery_p95_s", s.recoveryP95S);
+    v("recovery_p99_s", s.recoveryP99S);
+    v("outcome_counts", outcomeCounts(s));
+    v("actor_names", perActor(s, &A::name));
+    v("actor_samples", perActor(s, &A::samplesDelivered));
+    v("actor_missed", perActor(s, &A::missedDeadlines));
+    v("actor_lat_p50_s", perActor(s, &A::latencyP50S));
+    v("actor_lat_p95_s", perActor(s, &A::latencyP95S));
+    v("actor_lat_p99_s", perActor(s, &A::latencyP99S));
+    v("actor_energy_per_sample_j", perActor(s, &A::energyPerSampleJ));
+    v("actor_duty_cycle", perActor(s, &A::dutyCycle));
+    v("slab_slots", s.slabSlots);
+    v("slab_live_peak", s.liveHighWater);
+    v("heap_callbacks", s.heapCallbacks);
+    v("trace_events", s.traceEvents);
+    v("trace_bytes", s.traceJson.size());
+    v("trace_hash", s.traceHash);
+    v("flight_dumps", s.flightDumps.size());
+    v("metrics", metricsColumn(s.metrics));
+}
+
+/** Render the CSV into one reused line buffer and hand @p emit each
+ *  line: the header, then one row per cell. The wall-time column is
+ *  never part of columns(). */
+template <class Emit>
+void
+csvLines(const std::vector<CellResult> &cells, bool wallTime, Emit emit)
+{
+    std::string line;
+    auto csvLine = [&](const CellResult &c, bool header) {
+        line.clear();
+        bool first = true;
+        auto column = [&](const char *name, const auto &value) {
+            if (!first)
+                line += ',';
+            first = false;
+            if (header)
+                line += name;
+            else
+                put(line, value);
+        };
+        columns(column, c);
+        if (wallTime)
+            column("wall_s", c.wallSeconds);
+        line += '\n';
+        emit(line);
+    };
+    csvLine(CellResult(), /*header=*/true);
+    for (const CellResult &c : cells)
+        csvLine(c, /*header=*/false);
 }
 
 } // namespace
@@ -179,143 +379,9 @@ packMetrics(const std::vector<trace::MetricSample> &ms)
 void
 SweepResult::writeCsv(std::ostream &os, bool includeWallTime) const
 {
-    os << "index,name,nodes,clock_hz,hop_delay_ns,wire_length_mm,"
-          "wire_cap_f_per_mm,payload_bytes,messages,lanes,"
-          "traffic,gated,full_addr,priority_rate,interject_rate,"
-          "time_limit_ps,edge_trains,backend,fidelity,fault_spec,"
-          "max_retries,"
-          "seed,"
-          "planned,acked,naked,broadcast,interrupted,rx_abort,failed,"
-          "mismatches,wedged,bytes_delivered,tx_per_s,goodput_bps,events,"
-          "events_per_bit,train_edges,dispatch_calls,clock_cycles,"
-          "arb_retries,"
-          "switching_j,"
-          "leakage_j,energy_per_sample_j,lifetime_days,"
-          "avg_tx_latency_s,first_tx_latency_s,"
-          "lat_p50_s,lat_p95_s,lat_p99_s,"
-          "avg_cycles_per_tx,sim_time_ps,per_node_edges,"
-          "vcd_bytes,vcd_hash,"
-          "workload,samples_planned,samples_delivered,"
-          "missed_deadlines,storm_interjections,gate_windows,faults,"
-          "faults_recovered,retimings,"
-          "fault_events,bus_resets,tx_resets,retries_used,"
-          "recovered_tx,abandoned_tx,recovery_p50_s,recovery_p95_s,"
-          "recovery_p99_s,outcome_counts,actor_names,actor_samples,"
-          "actor_missed,actor_lat_p50_s,actor_lat_p95_s,"
-          "actor_lat_p99_s,actor_energy_per_sample_j,"
-          "actor_duty_cycle,"
-          "slab_slots,slab_live_peak,heap_callbacks,"
-          "trace_events,trace_bytes,trace_hash,flight_dumps,metrics";
-    if (includeWallTime)
-        os << ",wall_s";
-    os << "\n";
-    for (const CellResult &c : cells_) {
-        const ScenarioSpec &p = c.spec;
-        const ScenarioStats &s = c.stats;
-        os << c.index << ',' << sanitizeName(p.name) << ','
-           << p.nodes << ','
-           << fmt(p.busClockHz) << ',' << fmt(p.hopDelayNs) << ','
-           << fmt(p.wireLengthMm) << ',' << fmt(p.wireCapFPerMm)
-           << ',' << p.payloadBytes << ','
-           << p.messages << ',' << p.dataLanes << ','
-           << trafficPatternName(p.traffic) << ','
-           << (p.powerGated ? 1 : 0) << ','
-           << (p.fullAddressing ? 1 : 0) << ','
-           << fmt(p.priorityRate) << ',' << fmt(p.interjectRate) << ','
-           << p.timeLimit << ',' << (p.edgeTrains ? 1 : 0) << ','
-           << backend::backendKindName(p.backend) << ','
-           << fidelityName(s.fidelity) << ','
-           << (p.faults.enabled()
-                   ? (p.faults.name.empty() ? std::string("on")
-                                            : sanitizeName(p.faults.name))
-                   : std::string("-"))
-           << ',' << p.retry.maxRetries << ','
-           << c.seed << ',' << s.planned << ',' << s.acked << ','
-           << s.naked << ',' << s.broadcasts << ',' << s.interrupted
-           << ',' << s.rxAborts << ',' << s.failed << ','
-           << s.payloadMismatches << ',' << (s.wedged ? 1 : 0) << ','
-           << s.bytesDelivered << ',' << fmt(s.txPerSecond) << ','
-           << fmt(s.goodputBps) << ','
-           << s.eventsExecuted << ',' << fmt(s.eventsPerBit) << ','
-           << s.trainEdges << ',' << s.dispatchCalls << ','
-           << s.clockCycles << ',' << s.arbitrationRetries << ','
-           << fmt(s.switchingJ) << ',' << fmt(s.leakageJ) << ','
-           << fmt(s.energyPerSampleJ) << ',' << fmt(s.lifetimeDays)
-           << ','
-           << fmt(s.avgTxLatencyS) << ',' << fmt(s.firstTxLatencyS)
-           << ',' << fmt(s.latencyP50S) << ',' << fmt(s.latencyP95S)
-           << ',' << fmt(s.latencyP99S)
-           << ',' << fmt(s.avgCyclesPerTx) << ',' << s.simTime << ','
-           << packPerNode(s.perNodeEdges) << ','
-           << s.vcdBytes << ',' << s.vcdHash << ','
-           << (p.workload.enabled() ? sanitizeName(p.workload.name)
-                                    : std::string("-"))
-           << ',' << s.samplesPlanned << ',' << s.samplesDelivered
-           << ',' << s.missedDeadlines << ',' << s.stormInterjections
-           << ',' << s.gateWindows << ',' << s.faultsInjected << ','
-           << s.faultsRecovered << ',' << s.retimings << ','
-           << s.faultEvents << ',' << s.busResets << ','
-           << s.txResets << ',' << s.retries << ','
-           << s.recoveredTx << ',' << s.abandonedTx << ','
-           << fmt(s.recoveryP50S) << ',' << fmt(s.recoveryP95S) << ','
-           << fmt(s.recoveryP99S) << ','
-           // ok|interrupted|overflow|reset: the pipe-packed
-           // delivery/abort outcome census.
-           << s.deliveredOk << '|' << s.deliveredInterrupted << '|'
-           << s.deliveredOverflow << '|' << s.txResets << ','
-           << packActors(s.actorStats,
-                         [](const workload::ActorStats &a) {
-                             // Per-name sanitizing: '|' is this
-                             // field's separator, so strip it too.
-                             std::string n = sanitizeName(a.name);
-                             for (char &ch : n)
-                                 if (ch == '|')
-                                     ch = '_';
-                             return n;
-                         })
-           << ','
-           << packActors(s.actorStats,
-                         [](const workload::ActorStats &a) {
-                             return std::to_string(a.samplesDelivered);
-                         })
-           << ','
-           << packActors(s.actorStats,
-                         [](const workload::ActorStats &a) {
-                             return std::to_string(a.missedDeadlines);
-                         })
-           << ','
-           << packActors(s.actorStats,
-                         [](const workload::ActorStats &a) {
-                             return fmt(a.latencyP50S);
-                         })
-           << ','
-           << packActors(s.actorStats,
-                         [](const workload::ActorStats &a) {
-                             return fmt(a.latencyP95S);
-                         })
-           << ','
-           << packActors(s.actorStats,
-                         [](const workload::ActorStats &a) {
-                             return fmt(a.latencyP99S);
-                         })
-           << ','
-           << packActors(s.actorStats,
-                         [](const workload::ActorStats &a) {
-                             return fmt(a.energyPerSampleJ);
-                         })
-           << ','
-           << packActors(s.actorStats,
-                         [](const workload::ActorStats &a) {
-                             return fmt(a.dutyCycle);
-                         })
-           << ',' << s.slabSlots << ',' << s.liveHighWater << ','
-           << s.heapCallbacks << ',' << s.traceEvents << ','
-           << s.traceJson.size() << ',' << s.traceHash << ','
-           << s.flightDumps.size() << ',' << packMetrics(s.metrics);
-        if (includeWallTime)
-            os << ',' << fmt(c.wallSeconds);
-        os << "\n";
-    }
+    csvLines(cells_, includeWallTime, [&](const std::string &line) {
+        os.write(line.data(), static_cast<std::streamsize>(line.size()));
+    });
 }
 
 void
@@ -360,13 +426,13 @@ SweepResult::writeJson(std::ostream &os, bool includeWallTime) const
        << ", \"flight_dumps\": " << a.flightDumps
        << ", \"heap_callbacks\": " << a.heapCallbacks
        << ", \"slab_live_peak_max\": " << a.liveHighWaterMax
-       << ", \"per_node_edges\": \"" << packPerNode(a.perNodeEdges)
+       << ", \"per_node_edges\": \"" << render(perNode(a.perNodeEdges))
        << "\"},\n  \"cells\": [\n";
     for (std::size_t i = 0; i < cells_.size(); ++i) {
         const CellResult &c = cells_[i];
         const ScenarioStats &s = c.stats;
         os << "    {\"index\": " << c.index << ", \"name\": \""
-           << sanitizeName(c.spec.name) << "\", \"backend\": \""
+           << render(clean(c.spec.name)) << "\", \"backend\": \""
            << backend::backendKindName(c.spec.backend)
            << "\", \"fidelity\": \"" << fidelityName(s.fidelity)
            << "\", \"seed\": " << c.seed
@@ -380,7 +446,7 @@ SweepResult::writeJson(std::ostream &os, bool includeWallTime) const
            << ", \"lat_p50_s\": " << fmt(s.latencyP50S)
            << ", \"lat_p95_s\": " << fmt(s.latencyP95S)
            << ", \"lat_p99_s\": " << fmt(s.latencyP99S)
-           << ", \"per_node_edges\": \"" << packPerNode(s.perNodeEdges)
+           << ", \"per_node_edges\": \"" << render(perNode(s.perNodeEdges))
            << "\", \"switching_j\": " << fmt(s.switchingJ)
            << ", \"wedged\": " << (s.wedged ? "true" : "false")
            << ", \"fault_events\": " << s.faultEvents
@@ -389,18 +455,16 @@ SweepResult::writeJson(std::ostream &os, bool includeWallTime) const
            << ", \"retries_used\": " << s.retries
            << ", \"recovered_tx\": " << s.recoveredTx
            << ", \"abandoned_tx\": " << s.abandonedTx
-           << ", \"outcome_counts\": \"" << s.deliveredOk << '|'
-           << s.deliveredInterrupted << '|' << s.deliveredOverflow
-           << '|' << s.txResets << "\""
+           << ", \"outcome_counts\": \"" << render(outcomeCounts(s)) << "\""
            << ", \"slab_live_peak\": " << s.liveHighWater
            << ", \"trace_events\": " << s.traceEvents
            << ", \"trace_bytes\": " << s.traceJson.size()
            << ", \"trace_hash\": " << s.traceHash
            << ", \"flight_dumps\": " << s.flightDumps.size()
-           << ", \"metrics\": \"" << packMetrics(s.metrics) << "\"";
+           << ", \"metrics\": \"" << render(metricsColumn(s.metrics)) << "\"";
         if (!s.actorStats.empty()) {
             os << ", \"workload\": \""
-               << sanitizeName(c.spec.workload.name)
+               << render(clean(c.spec.workload.name))
                << "\", \"samples_planned\": " << s.samplesPlanned
                << ", \"samples_delivered\": " << s.samplesDelivered
                << ", \"missed_deadlines\": " << s.missedDeadlines
@@ -410,7 +474,7 @@ SweepResult::writeJson(std::ostream &os, bool includeWallTime) const
             for (std::size_t k = 0; k < s.actorStats.size(); ++k) {
                 const workload::ActorStats &act = s.actorStats[k];
                 os << (k ? ", " : "") << "{\"name\": \""
-                   << sanitizeName(act.name) << "\", \"kind\": \""
+                   << render(clean(act.name)) << "\", \"kind\": \""
                    << workload::actorKindName(act.kind)
                    << "\", \"node\": " << act.node
                    << ", \"samples\": " << act.samplesDelivered
@@ -453,10 +517,13 @@ SweepResult::writeJsonFile(const std::string &path,
 std::uint64_t
 SweepResult::fingerprint() const
 {
-    std::ostringstream os;
-    writeCsv(os, /*includeWallTime=*/false);
-    std::string bytes = os.str();
-    return fnv1a(bytes.data(), bytes.size());
+    // FNV-1a chained line by line: the same hash as over the whole
+    // CSV, without ever holding it.
+    std::uint64_t hash = sim::kFnvOffsetBasis;
+    csvLines(cells_, /*wallTime=*/false, [&](const std::string &line) {
+        hash = fnv1a(line.data(), line.size(), hash);
+    });
+    return hash;
 }
 
 double
@@ -537,16 +604,14 @@ cachedCell(const SweepDriver &driver, CellCache &cache,
 {
     std::uint64_t seed = driver.cellSeed(index);
     std::uint64_t key = cache.key(encodeSpec(spec), seed);
-    std::string bytes;
-    if (cache.lookup(key, bytes)) {
-        CellResult r;
+    CellResult r;
+    if (cache.lookup(key, r.stats)) {
         r.spec = spec;
         r.index = index;
         r.seed = seed;
-        decodeStats(bytes, r.stats); // lookup() validated the bytes.
         return r;
     }
-    CellResult r = driver.runCell(spec, index);
+    r = driver.runCell(spec, index);
     cache.store(key, encodeStats(r.stats));
     return r;
 }

@@ -178,7 +178,8 @@ class SweepResult
     bool writeJsonFile(const std::string &path,
                        bool includeWallTime = false) const;
 
-    /** FNV-1a over the deterministic CSV bytes. */
+    /** FNV-1a over the deterministic CSV bytes, streamed column by
+     *  column: no CSV string or stream is built. */
     std::uint64_t fingerprint() const;
 
     /** Total wall-clock seconds across all cells (diagnostic). */

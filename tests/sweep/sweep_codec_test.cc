@@ -8,9 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <sys/stat.h>
@@ -100,6 +104,44 @@ richSpec()
     return s;
 }
 
+/** A stats record with every vector populated and awkward values. */
+sweep::ScenarioStats
+richStats()
+{
+    sweep::ScenarioStats st;
+    st.planned = 9;
+    st.acked = 7;
+    st.naked = 1;
+    st.failed = 1;
+    st.bytesDelivered = 1234567890123ULL;
+    st.wedged = true;
+    st.txPerSecond = 0.1; // Not exactly representable: must survive.
+    st.goodputBps = 1.0 / 3.0;
+    st.eventsPerBit = 1e-300;
+    st.switchingJ = 6.02214076e23;
+    st.avgTxLatencyS = -0.0;
+    st.txLatenciesS = {1e-9, 0.25, 0.3333333333333333};
+    st.eventsExecuted = ~0ULL;
+    st.simTime = 123456789;
+    st.perNodeEdges = {1, 2, 3, 4};
+    workload::ActorStats as;
+    as.name = "imager|2";
+    as.kind = workload::ActorKind::ControlPlane;
+    as.acked = 5;
+    as.sampleLatenciesS = {0.5, 0.75};
+    st.actorStats.push_back(as);
+    st.vcd = "$date\n today |%| $end\n";
+    st.vcdBytes = st.vcd.size();
+    st.vcdHash = sim::fnv1a(st.vcd);
+    st.traceJson = "{\"evs\": []}";
+    st.traceHash = sim::fnv1a(st.traceJson);
+    st.flightDumps = {"dump one\nline2", "dump|two"};
+    st.metrics.push_back({"events_executed", "42"});
+    st.metrics.push_back({"weird name", "0.1"});
+    st.fidelity = sweep::Fidelity::Message;
+    return st;
+}
+
 /** A tiny, fast grid for the merge-contract tests. */
 std::vector<sweep::ScenarioSpec>
 tinyGrid(std::size_t cells)
@@ -125,6 +167,189 @@ csvOf(const sweep::SweepResult &r)
     return os.str();
 }
 
+/**
+ * Walks one record's fields() tree leaf by leaf (a vector's length is
+ * a leaf of its own). At leaf @p target it records the value as text
+ * and, when @p perturb is set, first changes it.
+ */
+class Leaves
+{
+  public:
+    explicit Leaves(std::size_t target = SIZE_MAX, bool perturb = false)
+        : target_(target), perturb_(perturb)
+    {
+    }
+
+    template <class T>
+    void
+    operator()(T &v)
+    {
+        if constexpr (std::is_class_v<T> &&
+                      !std::is_same_v<T, std::string>) {
+            sweep::fields(*this, v);
+        } else if (n_++ == target_) {
+            if (perturb_)
+                bump(v);
+            shown_ = show(v);
+        }
+    }
+
+    template <class T>
+    void
+    operator()(sweep::Capped<T> c)
+    {
+        if (n_++ == target_) {
+            if (perturb_)
+                c.items.emplace_back();
+            shown_ = std::to_string(c.items.size());
+        }
+        for (T &item : c.items)
+            (*this)(item);
+    }
+
+    std::size_t count() const { return n_; }
+    const std::string &shown() const { return shown_; }
+
+  private:
+    template <class T>
+    static void
+    bump(T &v)
+    {
+        if constexpr (std::is_same_v<T, std::string>) {
+            v += "|%x";
+        } else if constexpr (std::is_same_v<T, bool>) {
+            v = !v;
+        } else if constexpr (std::is_same_v<T, double>) {
+            v = std::nextafter(v, HUGE_VAL);
+        } else if constexpr (std::is_enum_v<T>) {
+            // Step toward 0 so Fidelity stays a value its record allows.
+            auto u = static_cast<std::underlying_type_t<T>>(v);
+            v = static_cast<T>(u ? u - 1 : u + 1);
+        } else {
+            ++v;
+        }
+    }
+
+    template <class T>
+    static std::string
+    show(const T &v)
+    {
+        if constexpr (std::is_same_v<T, std::string>) {
+            return v;
+        } else if constexpr (std::is_same_v<T, double>) {
+            std::uint64_t bits;
+            std::memcpy(&bits, &v, sizeof bits);
+            return std::to_string(bits);
+        } else if constexpr (std::is_enum_v<T>) {
+            return std::to_string(static_cast<unsigned>(v));
+        } else {
+            return std::to_string(v);
+        }
+    }
+
+    std::size_t target_;
+    bool perturb_;
+    std::size_t n_ = 0;
+    std::string shown_;
+};
+
+/** Perturb each leaf of @p base in turn: the encoding must change and
+ *  decoding it must restore the perturbed value. */
+template <class R, class Decode>
+void
+expectEveryLeafRoundTrips(const R &base,
+                          std::string (*encode)(const R &), Decode decode)
+{
+    R probe = base;
+    Leaves all;
+    all(probe);
+    ASSERT_GT(all.count(), 0u);
+    const std::string baseBytes = encode(base);
+    for (std::size_t k = 0; k < all.count(); ++k) {
+        R changed = base;
+        Leaves bumped(k, /*perturb=*/true);
+        bumped(changed);
+        std::string bytes = encode(changed);
+        EXPECT_NE(bytes, baseBytes) << "leaf " << k << " is not encoded";
+        R back;
+        ASSERT_TRUE(decode(bytes, back)) << "leaf " << k;
+        Leaves shown(k);
+        shown(back);
+        EXPECT_EQ(shown.shown(), bumped.shown())
+            << "leaf " << k << " is not decoded";
+    }
+}
+
+/** The address of every field one fields() call names directly. */
+struct Members
+{
+    std::vector<std::uintptr_t> seen;
+
+    template <class T>
+    void
+    operator()(T &v)
+    {
+        seen.push_back(reinterpret_cast<std::uintptr_t>(&v));
+    }
+
+    template <class T>
+    void
+    operator()(sweep::Capped<T> c)
+    {
+        seen.push_back(reinterpret_cast<std::uintptr_t>(&c.items));
+    }
+};
+
+/** fields() names as many distinct members of @p R as it has. */
+template <class R>
+void
+expectEveryMemberListedOnce()
+{
+    R r{};
+    Members m;
+    sweep::fields(m, r);
+    std::set<std::uintptr_t> distinct(m.seen.begin(), m.seen.end());
+    EXPECT_EQ(distinct.size(), m.seen.size()) << "a member is listed twice";
+    EXPECT_EQ(m.seen.size(), sweep::memberCount<R>(0));
+    auto first = reinterpret_cast<std::uintptr_t>(&r);
+    for (std::uintptr_t a : m.seen)
+        EXPECT_TRUE(a >= first && a < first + sizeof r) << "not a member";
+}
+
+/** @p bytes with '|'-token @p index replaced by @p token. */
+std::string
+withToken(const std::string &bytes, std::size_t index,
+          const std::string &token)
+{
+    std::vector<std::string> tokens{""};
+    for (char c : bytes) {
+        if (c == '|')
+            tokens.emplace_back();
+        else
+            tokens.back() += c;
+    }
+    tokens.at(index) = token;
+    std::string out;
+    for (std::size_t i = 0; i < tokens.size(); ++i)
+        out += (i ? "|" : "") + tokens[i];
+    return out;
+}
+
+/** Index of the first token equal to @p token. */
+std::size_t
+tokenIndex(const std::string &bytes, const std::string &token)
+{
+    std::size_t index = 0, start = 0;
+    for (;;) {
+        std::size_t bar = bytes.find('|', start);
+        if (bytes.compare(start, bar - start, token) == 0)
+            return index;
+        if (bar == std::string::npos)
+            return SIZE_MAX;
+        start = bar + 1;
+        ++index;
+    }
+}
 } // namespace
 
 TEST(SweepCodec, EscapeTokenRoundTrips)
@@ -197,38 +422,7 @@ TEST(SweepCodec, SpecRejectsMalformedInput)
 
 TEST(SweepCodec, StatsRoundTripExactlyIncludingDoubles)
 {
-    sweep::ScenarioStats st;
-    st.planned = 9;
-    st.acked = 7;
-    st.naked = 1;
-    st.failed = 1;
-    st.bytesDelivered = 1234567890123ULL;
-    st.wedged = true;
-    st.txPerSecond = 0.1; // Not exactly representable: must survive.
-    st.goodputBps = 1.0 / 3.0;
-    st.eventsPerBit = 1e-300;
-    st.switchingJ = 6.02214076e23;
-    st.avgTxLatencyS = -0.0;
-    st.txLatenciesS = {1e-9, 0.25, 0.3333333333333333};
-    st.eventsExecuted = ~0ULL;
-    st.simTime = 123456789;
-    st.perNodeEdges = {1, 2, 3, 4};
-    workload::ActorStats as;
-    as.name = "imager|2";
-    as.kind = workload::ActorKind::ControlPlane;
-    as.acked = 5;
-    as.sampleLatenciesS = {0.5, 0.75};
-    st.actorStats.push_back(as);
-    st.vcd = "$date\n today |%| $end\n";
-    st.vcdBytes = st.vcd.size();
-    st.vcdHash = sim::fnv1a(st.vcd);
-    st.traceJson = "{\"evs\": []}";
-    st.traceHash = sim::fnv1a(st.traceJson);
-    st.flightDumps = {"dump one\nline2", "dump|two"};
-    st.metrics.push_back({"events_executed", "42"});
-    st.metrics.push_back({"weird name", "0.1"});
-    st.fidelity = sweep::Fidelity::Message;
-
+    sweep::ScenarioStats st = richStats();
     std::string bytes = sweep::encodeStats(st);
     sweep::ScenarioStats back;
     ASSERT_TRUE(sweep::decodeStats(bytes, back));
@@ -252,6 +446,69 @@ TEST(SweepCodec, StatsRoundTripExactlyIncludingDoubles)
     EXPECT_FALSE(sweep::decodeStats("", junk));
 }
 
+TEST(SweepCodec, FieldListsNameEveryMemberOnce)
+{
+    expectEveryMemberListedOnce<sweep::ScenarioSpec>();
+    expectEveryMemberListedOnce<sweep::ScenarioStats>();
+    expectEveryMemberListedOnce<workload::WorkloadSpec>();
+    expectEveryMemberListedOnce<workload::ActorSpec>();
+    expectEveryMemberListedOnce<workload::ScheduleSpec>();
+    expectEveryMemberListedOnce<workload::ActorStats>();
+    expectEveryMemberListedOnce<fault::FaultSpec>();
+    expectEveryMemberListedOnce<fault::FaultEntry>();
+    expectEveryMemberListedOnce<fault::RetryPolicy>();
+    expectEveryMemberListedOnce<trace::TraceConfig>();
+    expectEveryMemberListedOnce<trace::MetricSample>();
+}
+
+TEST(SweepCodec, EveryVisitedFieldRoundTrips)
+{
+    expectEveryLeafRoundTrips<sweep::ScenarioSpec>(
+        richSpec(), &sweep::encodeSpec,
+        [](const std::string &b, sweep::ScenarioSpec &out) {
+            return sweep::decodeSpec(b, out);
+        });
+    expectEveryLeafRoundTrips<sweep::ScenarioStats>(
+        richStats(), &sweep::encodeStats,
+        [](const std::string &b, sweep::ScenarioStats &out) {
+            return sweep::decodeStats(b, out);
+        });
+}
+
+TEST(SweepCodec, TokensThatDoNotFitTheirFieldAreRejected)
+{
+    // Spec: name at token 1, nodes (int) at 2, traffic (uint8_t enum)
+    // at 10. A fitting token decodes; a wider one used to wrap.
+    sweep::ScenarioSpec spec;
+    spec.name = "probe";
+    const std::string good = sweep::encodeSpec(spec);
+    ASSERT_EQ(tokenIndex(good, "probe"), 1u);
+    sweep::ScenarioSpec out = richSpec();
+    const std::string before = sweep::encodeSpec(out);
+    ASSERT_TRUE(sweep::decodeSpec(withToken(good, 2, "5"), out));
+    EXPECT_EQ(out.nodes, 5);
+    ASSERT_TRUE(sweep::decodeSpec(withToken(good, 10, "2"), out));
+    EXPECT_EQ(out.traffic, sweep::TrafficPattern::AllToOne);
+    out = richSpec();
+    EXPECT_FALSE(sweep::decodeSpec(withToken(good, 2, "4294967299"), out));
+    EXPECT_FALSE(sweep::decodeSpec(withToken(good, 10, "258"), out));
+    EXPECT_FALSE(sweep::decodeSpec(withToken(good, 8, "2"), out)); // bool
+    EXPECT_FALSE(sweep::decodeSpec(withToken(good, 2, "-"), out));
+    EXPECT_EQ(sweep::encodeSpec(out), before) << "out was touched";
+
+    // Stats: an actor's kind (uint8_t enum) follows its name.
+    sweep::ScenarioStats st = richStats();
+    st.actorStats[0].name = "kind_probe";
+    const std::string stats = sweep::encodeStats(st);
+    const std::size_t kind = tokenIndex(stats, "kind_probe") + 1;
+    sweep::ScenarioStats back = richStats();
+    const std::string backBefore = sweep::encodeStats(back);
+    EXPECT_FALSE(sweep::decodeStats(withToken(stats, kind, "300"), back));
+    EXPECT_EQ(sweep::encodeStats(back), backBefore) << "out was touched";
+    ASSERT_TRUE(sweep::decodeStats(withToken(stats, kind, "1"), back));
+    EXPECT_EQ(back.actorStats[0].kind, workload::ActorKind::BurstImager);
+}
+
 TEST(SweepCache, KeySaltHitMissAndCorruption)
 {
     const std::string dir = "sweep_codec_test_cache";
@@ -269,11 +526,11 @@ TEST(SweepCache, KeySaltHitMissAndCorruption)
     std::string payload = sweep::encodeStats(st);
     std::uint64_t key = cache.key(specBytes, 7);
 
-    std::string got;
+    sweep::ScenarioStats got;
     EXPECT_FALSE(cache.lookup(key, got));
     EXPECT_TRUE(cache.store(key, payload));
     ASSERT_TRUE(cache.lookup(key, got));
-    EXPECT_EQ(got, payload);
+    EXPECT_EQ(sweep::encodeStats(got), payload);
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.misses(), 1u);
 

@@ -1,0 +1,229 @@
+/**
+ * @file
+ * Byte pins on every report the sweep layer writes, over one small
+ * grid that reaches each record path: the five fabrics, the
+ * message-level model, a workload, a fault schedule, a traced cell
+ * with a flight-recorder dump and a metrics snapshot, a captured VCD,
+ * and a cell name full of bytes the CSV, JSON and codec must escape
+ * or strip.
+ *
+ * The pins are FNV-1a hashes of writeCsv() (with and without the
+ * wall-time column), writeJson(), fingerprint(), and the concatenated
+ * encodeSpec()/encodeStats() bytes. Any change to a column, a key, a
+ * field's order or a number's format moves one of them.
+ */
+
+#include <gtest/gtest.h>
+
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "sim/hash.hh"
+#include "sweep/codec.hh"
+#include "sweep/sweep.hh"
+
+using namespace mbus;
+
+namespace {
+
+std::vector<sweep::ScenarioSpec>
+goldenGrid()
+{
+    std::vector<sweep::ScenarioSpec> grid;
+    {
+        sweep::ScenarioSpec message; // Auto fidelity: message level.
+        message.name = "gold_message";
+        message.messages = 3;
+        grid.push_back(message);
+    }
+    const backend::BackendKind fabrics[] = {
+        backend::BackendKind::Mbus,      backend::BackendKind::I2cStd,
+        backend::BackendKind::I2cOracle, backend::BackendKind::Bitbang,
+        backend::BackendKind::Firmware,
+    };
+    for (backend::BackendKind kind : fabrics) {
+        sweep::ScenarioSpec s;
+        s.name = std::string("gold_") + backend::backendKindName(kind);
+        s.backend = kind;
+        s.fidelity = sweep::Fidelity::Edge;
+        s.messages = 3;
+        s.payloadBytes = 5;
+        s.traffic = sweep::TrafficPattern::RandomPairs;
+        grid.push_back(s);
+    }
+    {
+        sweep::ScenarioSpec w;
+        w.name = "gold_workload";
+        w.nodes = 4;
+        w.powerGated = true;
+        w.workload.name = "gold,mix";
+        w.workload.durationS = 0.2;
+        workload::ActorSpec sensor;
+        sensor.kind = workload::ActorKind::PeriodicSensor;
+        sensor.name = "sensor|a";
+        sensor.node = 1;
+        sensor.periodS = 0.02;
+        w.workload.actors.push_back(sensor);
+        workload::ActorSpec imager;
+        imager.kind = workload::ActorKind::BurstImager;
+        imager.name = "imager";
+        imager.node = 2;
+        imager.periodS = 0.05;
+        imager.payloadBytes = 8;
+        imager.burstBytes = 32;
+        w.workload.actors.push_back(imager);
+        grid.push_back(w);
+    }
+    {
+        sweep::ScenarioSpec f;
+        f.name = "gold_fault";
+        f.nodes = 4;
+        f.messages = 4;
+        f.payloadBytes = 3;
+        fault::FaultEntry fe;
+        fe.kind = fault::FaultKind::GlitchBurst;
+        fe.endS = 2e-4;
+        fe.count = 3;
+        fe.pulses = 2;
+        f.faults.name = "glitch\"s";
+        f.faults.entries.push_back(fe);
+        f.faults.watchdogEpochs = 32;
+        f.retry.maxRetries = 2;
+        f.retry.backoffEpochs = 8;
+        grid.push_back(f);
+    }
+    {
+        // A CLK segment held low mid-transfer: the watchdog rescues
+        // the bus and the flight recorder dumps the stalled span.
+        sweep::ScenarioSpec t;
+        t.name = "gold_traced";
+        t.nodes = 4;
+        t.messages = 3;
+        t.payloadBytes = 8;
+        t.trace.protocol = true;
+        t.trace.flight = true;
+        fault::FaultEntry stuck;
+        stuck.kind = fault::FaultKind::StuckAt0;
+        stuck.node = 1;
+        stuck.lane = 0;
+        stuck.startS = 2e-5;
+        stuck.endS = 4e-5;
+        stuck.durationS = 5e-4;
+        t.faults.entries.push_back(stuck);
+        t.faults.watchdogEpochs = 16;
+        t.retry.maxRetries = 1;
+        grid.push_back(t);
+    }
+    {
+        sweep::ScenarioSpec v;
+        v.name = "gold_vcd";
+        v.messages = 2;
+        v.captureVcd = true;
+        grid.push_back(v);
+    }
+    {
+        sweep::ScenarioSpec odd;
+        odd.name = std::string("odd,\"name|50%\tx") + '\x01' + "\\end";
+        odd.messages = 2;
+        odd.traffic = sweep::TrafficPattern::BroadcastMix;
+        grid.push_back(odd);
+    }
+    return grid;
+}
+
+const sweep::SweepResult &
+goldenSweep()
+{
+    static const sweep::SweepResult r = [] {
+        sweep::SweepConfig cfg;
+        cfg.masterSeed = 0x60'1d'e4ULL;
+        cfg.threads = 2;
+        return sweep::SweepDriver(cfg).run(goldenGrid());
+    }();
+    return r;
+}
+
+/** The golden sweep with every cell's host wall time zeroed, so the
+ *  wall-time column has stable bytes. */
+sweep::SweepResult
+zeroedWallTime()
+{
+    std::vector<sweep::CellResult> cells = goldenSweep().cells();
+    for (sweep::CellResult &c : cells)
+        c.wallSeconds = 0;
+    sweep::SweepConfig cfg;
+    cfg.masterSeed = 0x60'1d'e4ULL;
+    return sweep::SweepResult::fromCells(cfg, std::move(cells));
+}
+
+std::string
+csvOf(const sweep::SweepResult &r, bool wallTime)
+{
+    std::ostringstream os;
+    r.writeCsv(os, wallTime);
+    return os.str();
+}
+
+std::string
+jsonOf(const sweep::SweepResult &r, bool wallTime)
+{
+    std::ostringstream os;
+    r.writeJson(os, wallTime);
+    return os.str();
+}
+
+} // namespace
+
+TEST(SweepGolden, GridReachesEveryRecordPath)
+{
+    const sweep::SweepResult &r = goldenSweep();
+    ASSERT_EQ(r.size(), 11u);
+    EXPECT_EQ(r.cell(0).stats.fidelity, sweep::Fidelity::Message);
+    EXPECT_EQ(r.cell(1).stats.fidelity, sweep::Fidelity::Edge);
+    EXPECT_EQ(r.cell(6).stats.actorStats.size(), 2u);
+    EXPECT_GT(r.cell(6).stats.samplesDelivered, 0);
+    EXPECT_GT(r.cell(7).stats.faultEvents, 0);
+    const sweep::ScenarioStats &traced = r.cell(8).stats;
+    EXPECT_FALSE(traced.traceJson.empty());
+    EXPECT_FALSE(traced.flightDumps.empty());
+    EXPECT_FALSE(traced.metrics.empty());
+    EXPECT_FALSE(r.cell(9).stats.vcd.empty());
+    EXPECT_GT(r.cell(10).stats.acked, 0);
+}
+
+TEST(SweepGolden, CsvBytesArePinned)
+{
+    EXPECT_EQ(sim::fnv1a(csvOf(goldenSweep(), false)),
+              0x8b2cc9a1'6b1221aeULL);
+    EXPECT_EQ(sim::fnv1a(csvOf(zeroedWallTime(), true)),
+              0x7708c06f'79031d2eULL);
+}
+
+TEST(SweepGolden, JsonBytesArePinned)
+{
+    EXPECT_EQ(sim::fnv1a(jsonOf(goldenSweep(), false)),
+              0x2e07e1d7'6ef5ef5aULL);
+    EXPECT_EQ(sim::fnv1a(jsonOf(zeroedWallTime(), true)),
+              0x8e46ab28'ef15c99cULL);
+}
+
+TEST(SweepGolden, FingerprintIsPinnedAndHashesTheCsv)
+{
+    const sweep::SweepResult &r = goldenSweep();
+    EXPECT_EQ(r.fingerprint(), sim::fnv1a(csvOf(r, false)));
+    EXPECT_EQ(r.fingerprint(), 0x8b2cc9a1'6b1221aeULL);
+    // Wall time never reaches the fingerprint.
+    EXPECT_EQ(zeroedWallTime().fingerprint(), r.fingerprint());
+}
+
+TEST(SweepGolden, CodecBytesArePinned)
+{
+    std::string specs, stats;
+    for (const sweep::CellResult &c : goldenSweep().cells()) {
+        specs += sweep::encodeSpec(c.spec);
+        stats += sweep::encodeStats(c.stats);
+    }
+    EXPECT_EQ(sim::fnv1a(specs), 0xc73a459d'69d55704ULL);
+    EXPECT_EQ(sim::fnv1a(stats), 0xee5a10cd'33db5a8cULL);
+}
