@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "backend/bitbang_backend.hh"
+#include "backend/mbus_backend.hh"
 #include "bench/bench_util.hh"
 #include "sim/simulator.hh"
 
@@ -56,8 +56,8 @@ probe(std::uint32_t jitterCycles, double clockHz, int messages)
     p.fwIsrJitterCycles = jitterCycles;
     p.fwMergeMissedEdges = true;
     p.allowUnsafeClock = true;
-    backend::BitbangBackend ring(simulator, p,
-                                 backend::BackendKind::Firmware);
+    backend::MbusBackend ring(simulator, p,
+                              backend::BackendKind::Firmware);
 
     Cell cell;
     cell.jitterCycles = jitterCycles;
@@ -85,8 +85,8 @@ probe(std::uint32_t jitterCycles, double clockHz, int messages)
             break; // Wedged past the envelope: remaining sends fail.
     }
     cell.failed = messages - cell.acked;
-    cell.localErrors = ring.firmwareNode().stats().localErrors;
-    cell.mergedEdges = ring.firmwareNode().stats().mergedEdges;
+    cell.localErrors = ring.softMember()->stats().localErrors;
+    cell.mergedEdges = ring.softMember()->stats().mergedEdges;
     return cell;
 }
 

@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "backend/bitbang_backend.hh"
+#include "backend/mbus_backend.hh"
 #include "bench/bench_util.hh"
 #include "bitbang/bitbang_i2c.hh"
 
@@ -50,7 +50,8 @@ main()
     sim::Simulator simulator;
     backend::BusParams p;
     p.busClockHz = 20e3;
-    backend::BitbangBackend ring(simulator, p);
+    backend::MbusBackend ring(simulator, p,
+                              backend::BackendKind::Bitbang);
     const std::size_t soft = ring.softIndex();
 
     int sw_rx = 0, hw_rx = 0;
@@ -87,14 +88,14 @@ main()
     simulator.runUntil([&] { return d2; }, 2 * sim::kSecond);
     ring.runUntilIdle(100 * sim::kMillisecond);
 
-    const auto &st = ring.firmwareNode().stats();
+    const auto &st = ring.softMember()->stats();
     std::printf("deliveries: software member %d, hardware member "
                 "%d\n", sw_rx, hw_rx);
     std::printf("software ISR stats: %llu invocations, %llu cycles, "
                 "max path %d cycles (model bound %d)\n",
                 static_cast<unsigned long long>(st.isrInvocations),
                 static_cast<unsigned long long>(st.cyclesSpent),
-                ring.firmwareNode().maxObservedPathCycles(),
+                ring.softMember()->maxObservedPathCycles(),
                 cost.worstPathCycles());
     std::printf("\nShape: software members interoperate with "
                 "hardware MBus with zero tuning, at clocks bounded "

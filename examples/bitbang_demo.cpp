@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "backend/bitbang_backend.hh"
+#include "backend/mbus_backend.hh"
 
 using namespace mbus;
 using namespace mbus::bitbang;
@@ -28,7 +28,8 @@ main()
     sim::Simulator simulator;
     backend::BusParams p;
     p.busClockHz = 20e3; // Well inside the software envelope.
-    backend::BitbangBackend ring(simulator, p);
+    backend::MbusBackend ring(simulator, p,
+                              backend::BackendKind::Bitbang);
     const std::size_t soft = ring.softIndex();
 
     ring.setDeliveryHandler(
@@ -66,13 +67,13 @@ main()
     simulator.runUntil([&] { return d2; }, 2 * sim::kSecond);
     ring.runUntilIdle(100 * sim::kMillisecond);
 
-    const auto &st = ring.firmwareNode().stats();
+    const auto &st = ring.softMember()->stats();
     std::printf("\nCPU accounting: %llu ISRs, %llu cycles total "
                 "(%.1f ms at 8 MHz), max observed path %d cycles\n",
                 static_cast<unsigned long long>(st.isrInvocations),
                 static_cast<unsigned long long>(st.cyclesSpent),
                 st.cyclesSpent / cost.cpuHz * 1e3,
-                ring.firmwareNode().maxObservedPathCycles());
+                ring.softMember()->maxObservedPathCycles());
     std::printf("zero per-chip tuning was needed -- the "
                 "interoperability claim of Sec 6.5/6.6.\n");
     return 0;

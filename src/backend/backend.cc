@@ -1,6 +1,5 @@
 #include "backend/backend.hh"
 
-#include "backend/bitbang_backend.hh"
 #include "backend/i2c_backend.hh"
 #include "backend/mbus_backend.hh"
 #include "mbus/system.hh"
@@ -43,16 +42,15 @@ makeBackend(BackendKind kind, sim::Simulator &sim,
 {
     switch (kind) {
     case BackendKind::Mbus:
-        return std::make_unique<MbusBackend>(sim, params);
+    case BackendKind::Bitbang:
+    case BackendKind::Firmware:
+        return std::make_unique<MbusBackend>(sim, params, kind);
     case BackendKind::I2cStd:
         return std::make_unique<I2cBackend>(
             sim, params, baseline::I2cSizing::Standard);
     case BackendKind::I2cOracle:
         return std::make_unique<I2cBackend>(
             sim, params, baseline::I2cSizing::Oracle);
-    case BackendKind::Bitbang:
-    case BackendKind::Firmware:
-        return std::make_unique<BitbangBackend>(sim, params, kind);
     }
     mbus_fatal("unknown backend kind ", static_cast<int>(kind));
     return nullptr;

@@ -10,20 +10,23 @@
  * wake), delivery and terminal-status callbacks, and the per-node
  * energy/latency taps the sweep and workload reducers consume.
  *
- * Four concrete fabrics implement it:
+ * Three classes implement it, behind the five BackendKind labels:
  *
- *  - MbusBackend wraps the simulated hardware MBus ring
- *    (MBusSystem). Its behaviour -- stats and VCD bytes -- is
- *    identical to driving the system directly, a property the
- *    backend determinism tests pin against pre-refactor captures.
- *  - I2cBackend promotes the analytic I2cModel (standard or oracle
- *    pull-up sizing) into a transactional event-kernel bus with
- *    START/STOP framing, addressing overhead, clock stretching for
- *    sleeping receivers, and pull-up energy charged per SCL cycle
- *    through the energy ledger.
- *  - BitbangBackend builds a mixed ring: hardware MBus nodes plus
- *    one four-GPIO software member whose ISR latency throttles the
- *    whole ring (Sec 6.6).
+ *  - MbusBackend wraps one simulated MBus ring (MBusSystem). Under
+ *    Mbus it is the hardware ring; its behaviour -- stats and VCD
+ *    bytes -- is identical to driving the system directly, a
+ *    property the backend determinism tests pin against
+ *    pre-refactor captures. Under Bitbang and Firmware the ring's
+ *    last slot is the four-GPIO software member (the ported libmbus
+ *    FSM) whose ISR latency throttles the whole ring (Sec 6.6).
+ *  - MbusMessageBackend computes fault-free classic MBus traffic a
+ *    whole message at a time; the sweep layer picks it per cell in
+ *    place of the edge-level Mbus ring.
+ *  - I2cBackend (I2cStd, I2cOracle) promotes the analytic I2cModel
+ *    (standard or oracle pull-up sizing) into a transactional
+ *    event-kernel bus with START/STOP framing, addressing overhead,
+ *    clock stretching for sleeping receivers, and pull-up energy
+ *    charged per SCL cycle through the energy ledger.
  *
  * Determinism contract: a backend driven by a pre-drawn plan is a
  * pure function of (params, plan); all scheduling rides the owning

@@ -4,26 +4,35 @@
 #include <string>
 
 #include "mbus/layer_controller.hh"
+#include "power/constants.hh"
 #include "sim/logging.hh"
 #include "trace/trace.hh"
 
 namespace mbus {
 namespace backend {
 
-MbusBackend::MbusBackend(sim::Simulator &sim, const BusParams &params)
-    : params_(params)
+MbusBackend::MbusBackend(sim::Simulator &sim, const BusParams &params,
+                         BackendKind kind)
+    : kind_(kind)
 {
+    const bool mixed =
+        kind == BackendKind::Bitbang || kind == BackendKind::Firmware;
+    if (mixed && (params.nodes < 3 || params.nodes > 14))
+        mbus_fatal("bitbang backend needs 3..14 nodes, got ",
+                   params.nodes);
+
     bus::SystemConfig cfg;
     cfg.busClockHz = params.busClockHz;
     cfg.hopDelay =
         static_cast<sim::SimTime>(params.hopDelayNs * 1000.0 + 0.5);
-    cfg.dataLanes = params.dataLanes;
+    cfg.dataLanes = mixed ? 1 : params.dataLanes;
     cfg.wireCapF = params.wireCapF;
     cfg.edgeTrains = params.edgeTrains;
     cfg.chunkedDispatch = params.chunkedDispatch;
 
     system_ = std::make_unique<bus::MBusSystem>(sim, cfg);
-    for (int i = 0; i < params.nodes; ++i) {
+    const int chips = mixed ? params.nodes - 1 : params.nodes;
+    for (int i = 0; i < chips; ++i) {
         bus::NodeConfig nc;
         nc.name = "n" + std::to_string(i);
         nc.fullPrefix = 0x500u + static_cast<std::uint32_t>(i);
@@ -34,37 +43,64 @@ MbusBackend::MbusBackend(sim::Simulator &sim, const BusParams &params)
         nc.broadcastChannels |= 1u << bus::kChannelUserBase;
         system_->addNode(nc);
     }
+    if (mixed) {
+        firmware::FirmwareNode::Config fw;
+        fw.shortPrefix = static_cast<std::uint8_t>(params.nodes);
+        fw.rxCapacityBytes = params.softRxCapacity;
+        fw.isrJitterCycles = params.fwIsrJitterCycles;
+        fw.mergeMissedEdges = params.fwMergeMissedEdges;
+        system_->addSoftMember(fw, "n" + std::to_string(chips));
+        // The mixed ring starts inside its ceiling; the hardware ring
+        // is not clamped (finalize() rejects an unsafe clock).
+        double &clock = system_->config().busClockHz;
+        clock = std::min(clock, system_->clockCeilingHz());
+    }
     system_->finalize();
+    // The ceiling probe deliberately overclocks the software member
+    // past its ISR envelope; everything else stays clamped safe.
+    if (mixed && params.allowUnsafeClock)
+        system_->config().busClockHz = params.busClockHz;
 }
 
 void
 MbusBackend::send(std::size_t node, bus::Message msg,
                   bus::SendCallback cb)
 {
-    system_->node(node).send(std::move(msg), std::move(cb));
+    if (isSoft(node))
+        system_->softMember()->send(std::move(msg), std::move(cb));
+    else
+        system_->node(node).send(std::move(msg), std::move(cb));
 }
 
 void
 MbusBackend::interject(std::size_t node)
 {
-    system_->node(node).interject();
+    // libmbus exposes no third-party interjection request; only
+    // hardware members stomp the bus.
+    if (!isSoft(node))
+        system_->node(node).interject();
 }
 
 void
 MbusBackend::sleep(std::size_t node)
 {
-    system_->node(node).sleep();
+    // The software member's MCU polls its GPIOs and never gates.
+    if (!isSoft(node))
+        system_->node(node).sleep();
 }
 
 void
 MbusBackend::wake(std::size_t node)
 {
-    system_->node(node).wake();
+    if (!isSoft(node))
+        system_->node(node).wake();
 }
 
 std::size_t
 MbusBackend::pendingTx(std::size_t node) const
 {
+    if (isSoft(node))
+        return system_->softMember()->pendingTx();
     return system_->node(node).busController().pendingTx();
 }
 
@@ -72,21 +108,24 @@ void
 MbusBackend::retime(std::size_t node, double clockHz,
                     std::function<void()> done)
 {
-    double target =
-        std::min(clockHz, 0.999 * system_->maxSafeClockHz());
-    system_->node(node).send(
-        makeRetimeMessage(static_cast<std::uint32_t>(target)),
-        [done](const bus::TxResult &) {
-            if (done)
-                done();
-        });
+    double limit = system_->softMember()
+                       ? system_->clockCeilingHz()
+                       : 0.999 * system_->maxSafeClockHz();
+    send(node,
+         makeRetimeMessage(
+             static_cast<std::uint32_t>(std::min(clockHz, limit))),
+         [done](const bus::TxResult &) {
+             if (done)
+                 done();
+         });
 }
 
 bus::Address
 MbusBackend::unicastAddress(std::size_t node, bool fullAddressing,
                             std::uint8_t fuId) const
 {
-    if (fullAddressing)
+    // The software member decodes short addresses only.
+    if (fullAddressing && !isSoft(node))
         return system_->node(node).fullAddress(fuId);
     return bus::Address::shortAddr(
         static_cast<std::uint8_t>(node + 1), fuId);
@@ -113,6 +152,20 @@ MbusBackend::setDeliveryHandler(DeliveryHandler h)
                     h(i, rx);
             });
     }
+    firmware::FirmwareNode *soft = system_->softMember();
+    if (!soft)
+        return;
+    bus::ReceiveCallback softCb;
+    if (h) {
+        softCb = [h, i = softIndex()](const bus::ReceivedMessage &rx) {
+            // The same system-broadcast filter as the chips' above.
+            if (rx.dest.isBroadcast() &&
+                rx.dest.channel() < bus::kChannelUserBase)
+                return;
+            h(i, rx);
+        };
+    }
+    soft->setReceiveCallback(std::move(softCb));
 }
 
 bool
@@ -128,10 +181,18 @@ MbusBackend::attachTrace(sim::TraceRecorder &recorder)
 }
 
 double
+MbusBackend::softCpuEnergyJ() const
+{
+    const firmware::FirmwareNode *soft = system_->softMember();
+    return soft ? static_cast<double>(soft->stats().cyclesSpent) *
+                      power::kProcessorEnergyPerCycleJ
+                : 0.0;
+}
+
+double
 MbusBackend::switchingJ() const
 {
-    system_->flushDeferredEdges();
-    return system_->ledger().total();
+    return system_->ledger().total() + softCpuEnergyJ();
 }
 
 double
@@ -143,13 +204,15 @@ MbusBackend::leakageJ() const
 double
 MbusBackend::nodeEnergyJ(std::size_t node) const
 {
-    system_->flushDeferredEdges();
-    return system_->ledger().nodeTotal(node);
+    return system_->ledger().nodeTotal(node) +
+           (isSoft(node) ? softCpuEnergyJ() : 0.0);
 }
 
 double
 MbusBackend::poweredSeconds(std::size_t node) const
 {
+    if (isSoft(node)) // Always-on MCU.
+        return sim::toSeconds(system_->simulator().now());
     return sim::toSeconds(
         system_->node(node).layerDomain().poweredTime());
 }
@@ -181,6 +244,7 @@ MbusBackend::dispatchCalls() const
 wire::Net &
 MbusBackend::faultSegment(std::size_t node, int lane)
 {
+    // Lanes the ring lacks alias DATA.
     if (lane <= 0)
         return system_->clkSegment(node);
     if (lane >= 2 && lane - 1 < system_->config().dataLanes)
@@ -188,42 +252,33 @@ MbusBackend::faultSegment(std::size_t node, int lane)
     return system_->dataSegment(node);
 }
 
-int &
-MbusBackend::forceDepth(std::size_t node, int lane)
-{
-    if (forceDepth_.empty())
-        forceDepth_.assign(system_->nodeCount() * kFaultLanes, 0);
-    if (lane < 0)
-        lane = 0;
-    return forceDepth_[node * kFaultLanes +
-                       static_cast<std::size_t>(lane % kFaultLanes)];
-}
-
 void
 MbusBackend::injectWireForce(std::size_t node, int lane, bool level)
 {
-    if (node >= system_->nodeCount())
+    if (node >= nodeCount())
         return;
-    ++forceDepth(node, lane);
-    faultSegment(node, lane).force(level); // Last hold wins overlap.
+    wire::Net &seg = faultSegment(node, lane);
+    ++forceDepth_[&seg];
+    seg.force(level); // Last hold wins overlap.
 }
 
 void
 MbusBackend::injectWireRelease(std::size_t node, int lane)
 {
-    if (node >= system_->nodeCount())
+    if (node >= nodeCount())
         return;
-    int &depth = forceDepth(node, lane);
+    wire::Net &seg = faultSegment(node, lane);
+    int &depth = forceDepth_[&seg];
     if (depth == 0)
         return;
     if (--depth == 0)
-        faultSegment(node, lane).release();
+        seg.release();
 }
 
 void
 MbusBackend::injectGlitch(std::size_t node, int lane, int pulses)
 {
-    if (node >= system_->nodeCount() || pulses <= 0)
+    if (node >= nodeCount() || pulses <= 0)
         return;
     // Sub-hop-delay runts: force the opposite value for half a hop
     // delay, then snap back -- unless a stuck-at is (or becomes)
@@ -232,19 +287,19 @@ MbusBackend::injectGlitch(std::size_t node, int lane, int pulses)
     if (width == 0)
         width = 1;
     sim::Simulator &sim = system_->simulator();
+    wire::Net *seg = &faultSegment(node, lane);
     for (int i = 0; i < pulses; ++i) {
         sim.schedule(2 * width * static_cast<sim::SimTime>(i),
-                     [this, node, lane] {
-                         if (forceDepth(node, lane) > 0)
+                     [this, seg] {
+                         if (forceDepth_[seg] > 0)
                              return;
-                         wire::Net &seg = faultSegment(node, lane);
-                         seg.force(!seg.value());
+                         seg->force(!seg->value());
                      });
         sim.schedule(2 * width * static_cast<sim::SimTime>(i) + width,
-                     [this, node, lane] {
-                         if (forceDepth(node, lane) > 0)
+                     [this, seg] {
+                         if (forceDepth_[seg] > 0)
                              return;
-                         faultSegment(node, lane).release();
+                         seg->release();
                      });
     }
 }
@@ -252,7 +307,7 @@ MbusBackend::injectGlitch(std::size_t node, int lane, int pulses)
 void
 MbusBackend::injectEdgeDrop(std::size_t node, int lane, int pulses)
 {
-    if (node >= system_->nodeCount() || pulses <= 0)
+    if (node >= nodeCount() || pulses <= 0)
         return;
     faultSegment(node, lane)
         .dropEdges(static_cast<std::uint32_t>(pulses));
@@ -269,6 +324,8 @@ MbusBackend::brownout(std::size_t node)
 {
     // Node 0 hosts the mediator: cutting it is cutting the bus, not
     // a member failure, so it is out of scope for the fault model.
+    // So is the software member (the last slot, past every chip),
+    // whose MCU is the always-on engine of the mixed ring.
     if (node == 0 || node >= system_->nodeCount())
         return;
     bus::Node &n = system_->node(node);
@@ -323,15 +380,12 @@ MbusBackend::watchdogPoll()
     // segment, dead transmitter, runaway clocking into a break)
     // stalls it even while the mediator's own output toggles.
     std::uint64_t progress =
-        system_->clkSegment(system_->nodeCount() - 1).edgeEpoch();
-    // "Busy" must cover every state runUntilIdle() waits out --
-    // including a node wedged mid-transaction with an empty queue
-    // (its receive path lost edges to a fault) -- or the watchdog
-    // would never reclaim exactly the hangs it exists for.
-    bool busy = !system_->mediator().asleep();
-    for (std::size_t i = 0; i < system_->nodeCount() && !busy; ++i)
-        busy = pendingTx(i) > 0 ||
-               system_->node(i).sleepController().transactionActive();
+        system_->clkSegment(nodeCount() - 1).edgeEpoch();
+    // "Busy" is every state runUntilIdle() waits out -- including a
+    // member wedged mid-transaction with an empty queue (its receive
+    // path lost edges to a fault) -- or the watchdog would never
+    // reclaim exactly the hangs it exists for.
+    bool busy = !system_->idle();
     // Two stall shapes, both needing two consecutive busy polls:
     // frozen CLK (broken ring, dead transmitter), and CLK edges
     // arriving while the mediator sleeps -- a glitch pulse orbiting

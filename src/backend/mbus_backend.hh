@@ -1,20 +1,31 @@
 /**
  * @file
- * BusBackend over the simulated hardware MBus ring.
+ * BusBackend over a simulated MBus ring: the hardware-only ring
+ * (BackendKind::Mbus) and the mixed ring whose last slot holds the
+ * four-GPIO software member, the ported libmbus FSM (Bitbang and
+ * Firmware: one engine under two fabric labels, Sec 6.6).
  *
- * A thin, behaviour-preserving veneer: construction builds the same
- * MBusSystem (same node configs, same finalize order, hence the same
- * interned net names and VCD signal order) the scenario layer built
- * before the backend seam existed, and every operation forwards to
- * the node APIs directly. The backend determinism tests pin stats
- * and VCD bytes against pre-refactor captures.
+ * A thin, behaviour-preserving veneer over one MBusSystem: the same
+ * node configs and finalize order (hence the same interned net names
+ * and VCD signal order) on both rings, and every operation forwards
+ * to the node APIs directly, or to the software member in its slot.
+ * The backend determinism tests pin stats and VCD bytes.
+ *
+ * The software member's ISR response latency throttles the mixed
+ * ring: its clock is held to a fraction of the ring's envelope
+ * (MBusSystem::clockCeilingHz()), which is why its workloads top out
+ * near the paper's ~120 kHz software ceiling instead of megahertz.
+ * Energy: every ring-segment transition charges the driving member
+ * through the shared CV^2 taps, and the software member's ISR cycles
+ * are additionally priced at the Sec 6.3.1 per-cycle CPU energy --
+ * the software-implementation tax the paper quantifies.
  */
 
 #ifndef MBUS_BACKEND_MBUS_BACKEND_HH
 #define MBUS_BACKEND_MBUS_BACKEND_HH
 
 #include <memory>
-#include <vector>
+#include <unordered_map>
 
 #include "backend/backend.hh"
 #include "mbus/system.hh"
@@ -22,16 +33,19 @@
 namespace mbus {
 namespace backend {
 
-/** The hardware-MBus fabric. */
+/** The MBus ring fabrics: hardware-only, or with a software member. */
 class MbusBackend final : public BusBackend
 {
   public:
-    MbusBackend(sim::Simulator &sim, const BusParams &params);
+    /** @param kind The label kind() reports. Bitbang and Firmware
+     *  put the software member in the last ring slot (3..14 nodes). */
+    MbusBackend(sim::Simulator &sim, const BusParams &params,
+                BackendKind kind = BackendKind::Mbus);
 
-    BackendKind kind() const override { return BackendKind::Mbus; }
+    BackendKind kind() const override { return kind_; }
     std::size_t nodeCount() const override
     {
-        return system_->nodeCount();
+        return system_->ringSize();
     }
     double busClockHz() const override
     {
@@ -82,21 +96,33 @@ class MbusBackend final : public BusBackend
     /** The wrapped system, for MBus-specific benches and tests. */
     bus::MBusSystem &system() { return *system_; }
 
+    /** The software member (stats, ISR diagnostics), or nullptr on
+     *  the hardware-only ring. */
+    firmware::FirmwareNode *softMember() { return system_->softMember(); }
+
+    /** The software member's ring index (the last slot); valid
+     *  only when softMember() is set. */
+    std::size_t softIndex() const { return system_->nodeCount(); }
+
   private:
-    /** Injection lanes per node the fault engine can address. */
-    static constexpr int kFaultLanes = 8;
+    bool
+    isSoft(std::size_t node) const
+    {
+        return system_->softMember() && node == softIndex();
+    }
+    double softCpuEnergyJ() const;
 
     wire::Net &faultSegment(std::size_t node, int lane);
-    int &forceDepth(std::size_t node, int lane);
     void scheduleWatchdogPoll();
     void watchdogPoll();
 
-    BusParams params_;
+    BackendKind kind_;
     std::unique_ptr<bus::MBusSystem> system_;
 
     // --- Fault-injection state (idle unless a FaultSpec armed it) --
-    std::vector<int> forceDepth_; ///< Nested stuck-at holds,
-                                  ///< nodes x kFaultLanes.
+    /** Nested stuck-at holds per segment: lanes that alias one
+     *  segment share one depth. */
+    std::unordered_map<const wire::Net *, int> forceDepth_;
     std::uint32_t watchdogEpochs_ = 0;
     std::uint64_t busResets_ = 0;
     std::uint64_t wdLastProgress_ = 0;

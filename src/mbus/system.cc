@@ -9,6 +9,16 @@
 namespace mbus {
 namespace bus {
 
+namespace {
+
+/** Fraction of the mixed ring's clock envelope it runs at: headroom
+ *  for back-to-back CLK/DATA ISRs serializing on the software
+ *  member's one CPU (its ring budget is 2.5x the worst path for the
+ *  same reason). */
+constexpr double kSoftClockHeadroom = 0.8;
+
+} // namespace
+
 MBusSystem::MBusSystem(sim::Simulator &sim, SystemConfig cfg)
     : sim_(sim), cfg_(std::move(cfg)),
       energy_(power::kSimCalibration,
@@ -36,10 +46,39 @@ MBusSystem::addNode(NodeConfig cfg)
     return *nodes_.back();
 }
 
+void
+MBusSystem::addSoftMember(firmware::FirmwareNode::Config cfg,
+                          std::string name)
+{
+    if (finalized_)
+        mbus_fatal("addSoftMember() after finalize()");
+    if (softCfg_)
+        mbus_fatal("a ring holds at most one software member");
+    if (cfg_.dataLanes != 1)
+        mbus_fatal("the four-GPIO software member is single-lane");
+    // Its CLK ISR retirements coalesce under the same switch (and
+    // train length) as the net-level trains.
+    cfg.isrTrainMaxEdges = cfg_.edgeTrains ? cfg_.trainMaxEdges : 0;
+    // The member's response latency dominates the ring round trip.
+    // Budget 2.5x its worst path: CLK and DATA edges can land
+    // back-to-back and serialize on the single CPU.
+    cfg_.extraRingLatency += 2 * cfg.cost.responseLatency() +
+                             cfg.cost.responseLatency() / 2;
+    softCfg_ = cfg;
+    softName_ = std::move(name);
+}
+
 double
 MBusSystem::maxSafeClockHz() const
 {
-    return safeClockLimitHz(cfg_, nodes_.size());
+    return safeClockLimitHz(cfg_, ringSize());
+}
+
+double
+MBusSystem::clockCeilingHz() const
+{
+    return softCfg_ ? kSoftClockHeadroom * maxSafeClockHz()
+                    : maxSafeClockHz();
 }
 
 void
@@ -47,8 +86,9 @@ MBusSystem::finalize()
 {
     if (finalized_)
         mbus_fatal("finalize() called twice");
-    if (nodes_.size() < 2)
-        mbus_fatal("an MBus system needs at least 2 nodes");
+    if (nodes_.empty() || ringSize() < 2)
+        mbus_fatal("an MBus system needs at least 2 nodes, "
+                   "the first a chip");
     finalized_ = true;
 
     // Duplicate static short prefixes make two nodes match (and ACK)
@@ -70,17 +110,18 @@ MBusSystem::finalize()
     if (cfg_.busClockHz > maxSafeClockHz()) {
         mbus_fatal("bus clock ", cfg_.busClockHz / 1e6,
                    " MHz exceeds the safe limit ",
-                   maxSafeClockHz() / 1e6, " MHz for ", nodes_.size(),
+                   maxSafeClockHz() / 1e6, " MHz for ", ringSize(),
                    " nodes at ", sim::toSeconds(cfg_.hopDelay) * 1e9,
                    " ns/hop");
     }
 
-    std::size_t n = nodes_.size();
+    std::size_t n = ringSize();
     ledger_.resize(n);
     laneSegs_.resize(static_cast<std::size_t>(cfg_.dataLanes) - 1);
 
     for (std::size_t i = 0; i < n; ++i) {
-        std::string base = nodes_[i]->name();
+        std::string base =
+            i < nodes_.size() ? nodes_[i]->name() : softName_;
         clkSegs_.push_back(std::make_unique<wire::Net>(
             sim_, base + ".CLK_OUT", cfg_.hopDelay, true));
         dataSegs_.push_back(std::make_unique<wire::Net>(
@@ -135,7 +176,7 @@ MBusSystem::finalize()
 
     medLink_ = std::make_unique<MediatorHostLink>();
 
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
         std::size_t prev = (i + n - 1) % n;
         std::vector<wire::Net *> lane_ins, lane_outs;
         for (auto &lane : laneSegs_) {
@@ -148,6 +189,13 @@ MBusSystem::finalize()
                         std::move(lane_outs), is_host,
                         is_host ? medLink_.get() : nullptr);
     }
+    // The software member listens on the last chip's outputs. It is
+    // built after the chips bind and before the mediator: listener
+    // order on a segment is load-bearing (see Node::bind).
+    if (softCfg_)
+        soft_ = std::make_unique<firmware::FirmwareNode>(
+            sim_, *softCfg_, *clkSegs_[n - 2], *clkSegs_[n - 1],
+            *dataSegs_[n - 2], *dataSegs_[n - 1]);
 
     Mediator::Context mctx{
         sim_,
@@ -193,7 +241,7 @@ MBusSystem::handleConfigBroadcast(const ReceivedMessage &rx)
         mediator_->setMaxMessageBytes(value);
         break;
       case kConfigCmdClockHz:
-        if (value > maxSafeClockHz()) {
+        if (value > clockCeilingHz()) {
             sim::warn("config clock ", value,
                  " Hz exceeds safe limit; ignored");
         } else {
@@ -239,24 +287,26 @@ MBusSystem::sendAndWait(std::size_t fromNode, Message msg,
 }
 
 bool
+MBusSystem::idle() const
+{
+    if (!mediator_->asleep() || (soft_ && !soft_->idle()))
+        return false;
+    for (auto &n : nodes_) {
+        if (n->sleepController().transactionActive() ||
+            n->busController().pendingTx() > 0) {
+            return false;
+        }
+    }
+    return true;
+}
+
+bool
 MBusSystem::runUntilIdle(sim::SimTime timeout)
 {
     sim::SimTime limit = timeout == sim::kTimeForever
                              ? sim::kTimeForever
                              : sim_.now() + timeout;
-    return sim_.runUntil(
-        [this] {
-            if (!mediator_->asleep())
-                return false;
-            for (auto &n : nodes_) {
-                if (n->sleepController().transactionActive() ||
-                    n->busController().pendingTx() > 0) {
-                    return false;
-                }
-            }
-            return true;
-        },
-        limit);
+    return sim_.runUntil([this] { return idle(); }, limit);
 }
 
 int
@@ -451,7 +501,7 @@ double
 MBusSystem::idleLeakageJ() const
 {
     return power::kIdleLeakagePerChipW *
-           static_cast<double>(nodes_.size()) *
+           static_cast<double>(ringSize()) *
            sim::toSeconds(sim_.now());
 }
 

@@ -6,6 +6,12 @@
  * ledger, and the live system configuration. Node 0 hosts the
  * mediator, mirroring the paper's systems where the mediator is a
  * block on the processor chip.
+ *
+ * A ring may also hold one software member (Sec 6.6): the ported
+ * libmbus FSM on four GPIOs (firmware::FirmwareNode) in the last ring
+ * slot, after every chip. Its ISR response latency is charged to the
+ * ring budget (SystemConfig::extraRingLatency), which throttles the
+ * whole mixed ring to a fraction of its clock envelope.
  */
 
 #ifndef MBUS_BUS_SYSTEM_HH
@@ -17,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "firmware/firmware_node.hh"
 #include "mbus/config.hh"
 #include "mbus/mediator.hh"
 #include "mbus/message.hh"
@@ -51,17 +58,37 @@ class MBusSystem
      */
     Node &addNode(NodeConfig cfg);
 
+    /**
+     * Put the software member in the ring's last slot, after every
+     * chip; its segments are named @p name + ".CLK_OUT"/".DATA_OUT".
+     * Charges its ISR response latency to the ring budget. At most
+     * one, single-lane rings only; must be called before finalize().
+     */
+    void addSoftMember(firmware::FirmwareNode::Config cfg,
+                       std::string name);
+
     /** Build segments, wire nodes, create the mediator. */
     void finalize();
 
     // --- Access -----------------------------------------------------
 
+    /** Hardware chips on the ring (node(i) is valid below this). */
     std::size_t nodeCount() const { return nodes_.size(); }
+    /** Ring positions: the chips plus any software member. */
+    std::size_t
+    ringSize() const
+    {
+        return nodes_.size() + (softCfg_ ? 1 : 0);
+    }
     Node &node(std::size_t i) { return *nodes_.at(i); }
     const Node &node(std::size_t i) const { return *nodes_.at(i); }
     Node *nodeByName(const std::string &name);
 
     Mediator &mediator() { return *mediator_; }
+
+    /** The software member (slot ringSize() - 1), or nullptr on a
+     *  hardware-only ring. */
+    firmware::FirmwareNode *softMember() { return soft_.get(); }
 
     /** The energy ledger. Flushes any deferred batched edge runs
      *  first so readers always see complete totals. */
@@ -75,9 +102,9 @@ class MBusSystem
     SystemConfig &config() { return cfg_; }
     sim::Simulator &simulator() { return sim_; }
 
-    /** CLK segment driven by node @p i. */
+    /** CLK segment driven by ring position @p i. */
     wire::Net &clkSegment(std::size_t i) { return *clkSegs_.at(i); }
-    /** DATA segment (lane 0) driven by node @p i. */
+    /** DATA segment (lane 0) driven by ring position @p i. */
     wire::Net &dataSegment(std::size_t i) { return *dataSegs_.at(i); }
     /** Extra-lane DATA segment driven by node @p i. */
     wire::Net &laneSegment(int lane, std::size_t i);
@@ -93,6 +120,10 @@ class MBusSystem
     std::optional<TxResult> sendAndWait(std::size_t fromNode, Message msg,
                                         sim::SimTime timeout =
                                             sim::kTimeForever);
+
+    /** True when the mediator sleeps and no member (software member
+     *  included) is mid-transaction or has a send queued. */
+    bool idle() const;
 
     /** Run the simulator until the bus is idle everywhere. */
     bool runUntilIdle(sim::SimTime timeout = sim::kTimeForever);
@@ -162,6 +193,12 @@ class MBusSystem
      *  see EXPERIMENTS.md for the relation to the paper's Fig 9). */
     double maxSafeClockHz() const;
 
+    /** Fastest clock a config broadcast may set: maxSafeClockHz(), or
+     *  a fraction of it on a ring with a software member, leaving
+     *  headroom for back-to-back CLK/DATA ISRs serializing on its one
+     *  CPU. */
+    double clockCeilingHz() const;
+
   private:
     bool handleConfigBroadcast(const ReceivedMessage &rx);
 
@@ -208,6 +245,9 @@ class MBusSystem
     std::vector<std::unique_ptr<wire::Net>> dataSegs_;
     std::vector<std::vector<std::unique_ptr<wire::Net>>> laneSegs_;
     std::vector<std::unique_ptr<SegmentEnergyTap>> energyTaps_;
+    std::optional<firmware::FirmwareNode::Config> softCfg_;
+    std::string softName_;
+    std::unique_ptr<firmware::FirmwareNode> soft_;
     std::unique_ptr<Mediator> mediator_;
     std::unique_ptr<MediatorHostLink> medLink_;
     bool finalized_ = false;

@@ -12,7 +12,6 @@
 #include <optional>
 
 #include "backend/backend.hh"
-#include "backend/bitbang_backend.hh"
 #include "backend/i2c_backend.hh"
 #include "backend/mbus_backend.hh"
 #include "baseline/i2c.hh"
@@ -54,7 +53,8 @@ TEST(BackendFactory, NamesRoundTrip)
 {
     for (BackendKind k :
          {BackendKind::Mbus, BackendKind::I2cStd,
-          BackendKind::I2cOracle, BackendKind::Bitbang}) {
+          BackendKind::I2cOracle, BackendKind::Bitbang,
+          BackendKind::Firmware}) {
         BackendKind parsed{};
         ASSERT_TRUE(backendKindFromName(backendKindName(k), parsed));
         EXPECT_EQ(parsed, k);
@@ -67,7 +67,8 @@ TEST(BackendFactory, BuildsEveryKindWithMatchingKind)
 {
     for (BackendKind k :
          {BackendKind::Mbus, BackendKind::I2cStd,
-          BackendKind::I2cOracle, BackendKind::Bitbang}) {
+          BackendKind::I2cOracle, BackendKind::Bitbang,
+          BackendKind::Firmware}) {
         sim::Simulator simulator;
         auto b = makeBackend(k, simulator, smallParams(3, 100e3));
         ASSERT_NE(b, nullptr);
@@ -262,7 +263,8 @@ TEST(I2cBackend, RetimeAppliesAfterCarrierMessage)
 TEST(BitbangBackend, DeliveryBothDirections)
 {
     sim::Simulator simulator;
-    BitbangBackend ring(simulator, smallParams(3, 400e3));
+    MbusBackend ring(simulator, smallParams(3, 400e3),
+                     BackendKind::Bitbang);
     // The software member throttles the fabric far below 400 kHz.
     EXPECT_LT(ring.busClockHz(), 30e3);
 
@@ -297,7 +299,8 @@ TEST(BitbangBackend, FiveNodeRingForwardsThroughSoftMember)
     // member; hw1 -> hw3 passes through nobody special, hw3 -> hw1
     // wraps through the software member's forwarding ISRs.
     sim::Simulator simulator;
-    BitbangBackend ring(simulator, smallParams(5, 400e3));
+    MbusBackend ring(simulator, smallParams(5, 400e3),
+                     BackendKind::Bitbang);
     std::vector<std::uint8_t> seen;
     ring.setDeliveryHandler(
         [&](std::size_t n, const bus::ReceivedMessage &rx) {
@@ -310,7 +313,7 @@ TEST(BitbangBackend, FiveNodeRingForwardsThroughSoftMember)
     EXPECT_EQ(sendAndRun(simulator, ring, 3, msg).status,
               bus::TxStatus::Ack);
     EXPECT_EQ(seen, msg.payload);
-    EXPECT_GT(ring.firmwareNode().stats().isrInvocations, 0u);
+    EXPECT_GT(ring.softMember()->stats().isrInvocations, 0u);
     // Segment switching charged; software CPU cycles priced in.
     EXPECT_GT(ring.switchingJ(), 0.0);
     EXPECT_GT(ring.nodeEnergyJ(ring.softIndex()), 0.0);
@@ -323,7 +326,8 @@ TEST(BitbangBackend, ThirdPartyInterjectionOfSoftTxFlagsTruncation)
     // receiver flags the truncated delivery instead of treating it
     // as a clean end-of-message.
     sim::Simulator simulator;
-    BitbangBackend ring(simulator, smallParams(3, 400e3));
+    MbusBackend ring(simulator, smallParams(3, 400e3),
+                     BackendKind::Bitbang);
     std::optional<bus::ReceivedMessage> seen;
     ring.setDeliveryHandler(
         [&](std::size_t n, const bus::ReceivedMessage &rx) {

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "backend/bitbang_backend.hh"
+#include "backend/mbus_backend.hh"
 #include "sim/simulator.hh"
 
 using namespace mbus;
@@ -17,7 +17,7 @@ namespace {
 
 /** The mixed ring's clock envelope for a member with cost @p c: the
  *  half period must cover the hop floor plus a 2.5x worst-path ISR
- *  budget (how BitbangBackend sizes a 3-node ring at 10 ns hops). */
+ *  budget (how MBusSystem sizes a 3-node mixed ring at 10 ns hops). */
 double
 ringEnvelopeHz(const Msp430CostModel &c)
 {
@@ -45,7 +45,8 @@ TEST(BitbangLimits, FasterCpuSupportsFasterBus)
     sim::Simulator simulator;
     backend::BusParams p;
     p.busClockHz = 60e3;
-    backend::BitbangBackend ring(simulator, p);
+    backend::MbusBackend ring(simulator, p,
+                              backend::BackendKind::Bitbang);
     EXPECT_DOUBLE_EQ(ring.maxSafeClockHz(), ringEnvelopeHz(slow));
     EXPECT_LT(ring.busClockHz(), 60e3);
 }
@@ -55,7 +56,8 @@ TEST(BitbangLimits, SustainedBidirectionalTraffic)
     sim::Simulator simulator;
     backend::BusParams p;
     p.busClockHz = 20e3;
-    backend::BitbangBackend ring(simulator, p);
+    backend::MbusBackend ring(simulator, p,
+                              backend::BackendKind::Bitbang);
     const std::size_t soft = ring.softIndex();
 
     int sw_rx = 0, hw_rx = 0;
@@ -98,7 +100,7 @@ TEST(BitbangLimits, SustainedBidirectionalTraffic)
     EXPECT_EQ(sw_rx, kRounds);
     EXPECT_EQ(hw_rx, kRounds);
     // The ISR accounting never exceeded the modelled worst case.
-    EXPECT_LE(ring.firmwareNode().maxObservedPathCycles(),
+    EXPECT_LE(ring.softMember()->maxObservedPathCycles(),
               Msp430CostModel().worstPathCycles());
 }
 
@@ -107,7 +109,8 @@ TEST(BitbangLimits, CpuSerializationIsAccounted)
     sim::Simulator simulator;
     backend::BusParams p;
     p.busClockHz = 20e3;
-    backend::BitbangBackend ring(simulator, p);
+    backend::MbusBackend ring(simulator, p,
+                              backend::BackendKind::Bitbang);
 
     bus::Message msg;
     msg.dest = ring.unicastAddress(1, false, bus::kFuMailbox);
@@ -117,7 +120,7 @@ TEST(BitbangLimits, CpuSerializationIsAccounted)
               [&](const bus::TxResult &) { done = true; });
     simulator.runUntil([&] { return done; }, 2 * sim::kSecond);
 
-    const auto &st = ring.firmwareNode().stats();
+    const auto &st = ring.softMember()->stats();
     EXPECT_GT(st.isrInvocations, 100u); // Every edge cost an ISR.
     // CPU-seconds spent must equal cycles / f: sanity of accounting.
     double cpu_s = static_cast<double>(st.cyclesSpent) /

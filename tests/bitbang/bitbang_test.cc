@@ -2,7 +2,7 @@
  * @file
  * Section 6.6 tests: the MSP430 cost model and the bitbang I2C
  * reference path. The software member on a mixed ring is exercised
- * through BitbangBackend (tests/backend, tests/bitbang/
+ * through the bitbang fabric (tests/backend, tests/bitbang/
  * bitbang_limits_test.cc).
  */
 

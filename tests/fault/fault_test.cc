@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the physical-layer fault engine and the recovery
  * machinery around it: plan determinism and stream independence, the
- * Net pulse-swallowing primitive, brownout Reset semantics, the
- * mediator watchdog reclaiming a hung transmitter, the I2C bus-jam
+ * Net pulse-swallowing primitive, nested stuck-at holds on aliased
+ * lanes, brownout Reset semantics, the mediator watchdog reclaiming a
+ * hung transmitter (on the hardware and the mixed ring), the I2C bus-jam
  * mapping, the retry/backoff wrapper, and the zero-overhead-when-off
  * guarantee at the scenario level.
  */
@@ -11,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "backend/backend.hh"
+#include "backend/mbus_backend.hh"
 #include "fault/fault.hh"
 #include "fault/retry.hh"
 #include "mbus/layer_controller.hh"
@@ -200,11 +203,48 @@ TEST(NetFault, DropEdgesSwallowsWholePulses)
     EXPECT_TRUE(net.value());
 }
 
-TEST(MbusFault, BrownoutResetsInFlightAndQueuedTransfers)
+/** The two MBus ring fabrics: hardware-only, and the mixed ring
+ *  whose last slot is the software member. */
+class RingFault : public ::testing::TestWithParam<BackendKind>
+{};
+using MbusFault = RingFault;
+
+std::string
+fabricName(const ::testing::TestParamInfo<BackendKind> &info)
+{
+    return backendKindName(info.param);
+}
+
+INSTANTIATE_TEST_SUITE_P(Fabrics, RingFault,
+                         ::testing::Values(BackendKind::Mbus,
+                                           BackendKind::Bitbang),
+                         fabricName);
+INSTANTIATE_TEST_SUITE_P(Fabrics, MbusFault,
+                         ::testing::Values(BackendKind::Mbus,
+                                           BackendKind::Bitbang),
+                         fabricName);
+
+TEST_P(RingFault, AliasedLanesShareOneHold)
+{
+    // A single-lane ring has no segment for lane 2: it aliases DATA,
+    // so its hold nests with lane 1's on the one segment.
+    sim::Simulator simulator;
+    MbusBackend b(simulator, smallParams(3, 20e3), GetParam());
+    wire::Net &data = b.system().dataSegment(1);
+    b.injectWireForce(1, /*lane=*/1, /*level=*/false);
+    b.injectWireForce(1, /*lane=*/2, /*level=*/false);
+    b.injectWireRelease(1, 2);
+    EXPECT_TRUE(data.forced()) << "releasing lane 2 dropped lane 1's hold";
+    EXPECT_FALSE(data.value());
+    b.injectWireRelease(1, 1);
+    EXPECT_FALSE(data.forced());
+}
+
+TEST_P(MbusFault, BrownoutResetsInFlightAndQueuedTransfers)
 {
     sim::Simulator simulator;
-    auto b = makeBackend(BackendKind::Mbus, simulator,
-                         smallParams(4, 400e3, /*gated=*/true));
+    auto b = std::make_unique<MbusBackend>(
+        simulator, smallParams(4, 400e3, /*gated=*/true), GetParam());
 
     std::vector<bus::TxStatus> outcomes;
     b->send(1, smallMsg(*b, 3), [&](const bus::TxResult &r) {
@@ -228,13 +268,21 @@ TEST(MbusFault, BrownoutResetsInFlightAndQueuedTransfers)
     // The ring (and the recovered node) must still carry traffic.
     bus::TxResult r = sendAndRun(simulator, *b, 1, smallMsg(*b, 3));
     EXPECT_EQ(r.status, bus::TxStatus::Ack);
+
+    // The software member is no brownout target: its queued send
+    // rides through untouched.
+    if (b->softMember()) {
+        b->send(b->softIndex(), smallMsg(*b, 1), nullptr);
+        b->brownout(b->softIndex());
+        EXPECT_EQ(b->pendingTx(b->softIndex()), 1u);
+    }
 }
 
-TEST(MbusFault, WatchdogReclaimsHungTransmitter)
+TEST_P(MbusFault, WatchdogReclaimsHungTransmitter)
 {
     sim::Simulator simulator;
-    auto b = makeBackend(BackendKind::Mbus, simulator,
-                         smallParams(4, 400e3));
+    auto b = std::make_unique<MbusBackend>(
+        simulator, smallParams(4, 400e3), GetParam());
     b->armWatchdog(16);
 
     // Break the CLK ring between node 1 and node 2 before sending:

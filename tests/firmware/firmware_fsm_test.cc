@@ -12,7 +12,7 @@
  * INTERRUPTED).
  *
  * The FirmwareNode tests run the same FSM as the software member of a
- * mixed BitbangBackend ring (BackendKind::Firmware) and pin the
+ * mixed-ring MbusBackend (BackendKind::Firmware) and pin the
  * harness contract: busy sends queue FIFO instead of stomping, and
  * error codes surface as bus::TxStatus / bus::LocalError.
  */
@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "backend/backend.hh"
-#include "backend/bitbang_backend.hh"
+#include "backend/mbus_backend.hh"
 #include "firmware/libmbus_port.hh"
 #include "sim/simulator.hh"
 
@@ -445,8 +445,8 @@ TEST(FirmwareBackend, FactoryNameRoundTripsAndBuilds)
 TEST(FirmwareBackend, DeliveryBothDirections)
 {
     sim::Simulator simulator;
-    backend::BitbangBackend ring(simulator, ringParams(3, 400e3),
-                                 backend::BackendKind::Firmware);
+    backend::MbusBackend ring(simulator, ringParams(3, 400e3),
+                              backend::BackendKind::Firmware);
 
     std::vector<std::uint8_t> atGateway, atSoft;
     ring.setDeliveryHandler(
@@ -471,7 +471,7 @@ TEST(FirmwareBackend, DeliveryBothDirections)
     EXPECT_EQ(sendAndRun(simulator, ring, 1, toSoft).status,
               bus::TxStatus::Ack);
     EXPECT_EQ(atSoft, toSoft.payload);
-    EXPECT_GT(ring.firmwareNode().stats().isrInvocations, 0u);
+    EXPECT_GT(ring.softMember()->stats().isrInvocations, 0u);
 }
 
 TEST(FirmwareBackend, BackToBackSendsQueueFifoInsteadOfStomping)
@@ -480,8 +480,8 @@ TEST(FirmwareBackend, BackToBackSendsQueueFifoInsteadOfStomping)
     // while the first is still in flight must both complete, in
     // order, with their own payloads intact at the receiver.
     sim::Simulator simulator;
-    backend::BitbangBackend ring(simulator, ringParams(3, 400e3),
-                                 backend::BackendKind::Firmware);
+    backend::MbusBackend ring(simulator, ringParams(3, 400e3),
+                              backend::BackendKind::Firmware);
 
     std::vector<std::vector<std::uint8_t>> delivered;
     ring.setDeliveryHandler(
@@ -524,8 +524,8 @@ TEST(FirmwareBackend, BackToBackSendsQueueFifoInsteadOfStomping)
 TEST(FirmwareBackend, ThirdPartyInterjectionMapsToInterrupted)
 {
     sim::Simulator simulator;
-    backend::BitbangBackend ring(simulator, ringParams(3, 400e3),
-                                 backend::BackendKind::Firmware);
+    backend::MbusBackend ring(simulator, ringParams(3, 400e3),
+                              backend::BackendKind::Firmware);
     std::optional<bus::ReceivedMessage> seen;
     ring.setDeliveryHandler(
         [&](std::size_t n, const bus::ReceivedMessage &rx) {
@@ -556,8 +556,8 @@ TEST(FirmwareBackend, RxOverflowSurfacesLocalErrorAtDelivery)
     sim::Simulator simulator;
     backend::BusParams p = ringParams(3, 400e3);
     p.softRxCapacity = 4; // Tiny firmware receive buffer.
-    backend::BitbangBackend ring(simulator, p,
-                                 backend::BackendKind::Firmware);
+    backend::MbusBackend ring(simulator, p,
+                              backend::BackendKind::Firmware);
 
     std::optional<bus::ReceivedMessage> seen;
     ring.setDeliveryHandler(

@@ -11,7 +11,7 @@
 
 #include <memory>
 
-#include "backend/bitbang_backend.hh"
+#include "backend/mbus_backend.hh"
 #include "firmware/firmware_node.hh"
 #include "sim/simulator.hh"
 #include "wire/net.hh"
@@ -99,12 +99,13 @@ TEST(FirmwareTrain, DestroyingABackendMidTrainCancelsIt)
     sim::Simulator simulator;
     backend::BusParams p;
     p.busClockHz = 20e3;
-    auto ring = std::make_unique<backend::BitbangBackend>(simulator, p);
+    auto ring = std::make_unique<backend::MbusBackend>(
+        simulator, p, backend::BackendKind::Bitbang);
     bus::Message msg;
     msg.dest = ring->unicastAddress(ring->softIndex(), false, 0);
     msg.payload.assign(64, 0x3C);
     ring->send(0, msg, nullptr);
-    firmware::FirmwareNode &member = ring->firmwareNode();
+    firmware::FirmwareNode &member = *ring->softMember();
     simulator.runUntil(
         [&] {
             return member.stats().isrInvocations > 400 &&
