@@ -1,5 +1,6 @@
 #include "sim/stats.hh"
 
+#include <cmath>
 #include <iomanip>
 
 namespace mbus {
@@ -22,6 +23,14 @@ StatsRegistry::dump(std::ostream &os) const
         os << std::left << std::setw(static_cast<int>(width) + 2)
            << kv.first << std::setprecision(6) << kv.second << "\n";
     }
+}
+
+double
+nearestRankPercentile(const std::vector<double> &sorted, double q)
+{
+    std::size_t i = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(sorted.size())));
+    return sorted[(i == 0 ? 1 : i) - 1];
 }
 
 } // namespace sim

@@ -14,6 +14,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <vector>
 
 namespace mbus {
 namespace sim {
@@ -80,6 +81,17 @@ class StatsRegistry
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, double> scalars_;
 };
+
+/**
+ * Nearest-rank percentile over an ascending-sorted sample: the one
+ * definition per-cell stats, sweep aggregates, per-actor workload
+ * stats and metrics histograms share.
+ *
+ * @param sorted Non-empty, ascending.
+ * @param q Quantile in (0, 1].
+ */
+double nearestRankPercentile(const std::vector<double> &sorted,
+                             double q);
 
 } // namespace sim
 } // namespace mbus

@@ -1,10 +1,8 @@
 #include "sweep/scenario.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <vector>
 
@@ -13,8 +11,10 @@
 #include "backend/mbus_message_backend.hh"
 #include "mbus/layer_controller.hh"
 #include "mbus/message.hh"
+#include "sim/hash.hh"
 #include "sim/logging.hh"
 #include "sim/vcd.hh"
+#include "workload/traffic.hh"
 
 namespace mbus {
 namespace sweep {
@@ -87,15 +87,6 @@ messageLevelEligible(const ScenarioSpec &spec)
            2 * half + flush < sim::kSecond;
 }
 
-double
-nearestRankPercentile(const std::vector<double> &sorted, double q)
-{
-    std::size_t n = sorted.size();
-    std::size_t i = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(n)));
-    return sorted[(i == 0 ? 1 : i) - 1];
-}
-
 namespace {
 
 /** One pre-generated transaction of the cell's traffic plan. */
@@ -104,9 +95,7 @@ struct PlannedTx
     std::size_t sender = 0;
     bus::Address dest;
     std::vector<std::uint8_t> payload;
-    bool broadcast = false;
     bool priority = false;
-    int wireBits = 0;
     // Fault schedule: a third party interjects mid-message.
     bool interject = false;
     std::size_t interjector = 0;
@@ -151,7 +140,6 @@ makePlan(const ScenarioSpec &spec, backend::BusBackend &backend,
         case TrafficPattern::BroadcastMix: {
             tx.sender = rng.below(n);
             if (rng.chance(0.25)) {
-                tx.broadcast = true;
                 tx.dest = bus::Address::broadcast(bus::kChannelUserBase);
             } else {
                 std::size_t d = rng.below(n - 1);
@@ -180,23 +168,57 @@ makePlan(const ScenarioSpec &spec, backend::BusBackend &backend,
                 stormNode >= tx.sender ? stormNode + 1 : stormNode;
             tx.interjectFrac = frac;
         }
-        bus::Message probe;
-        probe.dest = tx.dest;
-        probe.payload = tx.payload;
-        tx.wireBits = probe.wireDataBits();
         plan.push_back(std::move(tx));
     }
     return plan;
 }
 
-void runClassicTraffic(const ScenarioSpec &spec,
-                       backend::BusBackend &backend,
-                       sim::Simulator &simulator, ScenarioStats &st,
-                       fault::RetryStats &retryStats, int &done,
-                       sim::SimTime &lastCompletion,
-                       double &latencySumS,
-                       std::vector<double> &latenciesS,
-                       std::uint64_t &completedWireBits);
+/** The classic traffic driver: one planned message at a time from
+ *  the makePlan() stream, each issued when the previous completes. */
+workload::WorkloadRunStats
+runClassicTraffic(const ScenarioSpec &spec, backend::BusBackend &backend,
+                  sim::Simulator &simulator)
+{
+    auto plan = makePlan(spec, backend, simulator.rng());
+    workload::TrafficRun traffic(backend, simulator, spec.timeLimit);
+    traffic.stats.planned = spec.messages;
+    traffic.stats.txLatenciesS.reserve(plan.size());
+
+    int done = 0;
+    auto finished = [&] { return done >= spec.messages; };
+    std::function<void()> issueNext = [&] {
+        if (finished())
+            return;
+        const PlannedTx &tx = plan[static_cast<std::size_t>(done)];
+        bus::Message msg;
+        msg.dest = tx.dest;
+        msg.payload = tx.payload;
+        msg.priority = tx.priority;
+        if (tx.interject) {
+            // Storm: a third party cuts the message after a fraction
+            // of its modelled duration, timed on the clock the
+            // fabric actually runs (clamped fabrics run slower than
+            // the spec requests).
+            sim::SimTime period =
+                sim::periodFromHz(backend.busClockHz());
+            auto cycles = static_cast<double>(msg.totalCycles());
+            auto delay = static_cast<sim::SimTime>(
+                tx.interjectFrac * cycles * static_cast<double>(period));
+            std::size_t who = tx.interjector;
+            simulator.schedule(delay,
+                               [&backend, who] { backend.interject(who); });
+        }
+        traffic.send(tx.sender, std::move(msg), spec.retry,
+                     [&](const bus::TxResult &, bool) {
+                         ++done;
+                         traffic.stopIf(finished());
+                         issueNext();
+                     });
+    };
+    issueNext();
+    traffic.run(finished);
+    return std::move(traffic.stats);
+}
 
 } // namespace
 
@@ -263,89 +285,70 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed)
         faultEngine->arm(*backend, simulator);
     }
 
+    // Application-mix cells run a plan compiled on the cell seed (the
+    // messages/traffic knobs are ignored) under a guard raised to
+    // cover the mix; classic cells stream the makePlan() messages.
+    sim::SimTime mixLimit = std::max(
+        spec.timeLimit,
+        sim::fromSeconds(spec.workload.durationS) + sim::kSecond);
+    workload::WorkloadRunStats w =
+        spec.workload.enabled()
+            ? workload::WorkloadEngine(spec.workload, seed, spec.nodes)
+                  .drive(*backend, simulator, mixLimit)
+            : runClassicTraffic(spec, *backend, simulator);
+
     ScenarioStats st;
     st.fidelity = messageLevel ? Fidelity::Message : Fidelity::Edge;
-    fault::RetryStats retryStats;
-
-    int done = 0;
-    sim::SimTime lastCompletion = 0;
-    double latencySumS = 0;
-    std::vector<double> latenciesS;
-    std::uint64_t completedWireBits = 0;
-
-    if (spec.workload.enabled()) {
-        // Application-mix cell: the engine compiles a pre-drawn plan
-        // on the cell seed and drives the system through the same
-        // node APIs; the messages/traffic knobs are ignored.
-        workload::WorkloadEngine engine(spec.workload, seed,
-                                        spec.nodes);
-        sim::SimTime limit = std::max(
-            spec.timeLimit,
-            sim::fromSeconds(spec.workload.durationS) + sim::kSecond);
-        workload::WorkloadRunStats w =
-            engine.drive(*backend, simulator, limit);
-
-        st.planned = w.planned;
-        st.acked = w.acked;
-        st.naked = w.naked;
-        st.broadcasts = w.broadcasts;
-        st.interrupted = w.interrupted;
-        st.rxAborts = w.rxAborts;
-        st.failed = w.failed;
-        st.bytesDelivered = w.bytesDelivered;
-        st.payloadMismatches = w.payloadMismatches;
-        st.arbitrationRetries = w.arbitrationRetries;
-        st.firstTxLatencyS = w.firstTxLatencyS;
-        st.wedged = w.wedged;
-        st.actorStats = std::move(w.actors);
-        st.missedDeadlines = w.missedDeadlines;
-        st.samplesPlanned = w.samplesPlanned;
-        st.samplesDelivered = w.samplesDelivered;
-        st.stormInterjections = w.stormInterjections;
-        st.gateWindows = w.gateWindows;
-        st.faultsInjected = w.faultsInjected;
-        st.faultsRecovered = w.faultsRecovered;
-        st.retimings = w.retimings;
-        st.txResets = w.txResets;
-        st.deliveredOk = w.deliveredOk;
-        st.deliveredInterrupted = w.deliveredInterrupted;
-        st.deliveredOverflow = w.deliveredOverflow;
-        retryStats.retries = w.retries;
-        retryStats.recoveredTx = w.recoveredTx;
-        retryStats.abandonedTx = w.abandonedTx;
-        retryStats.recoveryS = std::move(w.recoveryS);
-
-        latenciesS = std::move(w.txLatenciesS);
-        latencySumS = w.latencySumS;
-        completedWireBits = w.completedWireBits;
-        lastCompletion = w.lastCompletion;
-        done = static_cast<int>(latenciesS.size());
-    } else {
-        runClassicTraffic(spec, *backend, simulator, st, retryStats,
-                          done, lastCompletion, latencySumS,
-                          latenciesS, completedWireBits);
-    }
+    st.planned = w.planned;
+    st.acked = w.acked;
+    st.naked = w.naked;
+    st.broadcasts = w.broadcasts;
+    st.interrupted = w.interrupted;
+    st.rxAborts = w.rxAborts;
+    st.failed = w.failed;
+    st.bytesDelivered = w.bytesDelivered;
+    st.payloadMismatches = w.payloadMismatches;
+    st.arbitrationRetries = w.arbitrationRetries;
+    st.firstTxLatencyS = w.firstTxLatencyS;
+    st.wedged = w.wedged;
+    st.actorStats = std::move(w.actors);
+    st.missedDeadlines = w.missedDeadlines;
+    st.samplesPlanned = w.samplesPlanned;
+    st.samplesDelivered = w.samplesDelivered;
+    st.stormInterjections = w.stormInterjections;
+    st.gateWindows = w.gateWindows;
+    st.faultsInjected = w.faultsInjected;
+    st.faultsRecovered = w.faultsRecovered;
+    st.retimings = w.retimings;
+    st.txResets = w.txResets;
+    st.deliveredOk = w.deliveredOk;
+    st.deliveredInterrupted = w.deliveredInterrupted;
+    st.deliveredOverflow = w.deliveredOverflow;
+    st.retries = w.retries;
+    st.recoveredTx = w.recoveredTx;
+    st.abandonedTx = w.abandonedTx;
 
     // --- Reduction ---------------------------------------------------
-    double elapsedS = sim::toSeconds(lastCompletion);
+    int done = static_cast<int>(w.txLatenciesS.size());
+    double elapsedS = sim::toSeconds(w.lastCompletion);
     if (done > 0 && elapsedS > 0) {
         st.txPerSecond = static_cast<double>(done) / elapsedS;
         st.goodputBps =
             8.0 * static_cast<double>(st.bytesDelivered) / elapsedS;
-        st.avgTxLatencyS = latencySumS / done;
+        st.avgTxLatencyS = w.latencySumS / done;
         st.avgCyclesPerTx = st.avgTxLatencyS * backend->busClockHz();
     }
-    if (!latenciesS.empty()) {
-        std::sort(latenciesS.begin(), latenciesS.end());
-        st.latencyP50S = nearestRankPercentile(latenciesS, 0.50);
-        st.latencyP95S = nearestRankPercentile(latenciesS, 0.95);
-        st.latencyP99S = nearestRankPercentile(latenciesS, 0.99);
-        st.txLatenciesS = latenciesS;
+    if (done > 0) {
+        st.txLatenciesS = std::move(w.txLatenciesS);
+        std::sort(st.txLatenciesS.begin(), st.txLatenciesS.end());
+        st.latencyP50S = nearestRankPercentile(st.txLatenciesS, 0.50);
+        st.latencyP95S = nearestRankPercentile(st.txLatenciesS, 0.95);
+        st.latencyP99S = nearestRankPercentile(st.txLatenciesS, 0.99);
     }
     st.eventsExecuted = simulator.eventsExecuted();
-    if (completedWireBits > 0)
+    if (w.completedWireBits > 0)
         st.eventsPerBit = static_cast<double>(st.eventsExecuted) /
-                          static_cast<double>(completedWireBits);
+                          static_cast<double>(w.completedWireBits);
     st.trainEdges = simulator.queue().trainEdgesDelivered();
     st.trainsScheduled = simulator.queue().trainsScheduled();
     st.dispatchCalls = backend->dispatchCalls();
@@ -362,18 +365,11 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed)
     // Fault and recovery reduction (all-zero with faults off).
     st.faultEvents = faultEngine ? faultEngine->injected() : 0;
     st.busResets = backend->busResets();
-    st.retries = retryStats.retries;
-    st.recoveredTx = retryStats.recoveredTx;
-    st.abandonedTx = retryStats.abandonedTx;
-    if (!retryStats.recoveryS.empty()) {
-        std::sort(retryStats.recoveryS.begin(),
-                  retryStats.recoveryS.end());
-        st.recoveryP50S =
-            nearestRankPercentile(retryStats.recoveryS, 0.50);
-        st.recoveryP95S =
-            nearestRankPercentile(retryStats.recoveryS, 0.95);
-        st.recoveryP99S =
-            nearestRankPercentile(retryStats.recoveryS, 0.99);
+    if (!w.recoveryS.empty()) {
+        std::sort(w.recoveryS.begin(), w.recoveryS.end());
+        st.recoveryP50S = nearestRankPercentile(w.recoveryS, 0.50);
+        st.recoveryP95S = nearestRankPercentile(w.recoveryS, 0.95);
+        st.recoveryP99S = nearestRankPercentile(w.recoveryS, 0.99);
     }
 
     // Cross-backend headline numbers: energy per delivered sample
@@ -392,7 +388,7 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed)
         recorder.writeVcd(os);
         st.vcd = os.str();
         st.vcdBytes = st.vcd.size();
-        st.vcdHash = fnv1a(st.vcd.data(), st.vcd.size());
+        st.vcdHash = sim::fnv1a(st.vcd.data(), st.vcd.size());
     }
 
     st.slabSlots =
@@ -409,7 +405,7 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed)
         if (spec.trace.protocol) {
             st.traceJson = tracer->chromeJson();
             st.traceHash =
-                fnv1a(st.traceJson.data(), st.traceJson.size());
+                sim::fnv1a(st.traceJson.data(), st.traceJson.size());
         }
         st.flightDumps = tracer->dumps();
 
@@ -457,132 +453,6 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed)
     }
     return st;
 }
-
-namespace {
-
-/** The pre-workload traffic driver: one planned message at a time
- *  from the makePlan() stream, with delivery integrity checking. */
-void
-runClassicTraffic(const ScenarioSpec &spec,
-                  backend::BusBackend &backend,
-                  sim::Simulator &simulator, ScenarioStats &st,
-                  fault::RetryStats &retryStats, int &done,
-                  sim::SimTime &lastCompletion, double &latencySumS,
-                  std::vector<double> &latenciesS,
-                  std::uint64_t &completedWireBits)
-{
-    st.planned = spec.messages;
-    auto plan = makePlan(spec, backend, simulator.rng());
-
-    // Delivery integrity: every issued payload is registered as
-    // expected (n-1 copies for broadcasts) and each complete delivery
-    // must consume one registered copy. A completion callback can run
-    // before the receiver's delivery at the same timestamp, so the
-    // check cannot key on "the message currently in flight".
-    std::multiset<std::vector<std::uint8_t>> expected;
-    backend.setDeliveryHandler(
-        [&](std::size_t, const bus::ReceivedMessage &rx) {
-            if (rx.interjected) {
-                ++st.deliveredInterrupted;
-                return; // Truncated by design; content untrusted.
-            }
-            if (rx.error == bus::LocalError::RecvOverflow)
-                ++st.deliveredOverflow;
-            else if (rx.error == bus::LocalError::None)
-                ++st.deliveredOk;
-            st.bytesDelivered += rx.payload.size();
-            auto it = expected.find(rx.payload);
-            if (it == expected.end())
-                ++st.payloadMismatches;
-            else
-                expected.erase(it);
-        });
-
-    sim::SimTime issuedAt = 0;
-    latenciesS.reserve(static_cast<std::size_t>(spec.messages));
-    // The last completion ends the traffic run through
-    // Simulator::stop() -- but only inside that run, never during the
-    // idle drain after a wedge.
-    bool stopWhenDone = true;
-
-    std::function<void()> issueNext = [&] {
-        if (done >= spec.messages)
-            return;
-        const PlannedTx &tx = plan[static_cast<std::size_t>(done)];
-        int copies =
-            tx.broadcast ? std::max(spec.nodes - 1, 1) : 1;
-        for (int c = 0; c < copies; ++c)
-            expected.insert(tx.payload);
-        issuedAt = simulator.now();
-        bus::Message msg;
-        msg.dest = tx.dest;
-        msg.payload = tx.payload;
-        msg.priority = tx.priority;
-        if (tx.interject) {
-            // Storm: a third party cuts the message after a fraction
-            // of its modelled duration, timed on the clock the
-            // fabric actually runs (clamped fabrics run slower than
-            // the spec requests).
-            sim::SimTime period =
-                sim::periodFromHz(backend.busClockHz());
-            auto cycles = static_cast<double>(msg.totalCycles());
-            auto delay = static_cast<sim::SimTime>(
-                tx.interjectFrac * cycles * static_cast<double>(period));
-            std::size_t who = tx.interjector;
-            simulator.schedule(delay,
-                               [&backend, who] { backend.interject(who); });
-        }
-        int wireBits = tx.wireBits;
-        // With a retry policy the callback sees only the *terminal*
-        // result of the attempt chain; disabled, this is a plain
-        // backend.send().
-        fault::sendWithRetry(
-            backend, simulator, tx.sender, std::move(msg), spec.retry,
-            retryStats, [&, wireBits](const bus::TxResult &r) {
-            switch (r.status) {
-            case bus::TxStatus::Ack: ++st.acked; break;
-            case bus::TxStatus::Nak: ++st.naked; break;
-            case bus::TxStatus::Broadcast: ++st.broadcasts; break;
-            case bus::TxStatus::Interrupted: ++st.interrupted; break;
-            case bus::TxStatus::RxAbort: ++st.rxAborts; break;
-            case bus::TxStatus::Reset:
-                ++st.failed;
-                ++st.txResets;
-                break;
-            default: ++st.failed; break;
-            }
-            if (r.status == bus::TxStatus::Ack ||
-                r.status == bus::TxStatus::Broadcast)
-                completedWireBits +=
-                    static_cast<std::uint64_t>(wireBits);
-            st.arbitrationRetries += r.arbitrationRetries;
-            lastCompletion = r.completedAt;
-            double lat = sim::toSeconds(r.completedAt - issuedAt);
-            latencySumS += lat;
-            latenciesS.push_back(lat);
-            if (done == 0)
-                st.firstTxLatencyS = lat;
-            ++done;
-            if (done >= spec.messages && stopWhenDone)
-                simulator.stop();
-            issueNext();
-        });
-    };
-
-    // Nothing runs past the wedge guard plus the idle drain.
-    simulator.setHorizon(sim::addSaturating(spec.timeLimit, sim::kSecond));
-    if (spec.messages > 0) {
-        issueNext();
-        simulator.run(spec.timeLimit);
-    }
-    stopWhenDone = false;
-    bool finished = done >= spec.messages;
-    bool idle = backend.runUntilIdle(sim::kSecond);
-    st.wedged = !finished || !idle;
-    backend.setDeliveryHandler(nullptr);
-}
-
-} // namespace
 
 } // namespace sweep
 } // namespace mbus

@@ -25,7 +25,7 @@
 #include "backend/backend.hh"
 #include "fault/fault.hh"
 #include "fault/retry.hh"
-#include "sim/hash.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 #include "trace/metrics.hh"
 #include "trace/trace.hh"
@@ -151,7 +151,8 @@ struct ScenarioStats
     // Delivery integrity.
     std::uint64_t bytesDelivered = 0; ///< Payload bytes at receivers.
     std::uint64_t payloadMismatches = 0; ///< Corrupted deliveries.
-    bool wedged = false; ///< Did not finish inside the time limit.
+    bool wedged = false; ///< Traffic unfinished at the wedge guard,
+                         ///< or the bus not idle after the drain.
 
     // Rates and costs.
     double txPerSecond = 0;    ///< Completed transactions / active s.
@@ -274,25 +275,9 @@ bool messageLevelEligible(const ScenarioSpec &spec);
  */
 ScenarioStats runScenario(const ScenarioSpec &spec, std::uint64_t seed);
 
-/** FNV-1a 64-bit, the hash used for VCD and sweep fingerprints.
- *  Forwards to the centralized sim/hash.hh implementation (which the
- *  content-addressed cell-cache keys share). */
-inline std::uint64_t
-fnv1a(const void *data, std::size_t len,
-      std::uint64_t basis = sim::kFnvOffsetBasis)
-{
-    return sim::fnv1a(data, len, basis);
-}
-
-/**
- * Nearest-rank percentile over an ascending-sorted sample: the
- * definition both per-cell stats and the sweep aggregate use.
- *
- * @param sorted Non-empty, ascending.
- * @param q Quantile in (0, 1].
- */
-double nearestRankPercentile(const std::vector<double> &sorted,
-                             double q);
+/** The nearest-rank percentile per-cell stats and the sweep
+ *  aggregate use. */
+using sim::nearestRankPercentile;
 
 } // namespace sweep
 } // namespace mbus

@@ -12,6 +12,7 @@
 #include <type_traits>
 
 #include "sim/fsio.hh"
+#include "sim/hash.hh"
 #include "sim/random.hh"
 #include "sweep/cache.hh"
 #include "sweep/codec.hh"
@@ -521,7 +522,7 @@ SweepResult::fingerprint() const
     // CSV, without ever holding it.
     std::uint64_t hash = sim::kFnvOffsetBasis;
     csvLines(cells_, /*wallTime=*/false, [&](const std::string &line) {
-        hash = fnv1a(line.data(), line.size(), hash);
+        hash = sim::fnv1a(line.data(), line.size(), hash);
     });
     return hash;
 }

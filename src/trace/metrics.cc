@@ -1,32 +1,10 @@
 #include "trace/metrics.hh"
 
-#include <cmath>
-#include <cstddef>
-
 #include "sim/fsio.hh"
+#include "sim/stats.hh"
 
 namespace mbus {
 namespace trace {
-
-namespace {
-
-/** Nearest-rank percentile (the same definition scenario.cc uses;
- *  duplicated here so trace does not depend on sweep). */
-double
-nearestRank(const std::vector<double> &sorted, double q)
-{
-    if (sorted.empty())
-        return 0;
-    std::size_t rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(sorted.size())));
-    if (rank == 0)
-        rank = 1;
-    if (rank > sorted.size())
-        rank = sorted.size();
-    return sorted[rank - 1];
-}
-
-} // namespace
 
 void
 MetricsRegistry::counter(const std::string &name, std::uint64_t v)
@@ -47,39 +25,9 @@ MetricsRegistry::histogram(const std::string &name,
     counter(name + "_count", sorted.size());
     if (sorted.empty())
         return;
-    gauge(name + "_p50", nearestRank(sorted, 0.50));
-    gauge(name + "_p95", nearestRank(sorted, 0.95));
-    gauge(name + "_p99", nearestRank(sorted, 0.99));
-}
-
-std::string
-MetricsRegistry::packed() const
-{
-    std::string out;
-    for (std::size_t i = 0; i < samples_.size(); ++i) {
-        if (i)
-            out += '|';
-        out += samples_[i].name;
-        out += '=';
-        out += samples_[i].value;
-    }
-    return out;
-}
-
-std::string
-MetricsRegistry::json() const
-{
-    std::string out = "{";
-    for (std::size_t i = 0; i < samples_.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += '"';
-        out += samples_[i].name;
-        out += "\": ";
-        out += samples_[i].value;
-    }
-    out += '}';
-    return out;
+    gauge(name + "_p50", sim::nearestRankPercentile(sorted, 0.50));
+    gauge(name + "_p95", sim::nearestRankPercentile(sorted, 0.95));
+    gauge(name + "_p99", sim::nearestRankPercentile(sorted, 0.99));
 }
 
 } // namespace trace

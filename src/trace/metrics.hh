@@ -13,10 +13,9 @@
  * formatted once at registration with byte-stable formatting
  * (std::to_string for integers, 17-significant-digit to_chars for
  * doubles), and nothing here reads clocks or randomness -- so the
- * packed CSV column and JSON object produced from a registry are a
- * pure function of the simulation, byte-identical across sweep
- * thread counts and solo replay like every other deterministic
- * output.
+ * samples, which the sweep packs into its metrics column, are a pure
+ * function of the simulation, byte-identical across sweep thread
+ * counts and solo replay like every other deterministic output.
  */
 
 #ifndef MBUS_TRACE_METRICS_HH
@@ -57,12 +56,6 @@ class MetricsRegistry
 
     /** The snapshot, in registration order. */
     const std::vector<MetricSample> &samples() const { return samples_; }
-
-    /** Pipe-packed scalar field for one CSV cell: "k=v|k=v|...". */
-    std::string packed() const;
-
-    /** One flat JSON object: {"k": v, ...}. Values are numbers. */
-    std::string json() const;
 
   private:
     std::vector<MetricSample> samples_;

@@ -1,32 +1,19 @@
 #include "workload/workload.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <functional>
 #include <map>
-#include <set>
 
 #include "backend/backend.hh"
 #include "mbus/layer_controller.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "sim/stats.hh"
+#include "workload/traffic.hh"
 
 namespace mbus {
 namespace workload {
 
 namespace {
-
-/** Nearest-rank percentile, the same definition the sweep reducers
- *  use (sweep::nearestRankPercentile; duplicated locally to keep the
- *  workload -> sweep dependency one-directional). */
-double
-percentile(const std::vector<double> &sorted, double q)
-{
-    std::size_t n = sorted.size();
-    std::size_t i = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(n)));
-    return sorted[(i == 0 ? 1 : i) - 1];
-}
 
 /** Tracks one in-flight sample (a frame's fragments). */
 struct SampleState
@@ -41,22 +28,30 @@ struct SampleState
 /** Everything the plan executor mutates while driving a run. */
 struct RunState
 {
-    const WorkloadSpec *spec = nullptr;
-    backend::BusBackend *backend = nullptr;
-    sim::Simulator *simulator = nullptr;
-    const std::vector<PlannedOp> *plan = nullptr;
+    RunState(const WorkloadSpec &spec, backend::BusBackend &backend,
+             sim::Simulator &simulator, const std::vector<PlannedOp> &plan,
+             sim::SimTime timeLimit)
+        : spec(&spec), backend(&backend), simulator(&simulator),
+          plan(&plan), traffic(backend, simulator, timeLimit),
+          stats(traffic.stats),
+          offline(backend.nodeCount(), false),
+          nodeBytesIssued(backend.nodeCount(), 0)
+    {
+    }
 
-    WorkloadRunStats stats;
-    fault::RetryStats retry; ///< Pooled over every actor's policy.
+    const WorkloadSpec *spec;
+    backend::BusBackend *backend;
+    sim::Simulator *simulator;
+    const std::vector<PlannedOp> *plan;
+
+    TrafficRun traffic;
+    WorkloadRunStats &stats; ///< traffic.stats, plus the actor books.
     std::vector<bool> offline; ///< Faulted or gate-windowed, by node.
     std::vector<std::uint64_t> nodeBytesIssued;
-    std::multiset<std::vector<std::uint8_t>> expected;
     /** (actor << 32 | burst) -> in-flight sample. */
     std::map<std::uint64_t, SampleState> samples;
     std::size_t next = 0; ///< Plan cursor.
     int outstanding = 0;  ///< Issued sends awaiting a terminal status.
-    bool sawFirstCompletion = false;
-    bool stopWhenFinished = false; ///< Set only inside drive()'s run.
 
     /** Every op executed and every send terminated. Once true it
      *  stays true: only plan ops issue sends. */
@@ -66,20 +61,14 @@ struct RunState
         return next >= plan->size() && outstanding == 0;
     }
 
-    /** End drive()'s run at completion instead of polling after every
-     *  kernel event: called after each state change. */
-    void
-    stopIfFinished()
-    {
-        if (stopWhenFinished && finished())
-            simulator->stop();
-    }
+    /** End the traffic run at completion instead of polling after
+     *  every kernel event: called after each state change. */
+    void stopIfFinished() { traffic.stopIf(finished()); }
 
     void pump();
     void exec(const PlannedOp &op);
     void execSend(const PlannedOp &op);
     void finishSample(const PlannedOp &op, SampleState &ss);
-    void onDelivery(const bus::ReceivedMessage &rx);
 };
 
 void
@@ -164,7 +153,6 @@ RunState::execSend(const PlannedOp &op)
         // The node is faulted or inside a gate window: the sample
         // fragment is lost at the source.
         ++as.droppedOffline;
-        ++stats.droppedOffline;
         ++stats.failed;
         ss.anyFailure = true;
         if (--ss.remaining == 0)
@@ -172,14 +160,12 @@ RunState::execSend(const PlannedOp &op)
         return;
     }
 
-    // Payload: actor tag byte + pre-drawn random bytes, registered
-    // for receiver-side integrity checking.
+    // Payload: actor tag byte + pre-drawn random bytes.
     std::vector<std::uint8_t> payload(op.bytes);
     payload[0] = static_cast<std::uint8_t>(op.actor + 1);
     sim::Random pr(op.payloadSeed);
     for (std::size_t b = 1; b < payload.size(); ++b)
         payload[b] = pr.byte();
-    expected.insert(payload);
 
     bus::Message msg;
     msg.dest = backend->unicastAddress(op.dest, /*fullAddressing=*/false,
@@ -192,55 +178,20 @@ RunState::execSend(const PlannedOp &op)
     nodeBytesIssued[op.node] += op.bytes;
     ++outstanding;
 
-    int wireBits = msg.wireDataBits();
-    sim::SimTime issuedAt = simulator->now();
     const ActorSpec &aspec = spec->actors[actorIdx];
     bool dutyCycled = aspec.dutyCycled;
-    std::size_t node = op.node;
     // Terminal status only: with a retry policy the attempt chain is
     // invisible here; disabled, this is a plain backend->send().
-    fault::sendWithRetry(
-        *backend, *simulator, op.node, std::move(msg), aspec.retry,
-        retry,
-        [this, op, issuedAt, wireBits, dutyCycled, node,
-         key](const bus::TxResult &r) {
+    traffic.send(
+        op.node, std::move(msg), aspec.retry,
+        [this, op, dutyCycled, key](const bus::TxResult &r, bool ok) {
             --outstanding;
             ActorStats &a = stats.actors[static_cast<std::size_t>(
                 op.actor)];
-            bool ok = r.status == bus::TxStatus::Ack ||
-                      r.status == bus::TxStatus::Broadcast;
-            switch (r.status) {
-            case bus::TxStatus::Ack: ++stats.acked; break;
-            case bus::TxStatus::Nak: ++stats.naked; break;
-            case bus::TxStatus::Broadcast: ++stats.broadcasts; break;
-            case bus::TxStatus::Interrupted:
-                ++stats.interrupted;
-                break;
-            case bus::TxStatus::RxAbort: ++stats.rxAborts; break;
-            case bus::TxStatus::Reset:
-                ++stats.failed;
-                ++stats.txResets;
-                break;
-            default: ++stats.failed; break;
-            }
-            if (ok) {
+            if (ok)
                 ++a.acked;
-                stats.completedWireBits +=
-                    static_cast<std::uint64_t>(wireBits);
-            } else {
+            else
                 ++a.otherTerminal;
-            }
-            stats.arbitrationRetries += r.arbitrationRetries;
-            stats.lastCompletion =
-                std::max(stats.lastCompletion, r.completedAt);
-
-            double lat = sim::toSeconds(r.completedAt - issuedAt);
-            stats.latencySumS += lat;
-            stats.txLatenciesS.push_back(lat);
-            if (!sawFirstCompletion) {
-                sawFirstCompletion = true;
-                stats.firstTxLatencyS = lat;
-            }
 
             auto it = samples.find(key);
             if (it != samples.end()) {
@@ -255,9 +206,9 @@ RunState::execSend(const PlannedOp &op)
 
             // Duty-cycling: gate the layer back off once this node
             // has nothing queued (no-op on always-on nodes).
-            if (dutyCycled && !offline[node] &&
-                backend->pendingTx(node) == 0)
-                backend->sleep(node);
+            if (dutyCycled && !offline[op.node] &&
+                backend->pendingTx(op.node) == 0)
+                backend->sleep(op.node);
             stopIfFinished();
         });
 }
@@ -285,30 +236,6 @@ RunState::finishSample(const PlannedOp &op, SampleState &ss)
                   op.burst);
 }
 
-void
-RunState::onDelivery(const bus::ReceivedMessage &rx)
-{
-    if (rx.interjected) {
-        ++stats.deliveredInterrupted;
-        return; // Truncated by design; content untrusted.
-    }
-    if (rx.error == bus::LocalError::RecvOverflow)
-        ++stats.deliveredOverflow;
-    else if (rx.error == bus::LocalError::None)
-        ++stats.deliveredOk;
-    stats.bytesDelivered += rx.payload.size();
-    auto it = expected.find(rx.payload);
-    if (it == expected.end())
-        ++stats.payloadMismatches;
-    else
-        expected.erase(it);
-    if (!rx.payload.empty()) {
-        std::size_t tag = rx.payload[0];
-        if (tag >= 1 && tag <= stats.actors.size())
-            stats.actors[tag - 1].bytesDelivered += rx.payload.size();
-    }
-}
-
 } // namespace
 
 WorkloadRunStats
@@ -320,14 +247,7 @@ WorkloadEngine::drive(backend::BusBackend &backend,
         mbus_fatal("workload compiled for ", nodes_,
                    " nodes but backend has ", backend.nodeCount());
 
-    RunState rs;
-    rs.spec = &spec_;
-    rs.backend = &backend;
-    rs.simulator = &simulator;
-    rs.plan = &plan_;
-    rs.offline.assign(backend.nodeCount(), false);
-    rs.nodeBytesIssued.assign(backend.nodeCount(), 0);
-
+    RunState rs(spec_, backend, simulator, plan_, timeLimit);
     rs.stats.actors.resize(spec_.actors.size());
     for (std::size_t i = 0; i < spec_.actors.size(); ++i) {
         ActorStats &as = rs.stats.actors[i];
@@ -349,29 +269,8 @@ WorkloadEngine::drive(backend::BusBackend &backend,
         }
     }
 
-    // The backend announces every application-level delivery
-    // (mailbox unicasts and user-channel broadcasts; system traffic
-    // is filtered inside the backend).
-    backend.setDeliveryHandler(
-        [&rs](std::size_t, const bus::ReceivedMessage &rx) {
-            rs.onDelivery(rx);
-        });
-
-    // Nothing runs past the wedge guard plus the idle drain.
-    simulator.setHorizon(sim::addSaturating(timeLimit, sim::kSecond));
     rs.pump();
-    if (!rs.finished()) {
-        rs.stopWhenFinished = true;
-        simulator.run(timeLimit);
-        rs.stopWhenFinished = false;
-    }
-    bool finished = rs.finished();
-    bool idle = backend.runUntilIdle(sim::kSecond);
-    rs.stats.wedged = !finished || !idle;
-
-    // The handler captures this stack frame; uninstall it so the
-    // backend stays safe to drive after the engine returns.
-    backend.setDeliveryHandler(nullptr);
+    rs.traffic.run([&rs] { return rs.finished(); });
 
     // --- Per-actor reduction -----------------------------------------
     double simS = sim::toSeconds(simulator.now());
@@ -380,9 +279,12 @@ WorkloadEngine::drive(backend::BusBackend &backend,
         std::sort(as.sampleLatenciesS.begin(),
                   as.sampleLatenciesS.end());
         if (!as.sampleLatenciesS.empty()) {
-            as.latencyP50S = percentile(as.sampleLatenciesS, 0.50);
-            as.latencyP95S = percentile(as.sampleLatenciesS, 0.95);
-            as.latencyP99S = percentile(as.sampleLatenciesS, 0.99);
+            as.latencyP50S =
+                sim::nearestRankPercentile(as.sampleLatenciesS, 0.50);
+            as.latencyP95S =
+                sim::nearestRankPercentile(as.sampleLatenciesS, 0.95);
+            as.latencyP99S =
+                sim::nearestRankPercentile(as.sampleLatenciesS, 0.99);
         }
         auto node = static_cast<std::size_t>(as.node);
         if (as.samplesDelivered > 0 && rs.nodeBytesIssued[node] > 0) {
@@ -397,12 +299,7 @@ WorkloadEngine::drive(backend::BusBackend &backend,
         if (simS > 0)
             as.dutyCycle = backend.poweredSeconds(node) / simS;
     }
-
-    rs.stats.retries = rs.retry.retries;
-    rs.stats.recoveredTx = rs.retry.recoveredTx;
-    rs.stats.abandonedTx = rs.retry.abandonedTx;
-    rs.stats.recoveryS = std::move(rs.retry.recoveryS);
-    return rs.stats;
+    return std::move(rs.stats);
 }
 
 } // namespace workload

@@ -17,11 +17,14 @@
  *    plan, one Random::split stream per actor/schedule, so the plan
  *    -- and therefore the run -- is a pure function of (spec, seed)
  *    and any cell replays bit-for-bit through the sweep machinery;
- *  - driving an MBusSystem through the same node APIs the fuzz tests
- *    use, the engine reduces each run to per-actor outcome stats
- *    (latency percentiles, energy per delivered sample, missed
- *    deadlines, achieved duty cycle) that flow into the sweep
- *    CSV/JSON reducers and the analysis/lifetime projections.
+ *  - driving any backend::BusBackend -- hardware MBus, I2C, or the
+ *    mixed ring with a software member -- through its uniform
+ *    application API, the engine reduces each run to per-actor
+ *    outcome stats (latency percentiles, energy per delivered
+ *    sample, missed deadlines, achieved duty cycle) that flow into
+ *    the sweep CSV/JSON reducers and the analysis/lifetime
+ *    projections. Its sends are counted, checked and cut off by the
+ *    same workload::TrafficRun (traffic.hh) as classic sweep cells.
  *
  * Stream independence: actor i draws from Random(seed).split(1 + s)
  * where s is its stream id (ActorSpec::stream, defaulting to the
@@ -226,8 +229,7 @@ struct WorkloadRunStats
     int broadcasts = 0;
     int interrupted = 0;
     int rxAborts = 0;
-    int failed = 0;
-    int droppedOffline = 0; ///< Never issued (offline); counted failed.
+    int failed = 0; ///< Includes fragments dropped offline.
 
     std::uint64_t bytesDelivered = 0;
     std::uint64_t payloadMismatches = 0;
@@ -305,7 +307,11 @@ class WorkloadEngine
      * engine was compiled for; the engine installs the unified
      * delivery handler for the duration of the run.
      *
-     * @param timeLimit Absolute wedge guard passed to runUntil.
+     * @param timeLimit Absolute wedge guard: bounds Simulator::run,
+     *        which ends early through Simulator::stop() once the plan
+     *        is finished; a one-second idle drain follows, and
+     *        `wedged` is set when the plan had not finished by the
+     *        guard or the bus did not return to idle.
      * @return the deterministic per-run reduction.
      */
     WorkloadRunStats drive(backend::BusBackend &backend,
