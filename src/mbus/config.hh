@@ -17,6 +17,14 @@
 namespace mbus {
 namespace bus {
 
+/** Maximum edges per net-level speculative train (and per software
+ *  member's ISR train) under SystemConfig::edgeTrains. */
+constexpr std::uint32_t kTrainMaxEdges = 32;
+
+/** Half-period edges per mediator tick/ring-check train chunk under
+ *  SystemConfig::edgeTrains. */
+constexpr std::uint32_t kTickTrainEdges = 64;
+
 /** System-wide parameters (the mediator's knobs). */
 struct SystemConfig
 {
@@ -32,9 +40,6 @@ struct SystemConfig
 
     /** Node-to-node propagation delay (spec max 10 ns, Sec 6.1). */
     sim::SimTime hopDelay = 10 * sim::kNanosecond;
-
-    /** Mediator self-start latency from the first DATA edge. */
-    sim::SimTime mediatorWakeDelay = 0; // 0 -> one bus period.
 
     /** Watchdog limit on message payload length (Sec 7, >= 1 kB). */
     std::size_t maxMessageBytes = kMinMaxMessageBytes;
@@ -69,9 +74,6 @@ struct SystemConfig
      */
     bool edgeTrains = true;
 
-    /** Maximum edges per net-level speculative train. */
-    std::uint32_t trainMaxEdges = 32;
-
     /**
      * Chunked dispatch: deliver whole edge runs to provably
      * edge-count-driven listeners (energy taps, comb-energy charges)
@@ -83,9 +85,6 @@ struct SystemConfig
      * fully per-edge dispatch path (A/B testing).
      */
     bool chunkedDispatch = true;
-
-    /** Half-period edges per mediator tick/ring-check train chunk. */
-    std::uint32_t tickTrainEdges = 64;
 
     /**
      * Mutable topological priority (Sec 7 discussion): when true,

@@ -15,8 +15,7 @@ Mediator::Mediator(Context ctx) : ctx_(std::move(ctx))
 bool
 Mediator::useTrains() const
 {
-    return ctx_.cfg.edgeTrains && ctx_.cfg.hopDelay > 0 &&
-           ctx_.cfg.tickTrainEdges > 0;
+    return ctx_.cfg.edgeTrains && ctx_.cfg.hopDelay > 0;
 }
 
 sim::SimTime
@@ -73,12 +72,9 @@ void
 Mediator::onDataFall()
 {
     // Self-start (Sec 4.2): the falling edge wakes the mediator; it
-    // begins toggling CLK as soon as it is active.
+    // begins toggling CLK one bus period later.
     state_ = State::WakePending;
-    sim::SimTime wake = ctx_.cfg.mediatorWakeDelay
-                            ? ctx_.cfg.mediatorWakeDelay
-                            : period();
-    ctx_.sim.schedule(wake, [this] { startClocking(); });
+    ctx_.sim.schedule(period(), [this] { startClocking(); });
 }
 
 void
@@ -155,7 +151,7 @@ void
 Mediator::armTickTrain()
 {
     armedHalfPeriod_ = period() / 2;
-    tickEdgesLeft_ = ctx_.cfg.tickTrainEdges;
+    tickEdgesLeft_ = kTickTrainEdges;
     // The ring-check train covers the edge just driven plus the whole
     // tick chunk; arming it first keeps the discrete tie-break order
     // (each edge's check was scheduled before the next tick).

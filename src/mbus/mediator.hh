@@ -134,7 +134,7 @@ class Mediator : private wire::EdgeListener
     //
     // With trains on, the per-half-period self-reschedule chain and
     // the one-closure-per-edge ring checks become two kernel edge
-    // trains per chunk of tickTrainEdges edges: a self tick train
+    // trains per chunk of kTickTrainEdges edges: a self tick train
     // delivering counted clock edges to onTrainTick(), and a
     // ring-check train delivering alternating expected levels to
     // onRingCheck() one ring flush after each edge. Per-edge protocol

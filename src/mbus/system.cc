@@ -58,7 +58,7 @@ MBusSystem::addSoftMember(firmware::FirmwareNode::Config cfg,
         mbus_fatal("the four-GPIO software member is single-lane");
     // Its CLK ISR retirements coalesce under the same switch (and
     // train length) as the net-level trains.
-    cfg.isrTrainMaxEdges = cfg_.edgeTrains ? cfg_.trainMaxEdges : 0;
+    cfg.isrTrainMaxEdges = cfg_.edgeTrains ? kTrainMaxEdges : 0;
     // The member's response latency dominates the ring round trip.
     // Budget 2.5x its worst path: CLK and DATA edges can land
     // back-to-back and serialize on the single CPU.
@@ -137,24 +137,12 @@ MBusSystem::finalize()
     // runs (the forwarded CLK broadcast, steady alternating DATA
     // runs) into kernel edge trains. Confirm-or-split keeps every
     // delivery bit-identical to the discrete path.
-    if (cfg_.edgeTrains) {
-        for (auto &seg : clkSegs_)
-            seg->enableEdgeTrains(cfg_.trainMaxEdges);
-        for (auto &seg : dataSegs_)
-            seg->enableEdgeTrains(cfg_.trainMaxEdges);
-        for (auto &lane : laneSegs_)
-            for (auto &seg : lane)
-                seg->enableEdgeTrains(cfg_.trainMaxEdges);
-    }
-    if (cfg_.chunkedDispatch) {
-        for (auto &seg : clkSegs_)
-            seg->setChunkedDispatch(true);
-        for (auto &seg : dataSegs_)
-            seg->setChunkedDispatch(true);
-        for (auto &lane : laneSegs_)
-            for (auto &seg : lane)
-                seg->setChunkedDispatch(true);
-    }
+    forEachSegment([this](wire::Net &seg) {
+        if (cfg_.edgeTrains)
+            seg.enableEdgeTrains(kTrainMaxEdges);
+        if (cfg_.chunkedDispatch)
+            seg.setChunkedDispatch(true);
+    });
 
     // Switching-energy taps: each transition on a segment charges the
     // driving chip (output pad + wire + next chip's input pad).
@@ -428,25 +416,13 @@ MBusSystem::enableRotatingPriority()
 void
 MBusSystem::attachTrace(sim::TraceRecorder &recorder)
 {
-    for (auto &seg : clkSegs_)
-        seg->trace(recorder);
-    for (auto &seg : dataSegs_)
-        seg->trace(recorder);
-    for (auto &lane : laneSegs_)
-        for (auto &seg : lane)
-            seg->trace(recorder);
+    forEachSegment([&recorder](wire::Net &seg) { seg.trace(recorder); });
 }
 
 void
 MBusSystem::flushDeferredEdges() const
 {
-    for (auto &seg : clkSegs_)
-        seg->flushDeferred();
-    for (auto &seg : dataSegs_)
-        seg->flushDeferred();
-    for (auto &lane : laneSegs_)
-        for (auto &seg : lane)
-            seg->flushDeferred();
+    forEachSegment([](wire::Net &seg) { seg.flushDeferred(); });
 }
 
 std::uint64_t
@@ -454,13 +430,8 @@ MBusSystem::dispatchCalls() const
 {
     flushDeferredEdges();
     std::uint64_t calls = 0;
-    for (auto &seg : clkSegs_)
-        calls += seg->dispatchCalls();
-    for (auto &seg : dataSegs_)
-        calls += seg->dispatchCalls();
-    for (auto &lane : laneSegs_)
-        for (auto &seg : lane)
-            calls += seg->dispatchCalls();
+    forEachSegment(
+        [&calls](wire::Net &seg) { calls += seg.dispatchCalls(); });
     return calls;
 }
 

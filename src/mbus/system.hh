@@ -202,6 +202,21 @@ class MBusSystem
   private:
     bool handleConfigBroadcast(const ReceivedMessage &rx);
 
+    /** Hand @p f every ring segment: all CLK segments, then all DATA
+     *  segments, then each extra lane's -- the VCD signal order. */
+    template <class F>
+    void
+    forEachSegment(F f) const
+    {
+        for (auto &seg : clkSegs_)
+            f(*seg);
+        for (auto &seg : dataSegs_)
+            f(*seg);
+        for (auto &lane : laneSegs_)
+            for (auto &seg : lane)
+                f(*seg);
+    }
+
     /** Switching-energy tap: one per ring segment, charging the
      *  driving chip for each transition (allocation-free fanout).
      *  Edge-count driven, so it rides the chunked onEdges path. */

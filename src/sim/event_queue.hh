@@ -328,9 +328,9 @@ class EventQueue
     std::uint64_t heapCallbackCount() const { return heapCallbacks_; }
 
     /** Peak simultaneous live events (slab occupancy high-water):
-     *  the sizing signal for the slab, surfaced through the metrics
-     *  registry. A train counts as one (speculative) or @c count
-     *  (self) live events, matching size(). */
+     *  the sizing signal for the slab, surfaced as the sweep's
+     *  slab_live_peak column. A train counts as one (speculative)
+     *  or @c count (self) live events, matching size(). */
     std::uint64_t liveHighWater() const { return liveHighWater_; }
 
     // --- Train introspection ----------------------------------------

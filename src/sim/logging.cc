@@ -6,24 +6,6 @@
 namespace mbus {
 namespace sim {
 
-namespace {
-LogLevel gLogLevel = LogLevel::Normal;
-} // namespace
-
-LogLevel
-setLogLevel(LogLevel level)
-{
-    LogLevel prev = gLogLevel;
-    gLogLevel = level;
-    return prev;
-}
-
-LogLevel
-logLevel()
-{
-    return gLogLevel;
-}
-
 namespace detail {
 
 void
@@ -45,21 +27,7 @@ fatalImpl(const char *file, int line, const std::string &msg)
 void
 warnImpl(const std::string &msg)
 {
-    if (gLogLevel != LogLevel::Quiet)
-        std::cerr << "warn: " << msg << std::endl;
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (gLogLevel != LogLevel::Quiet)
-        std::cout << "info: " << msg << std::endl;
-}
-
-void
-debugImpl(const std::string &msg)
-{
-    std::cout << "debug: " << msg << std::endl;
+    std::cerr << "warn: " << msg << std::endl;
 }
 
 } // namespace detail

@@ -5,7 +5,7 @@
  * panic() is for conditions that indicate a bug in the simulator
  * itself; it aborts. fatal() is for user errors (bad configuration,
  * impossible parameters); it exits cleanly with an error code.
- * warn() and inform() report conditions without stopping.
+ * warn() reports a condition on stderr without stopping.
  */
 
 #ifndef MBUS_SIM_LOGGING_HH
@@ -18,19 +18,6 @@
 namespace mbus {
 namespace sim {
 
-/** Verbosity levels for the global logger. */
-enum class LogLevel {
-    Quiet,  ///< Only panic/fatal output.
-    Normal, ///< warn() and inform() included.
-    Debug,  ///< debugLog() included.
-};
-
-/** Set the global verbosity; returns the previous level. */
-LogLevel setLogLevel(LogLevel level);
-
-/** Get the current global verbosity. */
-LogLevel logLevel();
-
 namespace detail {
 
 [[noreturn]] void panicImpl(const char *file, int line,
@@ -38,8 +25,6 @@ namespace detail {
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
-void debugImpl(const std::string &msg);
 
 /** Format a message from stream-insertable arguments. */
 template <typename... Args>
@@ -69,23 +54,6 @@ void
 warn(Args &&...args)
 {
     detail::warnImpl(detail::format(std::forward<Args>(args)...));
-}
-
-/** Report normal operating status. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::informImpl(detail::format(std::forward<Args>(args)...));
-}
-
-/** Report debug-level detail (visible at LogLevel::Debug only). */
-template <typename... Args>
-void
-debugLog(Args &&...args)
-{
-    if (logLevel() == LogLevel::Debug)
-        detail::debugImpl(detail::format(std::forward<Args>(args)...));
 }
 
 } // namespace sim

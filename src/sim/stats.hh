@@ -85,7 +85,7 @@ class StatsRegistry
 /**
  * Nearest-rank percentile over an ascending-sorted sample: the one
  * definition per-cell stats, sweep aggregates, per-actor workload
- * stats and metrics histograms share.
+ * stats and the metrics column's latency summary share.
  *
  * @param sorted Non-empty, ascending.
  * @param q Quantile in (0, 1].

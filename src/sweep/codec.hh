@@ -4,12 +4,13 @@
  * field list per record.
  *
  * Every record a cell is made of -- ScenarioSpec with its workload,
- * fault, retry and trace subtrees, and ScenarioStats with its
- * per-actor stats and metrics -- has exactly one fields(v, record)
+ * fault, retry and trace subtrees, and ScenarioStats with its traffic
+ * census and per-actor stats -- has exactly one fields(v, record)
  * below. It hands each member, in the fixed codec order, to the
- * visitor @p v; a vector goes as capped(items, cap), cap being the
- * longest count a decoder accepts from disk. codec.cc's writer and
- * reader visit that one list to make
+ * visitor @p v; a sub-record (a nested struct or a base class) goes
+ * whole and is visited through its own list; a vector goes as
+ * capped(items, cap), cap being the longest count a decoder accepts
+ * from disk. codec.cc's writer and reader visit that one list to make
  *
  *  - encodeSpec()/decodeSpec(): the canonical form of a ScenarioSpec.
  *    Two specs encode to identical bytes iff they describe identical
@@ -114,7 +115,6 @@ capped(std::vector<T> &items, std::uint64_t cap)
 
 /** Decode caps: safety limits on counts read from disk. */
 constexpr std::uint64_t kMaxEntries = 4096;       ///< Records, dumps.
-constexpr std::uint64_t kMaxMetrics = 65536;      ///< Metric samples.
 constexpr std::uint64_t kMaxSamples = 1ULL << 26; ///< Numeric vectors.
 
 /**
@@ -211,35 +211,37 @@ fields(V &v, workload::ActorStats &a)
 
 template <class V>
 void
-fields(V &v, trace::MetricSample &m)
+fields(V &v, workload::TrafficCounts &t)
 {
-    members(v, m, m.name, m.value);
+    members(v, t, t.planned, t.acked, t.naked, t.broadcasts, t.interrupted,
+            t.rxAborts, t.failed, t.bytesDelivered, t.payloadMismatches,
+            t.arbitrationRetries, t.missedDeadlines, t.samplesPlanned,
+            t.samplesDelivered, t.stormInterjections, t.gateWindows,
+            t.faultsInjected, t.faultsRecovered, t.retimings, t.txResets,
+            t.retries, t.recoveredTx, t.abandonedTx, t.deliveredOk,
+            t.deliveredInterrupted, t.deliveredOverflow, t.firstTxLatencyS,
+            t.wedged);
 }
 
+/** The census goes first, as one sub-record (a base class counts as
+ *  one member of the brace-init probe). */
 template <class V>
 void
 fields(V &v, ScenarioStats &s)
 {
-    members(v, s, s.planned, s.acked, s.naked, s.broadcasts, s.interrupted,
-            s.rxAborts, s.failed, s.bytesDelivered, s.payloadMismatches,
-            s.wedged, s.txPerSecond, s.goodputBps, s.eventsPerBit,
-            s.switchingJ, s.leakageJ, s.avgTxLatencyS, s.firstTxLatencyS,
-            s.avgCyclesPerTx, s.energyPerSampleJ, s.lifetimeDays,
-            s.latencyP50S, s.latencyP95S, s.latencyP99S,
+    members(v, s, static_cast<workload::TrafficCounts &>(s), s.txPerSecond,
+            s.goodputBps, s.eventsPerBit, s.switchingJ, s.leakageJ,
+            s.avgTxLatencyS, s.avgCyclesPerTx, s.energyPerSampleJ,
+            s.lifetimeDays, s.latencyP50S, s.latencyP95S, s.latencyP99S,
             capped(s.txLatenciesS, kMaxSamples), s.eventsExecuted,
-            s.clockCycles, s.arbitrationRetries, s.trainEdges,
-            s.trainsScheduled, s.dispatchCalls, s.simTime,
-            capped(s.perNodeEdges, kMaxSamples),
-            capped(s.actorStats, kMaxEntries), s.missedDeadlines,
-            s.samplesPlanned, s.samplesDelivered, s.stormInterjections,
-            s.gateWindows, s.faultsInjected, s.faultsRecovered, s.retimings,
-            s.faultEvents, s.busResets, s.txResets, s.retries,
-            s.recoveredTx, s.abandonedTx, s.recoveryP50S, s.recoveryP95S,
-            s.recoveryP99S, s.deliveredOk, s.deliveredInterrupted,
-            s.deliveredOverflow, s.vcdBytes, s.vcdHash, s.vcd, s.slabSlots,
-            s.liveHighWater, s.heapCallbacks, s.traceEvents, s.traceHash,
-            s.traceJson, capped(s.flightDumps, kMaxEntries),
-            capped(s.metrics, kMaxMetrics), s.fidelity);
+            s.clockCycles, s.trainEdges, s.trainsScheduled, s.dispatchCalls,
+            s.simTime, capped(s.perNodeEdges, kMaxSamples),
+            capped(s.actorStats, kMaxEntries), s.faultEvents, s.busResets,
+            s.recoveryP50S, s.recoveryP95S, s.recoveryP99S, s.vcdBytes,
+            s.vcdHash, s.vcd, s.slabSlots, s.liveHighWater, s.heapCallbacks,
+            s.traceEvents, s.traceHash, s.traceJson,
+            capped(s.flightDumps, kMaxEntries), s.watchdogRescues,
+            s.arbLosses, s.interjectRequests, s.fidelity);
 }
 
 } // namespace sweep

@@ -299,34 +299,8 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed)
 
     ScenarioStats st;
     st.fidelity = messageLevel ? Fidelity::Message : Fidelity::Edge;
-    st.planned = w.planned;
-    st.acked = w.acked;
-    st.naked = w.naked;
-    st.broadcasts = w.broadcasts;
-    st.interrupted = w.interrupted;
-    st.rxAborts = w.rxAborts;
-    st.failed = w.failed;
-    st.bytesDelivered = w.bytesDelivered;
-    st.payloadMismatches = w.payloadMismatches;
-    st.arbitrationRetries = w.arbitrationRetries;
-    st.firstTxLatencyS = w.firstTxLatencyS;
-    st.wedged = w.wedged;
+    static_cast<workload::TrafficCounts &>(st) = w;
     st.actorStats = std::move(w.actors);
-    st.missedDeadlines = w.missedDeadlines;
-    st.samplesPlanned = w.samplesPlanned;
-    st.samplesDelivered = w.samplesDelivered;
-    st.stormInterjections = w.stormInterjections;
-    st.gateWindows = w.gateWindows;
-    st.faultsInjected = w.faultsInjected;
-    st.faultsRecovered = w.faultsRecovered;
-    st.retimings = w.retimings;
-    st.txResets = w.txResets;
-    st.deliveredOk = w.deliveredOk;
-    st.deliveredInterrupted = w.deliveredInterrupted;
-    st.deliveredOverflow = w.deliveredOverflow;
-    st.retries = w.retries;
-    st.recoveredTx = w.recoveredTx;
-    st.abandonedTx = w.abandonedTx;
 
     // --- Reduction ---------------------------------------------------
     int done = static_cast<int>(w.txLatenciesS.size());
@@ -409,45 +383,11 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed)
         }
         st.flightDumps = tracer->dumps();
 
-        // Unified metrics snapshot: the ad-hoc taps above, plus the
-        // tracer's own counts, registered in one fixed order so the
-        // packed column is byte-stable.
-        trace::MetricsRegistry reg;
-        reg.counter("events_executed", st.eventsExecuted);
-        reg.counter("dispatch_calls", st.dispatchCalls);
-        reg.counter("train_edges", st.trainEdges);
-        reg.counter("trains_scheduled", st.trainsScheduled);
-        reg.counter("clock_cycles", st.clockCycles);
-        reg.counter("slab_slots", st.slabSlots);
-        reg.counter("slab_live_peak", st.liveHighWater);
-        reg.counter("heap_callbacks", st.heapCallbacks);
-        reg.counter("fault_events",
-                    static_cast<std::uint64_t>(st.faultEvents));
-        reg.counter("bus_resets", st.busResets);
-        reg.counter("retries", st.retries);
-        reg.counter("recovered_tx",
-                    static_cast<std::uint64_t>(st.recoveredTx));
-        reg.counter("abandoned_tx",
-                    static_cast<std::uint64_t>(st.abandonedTx));
-        reg.counter("trace_events", st.traceEvents);
-        reg.counter("flight_dumps", st.flightDumps.size());
-        reg.counter(
-            "watchdog_rescues",
-            tracer->countOf(trace::EventKind::WatchdogRescue));
-        reg.counter("arb_losses",
-                    tracer->countOf(trace::EventKind::ArbLoss));
-        reg.counter(
-            "interjections",
-            tracer->countOf(trace::EventKind::InterjectRequest));
-        reg.gauge("goodput_bps", st.goodputBps);
-        reg.gauge("energy_per_sample_j", st.energyPerSampleJ);
-        if (!st.txLatenciesS.empty())
-            reg.histogram("tx_latency_s", st.txLatenciesS);
-        std::uint64_t edgeSum = 0;
-        for (auto e : st.perNodeEdges)
-            edgeSum += e;
-        reg.counter("node_edges_total", edgeSum);
-        st.metrics = reg.samples();
+        st.watchdogRescues =
+            tracer->countOf(trace::EventKind::WatchdogRescue);
+        st.arbLosses = tracer->countOf(trace::EventKind::ArbLoss);
+        st.interjectRequests =
+            tracer->countOf(trace::EventKind::InterjectRequest);
 
         simulator.setTracer(nullptr);
     }

@@ -27,7 +27,6 @@
 #include "fault/retry.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
-#include "trace/metrics.hh"
 #include "trace/trace.hh"
 #include "workload/workload.hh"
 
@@ -136,24 +135,14 @@ struct ScenarioSpec
     Fidelity fidelity = Fidelity::Auto;
 };
 
-/** Deterministic per-run reduction of one scenario. */
-struct ScenarioStats
+/**
+ * Deterministic per-run reduction of one scenario: the traffic census
+ * (workload::TrafficCounts, copied from the traffic run as one
+ * record) plus rates, costs, kernel counters and the cell's optional
+ * waveform and trace payloads.
+ */
+struct ScenarioStats : workload::TrafficCounts
 {
-    // Transaction outcomes (every planned message ends in exactly one).
-    int planned = 0;
-    int acked = 0;
-    int naked = 0;
-    int broadcasts = 0;
-    int interrupted = 0;
-    int rxAborts = 0;
-    int failed = 0; ///< GeneralError and any other terminal status.
-
-    // Delivery integrity.
-    std::uint64_t bytesDelivered = 0; ///< Payload bytes at receivers.
-    std::uint64_t payloadMismatches = 0; ///< Corrupted deliveries.
-    bool wedged = false; ///< Traffic unfinished at the wedge guard,
-                         ///< or the bus not idle after the drain.
-
     // Rates and costs.
     double txPerSecond = 0;    ///< Completed transactions / active s.
     double goodputBps = 0;     ///< Delivered payload bits / active s.
@@ -161,7 +150,6 @@ struct ScenarioStats
     double switchingJ = 0;     ///< Ledger total (sim scale).
     double leakageJ = 0;       ///< Integrated idle leakage.
     double avgTxLatencyS = 0;  ///< Mean issue-to-completion.
-    double firstTxLatencyS = 0; ///< Cold-start (wakeup) latency.
     double avgCyclesPerTx = 0; ///< Mean bus cycles per transaction.
 
     /** (switching + leakage) per delivered sample for workload
@@ -184,7 +172,6 @@ struct ScenarioStats
     // Raw counters for cross-checks.
     std::uint64_t eventsExecuted = 0;
     std::uint64_t clockCycles = 0;
-    std::uint64_t arbitrationRetries = 0;
     std::uint64_t trainEdges = 0;   ///< Edges delivered via trains.
     std::uint64_t trainsScheduled = 0; ///< Kernel edge trains created.
     std::uint64_t dispatchCalls = 0; ///< Net listener virtual calls.
@@ -194,36 +181,16 @@ struct ScenarioStats
      *  onto its outbound ring segments (CLK + all DATA lanes). */
     std::vector<std::uint64_t> perNodeEdges;
 
-    // Application-mix outcome (populated when spec.workload has
-    // actors; empty/zero otherwise).
+    /** Per-actor outcome (workload cells; empty otherwise). */
     std::vector<workload::ActorStats> actorStats;
-    int missedDeadlines = 0;
-    int samplesPlanned = 0;
-    int samplesDelivered = 0;
-    int stormInterjections = 0;
-    int gateWindows = 0;
-    int faultsInjected = 0;
-    int faultsRecovered = 0;
-    int retimings = 0;
 
     // Fault injection and recovery (populated when spec.faults has
     // entries and/or a retry policy is active; zero otherwise).
     int faultEvents = 0;        ///< Fault primitives applied.
     std::uint64_t busResets = 0; ///< Watchdog/bus force-resets.
-    int txResets = 0;   ///< Sends killed with TxStatus::Reset
-                        ///< (also counted in `failed`).
-    std::uint64_t retries = 0; ///< Re-sends the retry policy issued.
-    int recoveredTx = 0;       ///< Failed at least once, delivered.
-    int abandonedTx = 0;       ///< Retries exhausted, still failed.
     double recoveryP50S = 0;   ///< Time-to-recovery percentiles
     double recoveryP95S = 0;   ///< (first failure to delivery) over
     double recoveryP99S = 0;   ///< the recovered transactions.
-
-    // Delivery-side outcome counts (satellite: pipe-packed into one
-    // sweep column as ok|interrupted|overflow|reset).
-    int deliveredOk = 0;          ///< Complete, clean deliveries.
-    int deliveredInterrupted = 0; ///< Truncated (interjected) ones.
-    int deliveredOverflow = 0;    ///< Receiver overflow aborts.
 
     // Waveform identity.
     std::size_t vcdBytes = 0;  ///< Length of the VCD dump.
@@ -235,16 +202,16 @@ struct ScenarioStats
     std::uint64_t liveHighWater = 0; ///< Peak live events in the heap.
     std::uint64_t heapCallbacks = 0; ///< Slow-path (non-slab) events.
 
-    // Protocol trace (populated when spec.trace.enabled()).
+    // Protocol trace (populated when spec.trace.enabled(); zero and
+    // empty otherwise). The sweep's `metrics` column renders these
+    // counts with the kernel, fault and rate fields above.
     std::uint64_t traceEvents = 0; ///< Events the tracer recorded.
     std::uint64_t traceHash = 0;   ///< FNV-1a over traceJson.
     std::string traceJson; ///< Chrome trace-event export (protocol).
     std::vector<std::string> flightDumps; ///< Flight-recorder dumps.
-
-    /** Unified metrics snapshot (populated when spec.trace.enabled();
-     *  empty otherwise). One sample per registered counter/gauge, in
-     *  registration order -- the sweep packs these into one column. */
-    std::vector<trace::MetricSample> metrics;
+    std::uint64_t watchdogRescues = 0;   ///< WatchdogRescue events.
+    std::uint64_t arbLosses = 0;         ///< ArbLoss events.
+    std::uint64_t interjectRequests = 0; ///< InterjectRequest events.
 
     /** The model that produced this record (Edge or Message). On
      *  Message rows the kernel-cost fields (events, events/bit, train

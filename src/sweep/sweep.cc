@@ -191,18 +191,63 @@ perActor(const ScenarioStats &s, M workload::ActorStats::*m)
                   });
 }
 
-/** The metrics snapshot as "name=value" pairs
- *  ("events_executed=420|goodput_bps=1.5e3"); empty for untraced
- *  cells. Names and values are registry-formatted, so the field is
- *  CSV/JSON-safe without further quoting. */
+/**
+ * A traced cell's counters and gauges as "name=value" pairs
+ * ("events_executed=420|...|goodput_bps=1.5e3|..."), rendered from
+ * its record: integers in decimal, doubles via sim::formatDouble, and
+ * the tx_latency_s_* nearest-rank summary only when the cell completed
+ * a transaction. Empty for untraced cells. Names are fixed
+ * snake_case and values numeric, so the field is CSV/JSON-safe
+ * without further quoting.
+ */
 auto
-metricsColumn(const std::vector<trace::MetricSample> &ms)
+metricsColumn(const CellResult &c)
 {
-    return packed(ms, [](std::string &out, const trace::MetricSample &m) {
-        out += m.name;
-        out += '=';
-        out += m.value;
-    });
+    return [&c](std::string &out) {
+        if (!c.spec.trace.enabled())
+            return;
+        const ScenarioStats &s = c.stats;
+        bool first = true;
+        auto metric = [&out, &first](const char *name, auto value) {
+            if (!first)
+                out += '|';
+            first = false;
+            out += name;
+            out += '=';
+            put(out, value);
+        };
+        metric("events_executed", s.eventsExecuted);
+        metric("dispatch_calls", s.dispatchCalls);
+        metric("train_edges", s.trainEdges);
+        metric("trains_scheduled", s.trainsScheduled);
+        metric("clock_cycles", s.clockCycles);
+        metric("slab_slots", s.slabSlots);
+        metric("slab_live_peak", s.liveHighWater);
+        metric("heap_callbacks", s.heapCallbacks);
+        metric("fault_events", s.faultEvents);
+        metric("bus_resets", s.busResets);
+        metric("retries", s.retries);
+        metric("recovered_tx", s.recoveredTx);
+        metric("abandoned_tx", s.abandonedTx);
+        metric("trace_events", s.traceEvents);
+        metric("flight_dumps", s.flightDumps.size());
+        metric("watchdog_rescues", s.watchdogRescues);
+        metric("arb_losses", s.arbLosses);
+        metric("interjections", s.interjectRequests);
+        metric("goodput_bps", s.goodputBps);
+        metric("energy_per_sample_j", s.energyPerSampleJ);
+        const std::vector<double> &lat = s.txLatenciesS;
+        if (!lat.empty()) {
+            metric("tx_latency_s_count", lat.size());
+            metric("tx_latency_s_p50", nearestRankPercentile(lat, 0.50));
+            metric("tx_latency_s_p95", nearestRankPercentile(lat, 0.95));
+            metric("tx_latency_s_p99", nearestRankPercentile(lat, 0.99));
+        }
+        std::uint64_t edgeSum = 0;
+        for (std::uint64_t e : s.perNodeEdges)
+            edgeSum += e;
+        metric("node_edges_total", edgeSum);
+    };
 }
 
 /** ok|interrupted|overflow|reset: the delivery/abort outcome census. */
@@ -341,7 +386,7 @@ columns(V &v, const CellResult &c)
     v("trace_bytes", s.traceJson.size());
     v("trace_hash", s.traceHash);
     v("flight_dumps", s.flightDumps.size());
-    v("metrics", metricsColumn(s.metrics));
+    v("metrics", metricsColumn(c));
 }
 
 /** Render the CSV into one reused line buffer and hand @p emit each
@@ -462,7 +507,7 @@ SweepResult::writeJson(std::ostream &os, bool includeWallTime) const
            << ", \"trace_bytes\": " << s.traceJson.size()
            << ", \"trace_hash\": " << s.traceHash
            << ", \"flight_dumps\": " << s.flightDumps.size()
-           << ", \"metrics\": \"" << render(metricsColumn(s.metrics)) << "\"";
+           << ", \"metrics\": \"" << render(metricsColumn(c)) << "\"";
         if (!s.actorStats.empty()) {
             os << ", \"workload\": \""
                << render(clean(c.spec.workload.name))

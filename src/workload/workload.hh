@@ -216,26 +216,33 @@ struct ActorStats
     double dutyCycle = 0;
 };
 
-/** Whole-run reduction the scenario layer folds into its stats. */
-struct WorkloadRunStats
+/**
+ * The traffic census of one run: terminal outcomes, delivery
+ * integrity, workload and disturbance bookkeeping, and recovery
+ * counts. TrafficRun fills it; the sweep's ScenarioStats derives from
+ * it, so a cell's record carries it as one assignment. Terminal
+ * outcome counts are over actor fragments (workload cells) or planned
+ * messages (classic cells); the invariant planned == sum(outcomes)
+ * holds over them.
+ */
+struct TrafficCounts
 {
-    std::vector<ActorStats> actors;
-
-    // Terminal outcome counts over actor fragments (the scenario
-    // invariant planned == sum(outcomes) holds over these).
+    // Transaction outcomes (every planned send ends in exactly one).
     int planned = 0;
     int acked = 0;
     int naked = 0;
     int broadcasts = 0;
     int interrupted = 0;
     int rxAborts = 0;
-    int failed = 0; ///< Includes fragments dropped offline.
+    int failed = 0; ///< GeneralError, Reset and any other terminal
+                    ///< status, plus fragments dropped offline.
 
-    std::uint64_t bytesDelivered = 0;
-    std::uint64_t payloadMismatches = 0;
-    std::uint64_t completedWireBits = 0;
+    // Delivery integrity.
+    std::uint64_t bytesDelivered = 0;    ///< Payload bytes at receivers.
+    std::uint64_t payloadMismatches = 0; ///< Corrupted deliveries.
     std::uint64_t arbitrationRetries = 0;
 
+    // Application-mix outcome (zero for classic cells).
     int missedDeadlines = 0;
     int samplesPlanned = 0;
     int samplesDelivered = 0;
@@ -247,27 +254,38 @@ struct WorkloadRunStats
     int faultsRecovered = 0;
     int retimings = 0;
 
-    // Physical-fault recovery bookkeeping (zero unless an actor has
-    // a retry policy and/or the fabric Reset-kills transfers).
-    int txResets = 0;          ///< Fragments killed with Reset
+    // Physical-fault recovery bookkeeping (zero unless a retry policy
+    // is active and/or the fabric Reset-kills transfers).
+    int txResets = 0;          ///< Sends killed with TxStatus::Reset
                                ///< (also counted in `failed`).
     std::uint64_t retries = 0; ///< Re-sends the retry policies issued.
     int recoveredTx = 0;       ///< Failed at least once, delivered.
     int abandonedTx = 0;       ///< Retries exhausted, still failed.
-    std::vector<double> recoveryS; ///< Per-recovery latencies.
 
-    // Delivery-side outcome counts (pipe-packed sweep column).
-    int deliveredOk = 0;
-    int deliveredInterrupted = 0;
-    int deliveredOverflow = 0;
+    // Delivery-side outcome counts (pipe-packed into one sweep column
+    // as ok|interrupted|overflow|reset).
+    int deliveredOk = 0;          ///< Complete, clean deliveries.
+    int deliveredInterrupted = 0; ///< Truncated (interjected) ones.
+    int deliveredOverflow = 0;    ///< Receiver overflow aborts.
+
+    double firstTxLatencyS = 0; ///< Cold-start (wakeup) latency.
+    bool wedged = false; ///< Traffic unfinished at the wedge guard,
+                         ///< or the bus not idle after the drain.
+};
+
+/** Whole-run reduction the scenario layer folds into its stats: the
+ *  census plus the raw samples the reduction consumes. */
+struct WorkloadRunStats : TrafficCounts
+{
+    std::vector<ActorStats> actors;
+
+    std::uint64_t completedWireBits = 0;
+    std::vector<double> recoveryS; ///< Per-recovery latencies.
 
     // Scenario-level latency pooling (per completed fragment).
     std::vector<double> txLatenciesS;
     double latencySumS = 0;
-    double firstTxLatencyS = 0;
     sim::SimTime lastCompletion = 0;
-
-    bool wedged = false;
 };
 
 /** Schedule streams split from this base (actors use 1 + stream). */

@@ -39,8 +39,10 @@ namespace fs = std::filesystem;
 namespace {
 
 /** Cheap cells cycling through all five fabrics, faults on every
- *  other cell so cached values carry real recovery payloads. Grid
- *  n is a prefix of grid n + k. */
+ *  other cell so cached values carry real recovery payloads, and
+ *  every fifth cell traced so served cells render the trace and
+ *  metrics columns from decoded stats. Grid n is a prefix of grid
+ *  n + k. */
 std::vector<sweep::ScenarioSpec>
 cacheGrid(std::size_t cells)
 {
@@ -66,6 +68,10 @@ cacheGrid(std::size_t cells)
             s.faults.watchdogEpochs = 32;
             s.retry.maxRetries = 1;
             s.retry.backoffEpochs = 8;
+        }
+        if (i % 5 == 0) {
+            s.trace.protocol = true;
+            s.trace.flight = true;
         }
         grid.push_back(std::move(s));
     }
@@ -300,7 +306,8 @@ TEST(SweepCache, SaltPinsCachedStats)
     // kernel-cost counter that leaves the salt alone would make every
     // existing cache serve stale stats. This test pins the salt to a
     // hash over every field the cache stores, for a grid spanning all
-    // five fabrics, the message-level model, a workload and a fault:
+    // five fabrics, the message-level model, a workload, a fault and
+    // a traced cell:
     // when the hash moves, bump kHarnessVersionSalt and re-pin both.
     std::vector<sweep::ScenarioSpec> grid;
     {
@@ -359,17 +366,51 @@ TEST(SweepCache, SaltPinsCachedStats)
         f.retry.backoffEpochs = 8;
         grid.push_back(f);
     }
+    {
+        // Traced: contending sensors and a stuck CLK segment fill the
+        // tracer-only counts.
+        sweep::ScenarioSpec t;
+        t.name = "pin_traced";
+        t.nodes = 4;
+        t.trace.protocol = true;
+        t.trace.flight = true;
+        t.workload.name = "pin_traced";
+        t.workload.durationS = 0.05;
+        for (int n : {1, 2, 3}) {
+            workload::ActorSpec sensor;
+            sensor.kind = workload::ActorKind::PeriodicSensor;
+            sensor.name = "s" + std::to_string(n);
+            sensor.node = n;
+            sensor.periodS = 0.01;
+            sensor.jitterFrac = 0;
+            sensor.payloadBytes = 4;
+            t.workload.actors.push_back(sensor);
+        }
+        fault::FaultEntry stuck;
+        stuck.kind = fault::FaultKind::StuckAt0;
+        stuck.node = 1;
+        stuck.startS = 2e-5;
+        stuck.endS = 4e-5;
+        stuck.durationS = 5e-4;
+        t.faults.entries.push_back(stuck);
+        t.faults.watchdogEpochs = 16;
+        grid.push_back(t);
+    }
 
     sweep::SweepResult r = runSweep(grid, 1);
     ASSERT_EQ(r.cell(0).stats.fidelity, sweep::Fidelity::Message);
     ASSERT_EQ(r.cell(1).stats.fidelity, sweep::Fidelity::Edge);
     ASSERT_GT(r.cell(6).stats.samplesDelivered, 0);
     ASSERT_GT(r.cell(7).stats.faultEvents, 0);
+    const sweep::ScenarioStats &traced = r.cell(8).stats;
+    ASSERT_GT(traced.watchdogRescues, 0u);
+    ASSERT_GT(traced.arbLosses, 0u);
+    ASSERT_GT(traced.interjectRequests, 0u);
 
     std::string bytes;
     for (const sweep::CellResult &c : r.cells())
         bytes += sweep::encodeStats(c.stats);
     using Pin = std::pair<std::uint64_t, std::uint64_t>;
     EXPECT_EQ(Pin(sweep::kHarnessVersionSalt, sim::fnv1a(bytes)),
-              Pin(0x4d425553'00000003ULL, 0x39b9d6b53528ce52ULL));
+              Pin(0x4d425553'00000004ULL, 0xf8eaef0a9896d1c6ULL));
 }

@@ -136,8 +136,9 @@ richStats()
     st.traceJson = "{\"evs\": []}";
     st.traceHash = sim::fnv1a(st.traceJson);
     st.flightDumps = {"dump one\nline2", "dump|two"};
-    st.metrics.push_back({"events_executed", "42"});
-    st.metrics.push_back({"weird name", "0.1"});
+    st.watchdogRescues = 3;
+    st.arbLosses = 5;
+    st.interjectRequests = ~0ULL;
     st.fidelity = sweep::Fidelity::Message;
     return st;
 }
@@ -435,8 +436,9 @@ TEST(SweepCodec, StatsRoundTripExactlyIncludingDoubles)
     EXPECT_EQ(back.vcd, st.vcd);
     EXPECT_EQ(back.flightDumps, st.flightDumps);
     EXPECT_EQ(back.fidelity, sweep::Fidelity::Message);
-    ASSERT_EQ(back.metrics.size(), 2u);
-    EXPECT_EQ(back.metrics[1].name, "weird name");
+    EXPECT_EQ(back.watchdogRescues, 3u);
+    EXPECT_EQ(back.arbLosses, 5u);
+    EXPECT_EQ(back.interjectRequests, ~0ULL);
     ASSERT_EQ(back.actorStats.size(), 1u);
     EXPECT_EQ(back.actorStats[0].sampleLatenciesS,
               st.actorStats[0].sampleLatenciesS);
@@ -458,7 +460,7 @@ TEST(SweepCodec, FieldListsNameEveryMemberOnce)
     expectEveryMemberListedOnce<fault::FaultEntry>();
     expectEveryMemberListedOnce<fault::RetryPolicy>();
     expectEveryMemberListedOnce<trace::TraceConfig>();
-    expectEveryMemberListedOnce<trace::MetricSample>();
+    expectEveryMemberListedOnce<workload::TrafficCounts>();
 }
 
 TEST(SweepCodec, EveryVisitedFieldRoundTrips)

@@ -3,14 +3,16 @@
  * Byte pins on every report the sweep layer writes, over one small
  * grid that reaches each record path: the five fabrics, the
  * message-level model, a workload, a fault schedule, a traced cell
- * with a flight-recorder dump and a metrics snapshot, a captured VCD,
+ * with a flight-recorder dump and tracer counts, a captured VCD,
  * and a cell name full of bytes the CSV, JSON and codec must escape
  * or strip.
  *
  * The pins are FNV-1a hashes of writeCsv() (with and without the
  * wall-time column), writeJson(), fingerprint(), and the concatenated
  * encodeSpec()/encodeStats() bytes. Any change to a column, a key, a
- * field's order or a number's format moves one of them.
+ * field's order or a number's format moves one of them. Two more
+ * pins hold the literal `metrics` column of a busy traced cell and
+ * of a traced cell that completes no transaction.
  */
 
 #include <gtest/gtest.h>
@@ -157,6 +159,20 @@ zeroedWallTime()
     return sweep::SweepResult::fromCells(cfg, std::move(cells));
 }
 
+/** The last CSV column (`metrics`) of @p spec swept alone on the
+ *  default master seed. */
+std::string
+metricsColumnOf(const sweep::ScenarioSpec &spec)
+{
+    sweep::SweepConfig cfg;
+    cfg.threads = 1;
+    std::ostringstream os;
+    sweep::SweepDriver(cfg).run({spec}).writeCsv(os);
+    std::string csv = os.str();
+    csv.pop_back(); // The row's newline.
+    return csv.substr(csv.rfind(',') + 1);
+}
+
 std::string
 csvOf(const sweep::SweepResult &r, bool wallTime)
 {
@@ -187,7 +203,7 @@ TEST(SweepGolden, GridReachesEveryRecordPath)
     const sweep::ScenarioStats &traced = r.cell(8).stats;
     EXPECT_FALSE(traced.traceJson.empty());
     EXPECT_FALSE(traced.flightDumps.empty());
-    EXPECT_FALSE(traced.metrics.empty());
+    EXPECT_GT(traced.watchdogRescues, 0u);
     EXPECT_FALSE(r.cell(9).stats.vcd.empty());
     EXPECT_GT(r.cell(10).stats.acked, 0);
 }
@@ -225,5 +241,72 @@ TEST(SweepGolden, CodecBytesArePinned)
         stats += sweep::encodeStats(c.stats);
     }
     EXPECT_EQ(sim::fnv1a(specs), 0xc73a459d'69d55704ULL);
-    EXPECT_EQ(sim::fnv1a(stats), 0xee5a10cd'33db5a8cULL);
+    EXPECT_EQ(sim::fnv1a(stats), 0x48f84f71'3206ab5fULL);
+}
+
+TEST(SweepGolden, TracedCellMetricsColumnIsPinned)
+{
+    // A contended workload with a stuck CLK segment and per-actor
+    // retries, so every metric is nonzero: watchdog rescues,
+    // arbitration losses, interjections and a recovery.
+    sweep::ScenarioSpec busy;
+    busy.name = "metrics_busy";
+    busy.nodes = 4;
+    busy.trace.protocol = true;
+    busy.trace.flight = true;
+    busy.workload.name = "metrics_pin";
+    busy.workload.durationS = 0.05;
+    for (int n : {1, 2, 3}) {
+        workload::ActorSpec sensor;
+        sensor.kind = workload::ActorKind::PeriodicSensor;
+        sensor.name = "s" + std::to_string(n);
+        sensor.node = n;
+        sensor.periodS = 0.01;
+        sensor.jitterFrac = 0;
+        sensor.payloadBytes = 4;
+        sensor.retry.maxRetries = 1;
+        sensor.retry.backoffEpochs = 8;
+        busy.workload.actors.push_back(sensor);
+    }
+    fault::FaultEntry stuck;
+    stuck.kind = fault::FaultKind::StuckAt0;
+    stuck.node = 1;
+    stuck.lane = 0;
+    stuck.startS = 2e-5;
+    stuck.endS = 4e-5;
+    stuck.durationS = 5e-4;
+    busy.faults.entries.push_back(stuck);
+    busy.faults.watchdogEpochs = 16;
+
+    EXPECT_EQ(metricsColumnOf(busy),
+              "events_executed=4129|dispatch_calls=18742|train_edges=9096|"
+              "trains_scheduled=681|clock_cycles=772|slab_slots=14|"
+              "slab_live_peak=135|heap_callbacks=33|fault_events=2|"
+              "bus_resets=13|retries=1|recovered_tx=1|abandoned_tx=0|"
+              "trace_events=175|flight_dumps=8|watchdog_rescues=13|"
+              "arb_losses=17|interjections=15|"
+              "goodput_bps=11884.777086149777|"
+              "energy_per_sample_j=6.9143948619699158e-10|"
+              "tx_latency_s_count=15|"
+              "tx_latency_s_p50=0.00025643999999999998|"
+              "tx_latency_s_p95=0.00096783000000000004|"
+              "tx_latency_s_p99=0.00096783000000000004|"
+              "node_edges_total=8215");
+}
+
+TEST(SweepGolden, IdleTracedCellMetricsColumnIsPinned)
+{
+    // No transaction completes, so there is no tx_latency_s_* summary.
+    sweep::ScenarioSpec idle;
+    idle.name = "metrics_idle";
+    idle.messages = 0;
+    idle.trace.flight = true;
+    EXPECT_EQ(metricsColumnOf(idle),
+              "events_executed=0|dispatch_calls=0|train_edges=0|"
+              "trains_scheduled=0|clock_cycles=0|slab_slots=0|"
+              "slab_live_peak=0|heap_callbacks=0|fault_events=0|"
+              "bus_resets=0|retries=0|recovered_tx=0|abandoned_tx=0|"
+              "trace_events=0|flight_dumps=0|watchdog_rescues=0|"
+              "arb_losses=0|interjections=0|goodput_bps=0|"
+              "energy_per_sample_j=0|node_edges_total=0");
 }

@@ -90,11 +90,10 @@ TEST(TraceDeterminism, FiveFabricTraceBytesAreThreadCountInvariant)
         EXPECT_EQ(sa.traceJson, sb.traceJson) << "cell " << i;
         EXPECT_EQ(sa.traceHash, sb.traceHash) << "cell " << i;
         EXPECT_EQ(sa.flightDumps, sb.flightDumps) << "cell " << i;
-        EXPECT_EQ(sa.metrics.size(), sb.metrics.size());
-        for (std::size_t k = 0; k < sa.metrics.size(); ++k) {
-            EXPECT_EQ(sa.metrics[k].name, sb.metrics[k].name);
-            EXPECT_EQ(sa.metrics[k].value, sb.metrics[k].value);
-        }
+        EXPECT_EQ(sa.watchdogRescues, sb.watchdogRescues) << "cell " << i;
+        EXPECT_EQ(sa.arbLosses, sb.arbLosses) << "cell " << i;
+        EXPECT_EQ(sa.interjectRequests, sb.interjectRequests)
+            << "cell " << i;
     }
     // The new trace/metrics CSV columns obey the same contract.
     std::ostringstream csvA, csvB;
@@ -150,7 +149,9 @@ TEST(TraceDeterminism, TracingIsObservationallyInvisible)
         EXPECT_EQ(b.traceEvents, 0u);
         EXPECT_TRUE(b.traceJson.empty());
         EXPECT_TRUE(b.flightDumps.empty());
-        EXPECT_TRUE(b.metrics.empty());
+        EXPECT_EQ(b.watchdogRescues, 0u);
+        EXPECT_EQ(b.arbLosses, 0u);
+        EXPECT_EQ(b.interjectRequests, 0u);
         EXPECT_GT(a.traceEvents, 0u);
     }
 }

@@ -2,8 +2,7 @@
  * @file
  * Unit tests for the Tracer (span lifecycle, flight-recorder ring,
  * auto-trip dumps, Chrome export shape, integer timestamp
- * formatting) and the MetricsRegistry (byte-stable formatting,
- * packing, JSON emission).
+ * formatting).
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +10,6 @@
 #include <string>
 
 #include "sim/simulator.hh"
-#include "trace/metrics.hh"
 #include "trace/trace.hh"
 
 using namespace mbus;
@@ -179,40 +177,4 @@ TEST(Tracer, ChromeJsonClosesHangingSpansAtTheLastTimestamp)
     std::string json = t.chromeJson();
     EXPECT_NE(json.find("\"tx#1\""), std::string::npos);
     EXPECT_NE(json.find("\"status\": -1"), std::string::npos);
-}
-
-TEST(MetricsRegistry, SamplesKeepRegistrationOrderAndStableBytes)
-{
-    trace::MetricsRegistry reg;
-    reg.counter("events", 42);
-    reg.gauge("goodput", 1.5);
-    reg.counter("resets", 0);
-    ASSERT_EQ(reg.samples().size(), 3u);
-    EXPECT_EQ(reg.samples()[0].name, "events");
-    EXPECT_EQ(reg.samples()[0].value, "42");
-    EXPECT_EQ(reg.samples()[1].name, "goodput");
-    EXPECT_EQ(reg.samples()[1].value, "1.5");
-    EXPECT_EQ(reg.samples()[2].name, "resets");
-    EXPECT_EQ(reg.samples()[2].value, "0");
-}
-
-TEST(MetricsRegistry, HistogramEmitsNearestRankSummary)
-{
-    trace::MetricsRegistry reg;
-    std::vector<double> sorted;
-    for (int i = 1; i <= 100; ++i)
-        sorted.push_back(static_cast<double>(i));
-    reg.histogram("lat", sorted);
-    ASSERT_EQ(reg.samples().size(), 4u);
-    EXPECT_EQ(reg.samples()[0].name, "lat_count");
-    EXPECT_EQ(reg.samples()[0].value, "100");
-    EXPECT_EQ(reg.samples()[1].name, "lat_p50");
-    EXPECT_EQ(reg.samples()[1].value, "50");
-    EXPECT_EQ(reg.samples()[2].value, "95");
-    EXPECT_EQ(reg.samples()[3].value, "99");
-
-    trace::MetricsRegistry empty;
-    empty.histogram("lat", {});
-    ASSERT_EQ(empty.samples().size(), 1u);
-    EXPECT_EQ(empty.samples()[0].value, "0");
 }
