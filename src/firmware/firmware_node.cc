@@ -11,15 +11,12 @@ namespace firmware {
 FirmwareNode::FirmwareNode(sim::Simulator &sim, Config cfg,
                            wire::Net &clkIn, wire::Net &clkOut,
                            wire::Net &dataIn, wire::Net &dataOut)
-    : sim_(sim), cfg_(cfg), clkInNet_(clkIn), dataInNet_(dataIn),
-      clkIn_(sim, clkIn, wire::Gpio::Direction::Input),
-      clkOut_(sim, clkOut, wire::Gpio::Direction::Output),
-      dataIn_(sim, dataIn, wire::Gpio::Direction::Input),
-      dataOut_(sim, dataOut, wire::Gpio::Direction::Output),
-      coalesceClk_(cfg.isrTrainMaxEdges != 0 &&
-                   cfg.isrJitterCycles == 0 && !cfg.mergeMissedEdges),
+    : sim_(sim), cfg_(cfg), clkIn_(clkIn), clkOut_(clkOut),
+      dataIn_(dataIn), dataOut_(dataOut),
       jitterState_(cfg.jitterSeed ? cfg.jitterSeed : 1)
 {
+    if (cfg.isrJitterCycles == 0 && !cfg.mergeMissedEdges)
+        isrTrain_.setMaxEdges(cfg.isrTrainMaxEdges);
     clkRetire_.self = this;
     dataRetire_.self = this;
 
@@ -43,19 +40,14 @@ FirmwareNode::FirmwareNode(sim::Simulator &sim, Config cfg,
     fsm_ = std::make_unique<LibMbus>(std::move(port));
     fsm_->MBus_init();
 
-    clkInNet_.listen(wire::Edge::Any, *this);
-    dataInNet_.listen(wire::Edge::Any, *this);
-}
-
-FirmwareNode::~FirmwareNode()
-{
-    isrTrain_.cancel();
+    clkIn_.listen(wire::Edge::Any, *this);
+    dataIn_.listen(wire::Edge::Any, *this);
 }
 
 void
 FirmwareNode::onNetEdge(wire::Net &net, bool value)
 {
-    onEdge(&net == &clkInNet_ ? Pin::Clk : Pin::Data, value);
+    onEdge(&net == &clkIn_ ? Pin::Clk : Pin::Data, value);
 }
 
 void
@@ -102,9 +94,13 @@ FirmwareNode::onEdge(Pin pin, bool level)
     stats_.cyclesSpent += static_cast<std::uint64_t>(total);
 
     ++pending;
-    if (pin == Pin::Clk && coalesceClk_ &&
-        rideIsrTrain(level, latency, start == now))
-        return;
+    if (pin == Pin::Clk) {
+        // A stalled retirement lands off the pure-latency beat.
+        if (start != now)
+            isrTrain_.forget();
+        else if (isrTrain_.ride(sim_, latency, clkRetire_, level))
+            return;
+    }
     // The output write is the last instruction before RETI: the whole
     // response lands at ISR retirement.
     sim_.scheduleEdge(done - now,
@@ -112,78 +108,6 @@ FirmwareNode::onEdge(Pin pin, bool level)
                           ? static_cast<sim::EdgeSink &>(clkRetire_)
                           : static_cast<sim::EdgeSink &>(dataRetire_),
                       level);
-}
-
-bool
-FirmwareNode::rideIsrTrain(bool level, sim::SimTime latency, bool onTime)
-{
-    const sim::SimTime now = sim_.now();
-    if (isrTrainActive_) {
-        // Does this arrival confirm the train's next predicted
-        // retirement? Confirmation re-arms the edge with a tie-break
-        // sequence drawn right now -- the exact position a discrete
-        // schedule here would get -- so delivery is bit-identical.
-        if (onTime && level == isrExpectValue_ && now == isrExpectAt_ &&
-            isrTrainLeft_ > 0 && isrTrain_.confirmTrainEdge()) {
-            --isrTrainLeft_;
-            isrExpectValue_ = !level;
-            isrExpectAt_ = now + isrPeriod_;
-            if (isrTrainLeft_ == 0) {
-                // Exhausted cleanly: hand the rhythm straight back to
-                // the detector so the next matching arrival chains a
-                // new train without discrete warm-up.
-                isrTrainActive_ = false;
-                haveClkArrival_ = true;
-                haveClkGap_ = true;
-                lastClkArrival_ = now;
-                lastClkGap_ = isrPeriod_;
-            }
-            return true;
-        }
-        // Stalled, off-rhythm, or wrong level: split back to the
-        // discrete path (the committed in-flight retirement survives).
-        splitIsrTrain();
-    }
-
-    if (!onTime) {
-        // A stalled retirement lands off the pure-latency beat:
-        // restart rhythm detection from scratch.
-        haveClkArrival_ = false;
-        haveClkGap_ = false;
-        return false;
-    }
-    const sim::SimTime gap = now - lastClkArrival_;
-    if (haveClkGap_ && gap > 0 && gap == lastClkGap_ && gap > latency) {
-        // Third stall-free arrival on a steady beat: this retirement
-        // becomes the confirmed head of a train.
-        isrPeriod_ = gap;
-        isrTrain_ = sim_.scheduleSpeculativeEdgeTrain(
-            latency, gap, cfg_.isrTrainMaxEdges, clkRetire_, level);
-        isrTrainActive_ = true;
-        isrTrainLeft_ = cfg_.isrTrainMaxEdges - 1;
-        isrExpectValue_ = !level;
-        isrExpectAt_ = now + gap;
-        haveClkArrival_ = false;
-        haveClkGap_ = false;
-        return true;
-    }
-    if (haveClkArrival_) {
-        lastClkGap_ = gap;
-        haveClkGap_ = gap > 0;
-    }
-    lastClkArrival_ = now;
-    haveClkArrival_ = true;
-    return false;
-}
-
-void
-FirmwareNode::splitIsrTrain()
-{
-    (void)isrTrain_.truncateTrainToHead();
-    isrTrainActive_ = false;
-    isrTrainLeft_ = 0;
-    haveClkArrival_ = false;
-    haveClkGap_ = false;
 }
 
 void
@@ -215,12 +139,12 @@ FirmwareNode::readGpio(int gpio)
     if (gpio == 0) { // CLKIN
         if (!cfg_.mergeMissedEdges && inClkIsr_)
             return latchedClk_ ? 1 : 0;
-        return clkIn_.read() ? 1 : 0;
+        return clkIn_.value() ? 1 : 0;
     }
     if (gpio == 2) { // DIN
         if (!cfg_.mergeMissedEdges && inDataIsr_)
             return latchedData_ ? 1 : 0;
-        return dataIn_.read() ? 1 : 0;
+        return dataIn_.value() ? 1 : 0;
     }
     mbus_fatal("firmware read of non-input gpio ", gpio);
     return 0;
@@ -230,9 +154,9 @@ void
 FirmwareNode::writeGpio(int gpio, std::uint8_t val)
 {
     if (gpio == 1)
-        clkOut_.write(val != 0);
+        clkOut_.drive(val != 0);
     else if (gpio == 3)
-        dataOut_.write(val != 0);
+        dataOut_.drive(val != 0);
     else
         mbus_fatal("firmware write of non-output gpio ", gpio);
 }

@@ -7,10 +7,11 @@
  * (two must have edge-triggered interrupt support)." The node runs
  * firmware::LibMbus, a 1:1 port of libmbus `bitbang.c`: a GPIO shim
  * maps the firmware's `set_gpio_val` / `get_gpio_val` register
- * accesses onto wire::Gpio pins, every CLKIN/DIN edge becomes an ISR
- * invocation priced through the MSP430 cost model (fixed entry
- * cycles plus optional seeded jitter, serialized on one CPU), and
- * `MBus_run()` executes in virtual time off the event kernel.
+ * accesses onto reads and drives of the node's four nets, every
+ * CLKIN/DIN edge becomes an ISR invocation priced through the MSP430
+ * cost model (fixed entry cycles plus optional seeded jitter,
+ * serialized on one CPU), and `MBus_run()` executes in virtual time
+ * off the event kernel.
  * Forwarding is software too, so the node's hop delay is its ISR
  * response time -- which is why the paper's software member tops out
  * near 120 kHz instead of megahertz.
@@ -26,18 +27,18 @@
  *    is already set), and all reads are live: that is the regime
  *    where the firmware's MBUS_CLOCK_SYNCH_ERROR path becomes
  *    reachable.
- *  - Edge capture listens at net level, not through
- *    Gpio::attachInterrupt, whose trampoline would add one kernel
- *    event and shift same-timestamp event ordering; the Gpio objects
- *    carry all pin reads and writes.
+ *  - Edge capture listens on the input nets directly, and pin reads
+ *    and writes are the nets' value() and drive(): no trampoline
+ *    event between an edge and its ISR scheduling.
  *  - The ISR retirement write lands at
  *    max(now, cpuBusyUntil) + cycles(handler), so CPU serialization
  *    stalls, energy (cyclesSpent x 20 pJ), and response latency
  *    follow the cost model.
  *  - CLK ISR retirements ride one speculative kernel edge train while
- *    CLK arrives on a steady, stall-free beat (see
- *    Config::isrTrainMaxEdges); every retirement still fires at its
- *    discrete timestamp and tie-break position.
+ *    CLK arrives on a steady, stall-free beat (the sim::TrainRider
+ *    every ring segment uses; see Config::isrTrainMaxEdges); every
+ *    retirement still fires at its discrete timestamp and tie-break
+ *    position.
  *  - `MBus_send` while the FSM is busy is undefined in the firmware
  *    (it stomps the in-flight buffer); this harness queues messages
  *    and only hands the front one to the FSM from IDLE, re-issuing
@@ -56,7 +57,7 @@
 #include "firmware/libmbus_port.hh"
 #include "mbus/message.hh"
 #include "sim/simulator.hh"
-#include "wire/gpio.hh"
+#include "sim/train_rider.hh"
 #include "wire/net.hh"
 
 namespace mbus {
@@ -117,7 +118,6 @@ class FirmwareNode : private wire::EdgeListener
     FirmwareNode(sim::Simulator &sim, Config cfg, wire::Net &clkIn,
                  wire::Net &clkOut, wire::Net &dataIn,
                  wire::Net &dataOut);
-    ~FirmwareNode();
 
     /** Queue a message (never stomps an in-flight MBus_send). */
     void send(bus::Message msg, bus::SendCallback cb = nullptr);
@@ -156,15 +156,6 @@ class FirmwareNode : private wire::EdgeListener
     void onNetEdge(wire::Net &net, bool value) override;
     void onEdge(Pin pin, bool level);
 
-    /** Carry this CLK retirement on the ISR train when it confirms
-     *  the train's next edge or starts a new one. @return false when
-     *  the caller must schedule it discretely. */
-    bool rideIsrTrain(bool level, sim::SimTime latency, bool onTime);
-
-    /** Drop the unconfirmed tail of the CLK retirement train (the
-     *  committed in-flight head still fires) and reset detection. */
-    void splitIsrTrain();
-
     void runIsr(Pin pin, bool level);
     void afterIsr();
     void drainRun();
@@ -195,12 +186,10 @@ class FirmwareNode : private wire::EdgeListener
 
     sim::Simulator &sim_;
     Config cfg_;
-    wire::Net &clkInNet_;
-    wire::Net &dataInNet_;
-    wire::Gpio clkIn_;
-    wire::Gpio clkOut_;
-    wire::Gpio dataIn_;
-    wire::Gpio dataOut_;
+    wire::Net &clkIn_;
+    wire::Net &clkOut_;
+    wire::Net &dataIn_;
+    wire::Net &dataOut_;
 
     ClkRetireSink clkRetire_;
     DataRetireSink dataRetire_;
@@ -212,19 +201,9 @@ class FirmwareNode : private wire::EdgeListener
     std::uint32_t clkIsrPending_ = 0;  ///< Scheduled, not yet retired.
     std::uint32_t dataIsrPending_ = 0;
 
-    // CLK ISR-retirement train coalescing (mirrors wire::Net's
-    // confirm-or-split rhythm detector, keyed on ISR arrivals).
-    bool coalesceClk_ = false;
-    sim::EventHandle isrTrain_;
-    bool isrTrainActive_ = false;
-    std::uint32_t isrTrainLeft_ = 0;
-    bool isrExpectValue_ = false;
-    sim::SimTime isrExpectAt_ = 0;
-    sim::SimTime isrPeriod_ = 0;
-    sim::SimTime lastClkArrival_ = 0;
-    sim::SimTime lastClkGap_ = 0;
-    bool haveClkArrival_ = false;
-    bool haveClkGap_ = false;
+    /** CLK ISR retirements on a steady beat ride one speculative
+     *  train (see Config::isrTrainMaxEdges). */
+    sim::TrainRider isrTrain_;
 
     // Latched-level replay view while a handler runs.
     bool inClkIsr_ = false;

@@ -167,8 +167,6 @@ class LibMbus
     MBus_state_t state() const { return state_; }
     MBus_logical_t logical() const { return logical_; }
     MBus_error_t error() const { return error_; }
-    bool txPending() const { return tx_buf != nullptr; }
-    bool txActive() const { return tx_active; }
     bool requesting() const
     {
         return state_ == MBUS_STATE_IDLE &&
@@ -178,7 +176,6 @@ class LibMbus
     bool ctlBit1() const { return ctl_bit1; }
     bool eventsPending() const { return !pending_.empty(); }
     int interruptCount() const { return interrupt_count; }
-    std::size_t txByteIdx() const { return tx_byte_idx; }
     const std::uint8_t *txBuf() const { return tx_buf; }
 
   private:

@@ -160,9 +160,6 @@ class BusController : public ClockEdgeSink
         irqCb_ = std::move(cb);
     }
 
-    /** Update the broadcast channel subscription mask. */
-    void setBroadcastChannels(std::uint16_t mask) { cfg_.broadcastChannels = mask; }
-
     /** Mutable priority: when this node provides the arbitration
      *  break, its own requests sample as winning (it is position 0
      *  of the priority order, like the mediator host normally is). */

@@ -73,7 +73,6 @@ LayerController::onReceive(const ReceivedMessage &rx)
       default:
         // Unknown FUs fall through to the mailbox so application
         // firmware can claim them.
-        ++mailboxDeliveries_;
         if (mailbox_)
             mailbox_(rx);
         break;

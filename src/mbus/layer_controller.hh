@@ -104,7 +104,6 @@ class LayerController
     std::uint64_t registerWrites() const { return registerWrites_; }
     std::uint64_t memoryWrites() const { return memoryWrites_; }
     std::uint64_t memoryReads() const { return memoryReads_; }
-    std::uint64_t mailboxDeliveries() const { return mailboxDeliveries_; }
 
   private:
     void handleRegisterWrite(const std::vector<std::uint8_t> &payload);
@@ -127,7 +126,6 @@ class LayerController
     std::uint64_t registerWrites_ = 0;
     std::uint64_t memoryWrites_ = 0;
     std::uint64_t memoryReads_ = 0;
-    std::uint64_t mailboxDeliveries_ = 0;
 };
 
 } // namespace bus

@@ -63,19 +63,6 @@ enum class LocalError : std::uint8_t
     Interrupted,  ///< MBUS_INTERRUPTED: cut short by a third party.
 };
 
-inline const char *
-localErrorName(LocalError e)
-{
-    switch (e) {
-      case LocalError::None: return "none";
-      case LocalError::ClockSynch: return "clock_synch";
-      case LocalError::DataSynch: return "data_synch";
-      case LocalError::RecvOverflow: return "recv_overflow";
-      case LocalError::Interrupted: return "interrupted";
-    }
-    return "?";
-}
-
 /** Completion record handed to the sender's callback. */
 struct TxResult
 {

@@ -97,7 +97,6 @@ class Node : private wire::EdgeListener
         arbBreakRole_ = enabled;
         busCtl_->setArbBreakSelf(enabled);
     }
-    bool arbBreakRole() const { return arbBreakRole_; }
 
     /** Gate the layer (and the bus controller if idle). */
     void sleep();
@@ -117,8 +116,6 @@ class Node : private wire::EdgeListener
     BusController &busController() { return *busCtl_; }
     const BusController &busController() const { return *busCtl_; }
     LayerController &layer() { return *layerCtl_; }
-    InterruptController &interruptController() { return *intCtl_; }
-    InterjectionDetector &interjectionDetector() { return *detector_; }
     SleepController &sleepController() { return *sleepCtl_; }
 
     power::PowerDomain &busDomain() { return *busDomain_; }

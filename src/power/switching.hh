@@ -66,9 +66,6 @@ class SwitchingEnergyModel
         return kMediatorPerCycleJ * calibration_;
     }
 
-    /** Idle leakage power per chip, watts. */
-    double idleLeakage() const { return kIdleLeakagePerChipW; }
-
     /** Map a simulation-scale energy to the measured scale. */
     static double
     toMeasured(double simJoules)

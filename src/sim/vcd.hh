@@ -44,9 +44,6 @@ class TraceRecorder
     /** Record a value change on @p id at time @p when. */
     void record(SignalId id, SimTime when, bool value);
 
-    /** Number of registered signals. */
-    std::size_t signalCount() const { return signals_.size(); }
-
     /** Total changes recorded across all signals. */
     std::size_t changeCount() const;
 

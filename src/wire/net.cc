@@ -12,11 +12,6 @@ Net::Net(sim::Simulator &sim, const std::string &name, sim::SimTime delay,
 {
 }
 
-Net::~Net()
-{
-    train_.cancel();
-}
-
 std::uint8_t
 Net::maskOf(Edge edge)
 {
@@ -34,89 +29,11 @@ Net::maskOf(Edge edge)
 void
 Net::drive(bool v)
 {
-    driveDelayed(v, 0);
-}
-
-void
-Net::driveDelayed(bool v, sim::SimTime extra)
-{
     if (driven_ == v)
         return;
-    const sim::SimTime now = sim_.now();
-
-    if (trainActive_) {
-        // Does this drive confirm the train's next predicted edge?
-        // Confirmation re-arms the edge with a tie-break sequence
-        // drawn right now -- the exact position a discrete schedule
-        // here would get -- so delivery order is bit-identical.
-        if (extra == 0 && trainLeft_ > 0 && v == expectValue_ &&
-            now == expectDriveAt_ && train_.confirmTrainEdge()) {
-            driven_ = v;
-            --trainLeft_;
-            expectValue_ = !v;
-            expectDriveAt_ = now + trainPeriod_;
-            if (trainLeft_ == 0) {
-                // Exhausted cleanly: hand the rhythm straight to the
-                // detector so the very next matching drive chains a
-                // new train without discrete warm-up edges.
-                trainActive_ = false;
-                haveLastDrive_ = true;
-                haveLastGap_ = true;
-                lastDriveAt_ = now;
-                lastGap_ = trainPeriod_;
-            }
-            return;
-        }
-        // Off-rhythm, wrong value, or extra-delay drive: split back
-        // to the discrete path (in-flight committed edge survives).
-        splitTrain();
-    }
-
     driven_ = v;
-
-    if (trainMax_ != 0 && extra == 0) {
-        const sim::SimTime gap = now - lastDriveAt_;
-        if (haveLastGap_ && gap > 0 && gap == lastGap_ && gap > delay_) {
-            // Third alternating drive on a steady beat: this edge
-            // becomes the confirmed head of a new speculative train.
-            startTrain(v, gap);
-            return;
-        }
-        if (haveLastDrive_) {
-            lastGap_ = gap;
-            haveLastGap_ = gap > 0;
-        }
-        lastDriveAt_ = now;
-        haveLastDrive_ = true;
-    }
-
-    sim_.scheduleEdge(delay_ + extra, *this, v);
-}
-
-void
-Net::startTrain(bool v, sim::SimTime period)
-{
-    trainPeriod_ = period;
-    train_ = sim_.scheduleSpeculativeEdgeTrain(delay_, period, trainMax_,
-                                               *this, v);
-    trainActive_ = true;
-    trainLeft_ = trainMax_ - 1;
-    expectValue_ = !v;
-    expectDriveAt_ = sim_.now() + period;
-    haveLastDrive_ = false;
-    haveLastGap_ = false;
-    ++trainsStarted_;
-}
-
-void
-Net::splitTrain()
-{
-    (void)train_.truncateTrainToHead();
-    trainActive_ = false;
-    trainLeft_ = 0;
-    haveLastDrive_ = false;
-    haveLastGap_ = false;
-    ++trainSplits_;
+    if (!rider_.ride(sim_, delay_, *this, v))
+        sim_.scheduleEdge(delay_, *this, v);
 }
 
 void

@@ -22,18 +22,15 @@
  * path. Names are interned per simulator, so a net is identified by a
  * 4-byte id in traces and diagnostics.
  *
- * Edge-train batching (opt-in via enableEdgeTrains): a net watches
- * its own drive rhythm, and when three consecutive drives alternate
- * with two equal gaps -- the shape of a forwarded bus clock -- it
- * upgrades the run to one speculative kernel edge train covering up
- * to the configured number of future edges. Each later drive that
- * matches the predicted value and time *confirms* the train's next
- * edge instead of scheduling a discrete event; any off-rhythm drive,
- * value glitch, or extra-delay drive splits the train back to the
- * discrete path (keeping the already-committed in-flight edge, so
- * Fig 5 drive-to-forward glitches survive bit-for-bit). Deliveries,
- * fanout order, VCD bytes and edge counters are identical to the
- * discrete path by construction; only the kernel-event count drops.
+ * Edge-train batching (opt-in via enableEdgeTrains): a net hands
+ * every drive to a sim::TrainRider, which upgrades a steady
+ * alternating drive run -- the shape of a forwarded bus clock -- to
+ * one speculative kernel edge train and splits back to the discrete
+ * path on any off-rhythm drive or value glitch (keeping the
+ * already-committed in-flight edge, so Fig 5 drive-to-forward
+ * glitches survive bit-for-bit). Deliveries, fanout order, VCD bytes
+ * and edge counters are identical to the discrete path by
+ * construction; only the kernel-event count drops.
  */
 
 #ifndef MBUS_WIRE_NET_HH
@@ -44,6 +41,7 @@
 #include <vector>
 
 #include "sim/simulator.hh"
+#include "sim/train_rider.hh"
 #include "sim/types.hh"
 #include "sim/vcd.hh"
 
@@ -152,8 +150,6 @@ class Net : private sim::EdgeSink
     Net(sim::Simulator &sim, const std::string &name, sim::SimTime delay,
         bool initial = true);
 
-    ~Net(); // Cancels any in-flight speculative edge train.
-
     /** @return the currently visible value. */
     bool value() const { return forced_ ? forcedValue_ : value_; }
 
@@ -176,12 +172,6 @@ class Net : private sim::EdgeSink
      * logic may drive unconditionally.
      */
     void drive(bool v);
-
-    /**
-     * Drive with an extra one-off delay on top of the net delay
-     * (models slow drivers such as the bitbanged GPIO engine).
-     */
-    void driveDelayed(bool v, sim::SimTime extra);
 
     /**
      * Subscribe @p listener to visible-value changes.
@@ -273,14 +263,11 @@ class Net : private sim::EdgeSink
     void
     enableEdgeTrains(std::uint32_t maxEdges)
     {
-        trainMax_ = (delay_ > 0 && maxEdges >= 2) ? maxEdges : 0;
+        rider_.setMaxEdges((delay_ > 0 && maxEdges >= 2) ? maxEdges : 0);
     }
 
     /** Trains this net has started (diagnostics). */
-    std::uint64_t trainsStarted() const { return trainsStarted_; }
-
-    /** Trains split back to discrete edges before exhausting. */
-    std::uint64_t trainSplits() const { return trainSplits_; }
+    std::uint64_t trainsStarted() const { return rider_.trainsStarted(); }
 
     /** Rising-edge count since construction (for energy/goodput). */
     std::uint64_t risingEdges() const { return risingEdges_; }
@@ -314,12 +301,6 @@ class Net : private sim::EdgeSink
     /** Pooled delayed delivery target (sim::EdgeSink). */
     void onEdge(bool value) override;
 
-    /** Upgrade the current drive run to a speculative edge train. */
-    void startTrain(bool v, sim::SimTime period);
-
-    /** Drop the speculative tail; committed edges still deliver. */
-    void splitTrain();
-
     /** Deliver a value to the visible side and fan out. */
     void applyVisible(bool v);
 
@@ -340,21 +321,8 @@ class Net : private sim::EdgeSink
     std::uint64_t risingEdges_ = 0;
     std::uint64_t fallingEdges_ = 0;
 
-    // --- Edge-train batching state ---------------------------------
-    std::uint32_t trainMax_ = 0; ///< Max edges per train; 0 disables.
-    sim::EventHandle train_;     ///< The active speculative train.
-    bool trainActive_ = false;
-    std::uint32_t trainLeft_ = 0;       ///< Confirmable edges left.
-    bool expectValue_ = false;          ///< Next predicted drive value.
-    sim::SimTime expectDriveAt_ = 0;    ///< Next predicted drive time.
-    sim::SimTime trainPeriod_ = 0;      ///< Detected drive period.
-    // Rhythm detector: two equal gaps between alternating drives.
-    sim::SimTime lastDriveAt_ = 0;
-    sim::SimTime lastGap_ = 0;
-    bool haveLastDrive_ = false;
-    bool haveLastGap_ = false;
-    std::uint64_t trainsStarted_ = 0;
-    std::uint64_t trainSplits_ = 0;
+    /** Edge-train batching; its destructor cancels the train. */
+    sim::TrainRider rider_;
 
     // --- Chunked dispatch state ------------------------------------
     bool chunked_ = false;      ///< Defer batched-listener deliveries.

@@ -3,18 +3,22 @@
  * Behavioral tests for kernel edge trains: delivery timing and
  * values, one-event accounting, cancellation refunds of unexpanded
  * edges, speculative confirm-or-drop life cycle, truncation
- * semantics, and slot recycling/handle safety across train
- * retirement. (The allocation-freedom of the train paths is asserted
+ * semantics, slot recycling/handle safety across train retirement,
+ * and the TrainRider rhythm detector that drives speculative trains
+ * for ring segments and the software member. (The allocation-freedom of the train paths is asserted
  * in kernel_pool_test.cc, which owns this binary's counting
  * allocator.)
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/simulator.hh"
+#include "sim/train_rider.hh"
 
 using namespace mbus::sim;
 
@@ -291,6 +295,181 @@ TEST(EdgeTrain, TrainsDrainBeforeRunLimitAccounting)
     EXPECT_TRUE(h.pending()) << "the dormant tail stays cancellable";
     h.cancel();
     EXPECT_EQ(sim.queue().pendingTrainEdges(), 0u);
+}
+
+/** Records every delivered edge with its delivery time. */
+struct TimedRecorder final : EdgeSink
+{
+    explicit TimedRecorder(Simulator &s) : sim(s) {}
+    Simulator &sim;
+    std::vector<std::pair<SimTime, bool>> edges;
+    void onEdge(bool v) override { edges.emplace_back(sim.now(), v); }
+};
+
+/**
+ * Offers edges to a TrainRider the way Net::drive does: an edge the
+ * rider declines is scheduled discretely. Every edge is due
+ * kLatency after its offer.
+ */
+struct Beat
+{
+    static constexpr SimTime kLatency = 30;
+    static constexpr SimTime kPeriod = 100;
+
+    Simulator sim;
+    TimedRecorder sink{sim};
+    std::unique_ptr<TrainRider> rider = std::make_unique<TrainRider>();
+    std::vector<bool> discrete; ///< Per offer: ride() declined it.
+
+    /** Offer @p v at absolute time @p at. */
+    void
+    offerAt(SimTime at, bool v)
+    {
+        sim.scheduleAt(at, [this, v] {
+            const bool rode = rider->ride(sim, kLatency, sink, v);
+            if (!rode)
+                sim.scheduleEdge(kLatency, sink, v);
+            discrete.push_back(!rode);
+        });
+    }
+
+    /** Offer @p n alternating edges, one per beat from @p start,
+     *  the first valued @p first. */
+    void
+    offerBeat(SimTime start, int n, bool first = true)
+    {
+        for (int i = 0; i < n; ++i)
+            offerAt(start + i * kPeriod, first ^ ((i & 1) != 0));
+    }
+
+    /** The deliveries a discrete schedule of the same offers gives. */
+    static std::vector<std::pair<SimTime, bool>>
+    expected(std::initializer_list<std::pair<SimTime, bool>> offers)
+    {
+        std::vector<std::pair<SimTime, bool>> out;
+        for (auto [at, v] : offers)
+            out.emplace_back(at + kLatency, v);
+        return out;
+    }
+};
+
+TEST(TrainRider, ExactlyTheFirstTwoEdgesAreDiscrete)
+{
+    Beat b;
+    b.rider->setMaxEdges(8);
+    b.offerBeat(0, 6);
+    b.sim.run();
+    EXPECT_EQ(b.discrete, (std::vector<bool>{true, true, false, false,
+                                             false, false}));
+    EXPECT_EQ(b.sink.edges,
+              Beat::expected({{0, true}, {100, false}, {200, true},
+                              {300, false}, {400, true}, {500, false}}));
+    EXPECT_EQ(b.rider->trainsStarted(), 1u);
+    EXPECT_EQ(b.sim.queue().trainEdgesDelivered(), 4u);
+}
+
+TEST(TrainRider, ExhaustedTrainChainsTheNextWithoutWarmUp)
+{
+    Beat b;
+    b.rider->setMaxEdges(4);
+    b.offerBeat(0, 10);
+    b.sim.run();
+    // Edges 3-6 ride the first train; edge 7, the next on-beat edge
+    // after it exhausts, heads a second train at once.
+    std::vector<bool> want(10, false);
+    want[0] = want[1] = true;
+    EXPECT_EQ(b.discrete, want);
+    EXPECT_EQ(b.rider->trainsStarted(), 2u);
+    EXPECT_EQ(b.sim.queue().trainEdgesDelivered(), 8u);
+    ASSERT_EQ(b.sink.edges.size(), 10u);
+    for (std::size_t i = 0; i < 10; ++i)
+        EXPECT_EQ(b.sink.edges[i],
+                  std::make_pair(static_cast<SimTime>(i) * Beat::kPeriod +
+                                     Beat::kLatency,
+                                 (i & 1) == 0));
+    EXPECT_FALSE(b.rider->pending());
+}
+
+TEST(TrainRider, OffBeatEdgeSplitsToTheCommittedHead)
+{
+    Beat b;
+    b.rider->setMaxEdges(8);
+    b.offerBeat(0, 4);
+    // The edge offered at 300 is confirmed and in flight until 330;
+    // an edge at 310 is off the beat.
+    b.offerAt(310, true);
+    b.sim.run();
+    EXPECT_EQ(b.discrete,
+              (std::vector<bool>{true, true, false, false, true}));
+    EXPECT_EQ(b.sink.edges,
+              Beat::expected({{0, true}, {100, false}, {200, true},
+                              {300, false}, {310, true}}))
+        << "the committed head still fires; the tail never does";
+    EXPECT_FALSE(b.rider->pending());
+    EXPECT_EQ(b.sim.queue().pendingTrainEdges(), 0u);
+}
+
+TEST(TrainRider, WrongValueEdgeSplitsTheTrain)
+{
+    Beat b;
+    b.rider->setMaxEdges(8);
+    b.offerBeat(0, 4);
+    b.offerAt(400, false); // On the beat, but the train predicts true.
+    b.sim.run();
+    EXPECT_EQ(b.discrete,
+              (std::vector<bool>{true, true, false, false, true}));
+    EXPECT_EQ(b.sink.edges,
+              Beat::expected({{0, true}, {100, false}, {200, true},
+                              {300, false}, {400, false}}));
+    EXPECT_EQ(b.rider->trainsStarted(), 1u);
+    EXPECT_FALSE(b.rider->pending());
+    EXPECT_EQ(b.sim.queue().pendingTrainEdges(), 0u);
+}
+
+TEST(TrainRider, ForgetRestartsDetection)
+{
+    Beat b;
+    b.rider->setMaxEdges(8);
+    b.offerBeat(0, 4);
+    b.sim.scheduleAt(305, [&b] { b.rider->forget(); });
+    b.offerBeat(400, 3);
+    b.sim.run();
+    // The split keeps the head in flight at 305; detection then needs
+    // two fresh discrete edges before the third starts a train.
+    EXPECT_EQ(b.discrete, (std::vector<bool>{true, true, false, false,
+                                             true, true, false}));
+    EXPECT_EQ(b.sink.edges,
+              Beat::expected({{0, true}, {100, false}, {200, true},
+                              {300, false}, {400, true}, {500, false},
+                              {600, true}}));
+    EXPECT_EQ(b.rider->trainsStarted(), 2u);
+}
+
+TEST(TrainRider, ZeroMaxEdgesNeverRides)
+{
+    Beat b;
+    b.offerBeat(0, 20);
+    b.sim.run();
+    EXPECT_EQ(b.discrete, std::vector<bool>(20, true));
+    EXPECT_EQ(b.sink.edges.size(), 20u);
+    EXPECT_EQ(b.rider->trainsStarted(), 0u);
+    EXPECT_EQ(b.sim.queue().trainsScheduled(), 0u);
+}
+
+TEST(TrainRider, DestroyingARiderMidTrainCancelsItsTrain)
+{
+    Beat b;
+    b.rider->setMaxEdges(8);
+    b.offerBeat(0, 4);
+    // The edge offered at 300 rides the train and is due at 330.
+    b.sim.scheduleAt(305, [&b] {
+        ASSERT_TRUE(b.rider->pending());
+        b.rider.reset();
+    });
+    b.sim.run();
+    EXPECT_EQ(b.sink.edges,
+              Beat::expected({{0, true}, {100, false}, {200, true}}));
+    EXPECT_EQ(b.sim.queue().pendingTrainEdges(), 0u);
 }
 
 } // namespace

@@ -113,13 +113,3 @@ TEST(Net, ForceOverridesAndReleases)
     EXPECT_TRUE(net.value()); // Snaps to the driven pipeline value.
     EXPECT_EQ(events.count, 2);
 }
-
-TEST(Net, DriveDelayedAddsLatency)
-{
-    Simulator s;
-    Net net(s, "n", 10 * kNanosecond, true);
-    net.driveDelayed(false, 5 * kNanosecond);
-    s.run();
-    EXPECT_EQ(s.now(), 15 * kNanosecond);
-    EXPECT_FALSE(net.value());
-}
