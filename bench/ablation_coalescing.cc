@@ -59,12 +59,12 @@ run(std::size_t chunk, std::size_t total)
             if (r.status != bus::TxStatus::Ack)
                 failed = true;
             send_next();
+            if (sent >= total && in_flight == 0)
+                simulator.stop();
         });
     };
     send_next();
-    simulator.runUntil(
-        [&] { return sent >= total && in_flight == 0; },
-        60 * sim::kSecond);
+    simulator.run(60 * sim::kSecond);
     if (failed)
         std::printf("(unexpected failure)\n");
     return Outcome{sim::toSeconds(simulator.now() - start),

@@ -55,9 +55,10 @@ urgentLatency(bool usePriority)
     system.node(4).send(urgent, [&](const bus::TxResult &r) {
         if (r.status == bus::TxStatus::Ack) {
             done = true;
+            simulator.stop();
         }
     });
-    simulator.runUntil([&] { return done; }, 2 * sim::kSecond);
+    simulator.run(2 * sim::kSecond);
     t_done = simulator.now();
     if (!done)
         return -1.0;

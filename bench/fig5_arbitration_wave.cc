@@ -45,19 +45,21 @@ main()
     plain.dest = bus::Address::shortAddr(3, bus::kFuMailbox);
     plain.payload = {0x0F};
     int done = 0;
-    system.node(1).send(plain,
-                        [&](const bus::TxResult &) { ++done; });
+    auto count = [&](const bus::TxResult &) {
+        if (++done == 2)
+            simulator.stop();
+    };
+    system.node(1).send(plain, count);
 
     bus::Message urgent;
     urgent.dest = bus::Address::shortAddr(3, bus::kFuMailbox);
     urgent.payload = {0xF0};
     urgent.priority = true;
     simulator.schedule(sim::kMicrosecond, [&] {
-        system.node(3).send(urgent,
-                            [&](const bus::TxResult &) { ++done; });
+        system.node(3).send(urgent, count);
     });
 
-    simulator.runUntil([&] { return done == 2; }, sim::kSecond);
+    simulator.run(sim::kSecond);
     system.runUntilIdle(sim::kSecond);
 
     sim::SimTime period =

@@ -49,11 +49,13 @@ main()
                 node.layerDomain().off() ? "OFF" : "on");
 
     bool serviced = false;
-    node.busController().setInterruptCallback(
-        [&] { serviced = true; });
+    node.busController().setInterruptCallback([&] {
+        serviced = true;
+        simulator.stop();
+    });
     node.assertInterrupt();
 
-    simulator.runUntil([&] { return serviced; }, sim::kSecond);
+    simulator.run(sim::kSecond);
     system.runUntilIdle(sim::kSecond);
 
     sim::SimTime period =

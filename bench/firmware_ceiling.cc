@@ -72,10 +72,15 @@ probe(std::uint32_t jitterCycles, double clockHz, int messages)
                        : ring.unicastAddress(ring.softIndex(), false, 0);
         msg.payload = {static_cast<std::uint8_t>(i), 0x5A, 0xC3};
         std::optional<bus::TxResult> result;
+        bool waiting = true;
         ring.send(fromSoft ? ring.softIndex() : 0, msg,
-                  [&](const bus::TxResult &r) { result = r; });
-        simulator.runUntil([&] { return result.has_value(); },
-                           sim::kSecond);
+                  [&](const bus::TxResult &r) {
+                      result = r;
+                      if (waiting)
+                          simulator.stop();
+                  });
+        simulator.run(sim::kSecond);
+        waiting = false;
         if (result.has_value() &&
             result->status == bus::TxStatus::Ack)
             ++cell.acked;

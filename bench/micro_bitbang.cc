@@ -67,25 +67,23 @@ main()
     bus::Message to_sw;
     to_sw.dest = ring.unicastAddress(soft, false, 0);
     to_sw.payload = {0xBE, 0xEF};
-    bool d1 = false;
     ring.send(0, to_sw, [&](const bus::TxResult &r) {
         std::printf("hw0 -> bitbang: %s\n",
                     bus::txStatusName(r.status));
-        d1 = true;
+        simulator.stop();
     });
-    simulator.runUntil([&] { return d1; }, sim::kSecond);
+    simulator.run(sim::kSecond);
 
     // Software member -> hw1 (full TX path in software).
     bus::Message to_hw;
     to_hw.dest = ring.unicastAddress(1, false, bus::kFuMailbox);
     to_hw.payload = {0x42, 0x24, 0x99};
-    bool d2 = false;
     ring.send(soft, to_hw, [&](const bus::TxResult &r) {
         std::printf("bitbang -> hw1: %s\n",
                     bus::txStatusName(r.status));
-        d2 = true;
+        simulator.stop();
     });
-    simulator.runUntil([&] { return d2; }, 2 * sim::kSecond);
+    simulator.run(2 * sim::kSecond);
     ring.runUntilIdle(100 * sim::kMillisecond);
 
     const auto &st = ring.softMember()->stats();

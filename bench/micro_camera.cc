@@ -75,8 +75,9 @@ main()
     std::size_t bytes_rx = 0;
     system.node(0).layer().setMailboxHandler(
         [&](const bus::ReceivedMessage &rx) {
-            ++rows_rx;
             bytes_rx += rx.payload.size();
+            if (++rows_rx == kRows)
+                simulator.stop();
         });
 
     // The always-on motion detector asserts one wire; MBus wakes the
@@ -101,8 +102,7 @@ main()
     sim::SimTime start = simulator.now();
     imager.assertInterrupt(); // Motion!
 
-    simulator.runUntil([&] { return rows_rx == kRows; },
-                       60 * sim::kSecond);
+    simulator.run(60 * sim::kSecond);
     system.runUntilIdle(sim::kSecond);
 
     double elapsed = sim::toSeconds(simulator.now() - start);

@@ -68,7 +68,10 @@ runFlow(bool direct)
             system.node(0).send(fwd);
         });
     system.node(2).layer().setMailboxHandler(
-        [&](const bus::ReceivedMessage &) { ++radio_rx; });
+        [&](const bus::ReceivedMessage &) {
+            if (++radio_rx == 1)
+                simulator.stop();
+        });
 
     // The periodic request (4 bytes, Sec 6.3.1).
     bus::Message request;
@@ -76,7 +79,8 @@ runFlow(bool direct)
     request.payload = {0x01, 0x00, 0x00,
                        static_cast<std::uint8_t>(direct ? 3 : 1)};
     system.sendAndWait(0, request, sim::kSecond);
-    simulator.runUntil([&] { return radio_rx == 1; }, sim::kSecond);
+    if (radio_rx != 1)
+        simulator.run(sim::kSecond);
     system.runUntilIdle(sim::kSecond);
 
     return FlowEnergy{system.ledger().total(), cpu_j};

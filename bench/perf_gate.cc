@@ -37,7 +37,9 @@
  * Fidelity::Auto and must land on the message-level model under a
  * fixed events/bit ceiling (kMessageLevelCeiling, far below the edge
  * engine's ~4): CI fails if eligible cells quietly fall back to the
- * edge engine.
+ * edge engine. Likewise workload_mix_auto runs the workload_mix cell
+ * at Fidelity::Auto, where the data-phase fast-forward must hold it
+ * under kFastForwardCeiling, far below the edge engine's ~2.2.
  *
  * Usage: perf_gate [--baseline PATH] [--write-baseline PATH]
  */
@@ -76,6 +78,11 @@ fig9ClockHz(int nodes)
  *  model runs a few kernel events per transaction, the edge engine
  *  about four per wire bit. */
 constexpr double kMessageLevelCeiling = 0.5;
+
+/** events/bit ceiling for the auto-fidelity canonical mix cell: the
+ *  data-phase fast-forward leaves about 0.17 of the edge engine's
+ *  ~2.2 (arbitration, address, control and short messages). */
+constexpr double kFastForwardCeiling = 0.25;
 
 double
 tickEventsPerEdge()
@@ -163,7 +170,8 @@ struct MixCosts
  *  bit. The bitbang fabric needs a 3-chip ring (the software member
  *  caps the population we gate). */
 MixCosts
-backendMixCosts(backend::BackendKind kind)
+backendMixCosts(backend::BackendKind kind,
+                sweep::Fidelity fidelity = sweep::Fidelity::Edge)
 {
     int nodes = (kind == backend::BackendKind::Bitbang ||
                  kind == backend::BackendKind::Firmware)
@@ -173,7 +181,7 @@ backendMixCosts(backend::BackendKind kind)
         nodes, /*clockHz=*/400e3, /*stormFrac=*/0.10,
         /*smoke=*/true);
     spec.backend = kind;
-    spec.fidelity = sweep::Fidelity::Edge;
+    spec.fidelity = fidelity;
     sweep::ScenarioStats st = sweep::runScenario(spec, 0x6d6978ULL);
     if (st.wedged || st.eventsPerBit <= 0 ||
         st.samplesDelivered == 0) {
@@ -299,6 +307,20 @@ main(int argc, char **argv)
                      "FAIL: fig9_n4_auto events/bit %f above the "
                      "message-level ceiling %f\n",
                      autoEpb, kMessageLevelCeiling);
+        fail = true;
+    }
+    double mixAutoEpb =
+        backendMixCosts(backend::BackendKind::Mbus,
+                        sweep::Fidelity::Auto)
+            .eventsPerBit;
+    std::printf("%-14s %14.5f %14.5f %8.3fx  (fixed ceiling)\n",
+                "workload_mix_auto", mixAutoEpb, kFastForwardCeiling,
+                mixAutoEpb / kFastForwardCeiling);
+    if (mixAutoEpb > kFastForwardCeiling) {
+        std::fprintf(stderr,
+                     "FAIL: workload_mix_auto events/bit %f above the "
+                     "fast-forward ceiling %f\n",
+                     mixAutoEpb, kFastForwardCeiling);
         fail = true;
     }
     if (!fail)

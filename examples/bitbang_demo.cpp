@@ -46,25 +46,23 @@ main()
     bus::Message down;
     down.dest = ring.unicastAddress(soft, false, 0);
     down.payload = {0x01, 0x02, 0x03, 0x04};
-    bool d1 = false;
     ring.send(0, down, [&](const bus::TxResult &r) {
         std::printf("[hw0] -> bitbang: %s\n",
                     bus::txStatusName(r.status));
-        d1 = true;
+        simulator.stop();
     });
-    simulator.runUntil([&] { return d1; }, sim::kSecond);
+    simulator.run(sim::kSecond);
 
     // Software -> hardware (the full TX path runs in ISRs).
     bus::Message up;
     up.dest = ring.unicastAddress(1, false, bus::kFuMailbox);
     up.payload = {0xAA, 0xBB};
-    bool d2 = false;
     ring.send(soft, up, [&](const bus::TxResult &r) {
         std::printf("[bitbang] -> hw1: %s\n",
                     bus::txStatusName(r.status));
-        d2 = true;
+        simulator.stop();
     });
-    simulator.runUntil([&] { return d2; }, 2 * sim::kSecond);
+    simulator.run(2 * sim::kSecond);
     ring.runUntilIdle(100 * sim::kMillisecond);
 
     const auto &st = ring.softMember()->stats();

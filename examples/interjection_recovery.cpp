@@ -52,14 +52,14 @@ main()
     std::optional<bus::TxResult> bulk_result;
     system.node(1).send(bulk, [&](const bus::TxResult &r) {
         bulk_result = r;
+        simulator.stop();
     });
     // The alarm node needs the bus *now*.
     simulator.schedule(sim::kMillisecond, [&] {
         std::printf("   [alarm] interjecting the bulk transfer\n");
         system.node(3).interject();
     });
-    simulator.runUntil([&] { return bulk_result.has_value(); },
-                       sim::kSecond);
+    simulator.run(sim::kSecond);
     std::printf("   bulk sender saw: %s\n",
                 bulk_result ? bus::txStatusName(bulk_result->status)
                             : "timeout");
@@ -89,8 +89,11 @@ main()
     victim.dest = bus::Address::shortAddr(3, bus::kFuMailbox);
     victim.payload.assign(32, 0x3C);
     std::optional<bus::TxResult> victim_result;
+    bool waiting = true; // Not while recoverBus() runs to idle.
     system.node(1).send(victim, [&](const bus::TxResult &r) {
         victim_result = r;
+        if (waiting)
+            simulator.stop();
     });
     simulator.schedule(200 * sim::kMicrosecond, [&] {
         std::printf("   [fault] CLK segment stuck high\n");
@@ -100,14 +103,15 @@ main()
         std::printf("   [fault] released\n");
         system.clkSegment(2).release();
     });
-    simulator.runUntil([&] { return victim_result.has_value(); },
-                       2 * sim::kSecond);
+    simulator.run(2 * sim::kSecond);
     if (!victim_result.has_value()) {
         std::printf("   bus wedged; host watchdog fires "
                     "recoverBus()\n");
+        waiting = false;
         system.recoverBus();
-        simulator.runUntil([&] { return victim_result.has_value(); },
-                           2 * sim::kSecond);
+        waiting = true;
+        if (!victim_result.has_value())
+            simulator.run(2 * sim::kSecond);
     }
     std::printf("   victim transfer: %s\n",
                 victim_result

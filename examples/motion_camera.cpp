@@ -67,6 +67,7 @@ main()
             } else {
                 std::printf("[imager] frame complete; sleeping\n");
                 imager.sleep();
+                simulator.stop();
             }
         });
     };
@@ -86,8 +87,7 @@ main()
     sim::SimTime t0 = simulator.now();
     imager.assertInterrupt();
 
-    simulator.runUntil([&] { return rows_sent == kRows; },
-                       60 * sim::kSecond);
+    simulator.run(60 * sim::kSecond);
     system.runUntilIdle();
 
     double ms = sim::toSeconds(simulator.now() - t0) * 1e3;

@@ -46,12 +46,13 @@ shipFrame(int lanes, int rows, int rowBytes)
         system.node(1).send(row, [&](const bus::TxResult &) {
             if (++sent < rows)
                 send_row();
+            else
+                simulator.stop();
         });
     };
     sim::SimTime start = simulator.now();
     send_row();
-    simulator.runUntil([&] { return sent == rows; },
-                       60 * sim::kSecond);
+    simulator.run(60 * sim::kSecond);
     return sim::toSeconds(simulator.now() - start);
 }
 

@@ -103,8 +103,10 @@ I2cBackend::pump()
     pumpScheduled_ = true;
     sim_.schedule(0, [this] {
         pumpScheduled_ = false;
-        if (active_ || queue_.empty() || jamDepth_ > 0)
+        if (active_ || queue_.empty() || jamDepth_ > 0) {
+            noteMaybeIdle();
             return;
+        }
         current_ = std::move(queue_.front());
         queue_.pop_front();
         active_ = true;
@@ -330,6 +332,7 @@ I2cBackend::dropNodeTraffic(std::size_t node)
     queue_ = std::move(keep);
     if (active_ && current_.node == node)
         finishActive(bus::TxStatus::Reset, bytesDone_);
+    noteMaybeIdle();
 }
 
 void
@@ -507,11 +510,24 @@ I2cBackend::runUntilIdle(sim::SimTime timeout)
     sim::SimTime limit = timeout == sim::kTimeForever
                              ? sim::kTimeForever
                              : sim_.now() + timeout;
-    return sim_.runUntil(
-        [this] {
-            return !active_ && queue_.empty() && !pumpScheduled_;
-        },
-        limit);
+    if (idle())
+        return true;
+    watchIdle_ = true;
+    do {
+        idleStop_ = false;
+        sim_.run(limit);
+    } while (idleStop_ && !idle());
+    watchIdle_ = false;
+    return idle();
+}
+
+void
+I2cBackend::noteMaybeIdle()
+{
+    if (!watchIdle_)
+        return;
+    idleStop_ = true;
+    sim_.stop();
 }
 
 void

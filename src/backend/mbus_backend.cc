@@ -29,6 +29,7 @@ MbusBackend::MbusBackend(sim::Simulator &sim, const BusParams &params,
     cfg.wireCapF = params.wireCapF;
     cfg.edgeTrains = params.edgeTrains;
     cfg.chunkedDispatch = params.chunkedDispatch;
+    cfg.fastForward = params.fastForward;
 
     system_ = std::make_unique<bus::MBusSystem>(sim, cfg);
     const int chips = mixed ? params.nodes - 1 : params.nodes;

@@ -1,5 +1,8 @@
 #include "backend/mbus_message_backend.hh"
 
+#include <array>
+
+#include "mbus/data_phase.hh"
 #include "mbus/layer_controller.hh"
 #include "power/constants.hh"
 #include "power/energy.hh"
@@ -139,14 +142,10 @@ MbusMessageBackend::transact(std::size_t s, bus::Message msg,
         payloadBits == 0 ? 0 : (payloadBits + w - 1) / w;
     const std::uint64_t c = static_cast<std::uint64_t>(addrBits) +
                             dataCycles;
-    // Padding cycles past the payload drive every lane high.
-    auto bitAt = [&](std::uint64_t p) {
-        return p >= payloadBits ||
-               ((msg.payload[p / 8] >> (7 - p % 8)) & 1) != 0;
-    };
-
     // Lane 0 leaves the reserved cycle high, then carries the address
-    // and the data; every change is one edge on every segment.
+    // and the data; every change is one edge on every segment. Extra
+    // lanes move only in data cycles and keep their last level across
+    // transactions.
     bool level = true;
     std::uint64_t x0 = 0;
     for (int i = addrBits - 1; i >= 0; --i) {
@@ -154,23 +153,18 @@ MbusMessageBackend::transact(std::size_t s, bus::Message msg,
         x0 += b != level;
         level = b;
     }
-    for (std::uint64_t k = 0; k < dataCycles; ++k) {
-        bool b = bitAt(k * w);
-        x0 += b != level;
-        level = b;
-    }
-    const bool lastBit = level;
-    // Extra lanes move only in data cycles and keep their last level
-    // across transactions.
+    std::array<bool, bus::kMaxDataLanes> entry{};
+    entry[0] = level;
+    for (std::uint64_t l = 1; l < w; ++l)
+        entry[l] = laneLevel_[l - 1] != 0;
+    const bus::LaneRun run =
+        bus::laneTransitions(msg.payload, lanes_, 0, dataCycles, entry);
+    x0 += run.edges[0];
+    const bool lastBit = run.last[0];
     std::uint64_t xLanes = 0;
     for (std::uint64_t l = 1; l < w; ++l) {
-        bool lv = laneLevel_[l - 1] != 0;
-        for (std::uint64_t k = 0; k < dataCycles; ++k) {
-            bool b = bitAt(k * w + l);
-            xLanes += b != lv;
-            lv = b;
-        }
-        laneLevel_[l - 1] = lv;
+        xLanes += run.edges[l];
+        laneLevel_[l - 1] = run.last[l];
     }
 
     // --- Timeline (see the file comment) ------------------------------
@@ -258,7 +252,10 @@ MbusMessageBackend::transact(std::size_t s, bus::Message msg,
     });
     deliverUpTo(nodes_);
     // The mediator's return to sleep: runUntilIdle() ends here.
-    sim_.scheduleAt(sleepAt_, [] {});
+    sim_.scheduleAt(sleepAt_, [this] {
+        if (watchIdle_ && idle())
+            sim_.stop();
+    });
 }
 
 void
@@ -285,8 +282,13 @@ MbusMessageBackend::runUntilIdle(sim::SimTime timeout)
     sim::SimTime limit = timeout == sim::kTimeForever
                              ? sim::kTimeForever
                              : sim_.now() + timeout;
-    return sim_.runUntil(
-        [this] { return !busy_ && sim_.now() >= sleepAt_; }, limit);
+    if (idle())
+        return true;
+    // Idle begins only at a return to sleep, which stops the run.
+    watchIdle_ = true;
+    sim_.run(limit);
+    watchIdle_ = false;
+    return idle();
 }
 
 void

@@ -125,6 +125,9 @@ class MbusMessageBackend final : public BusBackend
         return static_cast<sim::SimTime>(j == 0 ? 1 : j) * hop_;
     }
 
+    /** No send in flight and the mediator back asleep. */
+    bool idle() const { return !busy_ && sim_.now() >= sleepAt_; }
+
     /** Per-node switching energy, summed in category order. */
     double nodeSwitchingJ(std::size_t node) const;
 
@@ -149,6 +152,7 @@ class MbusMessageBackend final : public BusBackend
     std::size_t busyNode_ = 0;   ///< Its sender.
     sim::SimTime sleepAt_ = 0;   ///< Mediator asleep after the last.
     std::vector<sim::SimTime> idleAt_; ///< Per chip: back to idle.
+    bool watchIdle_ = false; ///< runUntilIdle() in progress.
 
     DeliveryHandler handler_;
 };

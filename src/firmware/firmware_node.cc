@@ -129,6 +129,8 @@ FirmwareNode::runIsr(Pin pin, bool level)
         inDataIsr_ = false;
     }
     afterIsr();
+    if (idleHook_ && idle())
+        idleHook_();
 }
 
 std::uint8_t
@@ -189,6 +191,8 @@ FirmwareNode::drainRun()
     runScheduled_ = false;
     while (fsm_->MBus_run())
         ++stats_.runWakeups;
+    if (idleHook_ && idle())
+        idleHook_();
 }
 
 void

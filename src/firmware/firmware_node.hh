@@ -50,6 +50,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -144,6 +145,10 @@ class FirmwareNode : private wire::EdgeListener
                !fsm_->eventsPending();
     }
 
+    /** Register a callback run after an ISR or an MBus_run() pass
+     *  that leaves the member idle(). */
+    void setIdleHook(std::function<void()> fn) { idleHook_ = std::move(fn); }
+
     /** True while a CLK ISR-retirement train has undelivered edges. */
     bool isrTrainPending() const { return isrTrain_.pending(); }
 
@@ -223,6 +228,7 @@ class FirmwareNode : private wire::EdgeListener
     bool retryScheduled_ = false;
 
     bus::ReceiveCallback rxCb_;
+    std::function<void()> idleHook_;
     FirmwareStats stats_;
     int maxPathCycles_ = 0;
     std::uint64_t jitterState_ = 0;

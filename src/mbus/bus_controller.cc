@@ -1,7 +1,9 @@
 #include "mbus/bus_controller.hh"
 
+#include <algorithm>
 #include <utility>
 
+#include "mbus/data_phase.hh"
 #include "sim/logging.hh"
 #include "trace/trace.hh"
 
@@ -119,6 +121,8 @@ BusController::powerFail()
         auto cb = std::move(tx.cb);
         ctx_.sim.schedule(0, [cb, result] { cb(result); });
     }
+    if (idleHook_)
+        idleHook_();
 }
 
 void
@@ -330,6 +334,89 @@ BusController::commitRxByte(std::uint8_t byte)
     if (rxBytes_.size() == 1) {
         if (auto *t = ctx_.sim.tracer())
             t->record(trace::EventKind::DataPhase, ctx_.nodeId, byte);
+    }
+}
+
+std::uint64_t
+BusController::dataCyclesSkippable() const
+{
+    if (!ctx_.busDomain.active() || phase_ != Phase::Active ||
+        wantInterject_)
+        return 0;
+    // Clock high after a counted rising edge: the next edge falls.
+    const std::uint32_t f = ctx_.sleepCtl.fallingCount();
+    if (ctx_.sleepCtl.risingCount() != f)
+        return 0;
+    if ((role_ == Role::Rx || ctx_.intCtl.pending()) &&
+        !ctx_.layerDomain.active())
+        return 0; // The layer still steps on every edge.
+    switch (role_) {
+      case Role::Tx: {
+        // Past the address, with every falling edge since the reserved
+        // cycle driven (cycle f - 4 went out on falling edge f).
+        if (mediatorOwnsData() || txCyclesDriven_ + 3 != f ||
+            txCyclesDriven_ < addrBits_.size())
+            return 0;
+        const std::uint64_t left = txTotalCycles_ - txCyclesDriven_;
+        return left > 2 ? left - 2 : 0;
+      }
+      case Role::Rx: {
+        if (ctx_.sim.tracer() && rxBytes_.empty())
+            return 0;
+        // Bytes committable before the overflow abort.
+        const std::uint64_t room =
+            rxBytes_.size() < cfg_.rxBufferLimit
+                ? std::min<std::uint64_t>(
+                      cfg_.rxBufferLimit - rxBytes_.size(),
+                      std::uint64_t(1) << 40)
+                : 0;
+        return (8 * room + 7 - static_cast<std::uint64_t>(rxBitsPending_)) /
+               static_cast<std::uint64_t>(lanes());
+      }
+      case Role::Fwd:
+        return addressResolved_ ? ~std::uint64_t(0) : 0;
+      case Role::None:
+        break;
+    }
+    return 0;
+}
+
+void
+BusController::skipDataCycles(const Message &msg, std::uint64_t first,
+                              std::uint64_t cycles)
+{
+    const auto w = static_cast<std::uint64_t>(lanes());
+    switch (role_) {
+      case Role::Tx:
+        txCyclesDriven_ += static_cast<std::uint32_t>(cycles);
+        for (std::uint64_t i = 0; i < cycles; ++i)
+            ctx_.ledger.charge(ctx_.nodeId, power::EnergyCategory::Drive,
+                               ctx_.energy.drivePerBit());
+        return;
+      case Role::Rx:
+        // The latch order of latchDataBits(): cycle by cycle, lane 0
+        // first -- the payload's own bit order.
+        for (std::uint64_t p = first * w; p < (first + cycles) * w; ++p) {
+            ++dataBitsSeen_;
+            ctx_.ledger.charge(ctx_.nodeId, power::EnergyCategory::Fifo,
+                               ctx_.energy.fifoPerBit());
+            rxBitBuffer_ = (rxBitBuffer_ << 1) |
+                           (payloadBit(msg.payload, p) ? 1 : 0);
+            if (++rxBitsPending_ == 8) {
+                ++dataBytesSeen_;
+                rxBytes_.push_back(
+                    static_cast<std::uint8_t>(rxBitBuffer_ & 0xFF));
+                rxBitBuffer_ = 0;
+                rxBitsPending_ = 0;
+            }
+        }
+        return;
+      case Role::Fwd:
+        dataBytesSeen_ += (dataBitsSeen_ % 8 + cycles * w) / 8;
+        dataBitsSeen_ += cycles * w;
+        return;
+      case Role::None:
+        break;
     }
 }
 
@@ -723,6 +810,8 @@ BusController::beginIdle()
     sim::SimTime period =
         sim::periodFromHz(ctx_.sysCfg.busClockHz);
     ctx_.sim.schedule(period, [this] { postIdleWindow(); });
+    if (idleHook_)
+        idleHook_();
 }
 
 void

@@ -21,6 +21,13 @@
  * Phase is derived from the always-on sleep controller's edge counts,
  * never from global state: a controller woken mid-arbitration reads
  * the same counters the hardware's always-on frontend would provide.
+ *
+ * In a steady data phase the controller can also be advanced whole
+ * cycles at a time (dataCyclesSkippable / skipDataCycles, driven by
+ * MBusSystem's data-phase fast-forward): it reports how far it may
+ * skip before its next protocol decision -- its last two cycles as
+ * transmitter, its RX-capacity point as receiver -- and applies the
+ * skipped cycles' counts, latched bytes and energy charges exactly.
  */
 
 #ifndef MBUS_BUS_BUS_CONTROLLER_HH
@@ -153,6 +160,11 @@ class BusController : public ClockEdgeSink
     /** Register the delivery callback (the layer controller). */
     void setReceiveCallback(ReceiveCallback cb) { rxCb_ = std::move(cb); }
 
+    /** Register a callback run whenever this controller may have
+     *  turned idle (back to idle after a transaction, or its queue
+     *  dropped by a brownout). */
+    void setIdleHook(std::function<void()> fn) { idleHook_ = std::move(fn); }
+
     /** Register a callback for serviced local interrupts. */
     void
     setInterruptCallback(std::function<void()> cb)
@@ -189,6 +201,46 @@ class BusController : public ClockEdgeSink
 
     /** Edge delivery from the sleep controller (ClockEdgeSink). */
     void onClkEdge(bool rising) override;
+
+    // --- Data-phase fast-forward (MBusSystem) -------------------------
+
+    /**
+     * Whole data cycles this controller could skip from the current
+     * clock-high point of a steady data phase without meeting a
+     * protocol decision: a transmitter keeps its last two cycles, a
+     * receiver stops short of its RX-capacity point (and, under a
+     * tracer, of its first byte, which is traced), a forwarder has no
+     * bound. 0 outside a steady data phase: unpowered, address not
+     * resolved, interjection wanted, edge counts out of step, or a
+     * layer domain still waking.
+     */
+    std::uint64_t dataCyclesSkippable() const;
+
+    /** The message on the wire while this controller transmits. */
+    const Message *
+    transmitting() const
+    {
+        return role_ == Role::Tx && !txQueue_.empty()
+                   ? &txQueue_.front().msg
+                   : nullptr;
+    }
+
+    /** Data cycles (address cycles excluded) a transmitter has
+     *  driven in this transaction. */
+    std::uint64_t
+    dataCyclesDriven() const
+    {
+        return txCyclesDriven_ - addrBits_.size();
+    }
+
+    /**
+     * Do what @p cycles skipped data cycles would have done: data
+     * cycles [@p first, @p first + @p cycles) of @p msg, the message
+     * on the wire. A transmitter counts and charges its drives, a
+     * receiver latches and charges every bit, a forwarder counts.
+     */
+    void skipDataCycles(const Message &msg, std::uint64_t first,
+                        std::uint64_t cycles);
 
   private:
     enum class Phase : std::uint8_t {
@@ -296,6 +348,7 @@ class BusController : public ClockEdgeSink
 
     ReceiveCallback rxCb_;
     std::function<void()> irqCb_;
+    std::function<void()> idleHook_;
     BusControllerStats stats_;
 };
 

@@ -85,6 +85,18 @@ struct SystemConfig
      * fully per-edge dispatch path (A/B testing).
      */
     bool chunkedDispatch = true;
+    /**
+     * Data-phase fast-forward (hardware-only rings with edge trains
+     * and chunked dispatch on, no waveform recorder): once a
+     * transaction's data phase is steady, the mediator skips whole
+     * data cycles in closed form -- every FSM counter, net level,
+     * transition count and ledger accumulator lands exactly where
+     * the skipped edges would have put it -- up to two cycles before
+     * the last, the receiver's capacity point, the length limit, or
+     * the earliest pending event the ring does not own. Only kernel
+     * costs change. Off simulates every edge.
+     */
+    bool fastForward = true;
 
     /**
      * Mutable topological priority (Sec 7 discussion): when true,

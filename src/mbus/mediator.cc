@@ -1,5 +1,7 @@
 #include "mbus/mediator.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace mbus {
@@ -179,10 +181,67 @@ Mediator::onTrainTick(bool level)
             armTickTrain();
         return;
     }
+    if (!level && skipper_ && fastForward())
+        return;
     const bool refill = --tickEdgesLeft_ == 0;
     onTickEdge(level);
     if (refill && state_ == State::Clocking)
         armTickTrain();
+}
+
+bool
+Mediator::fastForward()
+{
+    // Data phase only, on the nominal tick, with every edge flushed
+    // by the next one (H > (n + 2) h).
+    if (addrBitsSeen_ < addrBitsExpected_ || medDrivingData_ ||
+        ctx_.cfg.clockDriftFactor != 1.0 ||
+        armedHalfPeriod_ <= ringCheckDelay())
+        return false;
+    // A short skip saves less than re-arming the trains costs.
+    constexpr std::uint64_t kMinCycles = 4;
+    const auto w = static_cast<std::uint64_t>(ctx_.cfg.dataLanes);
+    const std::uint64_t latchable = (8 * maxMessageBytes_ + 7) / w;
+    if (latchable < dataCyclesSeen_ + kMinCycles)
+        return false;
+    std::uint64_t cycles = std::min(latchable - dataCyclesSeen_,
+                                    skipper_->dataCyclesSkippable());
+    if (cycles < kMinCycles)
+        return false;
+    // Our own queued edge is the next ring check; the tick train is
+    // the event running now. Anything else pending is not ours.
+    const sim::SimTime now = ctx_.sim.now();
+    const sim::SimTime until =
+        std::min(ctx_.sim.queue().nextTimeExcept(checkEvent_),
+                 ctx_.sim.runLimit());
+    const sim::SimTime cycle = 2 * armedHalfPeriod_;
+    cycles = std::min<std::uint64_t>(
+        {cycles, static_cast<std::uint64_t>((until - now) / cycle),
+         std::uint64_t(1) << 31});
+    if (cycles < kMinCycles)
+        return false;
+
+    skipper_->skipDataCycles(static_cast<std::uint32_t>(cycles),
+                             armedHalfPeriod_);
+    rising_ += static_cast<std::uint32_t>(cycles);
+    falling_ += static_cast<std::uint32_t>(cycles);
+    stats_.clockCycles += cycles;
+    dataCyclesSeen_ += cycles;
+    for (std::uint64_t i = 0; i < cycles; ++i)
+        ctx_.ledger.charge(ctx_.nodeId, power::EnergyCategory::Mediator,
+                           ctx_.energy.mediatorPerCycle());
+
+    // Resume with this tick's falling edge, cycles whole cycles on.
+    clockEvent_.cancel();
+    checkEvent_.cancel();
+    const sim::SimTime resume = static_cast<sim::SimTime>(cycles) * cycle;
+    tickEdgesLeft_ = kTickTrainEdges;
+    checkEvent_ = ctx_.sim.scheduleEdgeTrain(
+        resume + ringCheckDelay(), armedHalfPeriod_, tickEdgesLeft_,
+        checkSink_, false);
+    clockEvent_ = ctx_.sim.scheduleEdgeTrain(
+        resume, armedHalfPeriod_, tickEdgesLeft_, tickSink_, false);
+    return true;
 }
 
 void

@@ -43,6 +43,30 @@ struct MediatorStats
 };
 
 /**
+ * The ring side of the data-phase fast-forward (MBusSystem). On each
+ * falling tick of a data phase the mediator asks how many whole data
+ * cycles the ring could skip, bounds the answer by its own watchdog
+ * and by the earliest event the ring does not own, and has the ring
+ * skip that many before re-arming its tick at the far end.
+ */
+class DataPhaseSkipper
+{
+  public:
+    /** Whole data cycles every chip and segment could skip from this
+     *  clock-high point (0 outside a steady data phase). */
+    virtual std::uint64_t dataCyclesSkippable() = 0;
+
+    /** Advance every chip and segment across @p cycles data cycles
+     *  of half period @p half, starting with the falling edge due
+     *  now, exactly as their edges would. */
+    virtual void skipDataCycles(std::uint32_t cycles,
+                                sim::SimTime half) = 0;
+
+  protected:
+    ~DataPhaseSkipper() = default;
+};
+
+/**
  * The mediator node function.
  */
 class Mediator : private wire::EdgeListener
@@ -96,6 +120,10 @@ class Mediator : private wire::EdgeListener
 
     /** Bus clock period currently in use. */
     sim::SimTime period() const;
+
+    /** Install (or remove, with nullptr) the data-phase
+     *  fast-forward; it runs only on the edge-train clock path. */
+    void setDataPhaseSkipper(DataPhaseSkipper *s) { skipper_ = s; }
 
     /** Callback fired each time the bus returns to idle (used by
      *  rotating-priority policies, Sec 7). */
@@ -156,6 +184,17 @@ class Mediator : private wire::EdgeListener
 
     /** Arm the next tick + ring-check train chunk from "now". */
     void armTickTrain();
+
+    /**
+     * Data-phase fast-forward at a falling tick: skip whole data
+     * cycles through the skipper, then re-arm the tick and ring-check
+     * trains at the far end. Bounded by the watchdog (no skipped
+     * latch reaches the length limit), the earliest pending event the
+     * ring does not own and the end of the run.
+     *
+     * @return true when cycles were skipped (the tick is not driven).
+     */
+    bool fastForward();
 
     /** Ring flush latency: when a driven edge must be back at clkIn. */
     sim::SimTime ringCheckDelay() const;
@@ -221,6 +260,8 @@ class Mediator : private wire::EdgeListener
     std::uint32_t ctlFalling_ = 0;
     bool ctlBit0_ = false;
     bool ctlBit1_ = false;
+
+    DataPhaseSkipper *skipper_ = nullptr;
 
     std::size_t maxMessageBytes_ = kMinMaxMessageBytes;
     std::function<void()> onIdle_;

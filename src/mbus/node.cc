@@ -119,6 +119,21 @@ Node::onEdges(wire::Net &, wire::EdgeRun run)
 }
 
 void
+Node::skipDataCycles(const Message &msg, std::uint64_t first,
+                     std::uint32_t cycles)
+{
+    sleepCtl_->skipCycles(cycles);
+    busCtl_->skipDataCycles(msg, first, cycles);
+    if (!sysCfg_.useNodeArbBreak)
+        return; // Comb energy rides the net's batched run.
+    // Per-edge subscription: the arb-break logic is idle past the
+    // arbitration cycle; only the comb charge of each edge remains.
+    const double e = energy_.combPerCycle() / 2.0;
+    for (std::uint64_t i = 0; i < 2 * std::uint64_t(cycles); ++i)
+        ledger_.charge(id_, power::EnergyCategory::Comb, e);
+}
+
+void
 Node::onArbBreakEdge(bool rising)
 {
     if (rising || !sysCfg_.useNodeArbBreak)

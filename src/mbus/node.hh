@@ -107,6 +107,16 @@ class Node : private wire::EdgeListener
     /** True while the layer domain is fully awake. */
     bool awake() const { return layerDomain_->active(); }
 
+    /**
+     * Data-phase fast-forward: advance the sleep controller, the bus
+     * controller and the always-on edge logic across @p cycles whole
+     * data cycles of @p msg starting at data cycle @p first (see
+     * BusController::skipDataCycles). Ring segments skip their own
+     * edges; this charges only what per-edge listeners would.
+     */
+    void skipDataCycles(const Message &msg, std::uint64_t first,
+                        std::uint32_t cycles);
+
     // --- Identity / component access ----------------------------------
 
     std::size_t id() const { return id_; }

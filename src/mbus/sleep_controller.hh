@@ -67,6 +67,17 @@ class SleepController : private wire::EdgeListener
     /** Bus controller signals end-of-transaction; counters reset. */
     void noteIdle();
 
+    /** Data-phase fast-forward: count @p cycles whole clock cycles
+     *  (one falling and one rising edge each) without delivering
+     *  them; the bus domain is already active and the bus controller
+     *  skips the same cycles itself. */
+    void
+    skipCycles(std::uint32_t cycles)
+    {
+        rising_ += cycles;
+        falling_ += cycles;
+    }
+
     /**
      * Register the edge sink run after this controller processes
      * each edge (the bus controller's FSM). Using a sink rather

@@ -1,8 +1,12 @@
 #include "mbus/system.hh"
 
+#include <algorithm>
+#include <array>
+#include <memory>
 #include <set>
 #include <utility>
 
+#include "mbus/data_phase.hh"
 #include "power/constants.hh"
 #include "sim/logging.hh"
 
@@ -200,9 +204,21 @@ MBusSystem::finalize()
     mediator_ = std::make_unique<Mediator>(std::move(mctx));
     mediator_->setMaxMessageBytes(cfg_.maxMessageBytes);
     mediator_->arm();
+    if (cfg_.fastForward && !softCfg_ && cfg_.edgeTrains &&
+        cfg_.chunkedDispatch)
+        mediator_->setDataPhaseSkipper(this);
     medLink_->requestInterjection = [this] {
         mediator_->hostInterjectionRequest();
     };
+    mediator_->setOnIdle([this] {
+        if (rotatingPriority_)
+            setArbBreakNode((arbBreakIdx_ + 1) % nodes_.size());
+        noteMaybeIdle();
+    });
+    for (auto &node : nodes_)
+        node->busController().setIdleHook([this] { noteMaybeIdle(); });
+    if (soft_)
+        soft_->setIdleHook([this] { noteMaybeIdle(); });
 
     // The mediator host listens to the configuration channel and
     // applies updates to the live mediator (Sec 7).
@@ -264,14 +280,25 @@ std::optional<TxResult>
 MBusSystem::sendAndWait(std::size_t fromNode, Message msg,
                         sim::SimTime timeout)
 {
-    std::optional<TxResult> result;
-    node(fromNode).send(std::move(msg),
-                        [&result](const TxResult &r) { result = r; });
+    // The completion ends the run; one landing after a timeout only
+    // records into the shared state.
+    struct Wait
+    {
+        std::optional<TxResult> result;
+        bool waiting = true;
+    };
+    auto wait = std::make_shared<Wait>();
+    node(fromNode).send(std::move(msg), [this, wait](const TxResult &r) {
+        wait->result = r;
+        if (wait->waiting)
+            sim_.stop();
+    });
     sim::SimTime limit = timeout == sim::kTimeForever
                              ? sim::kTimeForever
                              : sim_.now() + timeout;
-    sim_.runUntil([&result] { return result.has_value(); }, limit);
-    return result;
+    sim_.run(limit);
+    wait->waiting = false;
+    return wait->result;
 }
 
 bool
@@ -294,7 +321,35 @@ MBusSystem::runUntilIdle(sim::SimTime timeout)
     sim::SimTime limit = timeout == sim::kTimeForever
                              ? sim::kTimeForever
                              : sim_.now() + timeout;
-    return sim_.runUntil([this] { return idle(); }, limit);
+    if (idle())
+        return true;
+    // Components report every step that may complete idleness (the
+    // mediator falling asleep, a controller back to idle or losing
+    // its queue, the software member's FSM settling); the run stops
+    // after that event and resumes unless the whole ring is idle.
+    watchIdle_ = true;
+    do {
+        idleStop_ = false;
+        sim_.run(limit);
+    } while (idleStop_ && !idle());
+    watchIdle_ = false;
+    return idle();
+}
+
+void
+MBusSystem::noteMaybeIdle()
+{
+    if (!watchIdle_)
+        return;
+    idleStop_ = true;
+    sim_.stop();
+}
+
+void
+MBusSystem::checkEnumSettled()
+{
+    if (enumSettling_ && enumProbeDone_ && enumReplySeen_)
+        sim_.stop();
 }
 
 int
@@ -316,6 +371,7 @@ MBusSystem::enumerateAll(std::size_t enumeratorNode)
                     (std::uint32_t(rx.payload[1]) << 16) |
                     (std::uint32_t(rx.payload[2]) << 8) |
                     std::uint32_t(rx.payload[3]);
+                checkEnumSettled();
             }
         });
 
@@ -335,10 +391,14 @@ MBusSystem::enumerateAll(std::size_t enumeratorNode)
         probe.dest = Address::broadcast(kChannelEnumerate);
         probe.payload = {0x01, candidate, reply_byte};
 
-        bool probe_done = false;
+        enumProbeDone_ = false;
+        const std::uint64_t gen = ++enumProbe_;
         enumerator.send(std::move(probe),
-                        [&probe_done](const TxResult &) {
-                            probe_done = true;
+                        [this, gen](const TxResult &) {
+                            if (gen != enumProbe_)
+                                return; // An abandoned probe.
+                            enumProbeDone_ = true;
+                            checkEnumSettled();
                         });
 
         // Wait for the probe, the replies, and the winner's
@@ -346,9 +406,9 @@ MBusSystem::enumerateAll(std::size_t enumeratorNode)
         sim::SimTime settle =
             200 * sim::periodFromHz(cfg_.busClockHz) +
             2 * sim::kMillisecond;
-        sim_.runUntil([this, &probe_done] {
-            return probe_done && enumReplySeen_;
-        }, sim_.now() + settle);
+        enumSettling_ = true;
+        sim_.run(sim_.now() + settle);
+        enumSettling_ = false;
         runUntilIdle(settle);
 
         if (!enumReplySeen_)
@@ -406,17 +466,92 @@ MBusSystem::enableRotatingPriority()
                    "SystemConfig::useNodeArbBreak");
     rotatingPriority_ = true;
     setArbBreakNode(arbBreakIdx_);
-    mediator_->setOnIdle([this] {
-        if (!rotatingPriority_)
-            return;
-        setArbBreakNode((arbBreakIdx_ + 1) % nodes_.size());
-    });
 }
 
 void
 MBusSystem::attachTrace(sim::TraceRecorder &recorder)
 {
+    // A waveform needs every edge at its own time.
+    mediator_->setDataPhaseSkipper(nullptr);
     forEachSegment([&recorder](wire::Net &seg) { seg.trace(recorder); });
+}
+
+std::uint64_t
+MBusSystem::dataCyclesSkippable()
+{
+    const std::size_t n = nodes_.size();
+    std::uint64_t room = ~std::uint64_t(0);
+    std::size_t tx = n;
+    for (std::size_t i = 0; i < n; ++i) {
+        const BusController &ctl = nodes_[i]->busController();
+        room = std::min(room, ctl.dataCyclesSkippable());
+        if (room == 0)
+            return 0;
+        if (ctl.transmitting()) {
+            if (tx != n)
+                return 0;
+            tx = i;
+        }
+    }
+    if (tx == n)
+        return 0;
+    // Every chip forwards, except where the mediator drives CLK
+    // (chip 0) and the transmitter drives its lanes.
+    for (std::size_t i = 0; i < n; ++i) {
+        Node &node = *nodes_[i];
+        if (node.clkWireController().forwarding() == (i == 0) ||
+            node.dataWireController().forwarding() == (i == tx))
+            return 0;
+        for (std::size_t l = 0; l < node.laneWireControllers(); ++l)
+            if (node.laneWireController(l).forwarding() == (i == tx))
+                return 0;
+    }
+    // Every segment settled, unforced and undamaged: CLK high, each
+    // DATA lane at the level its transmitter drives.
+    auto steady = [](const wire::Net &seg, bool level) {
+        return seg.settled() && !seg.forced() && seg.dropsPending() == 0 &&
+               seg.value() == level && seg.drivenValue() == level;
+    };
+    const bool data = dataSegs_[tx]->drivenValue();
+    for (std::size_t i = 0; i < n; ++i)
+        if (!steady(*clkSegs_[i], true) || !steady(*dataSegs_[i], data))
+            return 0;
+    for (const auto &lane : laneSegs_) {
+        const bool level = lane[tx]->drivenValue();
+        for (const auto &seg : lane)
+            if (!steady(*seg, level))
+                return 0;
+    }
+    skipTx_ = tx;
+    return room;
+}
+
+void
+MBusSystem::skipDataCycles(std::uint32_t cycles, sim::SimTime half)
+{
+    const BusController &txCtl = nodes_[skipTx_]->busController();
+    const Message &msg = *txCtl.transmitting();
+    const std::uint64_t first = txCtl.dataCyclesDriven();
+    std::array<bool, kMaxDataLanes> start{};
+    start[0] = dataSegs_[skipTx_]->value();
+    for (std::size_t l = 0; l < laneSegs_.size(); ++l)
+        start[l + 1] = laneSegs_[l][skipTx_]->value();
+    const LaneRun run =
+        laneTransitions(msg.payload, cfg_.dataLanes, first, cycles, start);
+    for (auto &node : nodes_)
+        node->skipDataCycles(msg, first, cycles);
+    // CLK keeps its beat: segment i forwarded the last skipped rising
+    // edge i hops after the mediator drove it, one half period before
+    // the resumed falling tick.
+    const sim::SimTime lastRise =
+        sim_.now() + (2 * static_cast<sim::SimTime>(cycles) - 1) * half;
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        clkSegs_[i]->skipEdges(2 * std::uint64_t(cycles),
+                               lastRise + i * cfg_.hopDelay, half);
+        dataSegs_[i]->skipEdges(run.edges[0]);
+        for (std::size_t l = 0; l < laneSegs_.size(); ++l)
+            laneSegs_[l][i]->skipEdges(run.edges[l + 1]);
+    }
 }
 
 void

@@ -12,6 +12,19 @@
  * slot, after every chip. Its ISR response latency is charged to the
  * ring budget (SystemConfig::extraRingLatency), which throttles the
  * whole mixed ring to a fraction of its clock envelope.
+ *
+ * On a hardware-only ring the system is also the mediator's
+ * data-phase fast-forward (SystemConfig::fastForward): once a
+ * transaction's data phase is steady, whole data cycles are skipped
+ * in closed form -- chips, segment levels and counters, and ledger
+ * accumulators land exactly where the skipped edges would have put
+ * them -- up to the next protocol decision or the next event the
+ * ring does not own. Waveform capture turns it off for good.
+ *
+ * runUntilIdle() and the sendAndWait()/enumeration probes end their
+ * runs with Simulator::stop(): the mediator, every bus controller
+ * and the software member report each step that may leave the ring
+ * idle, and the run stops after that event to check.
  */
 
 #ifndef MBUS_BUS_SYSTEM_HH
@@ -39,7 +52,7 @@ namespace bus {
 /**
  * A complete MBus system: ring, nodes, mediator, energy accounting.
  */
-class MBusSystem
+class MBusSystem : private DataPhaseSkipper
 {
   public:
     /**
@@ -202,6 +215,29 @@ class MBusSystem
   private:
     bool handleConfigBroadcast(const ReceivedMessage &rx);
 
+    /** A component may have turned idle: under runUntilIdle(), end
+     *  the run after this event so idle() is checked. */
+    void noteMaybeIdle();
+
+    /** Under enumerateAll()'s settle: end the run once the probe
+     *  completed and a reply came in. */
+    void checkEnumSettled();
+
+    // --- Data-phase fast-forward (DataPhaseSkipper) ------------------
+    //
+    // Installed on hardware-only rings with SystemConfig::fastForward,
+    // edge trains and chunked dispatch on, and removed for good when a
+    // waveform recorder attaches. The mediator asks at each falling
+    // tick; a steady data phase means one transmitter, every other
+    // chip addressed (receiving or forwarding), every chip forwarding
+    // except where the mediator drives CLK and the transmitter drives
+    // its lanes, and every segment settled, unforced and undamaged at
+    // its lane's level. Arbitration, address, end of message,
+    // interjection, control and all power gating stay on edges.
+
+    std::uint64_t dataCyclesSkippable() override;
+    void skipDataCycles(std::uint32_t cycles, sim::SimTime half) override;
+
     /** Hand @p f every ring segment: all CLK segments, then all DATA
      *  segments, then each extra lane's -- the VCD signal order. */
     template <class F>
@@ -267,9 +303,20 @@ class MBusSystem
     std::unique_ptr<MediatorHostLink> medLink_;
     bool finalized_ = false;
 
-    // Enumeration bookkeeping.
+    // runUntilIdle() in progress; set when a hook stopped the run.
+    bool watchIdle_ = false;
+    bool idleStop_ = false;
+
+    // Enumeration bookkeeping (the settle run stops once the probe
+    // completed and a reply came in).
     bool enumReplySeen_ = false;
     std::uint32_t lastEnumFullPrefix_ = 0;
+    bool enumSettling_ = false;
+    bool enumProbeDone_ = false;
+    std::uint64_t enumProbe_ = 0; ///< Current probe's generation.
+
+    /** The transmitter dataCyclesSkippable() found. */
+    std::size_t skipTx_ = 0;
 
     // Mutable-priority bookkeeping.
     std::size_t arbBreakIdx_ = 0;

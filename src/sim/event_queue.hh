@@ -304,6 +304,31 @@ class EventQueue
     }
 
     /**
+     * The time of the earliest live event other than the heap entry
+     * of @p skip (a train's handle names its queued edge), or
+     * kTimeForever. The heap is re-ordered but never changed: the
+     * pop order is fixed by the unique (time, seq) keys.
+     */
+    SimTime
+    nextTimeExcept(const EventHandle &skip) const
+    {
+        skipStale();
+        if (heap_.empty())
+            return kTimeForever;
+        const HeapEntry top = heap_.front();
+        if (skip.queue_ != this || skip.slot_ != top.slot ||
+            occupiedSeq_[top.slot] != skip.seq_)
+            return top.when;
+        popHeapTop();
+        skipStale();
+        const SimTime next =
+            heap_.empty() ? kTimeForever : heap_.front().when;
+        heap_.push_back(top);
+        siftUp(heap_.size() - 1);
+        return next;
+    }
+
+    /**
      * Pop and execute the earliest live event.
      *
      * @return the time of the executed event.
@@ -541,7 +566,7 @@ class EventQueue
     }
 
     void
-    siftUp(std::size_t i)
+    siftUp(std::size_t i) const
     {
         HeapEntry entry = heap_[i];
         while (i > 0) {

@@ -7,6 +7,8 @@ SimTime
 Simulator::run(SimTime limit)
 {
     stopRequested_ = false;
+    const SimTime outer = runLimit_;
+    runLimit_ = limit;
     // step() advances now_ to the event time *before* the callback
     // runs, so callbacks observe the correct current time.
     while (!stopRequested_) {
@@ -15,6 +17,7 @@ Simulator::run(SimTime limit)
             continue;
         if (r == EventQueue::Step::BeyondLimit) {
             now_ = limit;
+            runLimit_ = outer;
             return now_;
         }
         break; // Drained.
@@ -23,33 +26,8 @@ Simulator::run(SimTime limit)
     // (leakage integration depends on this).
     if (!stopRequested_ && limit != kTimeForever && now_ < limit)
         now_ = limit;
+    runLimit_ = outer;
     return now_;
-}
-
-bool
-Simulator::runUntil(const std::function<bool()> &done, SimTime limit)
-{
-    stopRequested_ = false;
-    if (done())
-        return true;
-    while (!stopRequested_) {
-        EventQueue::Step r = queue_.step(limit, now_);
-        if (r == EventQueue::Step::Executed) {
-            if (done())
-                return true;
-            continue;
-        }
-        if (r == EventQueue::Step::BeyondLimit) {
-            now_ = limit;
-            return done();
-        }
-        break; // Drained.
-    }
-    // No events can change the predicate any more; idle out to the
-    // limit before the final check.
-    if (!stopRequested_ && limit != kTimeForever && now_ < limit)
-        now_ = limit;
-    return done();
 }
 
 } // namespace sim

@@ -12,7 +12,6 @@
 #define MBUS_SIM_SIMULATOR_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/callback.hh"
 #include "sim/event_queue.hh"
@@ -114,17 +113,12 @@ class Simulator
      */
     SimTime run(SimTime limit = kTimeForever);
 
-    /**
-     * Run until @p done returns true, the queue drains, or @p limit
-     * passes. The predicate is checked after every event.
-     *
-     * @return true if the predicate was satisfied.
-     */
-    bool runUntil(const std::function<bool()> &done,
-                  SimTime limit = kTimeForever);
-
     /** Request that run() return after the current event. */
     void stop() { stopRequested_ = true; }
+
+    /** The limit of the run in progress: no event past it executes
+     *  before the run returns (kTimeForever outside a run). */
+    SimTime runLimit() const { return runLimit_; }
 
     /**
      * The latest simulated time the owner will ever run this
@@ -185,6 +179,7 @@ class Simulator
     Random rng_;
     SimTime now_ = 0;
     bool stopRequested_ = false;
+    SimTime runLimit_ = kTimeForever;
     SimTime horizon_ = kTimeForever;
     trace::Tracer *tracer_ = nullptr;
 };

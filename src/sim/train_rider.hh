@@ -119,6 +119,21 @@ class TrainRider
         haveGap_ = false;
     }
 
+    /**
+     * Split like forget(), then restart detection on a known beat: as
+     * if the last two edges went out at @p lastAt - @p gap and
+     * @p lastAt, so the next edge on the beat starts a train at once.
+     */
+    void
+    resumeBeat(SimTime lastAt, SimTime gap)
+    {
+        forget();
+        lastAt_ = lastAt;
+        lastGap_ = gap;
+        haveLast_ = true;
+        haveGap_ = gap > 0;
+    }
+
     /** @return true while the train has undelivered edges. */
     bool pending() const { return train_.pending(); }
 

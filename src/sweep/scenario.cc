@@ -255,6 +255,8 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed)
     params.edgeTrains = spec.edgeTrains;
     params.chunkedDispatch = spec.chunkedDispatch;
     params.softRxCapacity = spec.softRxCapacity;
+    // Edge fidelity simulates every edge: no data-phase fast-forward.
+    params.fastForward = spec.fidelity != Fidelity::Edge;
 
     // Eligible cells run the message-level MBus model; makeBackend
     // always builds the edge-level fabric.

@@ -32,6 +32,7 @@ Net::drive(bool v)
     if (driven_ == v)
         return;
     driven_ = v;
+    ++inFlight_;
     if (!rider_.ride(sim_, delay_, *this, v))
         sim_.scheduleEdge(delay_, *this, v);
 }
@@ -39,7 +40,35 @@ Net::drive(bool v)
 void
 Net::onEdge(bool value)
 {
+    --inFlight_;
     applyVisible(value);
+}
+
+void
+Net::skipEdges(std::uint64_t count, sim::SimTime lastDrive,
+               sim::SimTime beat)
+{
+    if (count == 0)
+        return;
+    if (!settled() || forced_ || recorder_ || (haveBatched_ && !chunked_))
+        mbus_panic("skipEdges needs a settled, unforced, untraced net "
+                   "with chunked dispatch");
+    if (beat > 0)
+        rider_.resumeBeat(lastDrive, beat);
+    else
+        rider_.forget();
+    const bool first = !value_;
+    const std::uint64_t away = (count + 1) / 2; // Edges leaving value_.
+    (first ? risingEdges_ : fallingEdges_) += away;
+    (first ? fallingEdges_ : risingEdges_) += count - away;
+    if (count % 2 != 0)
+        value_ = driven_ = first;
+    edgeEpoch_ += count;
+    if (!haveBatched_)
+        return;
+    if (pendingCount_ == 0)
+        pendingFirst_ = first;
+    pendingCount_ += count;
 }
 
 void

@@ -269,6 +269,25 @@ class Net : private sim::EdgeSink
     /** Trains this net has started (diagnostics). */
     std::uint64_t trainsStarted() const { return rider_.trainsStarted(); }
 
+    /** @return true when every driven edge has been delivered (no
+     *  edge or glitch is in flight on this segment). */
+    bool settled() const { return inFlight_ == 0; }
+
+    /**
+     * Fast-forward: account @p count alternating edges as if they had
+     * been driven and delivered, starting from the current level, on
+     * a settled, unforced, untraced net with chunked dispatch. Levels,
+     * transition counters and the edge epoch move; batched listeners
+     * get the edges in the deferred run of the next flush; per-edge
+     * listeners hear nothing -- the caller advances their state. The
+     * edge-train rider restarts detection;
+     * with a @p beat, the skipped edges were driven every @p beat up
+     * to @p lastDrive, and the next on-beat drive rides a train at
+     * once.
+     */
+    void skipEdges(std::uint64_t count, sim::SimTime lastDrive = 0,
+                   sim::SimTime beat = 0);
+
     /** Rising-edge count since construction (for energy/goodput). */
     std::uint64_t risingEdges() const { return risingEdges_; }
 
@@ -317,6 +336,7 @@ class Net : private sim::EdgeSink
     bool forced_ = false;
     bool forcedValue_ = false;
     std::uint32_t dropPending_ = 0; ///< Whole pulses to swallow.
+    std::uint64_t inFlight_ = 0;    ///< Driven, not yet delivered.
 
     std::uint64_t risingEdges_ = 0;
     std::uint64_t fallingEdges_ = 0;

@@ -39,9 +39,11 @@ sendAndRun(sim::Simulator &simulator, BusBackend &backend,
 {
     std::optional<bus::TxResult> result;
     backend.send(from, std::move(msg),
-                 [&](const bus::TxResult &r) { result = r; });
-    simulator.runUntil([&] { return result.has_value(); },
-                       10 * sim::kSecond);
+                 [&](const bus::TxResult &r) {
+                     result = r;
+                     simulator.stop();
+                 });
+    simulator.run(10 * sim::kSecond);
     EXPECT_TRUE(result.has_value());
     backend.runUntilIdle(sim::kSecond);
     return result.value_or(bus::TxResult{});
@@ -202,13 +204,15 @@ TEST(I2cBackend, InterjectAbortsWithTruncatedFlaggedDelivery)
     msg.payload.assign(16, 0x42);
 
     std::optional<bus::TxResult> result;
-    bus.send(1, msg, [&](const bus::TxResult &r) { result = r; });
+    bus.send(1, msg, [&](const bus::TxResult &r) {
+                         result = r;
+                         simulator.stop();
+                     });
     // Stomp the bus mid-payload (framing = 10 + 9n cycles).
     simulator.schedule(
         sim::fromSeconds(60.0 / bus.busClockHz()),
         [&] { bus.interject(2); });
-    simulator.runUntil([&] { return result.has_value(); },
-                       sim::kSecond);
+    simulator.run(sim::kSecond);
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(result->status, bus::TxStatus::Interrupted);
     EXPECT_LT(result->bytesSent, msg.payload.size());
@@ -249,14 +253,16 @@ TEST(I2cBackend, RetimeAppliesAfterCarrierMessage)
     I2cBackend bus(simulator, smallParams(3, 400e3),
                    baseline::I2cSizing::Standard);
     bool done = false;
-    bus.retime(0, 100e3, [&] { done = true; });
-    simulator.runUntil([&] { return done; }, sim::kSecond);
+    bus.retime(0, 100e3, [&] {
+        done = true;
+        simulator.stop();
+    });
+    simulator.run(sim::kSecond);
     EXPECT_TRUE(done);
     EXPECT_NEAR(bus.busClockHz(), 100e3, 1.0);
     // Clamped to the fabric ceiling.
-    bool done2 = false;
-    bus.retime(0, 50e6, [&] { done2 = true; });
-    simulator.runUntil([&] { return done2; }, sim::kSecond);
+    bus.retime(0, 50e6, [&] { simulator.stop(); });
+    simulator.run(sim::kSecond);
     EXPECT_LE(bus.busClockHz(), kI2cStdMaxClockHz);
 }
 
@@ -339,12 +345,14 @@ TEST(BitbangBackend, ThirdPartyInterjectionOfSoftTxFlagsTruncation)
     msg.payload = {0xAA, 1, 2, 3, 4, 5, 6, 7};
     std::optional<bus::TxResult> result;
     ring.send(ring.softIndex(), msg,
-              [&](const bus::TxResult &r) { result = r; });
+              [&](const bus::TxResult &r) {
+                  result = r;
+                  simulator.stop();
+              });
     simulator.schedule(
         sim::fromSeconds(40.0 / ring.busClockHz()),
         [&] { ring.interject(1); });
-    simulator.runUntil([&] { return result.has_value(); },
-                       10 * sim::kSecond);
+    simulator.run(10 * sim::kSecond);
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(result->status, bus::TxStatus::Interrupted);
     ASSERT_TRUE(seen.has_value());

@@ -25,6 +25,7 @@
 #include "backend/mbus_message_backend.hh"
 #include "bench/bench_util.hh"
 #include "mbus/layer_controller.hh"
+#include "sim/hash.hh"
 #include "sim/random.hh"
 #include "sweep/codec.hh"
 #include "sweep/sweep.hh"
@@ -436,62 +437,43 @@ TEST(MessageLevel, MakeBackendStillBuildsTheEdgeEngine)
 
 TEST(RunLoop, StopOnCompletionMatchesPredicatePolling)
 {
-    // The same edge-level cell driven two ways: the old per-event
-    // predicate poll, and Simulator::stop() from the last completion.
-    // Final time, kernel counters, waveform and energy must agree.
-    struct Result
-    {
-        sim::SimTime end;
-        std::uint64_t events, dispatch;
-        std::string vcd;
-        double switchingJ;
+    // An edge-level cell driven by Simulator::stop() from its last
+    // completion, then drained with the stop-driven runUntilIdle().
+    // Final times, kernel counters, waveform and energy are pinned to
+    // the values the per-event predicate poll produced before both
+    // loops became stop-driven.
+    sim::Simulator sim;
+    backend::BusParams p;
+    p.nodes = 5;
+    p.dataLanes = 2;
+    backend::MbusBackend be(sim, p);
+    sim::TraceRecorder rec;
+    be.attachTrace(rec);
+    const int kMessages = 6;
+    int done = 0;
+    std::function<void()> issue = [&] {
+        bus::Message m;
+        m.dest = be.unicastAddress(4 - done % 3, false, bus::kFuMailbox);
+        m.payload.assign(static_cast<std::size_t>(3 + done), 0xA5);
+        be.send(1 + done % 2, std::move(m), [&](const bus::TxResult &) {
+            if (++done >= kMessages) {
+                sim.stop();
+                return;
+            }
+            issue();
+        });
     };
-    auto runCell = [](bool poll) {
-        sim::Simulator sim;
-        backend::BusParams p;
-        p.nodes = 5;
-        p.dataLanes = 2;
-        backend::MbusBackend be(sim, p);
-        sim::TraceRecorder rec;
-        be.attachTrace(rec);
-        const int kMessages = 6;
-        int done = 0;
-        std::function<void()> issue = [&] {
-            bus::Message m;
-            m.dest = be.unicastAddress(4 - done % 3, false,
-                                       bus::kFuMailbox);
-            m.payload.assign(static_cast<std::size_t>(3 + done), 0xA5);
-            be.send(1 + done % 2, std::move(m),
-                    [&](const bus::TxResult &) {
-                        if (++done >= kMessages) {
-                            if (!poll)
-                                sim.stop();
-                            return;
-                        }
-                        issue();
-                    });
-        };
-        issue();
-        if (poll)
-            sim.runUntil([&] { return done >= kMessages; },
-                         sim::kSecond);
-        else
-            sim.run(sim::kSecond);
-        Result r;
-        r.end = sim.now();
-        r.events = sim.eventsExecuted();
-        be.runUntilIdle(sim::kSecond);
-        r.dispatch = be.dispatchCalls();
-        std::ostringstream os;
-        rec.writeVcd(os);
-        r.vcd = os.str();
-        r.switchingJ = be.switchingJ();
-        return r;
-    };
-    Result polled = runCell(true), stopped = runCell(false);
-    EXPECT_EQ(stopped.end, polled.end);
-    EXPECT_EQ(stopped.events, polled.events);
-    EXPECT_EQ(stopped.dispatch, polled.dispatch);
-    EXPECT_EQ(stopped.vcd, polled.vcd);
-    EXPECT_EQ(stopped.switchingJ, polled.switchingJ);
+    issue();
+    sim.run(sim::kSecond);
+    EXPECT_EQ(done, kMessages);
+    EXPECT_EQ(sim.now(), 633230000u);
+    EXPECT_EQ(sim.eventsExecuted(), 875u);
+    EXPECT_TRUE(be.runUntilIdle(sim::kSecond));
+    EXPECT_EQ(sim.now(), 635780000u);
+    EXPECT_EQ(be.dispatchCalls(), 6883u);
+    std::ostringstream os;
+    rec.writeVcd(os);
+    EXPECT_EQ(os.str().size(), 30918u);
+    EXPECT_EQ(sim::fnv1a(os.str()), 0x16d5a48b'd644c02fULL);
+    EXPECT_EQ(be.switchingJ(), 0x1.163cddae3760fp-28);
 }

@@ -75,24 +75,22 @@ TEST(BitbangLimits, SustainedBidirectionalTraffic)
         bus::Message down;
         down.dest = ring.unicastAddress(soft, false, 0);
         down.payload = {static_cast<std::uint8_t>(i)};
-        bool d = false;
         ring.send(0, down, [&](const bus::TxResult &r) {
             EXPECT_EQ(r.status, bus::TxStatus::Ack);
             ++completions;
-            d = true;
+            simulator.stop();
         });
-        simulator.runUntil([&] { return d; }, sim::kSecond);
+        simulator.run(sim::kSecond);
 
         bus::Message up;
         up.dest = ring.unicastAddress(1, false, bus::kFuMailbox);
         up.payload = {static_cast<std::uint8_t>(0x80 + i), 0xFF};
-        bool u = false;
         ring.send(soft, up, [&](const bus::TxResult &r) {
             EXPECT_EQ(r.status, bus::TxStatus::Ack);
             ++completions;
-            u = true;
+            simulator.stop();
         });
-        simulator.runUntil([&] { return u; }, 2 * sim::kSecond);
+        simulator.run(2 * sim::kSecond);
     }
     EXPECT_TRUE(ring.runUntilIdle(200 * sim::kMillisecond));
 
@@ -115,10 +113,9 @@ TEST(BitbangLimits, CpuSerializationIsAccounted)
     bus::Message msg;
     msg.dest = ring.unicastAddress(1, false, bus::kFuMailbox);
     msg.payload.assign(16, 0xA5);
-    bool done = false;
     ring.send(ring.softIndex(), msg,
-              [&](const bus::TxResult &) { done = true; });
-    simulator.runUntil([&] { return done; }, 2 * sim::kSecond);
+              [&](const bus::TxResult &) { simulator.stop(); });
+    simulator.run(2 * sim::kSecond);
 
     const auto &st = ring.softMember()->stats();
     EXPECT_GT(st.isrInvocations, 100u); // Every edge cost an ISR.

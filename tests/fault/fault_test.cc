@@ -56,9 +56,11 @@ sendAndRun(sim::Simulator &simulator, BusBackend &backend,
 {
     std::optional<bus::TxResult> result;
     backend.send(from, std::move(msg),
-                 [&](const bus::TxResult &r) { result = r; });
-    simulator.runUntil([&] { return result.has_value(); },
-                       10 * sim::kSecond);
+                 [&](const bus::TxResult &r) {
+                     result = r;
+                     simulator.stop();
+                 });
+    simulator.run(10 * sim::kSecond);
     EXPECT_TRUE(result.has_value());
     backend.runUntilIdle(sim::kSecond);
     return result.value_or(bus::TxResult{});
@@ -245,9 +247,13 @@ checkBrownoutResetsInFlightAndQueuedTransfers(BackendKind fabric)
     std::vector<bus::TxStatus> outcomes;
     b->send(1, smallMsg(*b, 3), [&](const bus::TxResult &r) {
         outcomes.push_back(r.status);
+        if (outcomes.size() == 2)
+            simulator.stop();
     });
     b->send(1, smallMsg(*b, 2), [&](const bus::TxResult &r) {
         outcomes.push_back(r.status);
+        if (outcomes.size() == 2)
+            simulator.stop();
     });
     // Power-cut node 1 mid-first-transfer: both its active and its
     // queued transfer must terminate with TxStatus::Reset.
@@ -255,8 +261,7 @@ checkBrownoutResetsInFlightAndQueuedTransfers(BackendKind fabric)
                        [&] { b->brownout(1); });
     simulator.schedule(sim::fromSeconds(2e-3),
                        [&] { b->brownoutRecover(1); });
-    simulator.runUntil([&] { return outcomes.size() == 2; },
-                       5 * sim::kSecond);
+    simulator.run(5 * sim::kSecond);
     ASSERT_EQ(outcomes.size(), 2u) << "a transfer never terminated";
     EXPECT_EQ(outcomes[0], bus::TxStatus::Reset);
     EXPECT_EQ(outcomes[1], bus::TxStatus::Reset);
@@ -288,11 +293,13 @@ checkWatchdogReclaimsHungTransmitter(BackendKind fabric)
     b->injectWireForce(1, /*lane=*/0, /*level=*/false);
     std::optional<bus::TxResult> result;
     b->send(2, smallMsg(*b, 3),
-            [&](const bus::TxResult &r) { result = r; });
+            [&](const bus::TxResult &r) {
+                result = r;
+                simulator.stop();
+            });
     simulator.schedule(sim::fromSeconds(5e-3),
                        [&] { b->injectWireRelease(1, 0); });
-    simulator.runUntil([&] { return result.has_value(); },
-                       5 * sim::kSecond);
+    simulator.run(5 * sim::kSecond);
     ASSERT_TRUE(result.has_value())
         << "watchdog failed to reclaim the hung transfer";
     EXPECT_GT(b->busResets(), 0u);
@@ -334,9 +341,13 @@ TEST(I2cFault, StuckBusKillsActiveTransferAndStallsQueue)
     std::vector<bus::TxStatus> outcomes;
     b->send(1, smallMsg(*b, 2), [&](const bus::TxResult &r) {
         outcomes.push_back(r.status);
+        if (outcomes.size() == 2)
+            simulator.stop();
     });
     b->send(2, smallMsg(*b, 0), [&](const bus::TxResult &r) {
         outcomes.push_back(r.status);
+        if (outcomes.size() == 2)
+            simulator.stop();
     });
     // Jam SDA mid-first-transfer; the second transfer must wait out
     // the jam and then complete normally.
@@ -344,8 +355,7 @@ TEST(I2cFault, StuckBusKillsActiveTransferAndStallsQueue)
                        [&] { b->injectWireForce(1, 1, false); });
     simulator.schedule(sim::fromSeconds(1e-3),
                        [&] { b->injectWireRelease(1, 1); });
-    simulator.runUntil([&] { return outcomes.size() == 2; },
-                       5 * sim::kSecond);
+    simulator.run(5 * sim::kSecond);
     ASSERT_EQ(outcomes.size(), 2u);
     EXPECT_EQ(outcomes[0], bus::TxStatus::Reset);
     EXPECT_EQ(outcomes[1], bus::TxStatus::Ack);
@@ -367,12 +377,14 @@ TEST(RetryPolicy, RecoversAnInterruptedSend)
     msg.payload.assign(16, 0xA5); // Long enough to interject.
     std::optional<bus::TxResult> result;
     fault::sendWithRetry(*b, simulator, 1, msg, policy, stats,
-                         [&](const bus::TxResult &r) { result = r; });
+                         [&](const bus::TxResult &r) {
+                             result = r;
+                             simulator.stop();
+                         });
     // A third party cuts the first attempt mid-payload.
     simulator.schedule(sim::fromSeconds(250e-6),
                        [&] { b->interject(2); });
-    simulator.runUntil([&] { return result.has_value(); },
-                       5 * sim::kSecond);
+    simulator.run(5 * sim::kSecond);
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(result->status, bus::TxStatus::Ack);
     EXPECT_GE(stats.retries, 1u);
@@ -398,9 +410,11 @@ TEST(RetryPolicy, AbandonsAfterExhaustingRetries)
     std::optional<bus::TxResult> result;
     fault::sendWithRetry(*b, simulator, 1, smallMsg(*b, 2), policy,
                          stats,
-                         [&](const bus::TxResult &r) { result = r; });
-    simulator.runUntil([&] { return result.has_value(); },
-                       5 * sim::kSecond);
+                         [&](const bus::TxResult &r) {
+                             result = r;
+                             simulator.stop();
+                         });
+    simulator.run(5 * sim::kSecond);
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(result->status, bus::TxStatus::Nak);
     EXPECT_EQ(stats.retries, 2u);

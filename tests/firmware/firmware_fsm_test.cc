@@ -416,9 +416,11 @@ sendAndRun(sim::Simulator &simulator, backend::BusBackend &backend,
 {
     std::optional<bus::TxResult> result;
     backend.send(from, std::move(msg),
-                 [&](const bus::TxResult &r) { result = r; });
-    simulator.runUntil([&] { return result.has_value(); },
-                       10 * sim::kSecond);
+                 [&](const bus::TxResult &r) {
+                     result = r;
+                     simulator.stop();
+                 });
+    simulator.run(10 * sim::kSecond);
     EXPECT_TRUE(result.has_value());
     backend.runUntilIdle(sim::kSecond);
     return result.value_or(bus::TxResult{});
@@ -501,16 +503,18 @@ TEST(FirmwareBackend, BackToBackSendsQueueFifoInsteadOfStomping)
     ring.send(ring.softIndex(), a, [&](const bus::TxResult &r) {
         order.push_back(1);
         stA = r.status;
-        ++done;
+        if (++done == 2)
+            simulator.stop();
     });
     ring.send(ring.softIndex(), c, [&](const bus::TxResult &r) {
         order.push_back(2);
         stC = r.status;
-        ++done;
+        if (++done == 2)
+            simulator.stop();
     });
     EXPECT_EQ(ring.pendingTx(ring.softIndex()), 2u);
 
-    simulator.runUntil([&] { return done == 2; }, 10 * sim::kSecond);
+    simulator.run(10 * sim::kSecond);
     ASSERT_EQ(done, 2);
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
     EXPECT_EQ(stA, bus::TxStatus::Ack);
@@ -537,11 +541,13 @@ TEST(FirmwareBackend, ThirdPartyInterjectionMapsToInterrupted)
     msg.payload = {0xAA, 1, 2, 3, 4, 5, 6, 7};
     std::optional<bus::TxResult> result;
     ring.send(ring.softIndex(), msg,
-              [&](const bus::TxResult &r) { result = r; });
+              [&](const bus::TxResult &r) {
+                  result = r;
+                  simulator.stop();
+              });
     simulator.schedule(sim::fromSeconds(40.0 / ring.busClockHz()),
                        [&] { ring.interject(1); });
-    simulator.runUntil([&] { return result.has_value(); },
-                       10 * sim::kSecond);
+    simulator.run(10 * sim::kSecond);
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(result->status, bus::TxStatus::Interrupted);
     EXPECT_EQ(result->error, bus::LocalError::Interrupted);

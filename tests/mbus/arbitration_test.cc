@@ -20,20 +20,24 @@ struct Fixture
     bus::MBusSystem system{simulator};
 };
 
-/** Queue a send on @p from and record its completion order. */
+/** Queue a send on @p from and record its completion order; the
+ *  @p last completion ends the run. */
 void
 sendTracked(Fixture &f, std::size_t from, std::size_t toPrefix,
             bool priority, std::vector<std::size_t> &order,
-            std::size_t tag)
+            std::size_t tag, std::size_t last)
 {
     bus::Message msg;
     msg.dest = bus::Address::shortAddr(
         static_cast<std::uint8_t>(toPrefix), bus::kFuMailbox);
     msg.payload = {static_cast<std::uint8_t>(tag)};
     msg.priority = priority;
-    f.system.node(from).send(msg, [&order, tag](const bus::TxResult &r) {
+    f.system.node(from).send(msg, [&f, &order, tag,
+                                   last](const bus::TxResult &r) {
         EXPECT_EQ(r.status, bus::TxStatus::Ack);
         order.push_back(tag);
+        if (order.size() == last)
+            f.simulator.stop();
     });
 }
 
@@ -47,11 +51,10 @@ TEST(Arbitration, TopologicalPriorityWins)
     buildRing(f.system, 4);
     std::vector<std::size_t> order;
 
-    sendTracked(f, 3, 3, false, order, 33);
-    sendTracked(f, 1, 3, false, order, 11);
+    sendTracked(f, 3, 3, false, order, 33, 2);
+    sendTracked(f, 1, 3, false, order, 11, 2);
 
-    f.simulator.runUntil([&] { return order.size() == 2; },
-                         sim::kSecond);
+    f.simulator.run(sim::kSecond);
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], 11u);
     EXPECT_EQ(order[1], 33u);
@@ -68,11 +71,10 @@ TEST(Arbitration, PriorityRequestOverridesTopology)
     buildRing(f.system, 4);
     std::vector<std::size_t> order;
 
-    sendTracked(f, 1, 3, false, order, 11);
-    sendTracked(f, 3, 3, true, order, 33);
+    sendTracked(f, 1, 3, false, order, 11, 2);
+    sendTracked(f, 3, 3, true, order, 33, 2);
 
-    f.simulator.runUntil([&] { return order.size() == 2; },
-                         sim::kSecond);
+    f.simulator.run(sim::kSecond);
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], 33u);
     EXPECT_EQ(order[1], 11u);
@@ -87,11 +89,10 @@ TEST(Arbitration, MediatorHostAlwaysWinsArbitration)
     buildRing(f.system, 3);
     std::vector<std::size_t> order;
 
-    sendTracked(f, 1, 3, false, order, 11);
-    sendTracked(f, 0, 3, false, order, 0);
+    sendTracked(f, 1, 3, false, order, 11, 2);
+    sendTracked(f, 0, 3, false, order, 0, 2);
 
-    f.simulator.runUntil([&] { return order.size() == 2; },
-                         sim::kSecond);
+    f.simulator.run(sim::kSecond);
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], 0u);
 }
@@ -102,12 +103,11 @@ TEST(Arbitration, ThreeWayRaceResolvesInRingOrder)
     buildRing(f.system, 5);
     std::vector<std::size_t> order;
 
-    sendTracked(f, 4, 1, false, order, 4);
-    sendTracked(f, 2, 1, false, order, 2);
-    sendTracked(f, 3, 1, false, order, 3);
+    sendTracked(f, 4, 1, false, order, 4, 3);
+    sendTracked(f, 2, 1, false, order, 2, 3);
+    sendTracked(f, 3, 1, false, order, 3, 3);
 
-    f.simulator.runUntil([&] { return order.size() == 3; },
-                         sim::kSecond);
+    f.simulator.run(sim::kSecond);
     ASSERT_EQ(order.size(), 3u);
     EXPECT_EQ(order, (std::vector<std::size_t>{2, 3, 4}));
 }
@@ -127,6 +127,8 @@ TEST(Arbitration, CancelOnArbLossDropsMessage)
                           [&](const bus::TxResult &r) {
                               EXPECT_EQ(r.status, bus::TxStatus::Ack);
                               won = true;
+                              if (lost)
+                                  f.simulator.stop();
                           });
 
     bus::Message dropper;
@@ -138,9 +140,11 @@ TEST(Arbitration, CancelOnArbLossDropsMessage)
         dropper, [&](const bus::TxResult &r) {
             EXPECT_EQ(r.status, bus::TxStatus::LostArbitration);
             lost = true;
+            if (won)
+                f.simulator.stop();
         });
 
-    f.simulator.runUntil([&] { return won && lost; }, sim::kSecond);
+    f.simulator.run(sim::kSecond);
     EXPECT_TRUE(won);
     EXPECT_TRUE(lost);
     EXPECT_EQ(f.system.node(3).busController().pendingTx(), 0u);
@@ -161,11 +165,11 @@ TEST(Arbitration, LoserRetriesUntilDelivered)
             ++expected;
             f.system.node(from).send(msg, [&](const bus::TxResult &r) {
                 EXPECT_EQ(r.status, bus::TxStatus::Ack);
-                ++done;
+                if (++done == expected)
+                    f.simulator.stop();
             });
         }
     }
-    f.simulator.runUntil([&] { return done == expected; },
-                         2 * sim::kSecond);
+    f.simulator.run(2 * sim::kSecond);
     EXPECT_EQ(done, expected);
 }

@@ -1,0 +1,545 @@
+/**
+ * @file
+ * The data-phase fast-forward guard: with the fast-forward on, a
+ * hardware MBus ring must land on exactly the state the edge engine
+ * reaches edge by edge -- outcomes, bytes, latencies, simulated time,
+ * per-node edges, clock cycles and every energy double -- while
+ * retiring fewer kernel events. Only the kernel-cost counters may
+ * differ.
+ *
+ *  - a differential sweep of randomized hardware-ring cells, each run
+ *    at Fidelity::Auto (fast-forward on) and Fidelity::Edge (every
+ *    edge), compared through their encodeStats() bytes with the
+ *    kernel-cost fields zeroed;
+ *  - boundary cases where something lands mid-data-phase (a third-
+ *    party interjection, a fault event, watchdog polls), the
+ *    receiver's capacity point, the 1 kB length limit, and a glitch
+ *    still in flight at a falling tick, which must block entry;
+ *  - one pinned canonical-mix cell under a deterministic events
+ *    ceiling.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <functional>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "backend/mbus_backend.hh"
+#include "bench/bench_util.hh"
+#include "mbus/data_phase.hh"
+#include "mbus/system.hh"
+#include "sim/random.hh"
+#include "sweep/codec.hh"
+#include "sweep/scenario.hh"
+#include "tests/mbus/testutil.hh"
+
+using namespace mbus;
+using sweep::Fidelity;
+using sweep::ScenarioSpec;
+using sweep::ScenarioStats;
+
+namespace {
+
+/** @p st with every kernel-cost field zeroed. */
+ScenarioStats
+withoutKernelCosts(ScenarioStats st)
+{
+    st.eventsExecuted = 0;
+    st.eventsPerBit = 0;
+    st.trainEdges = 0;
+    st.trainsScheduled = 0;
+    st.dispatchCalls = 0;
+    st.slabSlots = 0;
+    st.liveHighWater = 0;
+    st.heapCallbacks = 0;
+    return st;
+}
+
+/** One randomized hardware-ring cell that runs on the edge engine at
+ *  Fidelity::Auto: gated, stormy, faulty, traced or a workload mix,
+ *  over 1-4 lanes, short or full addressing, any traffic pattern. */
+ScenarioSpec
+randomCell(sim::Random &rng, int i)
+{
+    ScenarioSpec s;
+    s.name = "ff" + std::to_string(i);
+    s.nodes = 2 + static_cast<int>(rng.below(7));
+    s.dataLanes = 1 + static_cast<int>(rng.below(4));
+    s.hopDelayNs = rng.chance(0.5) ? 10.0 : 4.0;
+    const double maxHz =
+        1.0 / (2e-9 * s.hopDelayNs * (s.nodes + 2.0));
+    s.busClockHz = std::min(8e6, maxHz * (0.2 + 0.78 * rng.uniform()));
+    s.fullAddressing = rng.chance(0.3);
+    s.traffic = static_cast<sweep::TrafficPattern>(rng.below(4));
+    s.messages = 2 + static_cast<int>(rng.below(5));
+    s.payloadBytes = 1 + rng.below(160);
+    s.priorityRate = rng.chance(0.3) ? 0.5 : 0.0;
+    switch (rng.below(5)) {
+      case 0:
+        s.powerGated = true;
+        break;
+      case 1:
+        s.interjectRate = 0.3 + 0.5 * rng.uniform();
+        s.powerGated = rng.chance(0.5);
+        break;
+      case 2:
+        s.faults = benchutil::smokeFaults(rng);
+        s.retry.maxRetries = static_cast<int>(rng.below(3));
+        s.retry.backoffEpochs = 8;
+        break;
+      case 3: {
+        s.nodes = std::max(s.nodes, 3);
+        s.busClockHz = 400e3;
+        s.powerGated = rng.chance(0.7);
+        workload::WorkloadSpec &w = s.workload;
+        w.name = "ff_mix";
+        w.durationS = 0.15;
+        workload::ActorSpec sensor;
+        sensor.kind = workload::ActorKind::PeriodicSensor;
+        sensor.node = 1;
+        sensor.periodS = 0.02;
+        sensor.payloadBytes = 8;
+        w.actors.push_back(sensor);
+        workload::ActorSpec imager;
+        imager.kind = workload::ActorKind::BurstImager;
+        imager.node = 2;
+        imager.periodS = 0.06;
+        imager.payloadBytes = 64 + rng.below(65);
+        imager.burstBytes = 512;
+        w.actors.push_back(imager);
+        workload::ActorSpec control;
+        control.kind = workload::ActorKind::ControlPlane;
+        control.node = s.nodes - 1;
+        control.periodS = 0.05;
+        control.priority = true;
+        w.actors.push_back(control);
+        if (rng.chance(0.6)) {
+            workload::ScheduleSpec storm;
+            storm.kind = workload::ScheduleKind::InterjectionStorm;
+            storm.atS = 0.03;
+            storm.durationS = 0.08;
+            storm.rateHz = 100.0;
+            w.schedules.push_back(storm);
+        }
+        break;
+      }
+      default:
+        s.trace.protocol = true;
+        s.trace.flight = rng.chance(0.5);
+        s.powerGated = rng.chance(0.5);
+        break;
+    }
+    return s;
+}
+
+TEST(FastForward, LaneTransitionsMatchABitByBitCount)
+{
+    sim::Random rng(0x1a9e5u);
+    for (int i = 0; i < 400; ++i) {
+        std::vector<std::uint8_t> payload(1 + rng.below(40));
+        for (auto &b : payload)
+            b = rng.chance(0.3) ? 0xFF : rng.byte();
+        const int w = 1 + static_cast<int>(rng.below(4));
+        const std::uint64_t cycles =
+            (8 * payload.size() + static_cast<std::uint64_t>(w) - 1) / w;
+        const std::uint64_t first = rng.below(cycles + 1);
+        const std::uint64_t count = rng.below(cycles - first + 2);
+        std::array<bool, bus::kMaxDataLanes> start{};
+        for (bool &s : start)
+            s = rng.chance(0.5);
+
+        bus::LaneRun want;
+        want.last = start;
+        for (int l = 0; l < w; ++l) {
+            for (std::uint64_t c = first; c < first + count; ++c) {
+                bool b = bus::payloadBit(
+                    payload, c * static_cast<std::uint64_t>(w) +
+                                 static_cast<std::uint64_t>(l));
+                want.edges[l] += b != want.last[l];
+                want.last[l] = b;
+            }
+        }
+        bus::LaneRun got =
+            bus::laneTransitions(payload, w, first, count, start);
+        SCOPED_TRACE("case " + std::to_string(i));
+        EXPECT_EQ(got.edges, want.edges);
+        EXPECT_EQ(got.last, want.last);
+    }
+}
+
+TEST(FastForward, RandomHardwareCellsMatchTheEdgeEngine)
+{
+    sim::Random rng(0xfa57f00du);
+    std::uint64_t autoEvents = 0, edgeEvents = 0;
+    int fewer = 0;
+    const int kCells = 240;
+    for (int i = 0; i < kCells; ++i) {
+        ScenarioSpec spec = randomCell(rng, i);
+        ASSERT_FALSE(sweep::messageLevelEligible(spec)) << spec.name;
+        ScenarioSpec edge = spec;
+        edge.fidelity = Fidelity::Edge;
+        const std::uint64_t seed = 0xf0f0u + static_cast<std::uint64_t>(i);
+        ScenarioStats a = sweep::runScenario(spec, seed);
+        ScenarioStats b = sweep::runScenario(edge, seed);
+        SCOPED_TRACE(spec.name + " seed=" + std::to_string(seed));
+        ASSERT_EQ(a.fidelity, Fidelity::Edge);
+        EXPECT_EQ(sweep::encodeStats(withoutKernelCosts(a)),
+                  sweep::encodeStats(withoutKernelCosts(b)));
+        EXPECT_LE(a.eventsExecuted, b.eventsExecuted);
+        autoEvents += a.eventsExecuted;
+        edgeEvents += b.eventsExecuted;
+        fewer += a.eventsExecuted < b.eventsExecuted;
+    }
+    // The sweep must actually exercise the fast-forward.
+    EXPECT_GT(fewer, kCells / 2);
+    EXPECT_LT(autoEvents, edgeEvents / 2);
+}
+
+// --- Boundary cases on a directly driven ring -------------------------
+
+/** Everything observable about a ring run, kernel costs excluded,
+ *  and the edges the kernel delivered: events plus train edges. */
+struct RingRun
+{
+    std::string state;
+    std::uint64_t deliveries = 0;
+};
+
+std::uint64_t
+deliveries(const sim::Simulator &sim)
+{
+    return sim.eventsExecuted() + sim.queue().trainEdgesDelivered();
+}
+
+/** A %a rendering: doubles compare bit for bit. */
+std::string
+exact(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+std::string
+ringState(bus::MBusSystem &sys)
+{
+    std::ostringstream os;
+    os << "now=" << sys.simulator().now();
+    const bus::MediatorStats &m = sys.mediator().stats();
+    os << " med=" << m.transactions << "/" << m.interjections << "/"
+       << m.generalErrors << "/" << m.watchdogKills << "/"
+       << m.clockCycles << "\n";
+    power::EnergyLedger &ledger = sys.ledger();
+    for (std::size_t i = 0; i < sys.nodeCount(); ++i) {
+        bus::Node &n = sys.node(i);
+        const bus::BusControllerStats &s = n.busController().stats();
+        os << n.name() << " tx=" << s.messagesSent << " ack="
+           << s.messagesAcked << " nak=" << s.messagesNaked
+           << " fail=" << s.messagesFailed << " rx="
+           << s.messagesReceived << " btx=" << s.bytesSent
+           << " brx=" << s.bytesReceived << " arb="
+           << s.arbitrationLosses << " intj="
+           << s.interjectionsRequested << " abort=" << s.rxAborts
+           << " edges=" << n.sleepController().risingCount() << "/"
+           << n.sleepController().fallingCount() << " wake="
+           << n.busDomain().wakeupCount() << "/"
+           << n.layerDomain().wakeupCount() << " energy";
+        for (std::size_t c = 0; c < power::EnergyLedger::kNumCategories;
+             ++c)
+            os << " " << exact(ledger.nodeCategory(
+                             i, static_cast<power::EnergyCategory>(c)));
+        auto seg = [&os](const char *what, wire::Net &net) {
+            os << " " << what << "=" << net.risingEdges() << "/"
+               << net.fallingEdges() << "/" << net.value()
+               << net.edgeEpoch();
+        };
+        seg("clk", sys.clkSegment(i));
+        seg("data", sys.dataSegment(i));
+        for (int l = 1; l < sys.config().dataLanes; ++l)
+            seg("lane", sys.laneSegment(l, i));
+        os << "\n";
+    }
+    return os.str();
+}
+
+/** Build a ring, let @p drive start its traffic (and schedule any
+ *  mid-run disturbance), run to idle, and snapshot it. */
+RingRun
+runRing(bool fastForward, int nodes, int lanes,
+        const std::function<void(bus::MBusSystem &, std::ostream &)>
+            &drive,
+        std::size_t rxLimit = ~std::size_t(0))
+{
+    sim::Simulator simulator;
+    bus::SystemConfig cfg;
+    cfg.dataLanes = lanes;
+    cfg.fastForward = fastForward;
+    bus::MBusSystem sys(simulator, cfg);
+    for (int i = 0; i < nodes; ++i) {
+        bus::NodeConfig nc = test::nodeCfg(
+            "n" + std::to_string(i), 0x10000u + static_cast<std::uint32_t>(i),
+            static_cast<std::uint8_t>(i + 1), i != 0);
+        nc.rxBufferLimit = rxLimit;
+        sys.addNode(nc);
+    }
+    sys.finalize();
+    std::ostringstream log;
+    for (std::size_t i = 0; i < sys.nodeCount(); ++i) {
+        sys.node(i).layer().setMailboxHandler(
+            [&log, &simulator, i](const bus::ReceivedMessage &rx) {
+                log << "rx" << i << "@" << simulator.now() << " n="
+                    << rx.payload.size() << " intj=" << rx.interjected
+                    << " sum=";
+                unsigned sum = 0;
+                for (std::uint8_t b : rx.payload)
+                    sum = sum * 31 + b;
+                log << sum << "\n";
+            });
+    }
+    drive(sys, log);
+    simulator.run(simulator.now() + 100 * sim::kMillisecond);
+    sys.runUntilIdle(sim::kSecond);
+    RingRun r;
+    r.state = log.str() + ringState(sys);
+    r.deliveries = deliveries(simulator);
+    return r;
+}
+
+/** Send @p bytes random bytes from @p from to @p to, logging the
+ *  terminal status. */
+void
+sendLogged(bus::MBusSystem &sys, std::ostream &log, std::size_t from,
+           std::size_t to, std::size_t bytes, std::uint64_t seed)
+{
+    sim::Random rng(seed);
+    bus::Message msg;
+    msg.dest = sys.node(to).address(bus::kFuMailbox);
+    msg.payload = test::randomPayload(rng, bytes);
+    sys.node(from).send(std::move(msg),
+                        [&log, &sys, from](const bus::TxResult &r) {
+                            log << "tx" << from << " "
+                                << bus::txStatusName(r.status) << " bytes="
+                                << r.bytesSent << " at=" << r.completedAt
+                                << " @" << sys.simulator().now() << "\n";
+                        });
+}
+
+/** The same ring run with the fast-forward on and off must agree on
+ *  everything but kernel events, which must drop. */
+void
+expectExact(int nodes, int lanes,
+            const std::function<void(bus::MBusSystem &, std::ostream &)>
+                &drive,
+            std::size_t rxLimit = ~std::size_t(0))
+{
+    RingRun on = runRing(true, nodes, lanes, drive, rxLimit);
+    RingRun off = runRing(false, nodes, lanes, drive, rxLimit);
+    EXPECT_EQ(on.state, off.state);
+    EXPECT_LT(on.deliveries, off.deliveries);
+}
+
+/** Falling tick k of the first transaction node @p s requests at 0. */
+sim::SimTime
+fallingTick(bus::MBusSystem &sys, std::size_t s, int k)
+{
+    const bus::SystemConfig &cfg = sys.config();
+    const sim::SimTime period = sim::periodFromHz(cfg.busClockHz);
+    const auto n = static_cast<sim::SimTime>(sys.nodeCount());
+    const sim::SimTime start =
+        (n - static_cast<sim::SimTime>(s)) * cfg.hopDelay + period;
+    return start + 2 * static_cast<sim::SimTime>(k - 1) * (period / 2);
+}
+
+TEST(FastForward, StormInterjectionMidDataPhase)
+{
+    expectExact(5, 2, [](bus::MBusSystem &sys, std::ostream &log) {
+        sendLogged(sys, log, 1, 3, 200, 7);
+        // A third party stomps the transfer 40 cycles into its data.
+        sys.simulator().scheduleAt(fallingTick(sys, 1, 52) + 1234,
+                                   [&sys] { sys.node(4).interject(); });
+    });
+}
+
+TEST(FastForward, FaultEventMidDataPhase)
+{
+    auto run = [](bool ff) {
+        sim::Simulator sim;
+        backend::BusParams p;
+        p.nodes = 4;
+        p.dataLanes = 1;
+        p.fastForward = ff;
+        backend::MbusBackend be(sim, p);
+        std::ostringstream log;
+        bus::Message msg;
+        msg.dest = be.unicastAddress(2, false, bus::kFuMailbox);
+        msg.payload.assign(150, 0x5A);
+        be.send(1, msg, [&log, &sim](const bus::TxResult &r) {
+            log << bus::txStatusName(r.status) << " " << r.bytesSent
+                << " @" << sim.now() << "\n";
+        });
+        // A short stuck-at on a DATA segment and a glitch on CLK,
+        // both well inside the data phase.
+        sim.scheduleAt(300 * sim::kMicrosecond,
+                       [&be] { be.injectWireForce(3, 1, false); });
+        sim.scheduleAt(300 * sim::kMicrosecond + 777,
+                       [&be] { be.injectWireRelease(3, 1); });
+        sim.scheduleAt(900 * sim::kMicrosecond,
+                       [&be] { be.injectGlitch(2, 0, 1); });
+        be.runUntilIdle(sim::kSecond);
+        log << "now=" << sim.now() << " cycles=" << be.clockCycles()
+            << " sw=" << exact(be.switchingJ());
+        for (std::size_t i = 0; i < be.nodeCount(); ++i)
+            log << " " << be.nodeEdges(i) << ":"
+                << exact(be.nodeEnergyJ(i));
+        return std::make_pair(log.str(), deliveries(sim));
+    };
+    auto on = run(true), off = run(false);
+    EXPECT_EQ(on.first, off.first);
+    EXPECT_LT(on.second, off.second);
+}
+
+TEST(FastForward, WatchdogPollsMidDataPhase)
+{
+    auto run = [](bool ff) {
+        sim::Simulator sim;
+        backend::BusParams p;
+        p.nodes = 3;
+        p.dataLanes = 4;
+        p.powerGated = true;
+        p.fastForward = ff;
+        backend::MbusBackend be(sim, p);
+        be.armWatchdog(16); // Polls every 16 bus periods.
+        std::ostringstream log;
+        for (int k = 0; k < 3; ++k) {
+            bus::Message msg;
+            msg.dest = be.unicastAddress(2 - k % 2, k == 1,
+                                         bus::kFuMailbox);
+            msg.payload.assign(90 + 10 * k, static_cast<std::uint8_t>(k));
+            be.send(k % 2 == 0 ? 1 : 2, msg,
+                    [&log, &sim](const bus::TxResult &r) {
+                        log << bus::txStatusName(r.status) << " "
+                            << r.bytesSent << " @" << sim.now() << "\n";
+                    });
+        }
+        sim.run(20 * sim::kMillisecond);
+        log << "now=" << sim.now() << " cycles=" << be.clockCycles()
+            << " resets=" << be.busResets()
+            << " sw=" << exact(be.switchingJ());
+        for (std::size_t i = 0; i < be.nodeCount(); ++i)
+            log << " " << be.nodeEdges(i) << ":"
+                << exact(be.nodeEnergyJ(i)) << ":"
+                << be.poweredSeconds(i);
+        return std::make_pair(log.str(), deliveries(sim));
+    };
+    auto on = run(true), off = run(false);
+    EXPECT_EQ(on.first, off.first);
+    EXPECT_LT(on.second, off.second);
+}
+
+TEST(FastForward, ReceiverCapacityPointStaysOnEdges)
+{
+    // The receiver overflows 40 bytes into a 120-byte message and
+    // aborts it; every lane count reaches the point differently.
+    for (int lanes = 1; lanes <= 4; ++lanes) {
+        SCOPED_TRACE("lanes=" + std::to_string(lanes));
+        expectExact(
+            4, lanes,
+            [](bus::MBusSystem &sys, std::ostream &log) {
+                sendLogged(sys, log, 2, 1, 120, 11);
+            },
+            /*rxLimit=*/40);
+    }
+}
+
+TEST(FastForward, LengthLimitStaysOnEdges)
+{
+    // Past the mediator's 1 kB limit: the watchdog kills the message.
+    for (int lanes : {1, 3}) {
+        SCOPED_TRACE("lanes=" + std::to_string(lanes));
+        expectExact(3, lanes, [](bus::MBusSystem &sys, std::ostream &log) {
+            sendLogged(sys, log, 1, 2, 1100, 13);
+        });
+    }
+}
+
+/** Per-edge tap on one segment: when each delivered edge arrived. */
+struct EdgeTimes final : wire::EdgeListener
+{
+    sim::Simulator *sim = nullptr;
+    std::vector<sim::SimTime> at;
+    void onNetEdge(wire::Net &, bool) override { at.push_back(sim->now()); }
+};
+
+TEST(FastForward, GlitchInFlightBlocksEntry)
+{
+    // A sub-hop pulse on a DATA segment that is still crossing the
+    // ring at a falling tick: that tick must run on edges, the next
+    // one may skip. Without the pulse the same tick is skipped.
+    const int kTick = 40;
+    auto run = [kTick](bool ff, bool glitch, bool &tickDelivered,
+                       bool &nextDelivered) {
+        sim::Simulator sim;
+        bus::SystemConfig cfg;
+        cfg.fastForward = ff;
+        bus::MBusSystem sys(sim, cfg);
+        test::buildRing(sys, 5);
+        EdgeTimes tap;
+        tap.sim = &sim;
+        sys.clkSegment(0).listen(wire::Edge::Falling, tap);
+        std::ostringstream log;
+        sendLogged(sys, log, 1, 3, 64, 17);
+        const sim::SimTime tick = fallingTick(sys, 1, kTick);
+        const sim::SimTime h = sys.config().hopDelay;
+        if (glitch) {
+            // Force and release both land before the tick; the pulse
+            // then rides the forwarding chain past it.
+            wire::Net *seg = &sys.dataSegment(2);
+            sim.scheduleAt(tick - h / 2 - 1,
+                           [seg] { seg->force(!seg->value()); });
+            sim.scheduleAt(tick - 1, [seg] { seg->release(); });
+        }
+        sys.runUntilIdle(sim::kSecond);
+        auto seen = [&tap, h](sim::SimTime t) {
+            for (sim::SimTime a : tap.at)
+                if (a == t + h)
+                    return true;
+            return false;
+        };
+        const sim::SimTime next = fallingTick(sys, 1, kTick + 1);
+        tickDelivered = seen(tick);
+        nextDelivered = seen(next);
+        return log.str() + ringState(sys);
+    };
+    bool tickOn, nextOn, tickOff, nextOff, tickClean, nextClean;
+    std::string on = run(true, true, tickOn, nextOn);
+    std::string off = run(false, true, tickOff, nextOff);
+    EXPECT_EQ(on, off);
+    EXPECT_TRUE(tickOff && nextOff);
+    EXPECT_TRUE(tickOn) << "entry not blocked by the in-flight pulse";
+    EXPECT_FALSE(nextOn) << "no fast-forward once the pulse settled";
+    run(true, false, tickClean, nextClean);
+    EXPECT_FALSE(tickClean) << "the same tick skips without the pulse";
+}
+
+TEST(FastForward, CanonicalMixCellStaysUnderItsEventsCeiling)
+{
+    // perf_gate's workload_mix cell at Fidelity::Auto: exact against
+    // the edge engine, under a fixed events ceiling (17,072 events
+    // when pinned; the edge engine runs 223,192).
+    ScenarioSpec spec = benchutil::canonicalWorkloadCell(
+        4, 400e3, /*stormFrac=*/0.10, /*smoke=*/true);
+    ScenarioSpec edge = spec;
+    edge.fidelity = Fidelity::Edge;
+    ScenarioStats a = sweep::runScenario(spec, 0x6d6978ULL);
+    ScenarioStats b = sweep::runScenario(edge, 0x6d6978ULL);
+    EXPECT_EQ(sweep::encodeStats(withoutKernelCosts(a)),
+              sweep::encodeStats(withoutKernelCosts(b)));
+    EXPECT_GT(a.samplesDelivered, 0);
+    EXPECT_LE(a.eventsExecuted, 20000u)
+        << "edge engine: " << b.eventsExecuted;
+}
+
+} // namespace

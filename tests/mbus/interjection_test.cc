@@ -70,6 +70,7 @@ TEST(Interjection, ThirdPartyHonoursFourByteProgress)
     std::optional<bus::TxResult> result;
     f.system.node(1).send(big, [&](const bus::TxResult &r) {
         result = r;
+        f.simulator.stop();
     });
 
     // A third party (node 0, neither TX nor RX) interjects once the
@@ -77,8 +78,7 @@ TEST(Interjection, ThirdPartyHonoursFourByteProgress)
     f.simulator.schedule(500 * sim::kMicrosecond,
                          [&] { f.system.node(0).interject(); });
 
-    f.simulator.runUntil([&] { return result.has_value(); },
-                         sim::kSecond);
+    f.simulator.run(sim::kSecond);
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(result->status, bus::TxStatus::Interrupted);
 
@@ -174,7 +174,10 @@ TEST(Interjection, ForcedClkStuckRecoversViaInterjection)
     msg.dest = bus::Address::shortAddr(3, bus::kFuMailbox);
     msg.payload.assign(32, 0x3C);
     f.system.node(1).send(msg,
-                          [&](const bus::TxResult &r) { result = r; });
+                          [&](const bus::TxResult &r) {
+                              result = r;
+                              f.simulator.stop();
+                          });
 
     // Stuck-at fault on the victim segment mid-message (a 32-byte
     // transfer at 400 kHz spans ~0.7 ms).
@@ -185,8 +188,7 @@ TEST(Interjection, ForcedClkStuckRecoversViaInterjection)
         f.system.clkSegment(1).release();
     });
 
-    f.simulator.runUntil([&] { return result.has_value(); },
-                         2 * sim::kSecond);
+    f.simulator.run(2 * sim::kSecond);
     ASSERT_TRUE(result.has_value());
     // The transfer failed, but the bus recovered.
     EXPECT_NE(result->status, bus::TxStatus::Ack);

@@ -90,12 +90,7 @@ TEST(Layer, MemoryReadStreamsReplyMessage)
     EXPECT_EQ(result->status, bus::TxStatus::Ack);
 
     // Wait for the reply transaction to land in node 0's memory.
-    f.simulator.runUntil(
-        [&] {
-            return f.system.node(0).layer().readMemory(0) ==
-                   0xCAFEF00Du;
-        },
-        sim::kSecond);
+    f.system.runUntilIdle(sim::kSecond);
     EXPECT_EQ(f.system.node(0).layer().readMemory(0), 0xCAFEF00Du);
     EXPECT_EQ(f.system.node(0).layer().readMemory(1), 0x12345678u);
     EXPECT_EQ(f.system.node(2).layer().memoryReads(), 1u);

@@ -115,12 +115,13 @@ TEST(Parallel, GoodputMatchesAnalyticModel)
         system.node(1).send(msg, [&](const bus::TxResult &) {
             if (++done < kMessages)
                 send_next();
+            else
+                simulator.stop();
         });
     };
     sim::SimTime start = simulator.now();
     send_next();
-    simulator.runUntil([&] { return done == kMessages; },
-                       10 * sim::kSecond);
+    simulator.run(10 * sim::kSecond);
     ASSERT_EQ(done, kMessages);
     double elapsed_s = sim::toSeconds(simulator.now() - start);
     double goodput = 8.0 * kBytes * kMessages / elapsed_s;

@@ -115,13 +115,14 @@ TEST(Power, InterruptGeneratesNullTransactionAndWakesSelf)
 
     bus::Node &imager = f.system.node(1);
     bool serviced = false;
-    imager.busController().setInterruptCallback(
-        [&] { serviced = true; });
+    imager.busController().setInterruptCallback([&] {
+        serviced = true;
+        f.simulator.stop();
+    });
 
     EXPECT_TRUE(imager.layerDomain().off());
     imager.assertInterrupt();
-    f.simulator.runUntil([&] { return serviced; },
-                         50 * sim::kMillisecond);
+    f.simulator.run(50 * sim::kMillisecond);
 
     EXPECT_TRUE(serviced);
     EXPECT_TRUE(imager.layerDomain().active());

@@ -51,6 +51,7 @@ runRandomTraffic(std::uint64_t seed, int nodes, int messages,
 
     sim::Random rng(seed);
     TrafficResult result;
+    bool draining = false; // The last completion ends a drain run.
 
     // Expected payload per (dest, sequence) for integrity checking.
     std::map<int, std::vector<std::vector<std::uint8_t>>> expected;
@@ -82,13 +83,16 @@ runRandomTraffic(std::uint64_t seed, int nodes, int messages,
 
         auto payload_copy = msg.payload;
         system.node(static_cast<std::size_t>(from))
-            .send(msg, [&result, &expected, to, payload_copy](
-                           const bus::TxResult &r) {
+            .send(msg, [&result, &expected, &draining, &simulator,
+                        messages, to,
+                        payload_copy](const bus::TxResult &r) {
                 ++result.completed;
                 if (r.status == bus::TxStatus::Ack) {
                     ++result.acked;
                     expected[to].push_back(payload_copy);
                 }
+                if (draining && result.completed >= messages)
+                    simulator.stop();
             });
 
         if (injectFaults && rng.chance(0.3)) {
@@ -114,16 +118,18 @@ runRandomTraffic(std::uint64_t seed, int nodes, int messages,
     // a sustained fault some controllers can be wedged mid-phase; the
     // host's watchdog rescue (Sec 4.9: interjections rescue a hung
     // bus) resets the ring and lets the retries proceed.
-    simulator.runUntil(
-        [&] { return result.completed >= messages; },
-        simulator.now() + 10 * sim::kSecond);
+    draining = true;
+    if (result.completed < messages)
+        simulator.run(simulator.now() + 10 * sim::kSecond);
     for (int rescue = 0;
          rescue < 8 && result.completed < messages; ++rescue) {
+        draining = false;
         system.recoverBus(sim::kSecond);
-        simulator.runUntil(
-            [&] { return result.completed >= messages; },
-            simulator.now() + 5 * sim::kSecond);
+        draining = true;
+        if (result.completed < messages)
+            simulator.run(simulator.now() + 5 * sim::kSecond);
     }
+    draining = false;
     result.idle_at_end = system.runUntilIdle(10 * sim::kSecond);
     if (!result.idle_at_end)
         result.idle_at_end = system.recoverBus(10 * sim::kSecond);

@@ -133,11 +133,12 @@ TEST(ProtocolFuzz, RotatingPrioritySpreadsWinsUnderContention)
                         sawFirst = true;
                         ++firstCompletions[sender];
                     }
-                    --pendingCallbacks;
+                    if (--pendingCallbacks == 0)
+                        simulator.stop();
                 });
         }
-        ASSERT_TRUE(simulator.runUntil(
-            [&] { return pendingCallbacks == 0; }, 10 * sim::kSecond))
+        simulator.run(10 * sim::kSecond);
+        ASSERT_EQ(pendingCallbacks, 0)
             << "contention round " << round << " wedged";
         ASSERT_TRUE(system.runUntilIdle(sim::kSecond));
     }
@@ -176,8 +177,10 @@ TEST(ProtocolFuzz, BusSurvivesRandomInterjectionStormsAndStaysUsable)
         msg.dest = bus::Address::shortAddr(
             static_cast<std::uint8_t>(nodes), bus::kFuMailbox);
         msg.payload = test::randomPayload(rng, 48);
-        system.node(1).send(msg,
-                            [&](const bus::TxResult &) { ++done; });
+        system.node(1).send(msg, [&](const bus::TxResult &) {
+            if (++done == 1)
+                simulator.stop();
+        });
         int storms = static_cast<int>(rng.between(1, 6));
         for (int sIdx = 0; sIdx < storms; ++sIdx) {
             auto when = static_cast<sim::SimTime>(
@@ -188,8 +191,8 @@ TEST(ProtocolFuzz, BusSurvivesRandomInterjectionStormsAndStaysUsable)
                 system.node(who).interject();
             });
         }
-        ASSERT_TRUE(simulator.runUntil([&] { return done == 1; },
-                                       10 * sim::kSecond))
+        simulator.run(10 * sim::kSecond);
+        ASSERT_EQ(done, 1)
             << "storm iteration " << it << " wedged the sender";
         ASSERT_TRUE(system.runUntilIdle(sim::kSecond))
             << "storm iteration " << it << " left the bus busy";

@@ -120,11 +120,11 @@ TEST(Protocol, BackToBackMessagesFromOneNode)
         msg.payload = {static_cast<std::uint8_t>(i)};
         f.system.node(1).send(msg, [&](const bus::TxResult &r) {
             EXPECT_EQ(r.status, bus::TxStatus::Ack);
-            ++completed;
+            if (++completed == 5)
+                f.simulator.stop();
         });
     }
-    f.simulator.runUntil([&] { return completed == 5; },
-                         500 * sim::kMillisecond);
+    f.simulator.run(500 * sim::kMillisecond);
     f.system.runUntilIdle(10 * sim::kMillisecond);
     EXPECT_EQ(completed, 5);
     EXPECT_EQ(received, 5);
@@ -146,17 +146,19 @@ TEST(Protocol, CrossTrafficBothDirections)
         a.payload = {0x11};
         f.system.node(3).send(a, [&](const bus::TxResult &r) {
             EXPECT_EQ(r.status, bus::TxStatus::Ack);
-            ++done;
+            if (++done == 6)
+                f.simulator.stop();
         });
         bus::Message b;
         b.dest = bus::Address::shortAddr(4, bus::kFuMailbox);
         b.payload = {0x22};
         f.system.node(1).send(b, [&](const bus::TxResult &r) {
             EXPECT_EQ(r.status, bus::TxStatus::Ack);
-            ++done;
+            if (++done == 6)
+                f.simulator.stop();
         });
     }
-    f.simulator.runUntil([&] { return done == 6; }, sim::kSecond);
+    f.simulator.run(sim::kSecond);
     f.system.runUntilIdle(10 * sim::kMillisecond);
     EXPECT_EQ(received2, 3);
     EXPECT_EQ(received3, 3);

@@ -33,8 +33,10 @@ TEST(Resumable, UninterruptedTransferCompletesFirstAttempt)
     sender.send(3, data, [&](bool success, int n) {
         ok = success;
         attempts = n;
+        if (ok)
+            simulator.stop();
     });
-    simulator.runUntil([&] { return ok; }, 10 * sim::kSecond);
+    simulator.run(10 * sim::kSecond);
     system.runUntilIdle(sim::kSecond);
 
     EXPECT_TRUE(ok);
@@ -57,19 +59,19 @@ TEST(Resumable, ResumesAfterThirdPartyInterjection)
         [&](const std::vector<std::uint8_t> &d) { got = d; });
 
     bus::ResumableSender sender(system.node(1));
-    bool done = false, ok = false;
+    bool ok = false;
     int attempts = 0;
     sender.send(3, data, [&](bool success, int n) {
-        done = true;
         ok = success;
         attempts = n;
+        simulator.stop();
     });
 
     // A third party chops the first attempt in half.
     simulator.schedule(4 * sim::kMillisecond,
                        [&] { system.node(0).interject(); });
 
-    simulator.runUntil([&] { return done; }, 30 * sim::kSecond);
+    simulator.run(30 * sim::kSecond);
     system.runUntilIdle(sim::kSecond);
 
     EXPECT_TRUE(ok);
@@ -93,10 +95,10 @@ TEST(Resumable, SurvivesRepeatedInterjections)
         [&](const std::vector<std::uint8_t> &d) { got = d; });
 
     bus::ResumableSender sender(system.node(1), /*maxAttempts=*/16);
-    bool done = false, ok = false;
+    bool ok = false;
     sender.send(3, data, [&](bool success, int) {
-        done = true;
         ok = success;
+        simulator.stop();
     });
 
     // Interject every 3 ms for a while.
@@ -105,7 +107,7 @@ TEST(Resumable, SurvivesRepeatedInterjections)
                            [&] { system.node(0).interject(); });
     }
 
-    simulator.runUntil([&] { return done; }, 60 * sim::kSecond);
+    simulator.run(60 * sim::kSecond);
     system.runUntilIdle(sim::kSecond);
     EXPECT_TRUE(ok);
     EXPECT_EQ(got, data);
@@ -124,9 +126,11 @@ TEST(MutablePriority, BreakNodeReordersArbitration)
 
     std::vector<int> order;
     auto track = [&](int tag) {
-        return [&order, tag](const bus::TxResult &r) {
+        return [&order, &simulator, tag](const bus::TxResult &r) {
             EXPECT_EQ(r.status, bus::TxStatus::Ack);
             order.push_back(tag);
+            if (order.size() == 2)
+                simulator.stop();
         };
     };
     bus::Message a;
@@ -136,8 +140,7 @@ TEST(MutablePriority, BreakNodeReordersArbitration)
     system.node(1).send(a, track(1));
     system.node(3).send(b, track(3));
 
-    simulator.runUntil([&] { return order.size() == 2; },
-                       sim::kSecond);
+    simulator.run(sim::kSecond);
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], 3); // Downstream of the break wins.
     EXPECT_EQ(order[1], 1);
@@ -154,9 +157,11 @@ TEST(MutablePriority, BreakNodeItselfWins)
 
     std::vector<int> order;
     auto track = [&](int tag) {
-        return [&order, tag](const bus::TxResult &r) {
+        return [&order, &simulator, tag](const bus::TxResult &r) {
             EXPECT_EQ(r.status, bus::TxStatus::Ack);
             order.push_back(tag);
+            if (order.size() == 2)
+                simulator.stop();
         };
     };
     bus::Message a;
@@ -166,8 +171,7 @@ TEST(MutablePriority, BreakNodeItselfWins)
     system.node(2).send(a, track(2));
     system.node(1).send(b, track(1));
 
-    simulator.runUntil([&] { return order.size() == 2; },
-                       sim::kSecond);
+    simulator.run(sim::kSecond);
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], 2);
 }

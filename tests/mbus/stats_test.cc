@@ -77,14 +77,16 @@ TEST(ProgressRule, EarlyInterjectDefersUntilFourBytes)
     big.payload.assign(64, 0xDD);
     std::optional<bus::TxResult> result;
     system.node(1).send(big,
-                        [&](const bus::TxResult &r) { result = r; });
+                        [&](const bus::TxResult &r) {
+                            result = r;
+                            simulator.stop();
+                        });
 
     // Right at the start of the transaction (~arbitration time).
     simulator.schedule(30 * sim::kMicrosecond,
                        [&] { system.node(0).interject(); });
 
-    simulator.runUntil([&] { return result.has_value(); },
-                       sim::kSecond);
+    simulator.run(sim::kSecond);
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(result->status, bus::TxStatus::Interrupted);
     system.runUntilIdle(sim::kSecond);
@@ -106,13 +108,15 @@ TEST(ProgressRule, TransmitterReportsPartialProgress)
     big.payload.assign(100, 0xEE);
     std::optional<bus::TxResult> result;
     system.node(1).send(big,
-                        [&](const bus::TxResult &r) { result = r; });
+                        [&](const bus::TxResult &r) {
+                            result = r;
+                            simulator.stop();
+                        });
 
     // Cut roughly halfway (100 B at 400 kHz ~ 2.1 ms).
     simulator.schedule(sim::kMillisecond,
                        [&] { system.node(0).interject(); });
-    simulator.runUntil([&] { return result.has_value(); },
-                       sim::kSecond);
+    simulator.run(sim::kSecond);
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(result->status, bus::TxStatus::Interrupted);
     EXPECT_GT(result->bytesSent, 20u);

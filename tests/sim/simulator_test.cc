@@ -42,27 +42,17 @@ TEST(Simulator, RelativeSchedulingCompounds)
     EXPECT_EQ(final_time, SimTime(20));
 }
 
-TEST(Simulator, RunUntilPredicate)
+TEST(Simulator, RunLimitIsVisibleInsideTheRun)
 {
     Simulator s;
-    int counter = 0;
-    std::function<void()> tick = [&] {
-        ++counter;
-        s.schedule(kMicrosecond, tick);
-    };
-    s.schedule(kMicrosecond, tick);
-    bool ok = s.runUntil([&] { return counter >= 5; });
-    EXPECT_TRUE(ok);
-    EXPECT_EQ(counter, 5);
-}
-
-TEST(Simulator, RunUntilTimesOut)
-{
-    Simulator s;
+    SimTime seen = 0;
+    s.schedule(kMicrosecond, [&] { seen = s.runLimit(); });
     s.schedule(kSecond, [] {});
-    bool ok = s.runUntil([] { return false; }, kMillisecond);
-    EXPECT_FALSE(ok);
+    EXPECT_EQ(s.runLimit(), kTimeForever);
+    s.run(kMillisecond);
+    EXPECT_EQ(seen, kMillisecond);
     EXPECT_EQ(s.now(), kMillisecond);
+    EXPECT_EQ(s.runLimit(), kTimeForever);
 }
 
 TEST(Simulator, StopEndsRun)

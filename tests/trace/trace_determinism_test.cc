@@ -179,15 +179,17 @@ TEST(TraceDeterminism, WatchdogRescueDumpNamesTheStalledTransaction)
     msg.dest = b->unicastAddress(3, false, bus::kFuMailbox);
     msg.payload = {1, 2, 3, 4};
     std::optional<bus::TxResult> result;
-    b->send(2, msg, [&](const bus::TxResult &r) { result = r; });
+    b->send(2, msg, [&](const bus::TxResult &r) {
+                        result = r;
+                        simulator.stop();
+                    });
     // Cut the ring after the transfer is underway (a few bit times
     // into a ~100 us transaction at 400 kHz).
     simulator.schedule(25 * sim::kMicrosecond,
                        [&] { b->injectWireForce(1, 0, false); });
     simulator.schedule(600 * sim::kMicrosecond,
                        [&] { b->injectWireRelease(1, 0); });
-    simulator.runUntil([&] { return result.has_value(); },
-                       5 * sim::kSecond);
+    simulator.run(5 * sim::kSecond);
     ASSERT_TRUE(result.has_value());
 
     EXPECT_GT(tracer.countOf(trace::EventKind::WatchdogRescue), 0u);
