@@ -37,9 +37,11 @@
  * Fidelity::Auto and must land on the message-level model under a
  * fixed events/bit ceiling (kMessageLevelCeiling, far below the edge
  * engine's ~4): CI fails if eligible cells quietly fall back to the
- * edge engine. Likewise workload_mix_auto runs the workload_mix cell
- * at Fidelity::Auto, where the data-phase fast-forward must hold it
- * under kFastForwardCeiling, far below the edge engine's ~2.2.
+ * edge engine. Likewise workload_mix_auto and bitbang_mix_auto run
+ * the workload_mix and bitbang_mix cells at Fidelity::Auto, where the
+ * data-phase fast-forward must hold each under kFastForwardCeiling,
+ * far below the edge engine's ~2.2 and ~2.4: CI fails if either ring
+ * quietly falls back to every edge.
  *
  * Usage: perf_gate [--baseline PATH] [--write-baseline PATH]
  */
@@ -49,6 +51,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -79,9 +82,10 @@ fig9ClockHz(int nodes)
  *  about four per wire bit. */
 constexpr double kMessageLevelCeiling = 0.5;
 
-/** events/bit ceiling for the auto-fidelity canonical mix cell: the
- *  data-phase fast-forward leaves about 0.17 of the edge engine's
- *  ~2.2 (arbitration, address, control and short messages). */
+/** events/bit ceiling for the auto-fidelity canonical mix cells: the
+ *  data-phase fast-forward leaves about 0.17 (hardware ring) and 0.2
+ *  (mixed ring) of the edge engine's ~2.2 and ~2.4 (arbitration,
+ *  address, control and short messages). */
 constexpr double kFastForwardCeiling = 0.25;
 
 double
@@ -309,19 +313,25 @@ main(int argc, char **argv)
                      autoEpb, kMessageLevelCeiling);
         fail = true;
     }
-    double mixAutoEpb =
-        backendMixCosts(backend::BackendKind::Mbus,
-                        sweep::Fidelity::Auto)
-            .eventsPerBit;
-    std::printf("%-14s %14.5f %14.5f %8.3fx  (fixed ceiling)\n",
-                "workload_mix_auto", mixAutoEpb, kFastForwardCeiling,
-                mixAutoEpb / kFastForwardCeiling);
-    if (mixAutoEpb > kFastForwardCeiling) {
-        std::fprintf(stderr,
-                     "FAIL: workload_mix_auto events/bit %f above the "
-                     "fast-forward ceiling %f\n",
-                     mixAutoEpb, kFastForwardCeiling);
-        fail = true;
+    // The canonical mix at Fidelity::Auto on the hardware ring and on
+    // the mixed ring: the data-phase fast-forward must hold both.
+    const std::pair<const char *, backend::BackendKind> autoMixes[] = {
+        {"workload_mix_auto", backend::BackendKind::Mbus},
+        {"bitbang_mix_auto", backend::BackendKind::Bitbang},
+    };
+    for (const auto &[name, kind] : autoMixes) {
+        double epb =
+            backendMixCosts(kind, sweep::Fidelity::Auto).eventsPerBit;
+        std::printf("%-14s %14.5f %14.5f %8.3fx  (fixed ceiling)\n",
+                    name, epb, kFastForwardCeiling,
+                    epb / kFastForwardCeiling);
+        if (epb > kFastForwardCeiling) {
+            std::fprintf(stderr,
+                         "FAIL: %s events/bit %f above the "
+                         "fast-forward ceiling %f\n",
+                         name, epb, kFastForwardCeiling);
+            fail = true;
+        }
     }
     if (!fail)
         std::printf("perf gate OK (all metrics within 10%% of "

@@ -79,7 +79,7 @@ struct BusParams
     bool powerGated = false;    ///< Power-gate member nodes.
     bool edgeTrains = true;     ///< Kernel edge-train batching.
     bool chunkedDispatch = true; ///< Batched listener dispatch.
-    bool fastForward = true;     ///< Hardware MBus: skip steady data
+    bool fastForward = true;     ///< MBus rings: skip steady data
                                  ///< phases in closed form (exact).
     std::size_t softRxCapacity = 256; ///< Software member's receive
                                       ///< buffer (bitbang/firmware).

@@ -62,22 +62,8 @@ FirmwareNode::onEdge(Pin pin, bool level)
         return;
     }
 
-    // The CLK ISR body costs the same cycle count whatever the FSM
-    // state, so without jitter its retirement latency is a constant.
-    const auto &cost = cfg_.cost;
-    int total;
-    if (pin == Pin::Clk) {
-        const int body = cost.gpioReadCycles + cost.dispatchCycles +
-                         cost.stateUpdateCycles + cost.gpioWriteCycles +
-                         2 * cost.gpioReadCycles +
-                         2 * cost.gpioWriteCycles + 1;
-        total = cost.isrEntryCycles + body + cost.isrExitCycles;
-    } else {
-        const int body = cost.gpioReadCycles + cost.dispatchCycles +
-                         cost.stateUpdateCycles;
-        total = cost.isrEntryCycles + body + cost.isrExitCycles;
-    }
-    total += static_cast<int>(jitterDraw());
+    // Without jitter the CLK ISR's retirement latency is a constant.
+    const int total = isrCycles(pin) + static_cast<int>(jitterDraw());
     maxPathCycles_ = std::max(maxPathCycles_, total);
 
     // One CPU: a new interrupt waits for the running ISR to retire.
@@ -108,6 +94,93 @@ FirmwareNode::onEdge(Pin pin, bool level)
                           ? static_cast<sim::EdgeSink &>(clkRetire_)
                           : static_cast<sim::EdgeSink &>(dataRetire_),
                       level);
+}
+
+int
+FirmwareNode::isrCycles(Pin pin) const
+{
+    const auto &cost = cfg_.cost;
+    int body = cost.gpioReadCycles + cost.dispatchCycles +
+               cost.stateUpdateCycles;
+    if (pin == Pin::Clk)
+        body += cost.gpioWriteCycles + 2 * cost.gpioReadCycles +
+                2 * cost.gpioWriteCycles + 1;
+    return cost.isrEntryCycles + body + cost.isrExitCycles;
+}
+
+sim::SimTime
+FirmwareNode::clkIsrLatency() const
+{
+    return cfg_.cost.cyclesToTime(isrCycles(Pin::Clk));
+}
+
+std::uint64_t
+FirmwareNode::dataCyclesDriven() const
+{
+    return fsm_->txBitsDriven() -
+           static_cast<std::size_t>(txQueue_.front().msg.dest.bitCount());
+}
+
+FirmwareNode::DinSlot
+FirmwareNode::dinSlot(sim::SimTime dinDelay) const
+{
+    // The CLK fall's ISR starts at once (CLK reaches the member
+    // first); a DATA edge arriving while it runs waits for the CPU.
+    const sim::SimTime clk = clkIsrLatency();
+    const sim::SimTime at = fsm_->txActive() ? clk + dinDelay : dinDelay;
+    DinSlot slot;
+    slot.stalls = clk > at;
+    slot.done = std::max(at, clk) +
+                cfg_.cost.cyclesToTime(isrCycles(Pin::Data));
+    return slot;
+}
+
+std::uint64_t
+FirmwareNode::dataCyclesSkippable(sim::SimTime half,
+                                  sim::SimTime dinDelay) const
+{
+    if (cfg_.isrJitterCycles != 0 || cfg_.mergeMissedEdges ||
+        clkIsrPending_ != 0 || dataIsrPending_ != 0 ||
+        cpuBusyUntil_ > sim_.now() || !fsm_->steadyDataPhase())
+        return 0;
+    // Each cycle's ISRs retire before the next CLK edge arrives, so
+    // every cycle starts on an idle CPU and CLK keeps its beat.
+    if (clkIsrLatency() >= half || dinSlot(dinDelay).done >= half)
+        return 0;
+    if (!fsm_->txActive())
+        return ~std::uint64_t(0);
+    if (!transmitting())
+        return 0; // The FSM was handed a buffer directly.
+    const std::size_t addrBits = static_cast<std::size_t>(
+        txQueue_.front().msg.dest.bitCount());
+    const std::size_t driven = fsm_->txBitsDriven();
+    const std::size_t total = 8 * fsm_->txLength();
+    if (driven < addrBits || total < driven + 3)
+        return 0;
+    return total - driven - 2;
+}
+
+void
+FirmwareNode::skipDataCycles(std::uint64_t cycles,
+                             std::uint64_t dinEdges, bool din,
+                             sim::SimTime clkAt, sim::SimTime half,
+                             sim::SimTime dinDelay)
+{
+    const auto clk = static_cast<std::uint64_t>(isrCycles(Pin::Clk));
+    const auto data = static_cast<std::uint64_t>(isrCycles(Pin::Data));
+    stats_.isrInvocations += 2 * cycles + dinEdges;
+    stats_.cyclesSpent += 2 * cycles * clk + dinEdges * data;
+    if (dinSlot(dinDelay).stalls)
+        stats_.serializationStalls += dinEdges;
+    maxPathCycles_ = std::max(maxPathCycles_, static_cast<int>(clk));
+    if (dinEdges > 0)
+        maxPathCycles_ = std::max(maxPathCycles_, static_cast<int>(data));
+    // The last skipped rising edge's ISR retires last.
+    const sim::SimTime lastRise =
+        clkAt + (2 * static_cast<sim::SimTime>(cycles) - 1) * half;
+    cpuBusyUntil_ = lastRise + clkIsrLatency();
+    isrTrain_.resumeBeat(lastRise, half);
+    fsm_->skipDataCycles(cycles, din);
 }
 
 void

@@ -121,6 +121,24 @@ LibMbus::MBus_run()
     return true;
 }
 
+void
+LibMbus::skipDataCycles(std::uint64_t cycles, bool din)
+{
+    // Every cycle ends on a rising CLK handler (which clears the
+    // interjection count); DIN handlers run under a low CLK and only
+    // record the level.
+    last_clkin = true;
+    last_din = din;
+    interrupt_count = 0;
+    if (!tx_active || cycles == 0)
+        return;
+    const std::size_t next = txBitsDriven() + cycles;
+    const std::size_t last = next - 1;
+    last_dout = ((tx_buf[last / 8] >> (7 - last % 8)) & 1) != 0;
+    tx_byte_idx = next / 8;
+    tx_bit_idx = 7 - static_cast<int>(next % 8);
+}
+
 bool
 LibMbus::inControlChain() const
 {

@@ -178,6 +178,40 @@ class LibMbus
     int interruptCount() const { return interrupt_count; }
     const std::uint8_t *txBuf() const { return tx_buf; }
 
+    // -- data-phase fast-forward (FirmwareNode; not in the C API).
+
+    /** True at a data-phase clock-high point: the next edge falls and
+     *  drives (transmitter) or passes (forwarder) a data bit, with no
+     *  interjection, error or hold outside the role's own. */
+    bool
+    steadyDataPhase() const
+    {
+        if (state_ != MBUS_STATE_DRIVE_DATA || !last_clkin ||
+            !clk_forwarding || i_am_interjector ||
+            error_ != MBUS_NO_ERROR)
+            return false;
+        if (tx_active)
+            return logical_ == MBUS_LOGICAL_TRANSMIT && holding_dout;
+        return logical_ == MBUS_LOGICAL_FORWARD && !holding_dout;
+    }
+    bool txActive() const { return tx_active; }
+    /** Buffer bits (address included) a transmitter has driven. */
+    std::size_t
+    txBitsDriven() const
+    {
+        return 8 * tx_byte_idx + static_cast<std::size_t>(7 - tx_bit_idx);
+    }
+    std::size_t txLength() const { return tx_length; }
+
+    /**
+     * Closed form of @p cycles steady data cycles (two CLK handlers
+     * each, plus a DIN handler per DATA transition), ending with DIN
+     * at @p din: a forwarder's state is unchanged but for the pin
+     * bookkeeping; a transmitter also advances its buffer position
+     * and last driven bit.
+     */
+    void skipDataCycles(std::uint64_t cycles, bool din);
+
   private:
     struct Event
     {

@@ -86,15 +86,16 @@ struct SystemConfig
      */
     bool chunkedDispatch = true;
     /**
-     * Data-phase fast-forward (hardware-only rings with edge trains
-     * and chunked dispatch on, no waveform recorder): once a
-     * transaction's data phase is steady, the mediator skips whole
-     * data cycles in closed form -- every FSM counter, net level,
-     * transition count and ledger accumulator lands exactly where
-     * the skipped edges would have put it -- up to two cycles before
-     * the last, the receiver's capacity point, the length limit, or
-     * the earliest pending event the ring does not own. Only kernel
-     * costs change. Off simulates every edge.
+     * Data-phase fast-forward (edge trains and chunked dispatch on,
+     * no waveform recorder; a software member joins in while it
+     * forwards or transmits): once a transaction's data phase is
+     * steady, the mediator skips whole data cycles in closed form --
+     * every FSM counter, ISR count, net level, transition count and
+     * ledger accumulator lands exactly where the skipped edges would
+     * have put it -- up to two cycles before the last, the receiver's
+     * capacity point, the length limit, or the earliest pending event
+     * the ring does not own, when the skip saves kernel events. Only
+     * kernel costs change. Off simulates every edge.
      */
     bool fastForward = true;
 

@@ -81,5 +81,79 @@ laneTransitions(const std::vector<std::uint8_t> &payload, int lanes,
     return run;
 }
 
+LaneRides
+laneRides(const std::vector<std::uint8_t> &payload, int lanes,
+          std::uint64_t first, std::uint64_t cycles,
+          const std::array<bool, kMaxDataLanes> &start,
+          std::uint32_t maxEdges)
+{
+    LaneRides rides;
+    const auto w = static_cast<std::uint64_t>(lanes);
+    const std::uint64_t end = first + cycles;
+    for (std::uint64_t l = 0; l < w; ++l) {
+        // The cycles of the lane's first two transitions.
+        std::uint64_t at[2] = {};
+        int seen = 0;
+        bool level = start[l];
+        for (std::uint64_t c = first; c < end && seen < 2; ++c) {
+            const bool b = payloadBit(payload, c * w + l);
+            if (b != level)
+                at[seen++] = c;
+            level = b;
+        }
+        // TrainRider::ride in cycle units (every gap outlasts a hop),
+        // primed as if the opening beat had been running all along
+        // (unsigned wrap keeps the first gap exact).
+        bool riding = false, chained = false;
+        bool haveLast = seen == 2, haveGap = seen == 2;
+        std::uint64_t left = 0, period = 0, expect = 0;
+        std::uint64_t lastGap = seen == 2 ? at[1] - at[0] : 0;
+        std::uint64_t lastAt = at[0] - lastGap;
+        std::uint64_t &events = rides.events[l];
+        level = start[l];
+        for (std::uint64_t c = first; c < end; ++c) {
+            const bool b = payloadBit(payload, c * w + l);
+            if (b == level)
+                continue;
+            level = b;
+            chained = false;
+            if (riding) {
+                if (left > 0 && c == expect) {
+                    expect = c + period;
+                    if (--left == 0) {
+                        // Exhausted: the next on-beat edge chains.
+                        riding = false;
+                        chained = true;
+                        haveLast = haveGap = true;
+                        lastAt = c;
+                        lastGap = period;
+                    }
+                    continue;
+                }
+                riding = false;
+                haveLast = haveGap = false;
+            }
+            const std::uint64_t gap = c - lastAt;
+            ++events; // A discrete edge, or the head of a new train.
+            if (haveGap && gap == lastGap && maxEdges > 0) {
+                riding = true;
+                period = gap;
+                left = maxEdges - 1;
+                expect = c + gap;
+                haveLast = haveGap = false;
+                continue;
+            }
+            if (haveLast) {
+                lastGap = gap;
+                haveGap = true;
+            }
+            lastAt = c;
+            haveLast = true;
+        }
+        rides.onBeat[l] = riding || chained;
+    }
+    return rides;
+}
+
 } // namespace bus
 } // namespace mbus

@@ -10,7 +10,9 @@
  * cycles are the adjacent-level changes of that lane's subsequence.
  * laneTransitions() counts them 64 payload bits at a time: the bit
  * stream XOR itself one cycle (w bits) earlier marks every change,
- * and a popcount per lane mask counts them.
+ * and a popcount per lane mask counts them. laneRides() prices the
+ * same transitions in kernel events, as a segment's edge-train rider
+ * would retire them.
  */
 
 #ifndef MBUS_BUS_DATA_PHASE_HH
@@ -50,6 +52,25 @@ LaneRun laneTransitions(const std::vector<std::uint8_t> &payload,
                         int lanes, std::uint64_t first,
                         std::uint64_t cycles,
                         const std::array<bool, kMaxDataLanes> &start);
+
+/** Kernel events one segment of each lane retires over a run. */
+struct LaneRides
+{
+    std::array<std::uint64_t, kMaxDataLanes> events{}; ///< Per lane.
+    std::array<bool, kMaxDataLanes> onBeat{}; ///< Riding at the end.
+};
+
+/**
+ * What a segment's sim::TrainRider (trains of up to @p maxEdges
+ * edges) retires on each lane's transitions over the same run as
+ * laneTransitions(): one event per discrete edge and per train
+ * started, taking a lane whose run opens on a steady beat as
+ * already riding it.
+ */
+LaneRides laneRides(const std::vector<std::uint8_t> &payload, int lanes,
+                    std::uint64_t first, std::uint64_t cycles,
+                    const std::array<bool, kMaxDataLanes> &start,
+                    std::uint32_t maxEdges);
 
 } // namespace bus
 } // namespace mbus

@@ -198,15 +198,14 @@ Mediator::fastForward()
         ctx_.cfg.clockDriftFactor != 1.0 ||
         armedHalfPeriod_ <= ringCheckDelay())
         return false;
-    // A short skip saves less than re-arming the trains costs.
-    constexpr std::uint64_t kMinCycles = 4;
     const auto w = static_cast<std::uint64_t>(ctx_.cfg.dataLanes);
     const std::uint64_t latchable = (8 * maxMessageBytes_ + 7) / w;
-    if (latchable < dataCyclesSeen_ + kMinCycles)
+    if (latchable <= dataCyclesSeen_)
         return false;
-    std::uint64_t cycles = std::min(latchable - dataCyclesSeen_,
-                                    skipper_->dataCyclesSkippable());
-    if (cycles < kMinCycles)
+    std::uint64_t cycles =
+        std::min(latchable - dataCyclesSeen_,
+                 skipper_->dataCyclesSkippable(armedHalfPeriod_));
+    if (cycles == 0)
         return false;
     // Our own queued edge is the next ring check; the tick train is
     // the event running now. Anything else pending is not ours.
@@ -218,7 +217,16 @@ Mediator::fastForward()
     cycles = std::min<std::uint64_t>(
         {cycles, static_cast<std::uint64_t>((until - now) / cycle),
          std::uint64_t(1) << 31});
-    if (cycles < kMinCycles)
+    if (cycles == 0)
+        return false;
+    // A skip re-arms the tick and ring-check trains, which on edges
+    // retire one event per kTickTrainEdges edges each; the ring prices
+    // its own trains and edges. Take only a skip that saves events:
+    // short ones do not, the less so the larger the ring.
+    const double ours =
+        2 * (2.0 * static_cast<double>(cycles) / kTickTrainEdges - 1);
+    if (skipper_->skipSavings(static_cast<std::uint32_t>(cycles)) + ours <=
+        0)
         return false;
 
     skipper_->skipDataCycles(static_cast<std::uint32_t>(cycles),

@@ -13,6 +13,11 @@
  *
  * The mediator is hosted on one chip (the processor in the paper's
  * systems) and drives that chip's output wire controllers.
+ *
+ * In a steady data phase it may skip whole cycles through its
+ * DataPhaseSkipper (the ring: MBusSystem, chips and software member
+ * alike), when the skip retires fewer kernel events than the edges
+ * it replaces, and resume clocking at the far end.
  */
 
 #ifndef MBUS_BUS_MEDIATOR_HH
@@ -46,15 +51,24 @@ struct MediatorStats
  * The ring side of the data-phase fast-forward (MBusSystem). On each
  * falling tick of a data phase the mediator asks how many whole data
  * cycles the ring could skip, bounds the answer by its own watchdog
- * and by the earliest event the ring does not own, and has the ring
- * skip that many before re-arming its tick at the far end.
+ * and by the earliest event the ring does not own, checks that the
+ * skip saves kernel events, and has the ring skip that many before
+ * re-arming its tick at the far end.
  */
 class DataPhaseSkipper
 {
   public:
-    /** Whole data cycles every chip and segment could skip from this
-     *  clock-high point (0 outside a steady data phase). */
-    virtual std::uint64_t dataCyclesSkippable() = 0;
+    /** Whole data cycles of half period @p half every member and
+     *  segment could skip from this clock-high point (0 outside a
+     *  steady data phase). */
+    virtual std::uint64_t dataCyclesSkippable(sim::SimTime half) = 0;
+
+    /** Kernel events the ring's segments and members would retire
+     *  on edges over the next @p cycles data cycles, less what
+     *  skipping them costs in restarted trains (negative when a skip
+     *  costs more than it saves). A long skip may get a lower bound
+     *  above 2 instead: enough to decide. */
+    virtual double skipSavings(std::uint32_t cycles) const = 0;
 
     /** Advance every chip and segment across @p cycles data cycles
      *  of half period @p half, starting with the falling edge due
@@ -190,7 +204,8 @@ class Mediator : private wire::EdgeListener
      * cycles through the skipper, then re-arm the tick and ring-check
      * trains at the far end. Bounded by the watchdog (no skipped
      * latch reaches the length limit), the earliest pending event the
-     * ring does not own and the end of the run.
+     * ring does not own and the end of the run, and taken only when
+     * it retires fewer kernel events than its edges would.
      *
      * @return true when cycles were skipped (the tick is not driven).
      */

@@ -204,8 +204,7 @@ MBusSystem::finalize()
     mediator_ = std::make_unique<Mediator>(std::move(mctx));
     mediator_->setMaxMessageBytes(cfg_.maxMessageBytes);
     mediator_->arm();
-    if (cfg_.fastForward && !softCfg_ && cfg_.edgeTrains &&
-        cfg_.chunkedDispatch)
+    if (cfg_.fastForward && cfg_.edgeTrains && cfg_.chunkedDispatch)
         mediator_->setDataPhaseSkipper(this);
     medLink_->requestInterjection = [this] {
         mediator_->hostInterjectionRequest();
@@ -476,25 +475,51 @@ MBusSystem::attachTrace(sim::TraceRecorder &recorder)
     forEachSegment([&recorder](wire::Net &seg) { seg.trace(recorder); });
 }
 
+sim::SimTime
+MBusSystem::softDinDelay(std::size_t tx) const
+{
+    // CLK reaches the member (slot n) n hops after the mediator
+    // drives it. A transmitting chip drives DATA as CLK reaches it,
+    // so its edge keeps pace with CLK -- except the mediator host,
+    // which clocks off its own output one hop late. The member's own
+    // DOUT edges come back around all n + 1 segments.
+    const std::size_t n = nodes_.size();
+    if (tx == n)
+        return static_cast<sim::SimTime>(n + 1) * cfg_.hopDelay;
+    return tx == 0 ? cfg_.hopDelay : 0;
+}
+
 std::uint64_t
-MBusSystem::dataCyclesSkippable()
+MBusSystem::dataCyclesSkippable(sim::SimTime half)
 {
     const std::size_t n = nodes_.size();
+    const std::size_t none = ringSize();
     std::uint64_t room = ~std::uint64_t(0);
-    std::size_t tx = n;
+    std::size_t tx = none;
     for (std::size_t i = 0; i < n; ++i) {
         const BusController &ctl = nodes_[i]->busController();
         room = std::min(room, ctl.dataCyclesSkippable());
         if (room == 0)
             return 0;
         if (ctl.transmitting()) {
-            if (tx != n)
+            if (tx != none)
                 return 0;
             tx = i;
         }
     }
-    if (tx == n)
+    if (soft_ && soft_->transmitting()) {
+        if (tx != none)
+            return 0;
+        tx = n;
+    }
+    if (tx == none)
         return 0;
+    if (soft_) {
+        room = std::min(room,
+                        soft_->dataCyclesSkippable(half, softDinDelay(tx)));
+        if (room == 0)
+            return 0;
+    }
     // Every chip forwards, except where the mediator drives CLK
     // (chip 0) and the transmitter drives its lanes.
     for (std::size_t i = 0; i < n; ++i) {
@@ -513,7 +538,7 @@ MBusSystem::dataCyclesSkippable()
                seg.value() == level && seg.drivenValue() == level;
     };
     const bool data = dataSegs_[tx]->drivenValue();
-    for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < none; ++i)
         if (!steady(*clkSegs_[i], true) || !steady(*dataSegs_[i], data))
             return 0;
     for (const auto &lane : laneSegs_) {
@@ -526,28 +551,85 @@ MBusSystem::dataCyclesSkippable()
     return room;
 }
 
+MBusSystem::Stretch
+MBusSystem::stretch(std::uint32_t cycles) const
+{
+    Stretch s;
+    s.start[0] = dataSegs_[skipTx_]->value();
+    for (std::size_t l = 0; l < laneSegs_.size(); ++l)
+        s.start[l + 1] = laneSegs_[l][skipTx_]->value();
+    if (skipTx_ == nodes_.size()) {
+        s.msg = soft_->transmitting();
+        s.first = soft_->dataCyclesDriven();
+    } else {
+        const BusController &ctl = nodes_[skipTx_]->busController();
+        s.msg = ctl.transmitting();
+        s.first = ctl.dataCyclesDriven();
+    }
+    s.run = laneTransitions(s.msg->payload, cfg_.dataLanes, s.first,
+                            cycles, s.start);
+    return s;
+}
+
+double
+MBusSystem::skipSavings(std::uint32_t cycles) const
+{
+    const double c = static_cast<double>(cycles);
+    // Each ring segment's CLK train retires one event per
+    // kTrainMaxEdges edges; the skip restarts it.
+    const double ring = static_cast<double>(ringSize());
+    double saved = ring * (2 * c / kTrainMaxEdges - 1);
+    if (soft_)
+        saved += 2 * c / kTrainMaxEdges - 1; // Its CLK ISR train.
+    // A long skip pays whatever its lanes cost (at most two events a
+    // segment each, below): answer that bound without a lane scan.
+    const double lanesWorst = 2 * ring * cfg_.dataLanes;
+    if (saved - lanesWorst > 2)
+        return saved - lanesWorst;
+    // Every segment of a DATA lane retires what its rider would on
+    // the lane's transitions; a lane still on its beat warms up again
+    // after the skip (two discrete edges before a new train).
+    const Stretch s = stretch(cycles);
+    const LaneRides rides =
+        laneRides(s.msg->payload, cfg_.dataLanes, s.first, cycles,
+                  s.start, kTrainMaxEdges);
+    for (int l = 0; l < cfg_.dataLanes; ++l) {
+        const auto i = static_cast<std::size_t>(l);
+        saved += ring * (static_cast<double>(rides.events[i]) -
+                         (rides.onBeat[i] ? 2 : 0));
+    }
+    // The member's DIN ISRs: one event per transition.
+    if (soft_)
+        saved += static_cast<double>(s.run.edges[0]);
+    return saved;
+}
+
 void
 MBusSystem::skipDataCycles(std::uint32_t cycles, sim::SimTime half)
 {
-    const BusController &txCtl = nodes_[skipTx_]->busController();
-    const Message &msg = *txCtl.transmitting();
-    const std::uint64_t first = txCtl.dataCyclesDriven();
-    std::array<bool, kMaxDataLanes> start{};
-    start[0] = dataSegs_[skipTx_]->value();
-    for (std::size_t l = 0; l < laneSegs_.size(); ++l)
-        start[l + 1] = laneSegs_[l][skipTx_]->value();
-    const LaneRun run =
-        laneTransitions(msg.payload, cfg_.dataLanes, first, cycles, start);
+    const std::size_t n = nodes_.size();
+    const Stretch s = stretch(cycles);
+    const LaneRun &run = s.run;
     for (auto &node : nodes_)
-        node->skipDataCycles(msg, first, cycles);
+        node->skipDataCycles(*s.msg, s.first, cycles);
+    const sim::SimTime now = sim_.now();
+    const sim::SimTime h = cfg_.hopDelay;
+    if (soft_)
+        soft_->skipDataCycles(cycles, run.edges[0], run.last[0],
+                              now + static_cast<sim::SimTime>(n) * h,
+                              half, softDinDelay(skipTx_));
     // CLK keeps its beat: segment i forwarded the last skipped rising
-    // edge i hops after the mediator drove it, one half period before
-    // the resumed falling tick.
+    // edge i hops after the mediator drove it (plus the member's ISR
+    // latency on its own segment), one half period before the
+    // resumed falling tick.
     const sim::SimTime lastRise =
-        sim_.now() + (2 * static_cast<sim::SimTime>(cycles) - 1) * half;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        now + (2 * static_cast<sim::SimTime>(cycles) - 1) * half;
+    for (std::size_t i = 0; i < ringSize(); ++i) {
+        const sim::SimTime lag = i == n ? soft_->clkIsrLatency() : 0;
         clkSegs_[i]->skipEdges(2 * std::uint64_t(cycles),
-                               lastRise + i * cfg_.hopDelay, half);
+                               lastRise + static_cast<sim::SimTime>(i) * h +
+                                   lag,
+                               half);
         dataSegs_[i]->skipEdges(run.edges[0]);
         for (std::size_t l = 0; l < laneSegs_.size(); ++l)
             laneSegs_[l][i]->skipEdges(run.edges[l + 1]);

@@ -13,13 +13,15 @@
  * ring budget (SystemConfig::extraRingLatency), which throttles the
  * whole mixed ring to a fraction of its clock envelope.
  *
- * On a hardware-only ring the system is also the mediator's
- * data-phase fast-forward (SystemConfig::fastForward): once a
- * transaction's data phase is steady, whole data cycles are skipped
- * in closed form -- chips, segment levels and counters, and ledger
- * accumulators land exactly where the skipped edges would have put
- * them -- up to the next protocol decision or the next event the
- * ring does not own. Waveform capture turns it off for good.
+ * The system is also the mediator's data-phase fast-forward
+ * (SystemConfig::fastForward): once a transaction's data phase is
+ * steady, whole data cycles are skipped in closed form -- chips, the
+ * software member's ISR counters and FSM, segment levels and
+ * counters, and ledger accumulators land exactly where the skipped
+ * edges would have put them -- up to the next protocol decision or
+ * the next event the ring does not own. A receiving, jittered or
+ * edge-merging software member keeps every edge; waveform capture
+ * turns it off for good.
  *
  * runUntilIdle() and the sendAndWait()/enumeration probes end their
  * runs with Simulator::stop(): the mediator, every bus controller
@@ -30,6 +32,7 @@
 #ifndef MBUS_BUS_SYSTEM_HH
 #define MBUS_BUS_SYSTEM_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -38,6 +41,7 @@
 
 #include "firmware/firmware_node.hh"
 #include "mbus/config.hh"
+#include "mbus/data_phase.hh"
 #include "mbus/mediator.hh"
 #include "mbus/message.hh"
 #include "mbus/node.hh"
@@ -225,18 +229,38 @@ class MBusSystem : private DataPhaseSkipper
 
     // --- Data-phase fast-forward (DataPhaseSkipper) ------------------
     //
-    // Installed on hardware-only rings with SystemConfig::fastForward,
-    // edge trains and chunked dispatch on, and removed for good when a
-    // waveform recorder attaches. The mediator asks at each falling
-    // tick; a steady data phase means one transmitter, every other
-    // chip addressed (receiving or forwarding), every chip forwarding
-    // except where the mediator drives CLK and the transmitter drives
-    // its lanes, and every segment settled, unforced and undamaged at
-    // its lane's level. Arbitration, address, end of message,
-    // interjection, control and all power gating stay on edges.
+    // Installed with SystemConfig::fastForward, edge trains and
+    // chunked dispatch on, and removed for good when a waveform
+    // recorder attaches. The mediator asks at each falling tick; a
+    // steady data phase means one transmitter (a chip or the software
+    // member), every chip addressed (receiving or forwarding), the
+    // member forwarding or transmitting with its ISRs retired, every
+    // chip forwarding except where the mediator drives CLK and the
+    // transmitter drives its lanes, and every segment settled,
+    // unforced and undamaged at its lane's level. Arbitration,
+    // address, end of message, interjection, control and all power
+    // gating stay on edges.
 
-    std::uint64_t dataCyclesSkippable() override;
+    std::uint64_t dataCyclesSkippable(sim::SimTime half) override;
+    double skipSavings(std::uint32_t cycles) const override;
     void skipDataCycles(std::uint32_t cycles, sim::SimTime half) override;
+
+    /** The message a skip of @p cycles data cycles from here carries,
+     *  its first data cycle, each lane's entry level and its
+     *  transitions. */
+    struct Stretch
+    {
+        const Message *msg = nullptr;
+        std::uint64_t first = 0;
+        std::array<bool, kMaxDataLanes> start{};
+        LaneRun run;
+    };
+    Stretch stretch(std::uint32_t cycles) const;
+
+    /** When a DATA edge reaches the software member's DIN in a data
+     *  phase transmitted by ring slot @p tx (see
+     *  FirmwareNode::dataCyclesSkippable). */
+    sim::SimTime softDinDelay(std::size_t tx) const;
 
     /** Hand @p f every ring segment: all CLK segments, then all DATA
      *  segments, then each extra lane's -- the VCD signal order. */

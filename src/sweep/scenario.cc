@@ -223,7 +223,8 @@ runClassicTraffic(const ScenarioSpec &spec, backend::BusBackend &backend,
 } // namespace
 
 ScenarioStats
-runScenario(const ScenarioSpec &spec, std::uint64_t seed)
+runScenario(const ScenarioSpec &spec, std::uint64_t seed,
+            const CellHooks &hooks)
 {
     if (spec.nodes < 2 || spec.nodes > 14)
         mbus_fatal("scenario needs 2..14 nodes, got ", spec.nodes);
@@ -257,6 +258,8 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed)
     params.softRxCapacity = spec.softRxCapacity;
     // Edge fidelity simulates every edge: no data-phase fast-forward.
     params.fastForward = spec.fidelity != Fidelity::Edge;
+    if (hooks.tune)
+        hooks.tune(params);
 
     // Eligible cells run the message-level MBus model; makeBackend
     // always builds the edge-level fabric.
@@ -393,6 +396,8 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed)
 
         simulator.setTracer(nullptr);
     }
+    if (hooks.inspect)
+        hooks.inspect(*backend);
     return st;
 }
 

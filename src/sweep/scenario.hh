@@ -19,6 +19,7 @@
 #define MBUS_SWEEP_SCENARIO_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -233,14 +234,25 @@ struct ScenarioStats : workload::TrafficCounts
  */
 bool messageLevelEligible(const ScenarioSpec &spec);
 
+/** Test hooks around one cell's fabric: @c tune edits its parameters
+ *  before it is built (the software-member knobs a spec does not
+ *  carry), and @c inspect reads it once the run is over. */
+struct CellHooks
+{
+    std::function<void(backend::BusParams &)> tune;
+    std::function<void(backend::BusBackend &)> inspect;
+};
+
 /**
  * Run one cell to completion.
  *
  * @param spec The scenario; node count is clamped-checked (2..14).
  * @param seed Cell RNG seed (from Random::split in sweeps).
+ * @param hooks Optional fabric hooks (tests).
  * @return the deterministic stats record.
  */
-ScenarioStats runScenario(const ScenarioSpec &spec, std::uint64_t seed);
+ScenarioStats runScenario(const ScenarioSpec &spec, std::uint64_t seed,
+                          const CellHooks &hooks = {});
 
 /** The nearest-rank percentile per-cell stats and the sweep
  *  aggregate use. */

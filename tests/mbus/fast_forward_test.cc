@@ -1,22 +1,26 @@
 /**
  * @file
- * The data-phase fast-forward guard: with the fast-forward on, a
- * hardware MBus ring must land on exactly the state the edge engine
- * reaches edge by edge -- outcomes, bytes, latencies, simulated time,
- * per-node edges, clock cycles and every energy double -- while
- * retiring fewer kernel events. Only the kernel-cost counters may
- * differ.
+ * The data-phase fast-forward guard: with the fast-forward on, an
+ * MBus ring -- hardware-only or with the software member in its last
+ * slot -- must land on exactly the state the edge engine reaches edge
+ * by edge -- outcomes, bytes, latencies, simulated time, per-node
+ * edges, clock cycles, every energy double and every software-member
+ * ISR counter -- while retiring no more kernel events. Only the
+ * kernel-cost counters may differ.
  *
- *  - a differential sweep of randomized hardware-ring cells, each run
- *    at Fidelity::Auto (fast-forward on) and Fidelity::Edge (every
- *    edge), compared through their encodeStats() bytes with the
- *    kernel-cost fields zeroed;
+ *  - differential sweeps of randomized hardware-ring and mixed-ring
+ *    cells, each run at Fidelity::Auto (fast-forward on) and
+ *    Fidelity::Edge (every edge), compared through their
+ *    encodeStats() bytes with the kernel-cost fields zeroed (and, on
+ *    mixed rings, the member's FirmwareStats);
  *  - boundary cases where something lands mid-data-phase (a third-
  *    party interjection, a fault event, watchdog polls), the
  *    receiver's capacity point, the 1 kB length limit, and a glitch
  *    still in flight at a falling tick, which must block entry;
- *  - one pinned canonical-mix cell under a deterministic events
- *    ceiling.
+ *  - the member transmitting mid-data-phase, and the cases that keep
+ *    every edge: a receiving member, ISR jitter and merged edges;
+ *  - the canonical-mix cells (hardware and mixed ring) under
+ *    deterministic events ceilings.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +33,7 @@
 
 #include "backend/mbus_backend.hh"
 #include "bench/bench_util.hh"
+#include "firmware/firmware_node.hh"
 #include "mbus/data_phase.hh"
 #include "mbus/system.hh"
 #include "sim/random.hh"
@@ -168,6 +173,41 @@ TEST(FastForward, LaneTransitionsMatchABitByBitCount)
         EXPECT_EQ(got.edges, want.edges);
         EXPECT_EQ(got.last, want.last);
     }
+}
+
+TEST(FastForward, LaneRidesPriceTrainsAndDiscreteEdges)
+{
+    const std::array<bool, bus::kMaxDataLanes> low{};
+    // 0x55: one lane toggling every cycle rides trains of 32 edges
+    // from its first edge (its beat is taken as already running).
+    std::vector<std::uint8_t> alt(13, 0x55);
+    bus::LaneRides r = bus::laneRides(alt, 1, 0, 100, low, 32);
+    EXPECT_EQ(r.events[0], 4u); // Edges 1, 33, 65 and 97 head trains.
+    EXPECT_TRUE(r.onBeat[0]);
+    // Constant lanes cost nothing and end off any beat.
+    std::vector<std::uint8_t> zero(16, 0x00);
+    r = bus::laneRides(zero, 4, 0, 32, low, 32);
+    for (int l = 0; l < 4; ++l) {
+        EXPECT_EQ(r.events[l], 0u);
+        EXPECT_FALSE(r.onBeat[l]);
+    }
+    // 0x01 over 4 lanes: only lane 3 toggles, every cycle.
+    std::vector<std::uint8_t> one(16, 0x01);
+    r = bus::laneRides(one, 4, 0, 32, low, 32);
+    EXPECT_EQ(r.events[3], 1u);
+    EXPECT_EQ(r.events[0] + r.events[1] + r.events[2], 0u);
+    // Gaps of 1, 2, 3, 4, 5 cycles never settle on a beat: past the
+    // opening pair (taken as a running beat, one train head) every
+    // edge is discrete.
+    std::vector<std::uint8_t> odd = {0x4E, 0x1F, 0x00};
+    const bus::LaneRun run = bus::laneTransitions(odd, 1, 0, 17, low);
+    ASSERT_EQ(run.edges[0], 6u);
+    r = bus::laneRides(odd, 1, 0, 17, low, 32);
+    EXPECT_EQ(r.events[0], 5u);
+    EXPECT_FALSE(r.onBeat[0]);
+    // With trains off every transition is its own event.
+    r = bus::laneRides(alt, 1, 0, 100, low, 0);
+    EXPECT_EQ(r.events[0], bus::laneTransitions(alt, 1, 0, 100, low).edges[0]);
 }
 
 TEST(FastForward, RandomHardwareCellsMatchTheEdgeEngine)
@@ -403,7 +443,13 @@ TEST(FastForward, FaultEventMidDataPhase)
 
 TEST(FastForward, WatchdogPollsMidDataPhase)
 {
-    auto run = [](bool ff) {
+    struct Costs
+    {
+        std::string state;
+        std::uint64_t events = 0;
+        std::uint64_t deliveries = 0;
+    };
+    auto run = [](bool ff, std::uint32_t pollEpochs) {
         sim::Simulator sim;
         backend::BusParams p;
         p.nodes = 3;
@@ -411,7 +457,7 @@ TEST(FastForward, WatchdogPollsMidDataPhase)
         p.powerGated = true;
         p.fastForward = ff;
         backend::MbusBackend be(sim, p);
-        be.armWatchdog(16); // Polls every 16 bus periods.
+        be.armWatchdog(pollEpochs); // Polls every pollEpochs periods.
         std::ostringstream log;
         for (int k = 0; k < 3; ++k) {
             bus::Message msg;
@@ -432,11 +478,21 @@ TEST(FastForward, WatchdogPollsMidDataPhase)
             log << " " << be.nodeEdges(i) << ":"
                 << exact(be.nodeEnergyJ(i)) << ":"
                 << be.poweredSeconds(i);
-        return std::make_pair(log.str(), deliveries(sim));
+        return Costs{log.str(), sim.eventsExecuted(), deliveries(sim)};
     };
-    auto on = run(true), off = run(false);
-    EXPECT_EQ(on.first, off.first);
-    EXPECT_LT(on.second, off.second);
+    // Polls every 16 periods leave gaps of at most 15 cycles: on a
+    // 3-chip ring no such skip retires fewer events than its edges
+    // would, so none may cost more. Every 64 periods the gaps are
+    // worth skipping.
+    for (std::uint32_t epochs : {16u, 64u}) {
+        SCOPED_TRACE("poll every " + std::to_string(epochs));
+        Costs on = run(true, epochs), off = run(false, epochs);
+        EXPECT_EQ(on.state, off.state);
+        EXPECT_LE(on.events, off.events);
+        EXPECT_LE(on.deliveries, off.deliveries);
+        if (epochs == 64)
+            EXPECT_LT(on.deliveries, off.deliveries);
+    }
 }
 
 TEST(FastForward, ReceiverCapacityPointStaysOnEdges)
@@ -540,6 +596,301 @@ TEST(FastForward, CanonicalMixCellStaysUnderItsEventsCeiling)
     EXPECT_GT(a.samplesDelivered, 0);
     EXPECT_LE(a.eventsExecuted, 20000u)
         << "edge engine: " << b.eventsExecuted;
+}
+
+// --- Mixed rings: the software member in the last slot ---------------
+
+/** Every FirmwareStats field and the worst ISR path, as text. */
+std::string
+memberState(const firmware::FirmwareNode &m)
+{
+    const firmware::FirmwareStats &s = m.stats();
+    std::ostringstream os;
+    os << "isr=" << s.isrInvocations << " cycles=" << s.cyclesSpent
+       << " sent=" << s.messagesSent << " rcvd=" << s.messagesReceived
+       << " stalls=" << s.serializationStalls << " runs=" << s.runWakeups
+       << " merged=" << s.mergedEdges << " req=" << s.requestsIssued
+       << " errs=" << s.localErrors
+       << " path=" << m.maxObservedPathCycles() << " fsm="
+       << firmware::mbusStateName(m.fsm().state());
+    return os.str();
+}
+
+/** A mixed-ring cell and the member knobs a spec does not carry. */
+struct MixedCell
+{
+    ScenarioSpec spec;
+    std::uint32_t jitter = 0;
+    bool merge = false;
+};
+
+/** One randomized bitbang or firmware cell on the edge engine: 3-14
+ *  nodes, gated, stormy, faulty (watchdog armed) or a workload mix,
+ *  every traffic pattern incl. broadcast and priority -- so the
+ *  member sends, receives and forwards -- and now and then a small
+ *  member RX buffer, ISR jitter or merged edges. */
+MixedCell
+randomMixedCell(sim::Random &rng, int i)
+{
+    MixedCell c;
+    ScenarioSpec &s = c.spec;
+    s.name = "ffm" + std::to_string(i);
+    s.backend = rng.chance(0.5) ? backend::BackendKind::Bitbang
+                                : backend::BackendKind::Firmware;
+    s.nodes = 3 + static_cast<int>(rng.below(12));
+    s.hopDelayNs = rng.chance(0.5) ? 10.0 : 4.0;
+    s.busClockHz = 30e3 + 370e3 * rng.uniform(); // Clamped to the ceiling.
+    s.fullAddressing = rng.chance(0.3);
+    s.traffic = static_cast<sweep::TrafficPattern>(rng.below(4));
+    s.messages = 2 + static_cast<int>(rng.below(4));
+    s.payloadBytes = 1 + rng.below(120);
+    s.priorityRate = rng.chance(0.3) ? 0.5 : 0.0;
+    if (rng.chance(0.15))
+        s.softRxCapacity = 8 + rng.below(24); // The member overflows.
+    switch (rng.below(4)) {
+      case 0:
+        s.powerGated = true;
+        break;
+      case 1:
+        s.interjectRate = 0.3 + 0.5 * rng.uniform();
+        s.powerGated = rng.chance(0.5);
+        break;
+      case 2:
+        s.faults = benchutil::smokeFaults(rng);
+        s.retry.maxRetries = static_cast<int>(rng.below(3));
+        s.retry.backoffEpochs = 8;
+        break;
+      default: {
+        const int nodes = s.nodes;
+        const std::string name = s.name;
+        const backend::BackendKind kind = s.backend;
+        s = benchutil::canonicalWorkloadCell(
+            nodes, s.busClockHz, rng.chance(0.5) ? 0.3 : 0.0,
+            /*smoke=*/true);
+        s.name = name;
+        s.backend = kind;
+        workload::WorkloadSpec &w = s.workload;
+        w.durationS = 0.4;
+        w.actors[0].periodS = 0.05;
+        w.actors[1].startS = 0.02;
+        w.actors[1].payloadBytes = 32 + rng.below(97);
+        w.actors[1].burstBytes = 512;
+        w.actors[2].periodS = 0.1;
+        break;
+      }
+    }
+    if (rng.chance(0.1))
+        c.jitter = 1 + static_cast<std::uint32_t>(rng.below(16));
+    c.merge = rng.chance(0.08);
+    return c;
+}
+
+/** One mixed-ring cell's record and its member's counters. */
+struct MixedRun
+{
+    ScenarioStats stats;
+    std::string member;
+};
+
+MixedRun
+runMixed(const MixedCell &cell, Fidelity fidelity, std::uint64_t seed)
+{
+    MixedRun r;
+    ScenarioSpec spec = cell.spec;
+    spec.fidelity = fidelity;
+    sweep::CellHooks hooks;
+    hooks.tune = [&cell](backend::BusParams &p) {
+        p.fwIsrJitterCycles = cell.jitter;
+        p.fwMergeMissedEdges = cell.merge;
+    };
+    hooks.inspect = [&r](backend::BusBackend &be) {
+        auto &ring = dynamic_cast<backend::MbusBackend &>(be);
+        r.member = memberState(*ring.softMember());
+    };
+    r.stats = sweep::runScenario(spec, seed, hooks);
+    return r;
+}
+
+TEST(FastForward, RandomMixedRingCellsMatchTheEdgeEngine)
+{
+    sim::Random rng(0x50f7f00du);
+    std::uint64_t autoEvents = 0, edgeEvents = 0;
+    int fewer = 0;
+    const int kCells = 120;
+    for (int i = 0; i < kCells; ++i) {
+        const MixedCell cell = randomMixedCell(rng, i);
+        ASSERT_FALSE(sweep::messageLevelEligible(cell.spec));
+        const std::uint64_t seed = 0x5f0u + static_cast<std::uint64_t>(i);
+        MixedRun a = runMixed(cell, Fidelity::Auto, seed);
+        MixedRun b = runMixed(cell, Fidelity::Edge, seed);
+        SCOPED_TRACE(cell.spec.name + " seed=" + std::to_string(seed) +
+                     " jitter=" + std::to_string(cell.jitter) +
+                     " merge=" + std::to_string(cell.merge));
+        ASSERT_EQ(a.stats.fidelity, Fidelity::Edge);
+        EXPECT_EQ(sweep::encodeStats(withoutKernelCosts(a.stats)),
+                  sweep::encodeStats(withoutKernelCosts(b.stats)));
+        EXPECT_EQ(a.member, b.member);
+        EXPECT_LE(a.stats.eventsExecuted, b.stats.eventsExecuted);
+        autoEvents += a.stats.eventsExecuted;
+        edgeEvents += b.stats.eventsExecuted;
+        fewer += a.stats.eventsExecuted < b.stats.eventsExecuted;
+    }
+    // The sweep must actually exercise the fast-forward.
+    EXPECT_GT(fewer, kCells / 3);
+    EXPECT_LT(autoEvents, edgeEvents / 2);
+}
+
+/** A mixed ring run through MbusBackend: what its traffic logged,
+ *  every observable and the member's state, and its kernel costs. */
+struct MixedRing
+{
+    std::string state;
+    std::uint64_t events = 0;
+    std::uint64_t deliveries = 0;
+};
+
+MixedRing
+runMixedRing(bool fastForward, int nodes,
+             const std::function<void(backend::MbusBackend &,
+                                      std::ostream &)> &drive,
+             const std::function<void(backend::BusParams &)> &tune =
+                 nullptr)
+{
+    sim::Simulator sim;
+    backend::BusParams p;
+    p.nodes = nodes;
+    p.busClockHz = 100e3;
+    p.softRxCapacity = 1024;
+    p.fastForward = fastForward;
+    if (tune)
+        tune(p);
+    backend::MbusBackend be(sim, p, backend::BackendKind::Bitbang);
+    std::ostringstream log;
+    be.setDeliveryHandler([&log, &sim](std::size_t node,
+                                       const bus::ReceivedMessage &rx) {
+        unsigned sum = 0;
+        for (std::uint8_t b : rx.payload)
+            sum = sum * 31 + b;
+        log << "rx" << node << "@" << sim.now() << " n="
+            << rx.payload.size() << " intj=" << rx.interjected
+            << " err=" << static_cast<int>(rx.error) << " sum=" << sum
+            << "\n";
+    });
+    drive(be, log);
+    be.runUntilIdle(sim::kSecond);
+    log << "now=" << sim.now() << " cycles=" << be.clockCycles()
+        << " sw=" << exact(be.switchingJ());
+    for (std::size_t i = 0; i < be.nodeCount(); ++i)
+        log << " " << be.nodeEdges(i) << ":" << exact(be.nodeEnergyJ(i));
+    log << "\n" << memberState(*be.softMember());
+    return MixedRing{log.str(), sim.eventsExecuted(), deliveries(sim)};
+}
+
+/** Send @p bytes random bytes from ring slot @p from to slot @p to,
+ *  logging the terminal status. */
+void
+sendMixed(backend::MbusBackend &be, std::ostream &log, std::size_t from,
+          std::size_t to, std::size_t bytes, std::uint64_t seed)
+{
+    sim::Random rng(seed);
+    bus::Message msg;
+    msg.dest = be.unicastAddress(to, false, bus::kFuMailbox);
+    msg.payload = test::randomPayload(rng, bytes);
+    be.send(from, std::move(msg),
+            [&log, from](const bus::TxResult &r) {
+                log << "tx" << from << " " << bus::txStatusName(r.status)
+                    << " bytes=" << r.bytesSent << " at=" << r.completedAt
+                    << "\n";
+            });
+}
+
+TEST(FastForward, SoftMemberTransmitsMidDataPhase)
+{
+    // The member (slot 2 of 3) streams to both chips; a chip stomps
+    // its first message partway, inside a skippable stretch.
+    auto drive = [](backend::MbusBackend &be, std::ostream &log) {
+        sendMixed(be, log, 2, 0, 200, 21);
+        sendMixed(be, log, 2, 1, 150, 22);
+        be.system().simulator().scheduleAt(
+            30 * sim::kMillisecond + 1234, [&be] { be.interject(1); });
+    };
+    MixedRing on = runMixedRing(true, 3, drive);
+    MixedRing off = runMixedRing(false, 3, drive);
+    EXPECT_EQ(on.state, off.state);
+    EXPECT_NE(on.state.find("INTERRUPTED"), std::string::npos)
+        << on.state;
+    EXPECT_LE(on.events, off.events);
+    EXPECT_LT(on.deliveries, off.deliveries);
+}
+
+TEST(FastForward, SoftMemberReceiverStaysOnEdges)
+{
+    // Every data phase ends at the member, which latches each bit in
+    // its CLK ISR: nothing may be skipped, with or without its RX
+    // buffer overflowing.
+    for (std::size_t rx : {std::size_t(1024), std::size_t(40)}) {
+        SCOPED_TRACE("rx capacity " + std::to_string(rx));
+        auto drive = [](backend::MbusBackend &be, std::ostream &log) {
+            sendMixed(be, log, 1, 3, 200, 31);
+            sendMixed(be, log, 0, 3, 120, 32);
+        };
+        auto tune = [rx](backend::BusParams &p) { p.softRxCapacity = rx; };
+        MixedRing on = runMixedRing(true, 4, drive, tune);
+        MixedRing off = runMixedRing(false, 4, drive, tune);
+        EXPECT_EQ(on.state, off.state);
+        EXPECT_EQ(on.deliveries, off.deliveries);
+    }
+}
+
+TEST(FastForward, IsrJitterKeepsEveryEdge)
+{
+    // The member forwards chip-to-chip traffic, but a jittered or
+    // edge-merging ISR has no closed form: every edge stays.
+    for (int mode = 0; mode < 2; ++mode) {
+        SCOPED_TRACE(mode == 0 ? "jitter" : "merged edges");
+        auto drive = [](backend::MbusBackend &be, std::ostream &log) {
+            sendMixed(be, log, 1, 0, 200, 41);
+            sendMixed(be, log, 0, 2, 120, 42);
+        };
+        auto tune = [mode](backend::BusParams &p) {
+            if (mode == 0)
+                p.fwIsrJitterCycles = 12;
+            else
+                p.fwMergeMissedEdges = true;
+        };
+        MixedRing on = runMixedRing(true, 4, drive, tune);
+        MixedRing off = runMixedRing(false, 4, drive, tune);
+        EXPECT_EQ(on.state, off.state);
+        EXPECT_EQ(on.deliveries, off.deliveries);
+        // Without the knob the same traffic is skipped.
+        MixedRing plain = runMixedRing(true, 4, drive);
+        EXPECT_LT(plain.deliveries, off.deliveries);
+    }
+}
+
+TEST(FastForward, CanonicalMixedRingCellStaysUnderItsEventsCeiling)
+{
+    // perf_gate's bitbang_mix cell at Fidelity::Auto: exact against
+    // the edge engine (member counters included), under a fixed
+    // events ceiling (18,074 events when pinned; the edge engine runs
+    // 216,189), and at least 10x fewer kernel events plus train edges.
+    MixedCell cell;
+    cell.spec = benchutil::canonicalWorkloadCell(3, 400e3,
+                                                 /*stormFrac=*/0.10,
+                                                 /*smoke=*/true);
+    cell.spec.backend = backend::BackendKind::Bitbang;
+    MixedRun a = runMixed(cell, Fidelity::Auto, 0x6d6978ULL);
+    MixedRun b = runMixed(cell, Fidelity::Edge, 0x6d6978ULL);
+    EXPECT_EQ(sweep::encodeStats(withoutKernelCosts(a.stats)),
+              sweep::encodeStats(withoutKernelCosts(b.stats)));
+    EXPECT_EQ(a.member, b.member);
+    EXPECT_GT(a.stats.samplesDelivered, 0);
+    const std::uint64_t autoWork = a.stats.eventsExecuted + a.stats.trainEdges;
+    const std::uint64_t edgeWork = b.stats.eventsExecuted + b.stats.trainEdges;
+    EXPECT_LE(a.stats.eventsExecuted, 22000u)
+        << "edge engine: " << b.stats.eventsExecuted;
+    EXPECT_LE(10 * autoWork, edgeWork)
+        << autoWork << " vs " << edgeWork;
 }
 
 } // namespace
