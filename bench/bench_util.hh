@@ -43,13 +43,13 @@ section(const std::string &name)
 
 /**
  * Append one single-line JSON object to the "runs" history array of
- * @p path, preserving every other byte of the file (bench_kernel's
- * top-level record, earlier history entries). A missing or empty
- * file gets a minimal {"runs": [...]} skeleton; an existing file
- * without a recognizable "runs" array is left untouched (returns
- * false) rather than clobbered, so cross-bench histories
- * (bench_kernel, workload_mix) accumulate in the same trajectory
- * file.
+ * @p path, preserving every other byte of the file (a top-level
+ * record such as BENCH_kernel.json's, earlier history entries). A
+ * missing or empty file gets a minimal {"runs": [...]} skeleton; an
+ * existing file without a recognizable "runs" array is left
+ * untouched (returns false) rather than clobbered, so cross-bench
+ * histories (workload_mix, fig11_energy) accumulate in the same
+ * trajectory file.
  *
  * @return false if the file could not be written or was unparseable.
  */
@@ -109,8 +109,9 @@ appendRunEntry(const std::string &path, const std::string &entry)
     });
 }
 
-/** The five backend fabrics, in the cyclic order the smoke grids
- *  assign them (cell i runs on fabric i % 5). */
+/** The five backend fabrics, in the cyclic order the five-fabric
+ *  grids assign them (cell i runs on fabric i % 5). Tests, benches
+ *  and perfbench all draw from this one list. */
 constexpr backend::BackendKind kFiveFabrics[] = {
     backend::BackendKind::Mbus,      backend::BackendKind::I2cStd,
     backend::BackendKind::I2cOracle, backend::BackendKind::Bitbang,
@@ -144,16 +145,15 @@ smokeFaults(sim::Random &rng)
 }
 
 /**
- * The CI faulty five-fabric grid: @p cells scenarios cycling through
+ * The faulty five-fabric grid: @p cells scenarios cycling through
  * all five fabrics with randomized-but-seeded topology, traffic,
- * faults, and retry policies. fault_smoke checks shard determinism
- * and the cell cache on it, sweep_runner sweeps it, and the
+ * faults, and retry policies, named @p namePrefix + index.
+ * sweep_runner sweeps it, FirmwareGolden pins it, and the
  * benchmark's faulty_grid workload draws the same recipe. Grid n is
  * a prefix of grid n + k, so a grown grid reuses every cached cell.
  */
 inline std::vector<sweep::ScenarioSpec>
-faultyFiveFabricGrid(std::size_t cells = 25,
-                     const std::string &namePrefix = "fault_smoke")
+faultyFiveFabricGrid(std::size_t cells, const std::string &namePrefix)
 {
     sim::Random rng(0xFA17CE11ULL);
     std::vector<sweep::ScenarioSpec> grid;
@@ -251,10 +251,11 @@ canonicalWorkloadCell(int nodes, double clockHz, double stormFrac,
 
 // --- Shared edge-train workload harnesses ---------------------------
 //
-// bench_kernel (wall-clock throughput) and perf_gate (deterministic
-// events/bit regression gate) must measure the *same* workloads, or
-// the checked-in baseline silently drifts away from what the bench
-// documents. Both build on these.
+// perf_gate (deterministic events/bit regression gate) and
+// perfbench's sim.train_edge_ns and wire.forward_ring_ns_per_edge
+// rows (wall-clock cost per edge) must measure the *same* workloads,
+// or the checked-in baseline silently drifts away from what the
+// benchmark times. Both build on these.
 
 /**
  * Chunked self-train tick driver: the mediator's clock-generation

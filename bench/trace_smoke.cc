@@ -1,20 +1,18 @@
 /**
  * @file
- * CI observability smoke: a traced faulty grid spanning all five
- * fabrics runs on 2 worker threads and is re-run single-threaded,
- * with the trace determinism contract checked end to end (per-cell
- * Chrome JSON byte identity + equal sweep fingerprints, the new
- * trace/metrics CSV columns included). A deliberately wedged cell
- * (time limit far below its traffic) then must produce a
- * flight-recorder dump naming its stalled transaction. The traced
- * cell 0's JSON lands next to the CSV via the crash-safe writer, so
- * CI can upload a Perfetto-loadable artifact from every run. Exits
- * non-zero on any divergence.
+ * Traced-grid artifact writer: a traced faulty grid spanning all
+ * five fabrics runs once, and its CSV (trace and metrics columns
+ * included) and cell 0's Chrome trace JSON land via the crash-safe
+ * writer, so CI can upload a Perfetto-loadable trace from every run.
+ * Exits non-zero if a file could not be written. The trace
+ * determinism contract and the per-cell health checks are asserted
+ * in ctest (TraceDeterminism.*).
+ *
+ * Usage: trace_smoke [--out PATH] [--trace-out PATH]
  */
 
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -24,16 +22,6 @@
 #include "sweep/sweep.hh"
 
 using namespace mbus;
-
-namespace {
-
-const backend::BackendKind kFabrics[] = {
-    backend::BackendKind::Mbus,      backend::BackendKind::I2cStd,
-    backend::BackendKind::I2cOracle, backend::BackendKind::Bitbang,
-    backend::BackendKind::Firmware,
-};
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -48,15 +36,15 @@ main(int argc, char **argv)
     }
 
     benchutil::banner(
-        "Trace smoke: deterministic observability on five fabrics",
-        "protocol tracer + flight recorder self-check (CI gate)");
+        "Trace smoke: a traced five-fabric grid and its trace JSON",
+        "protocol tracer + flight recorder artifact");
 
     sim::Random rng(0x7124CE00ULL);
     std::vector<sweep::ScenarioSpec> grid;
     for (std::size_t i = 0; i < 25; ++i) {
         sweep::ScenarioSpec s;
         s.name = "trace_smoke" + std::to_string(i);
-        s.backend = kFabrics[i % 5];
+        s.backend = benchutil::kFiveFabrics[i % 5];
         s.nodes = static_cast<int>(rng.between(3, 6));
         s.payloadBytes = rng.below(9);
         s.messages = static_cast<int>(rng.between(2, 4));
@@ -83,44 +71,12 @@ main(int argc, char **argv)
         grid.push_back(std::move(s));
     }
 
-    sweep::SweepConfig sharded;
-    sharded.threads = 2;
-    sweep::SweepConfig solo;
-    solo.threads = 1;
-    sweep::SweepResult a = sweep::SweepDriver(sharded).run(grid);
-    sweep::SweepResult b = sweep::SweepDriver(solo).run(grid);
+    sweep::SweepResult a = sweep::SweepDriver().run(grid);
 
-    bool ok = true;
     std::uint64_t events = 0, dumps = 0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const sweep::ScenarioStats &sa = a.cell(i).stats;
-        const sweep::ScenarioStats &sb = b.cell(i).stats;
-        events += sa.traceEvents;
-        dumps += sa.flightDumps.size();
-        if (sa.traceJson != sb.traceJson ||
-            sa.traceHash != sb.traceHash ||
-            sa.flightDumps != sb.flightDumps) {
-            std::fprintf(stderr,
-                         "FAIL: cell %zu trace diverged between 2 "
-                         "threads and 1\n",
-                         i);
-            ok = false;
-        }
-        if (sa.traceEvents == 0) {
-            std::fprintf(stderr, "FAIL: cell %zu recorded no events\n",
-                         i);
-            ok = false;
-        }
-    }
-    std::ostringstream csvA, csvB;
-    a.writeCsv(csvA);
-    b.writeCsv(csvB);
-    if (csvA.str() != csvB.str() ||
-        a.fingerprint() != b.fingerprint()) {
-        std::fprintf(stderr,
-                     "FAIL: sweep CSV/fingerprint diverged across "
-                     "thread counts\n");
-        ok = false;
+    for (const sweep::CellResult &c : a.cells()) {
+        events += c.stats.traceEvents;
+        dumps += c.stats.flightDumps.size();
     }
     std::printf("grid: %zu cells, %llu trace events, %llu flight "
                 "dumps, fingerprint %016llx\n",
@@ -128,43 +84,11 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(dumps),
                 static_cast<unsigned long long>(a.fingerprint()));
 
-    // Forced wedge: a cell whose time limit cannot cover its traffic
-    // must trip the wedge guard and dump the stalled transaction.
-    sweep::ScenarioSpec wedged = grid[0];
-    wedged.name = "forced_wedge";
-    wedged.faults = fault::FaultSpec{};
-    wedged.messages = 8;
-    wedged.payloadBytes = 16;
-    wedged.timeLimit = 40 * sim::kMicrosecond;
-    sweep::CellResult w =
-        sweep::SweepDriver(solo).runCell(wedged, 0);
-    if (!w.stats.wedged) {
-        std::fprintf(stderr, "FAIL: forced-wedge cell did not wedge\n");
-        ok = false;
-    } else if (w.stats.flightDumps.empty()) {
-        std::fprintf(stderr,
-                     "FAIL: wedged cell produced no flight dump\n");
-        ok = false;
-    } else {
-        const std::string &d = w.stats.flightDumps.back();
-        if (d.find("wedge-guard") == std::string::npos ||
-            d.find("tx#") == std::string::npos) {
-            std::fprintf(stderr,
-                         "FAIL: wedge dump does not name the stalled "
-                         "transaction:\n%s",
-                         d.c_str());
-            ok = false;
-        } else {
-            std::printf("forced wedge: dump names the stalled "
-                        "transaction (ok)\n");
-        }
-    }
-
+    bool ok = true;
     if (!a.writeCsvFile(out)) {
         std::fprintf(stderr, "FAIL: could not write %s\n", out);
         ok = false;
     }
-    // The Perfetto-loadable artifact CI uploads.
     if (!sim::atomicWriteFile(traceOut, a.cell(0).stats.traceJson)) {
         std::fprintf(stderr, "FAIL: could not write %s\n", traceOut);
         ok = false;

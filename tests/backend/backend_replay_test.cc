@@ -3,9 +3,11 @@
  * Cross-backend determinism properties:
  *
  *  - the backend axis composes with the sweep driver: one grid
- *    carrying all four fabrics is byte-identical (CSV + JSON +
+ *    carrying all five fabrics is byte-identical (CSV + JSON +
  *    fingerprint) across worker-thread counts, and every cell
- *    replays solo (runCell) with identical stats and VCD bytes;
+ *    replays solo (runCell) with identical stats and VCD bytes,
+ *    delivers samples and gives every planned message one terminal
+ *    status;
  *  - the MBus backend is behaviour-preserving: VCD hashes, byte
  *    counts, ack counts and kernel-event counts of four
  *    representative scenarios equal the captures taken on the
@@ -119,10 +121,7 @@ TEST(BackendReplay, GoldenMbusVcdIdentity)
 TEST(BackendReplay, FourBackendGridShardedVsSoloByteIdentity)
 {
     std::vector<ScenarioSpec> grid;
-    for (backend::BackendKind kind :
-         {backend::BackendKind::Mbus, backend::BackendKind::I2cStd,
-          backend::BackendKind::I2cOracle,
-          backend::BackendKind::Bitbang}) {
+    for (backend::BackendKind kind : benchutil::kFiveFabrics) {
         grid.push_back(mixCell(kind, 0.0, 3.0));
         grid.push_back(mixCell(kind, 0.2, 3.0));
     }
@@ -161,6 +160,9 @@ TEST(BackendReplay, FourBackendGridShardedVsSoloByteIdentity)
         EXPECT_DOUBLE_EQ(x.lifetimeDays, y.lifetimeDays);
         EXPECT_FALSE(y.wedged);
         EXPECT_EQ(y.payloadMismatches, 0u);
+        EXPECT_GT(y.samplesDelivered, 0);
+        EXPECT_EQ(y.planned, y.acked + y.naked + y.broadcasts +
+                                 y.interrupted + y.rxAborts + y.failed);
     }
 }
 

@@ -441,7 +441,10 @@ TEST(RunLoop, StopOnCompletionMatchesPredicatePolling)
     // completion, then drained with the stop-driven runUntilIdle().
     // Final times, kernel counters, waveform and energy are pinned to
     // the values the per-event predicate poll produced before both
-    // loops became stop-driven.
+    // loops became stop-driven. The sixth send (done = 5) goes from
+    // node 2 to node 2's own short prefix and ends NAKed: the pins
+    // include that self-addressed transfer on purpose, because the
+    // old loop no longer exists to re-derive them for other traffic.
     sim::Simulator sim;
     backend::BusParams p;
     p.nodes = 5;
@@ -451,11 +454,13 @@ TEST(RunLoop, StopOnCompletionMatchesPredicatePolling)
     be.attachTrace(rec);
     const int kMessages = 6;
     int done = 0;
+    bus::TxStatus last = bus::TxStatus::GeneralError;
     std::function<void()> issue = [&] {
         bus::Message m;
         m.dest = be.unicastAddress(4 - done % 3, false, bus::kFuMailbox);
         m.payload.assign(static_cast<std::size_t>(3 + done), 0xA5);
-        be.send(1 + done % 2, std::move(m), [&](const bus::TxResult &) {
+        be.send(1 + done % 2, std::move(m), [&](const bus::TxResult &r) {
+            last = r.status;
             if (++done >= kMessages) {
                 sim.stop();
                 return;
@@ -466,6 +471,7 @@ TEST(RunLoop, StopOnCompletionMatchesPredicatePolling)
     issue();
     sim.run(sim::kSecond);
     EXPECT_EQ(done, kMessages);
+    EXPECT_EQ(last, bus::TxStatus::Nak); // The self-addressed sixth.
     EXPECT_EQ(sim.now(), 633230000u);
     EXPECT_EQ(sim.eventsExecuted(), 875u);
     EXPECT_TRUE(be.runUntilIdle(sim::kSecond));

@@ -19,18 +19,13 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.hh"
 #include "sim/random.hh"
 #include "sweep/sweep.hh"
 
 using namespace mbus;
 
 namespace {
-
-const backend::BackendKind kFabrics[] = {
-    backend::BackendKind::Mbus,      backend::BackendKind::I2cStd,
-    backend::BackendKind::I2cOracle, backend::BackendKind::Bitbang,
-    backend::BackendKind::Firmware,
-};
 
 /** A randomized-but-seeded fault schedule: 1-3 entries, any kind. */
 fault::FaultSpec
@@ -65,7 +60,7 @@ faultyGrid(std::uint64_t seed, std::size_t cells, bool captureVcd)
     for (std::size_t i = 0; i < cells; ++i) {
         sweep::ScenarioSpec s;
         s.name = "fault_cell" + std::to_string(i);
-        s.backend = kFabrics[i % 5];
+        s.backend = benchutil::kFiveFabrics[i % 5];
         s.nodes = static_cast<int>(rng.between(3, 6));
         s.payloadBytes = rng.below(9);
         s.messages = static_cast<int>(rng.between(1, 3));
@@ -172,6 +167,11 @@ TEST(FaultReplay, FaultySweepIsByteIdenticalAcrossShardCounts)
     EXPECT_EQ(agg.cells, 60u);
     EXPECT_EQ(agg.wedgedCells, 0u) << "a faulty cell wedged";
     EXPECT_GT(agg.faultEvents, 0u) << "no fault ever fired";
+    // Faults and retries never lose a transaction: each planned one
+    // still ends in exactly one terminal status.
+    EXPECT_EQ(agg.planned, agg.acked + agg.naked + agg.broadcasts +
+                               agg.interrupted + agg.rxAborts +
+                               agg.failed);
     // The survivability columns reached the CSV.
     EXPECT_NE(csvA.str().find("fault_events"), std::string::npos);
     EXPECT_NE(csvA.str().find("recovered_tx"), std::string::npos);

@@ -138,6 +138,10 @@ TEST(SweepReplay, HundredCellSweepIsByteIdenticalAcrossShardCounts)
     EXPECT_GT(agg.acked, 0u);
     EXPECT_EQ(agg.mismatches, 0u);
     EXPECT_EQ(agg.wedgedCells, 0u);
+    // Every planned message reached exactly one terminal status.
+    EXPECT_EQ(agg.planned, agg.acked + agg.naked + agg.broadcasts +
+                               agg.interrupted + agg.rxAborts +
+                               agg.failed);
 }
 
 TEST(SweepReplay, MasterSeedSelectsDistinctUniverses)

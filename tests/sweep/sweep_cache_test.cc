@@ -28,6 +28,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "bench/bench_util.hh"
 #include "sim/hash.hh"
 #include "sweep/cache.hh"
 #include "sweep/codec.hh"
@@ -46,16 +47,11 @@ namespace {
 std::vector<sweep::ScenarioSpec>
 cacheGrid(std::size_t cells)
 {
-    const backend::BackendKind fabrics[] = {
-        backend::BackendKind::Mbus,      backend::BackendKind::I2cStd,
-        backend::BackendKind::I2cOracle, backend::BackendKind::Bitbang,
-        backend::BackendKind::Firmware,
-    };
     std::vector<sweep::ScenarioSpec> grid;
     for (std::size_t i = 0; i < cells; ++i) {
         sweep::ScenarioSpec s;
         s.name = "cache" + std::to_string(i);
-        s.backend = fabrics[i % 5];
+        s.backend = benchutil::kFiveFabrics[i % 5];
         s.nodes = 3 + static_cast<int>(i % 2);
         s.messages = 2;
         s.payloadBytes = 1 + i % 3;
@@ -180,6 +176,7 @@ TEST(SweepCache, GrownGridSimulatesOnlyNewCells)
     sweep::SweepResult ext = runSweep(grown, 2, dir);
     EXPECT_EQ(simulated(ext), 5u);
     EXPECT_EQ(ext.cacheHits(), 10u);
+    EXPECT_EQ(ext.cacheStoreFailures(), 0u);
     expectSameBytes(ext, runSweep(grown, 1));
 }
 
@@ -317,12 +314,7 @@ TEST(SweepCache, SaltPinsCachedStats)
         message.payloadBytes = 4;
         grid.push_back(message);
     }
-    const backend::BackendKind fabrics[] = {
-        backend::BackendKind::Mbus,      backend::BackendKind::I2cStd,
-        backend::BackendKind::I2cOracle, backend::BackendKind::Bitbang,
-        backend::BackendKind::Firmware,
-    };
-    for (backend::BackendKind kind : fabrics) {
+    for (backend::BackendKind kind : benchutil::kFiveFabrics) {
         sweep::ScenarioSpec s;
         s.name = std::string("pin_") + backend::backendKindName(kind);
         s.backend = kind;

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.hh"
 #include "sim/hash.hh"
 #include "sweep/codec.hh"
 #include "sweep/sweep.hh"
@@ -39,12 +40,7 @@ goldenGrid()
         message.messages = 3;
         grid.push_back(message);
     }
-    const backend::BackendKind fabrics[] = {
-        backend::BackendKind::Mbus,      backend::BackendKind::I2cStd,
-        backend::BackendKind::I2cOracle, backend::BackendKind::Bitbang,
-        backend::BackendKind::Firmware,
-    };
-    for (backend::BackendKind kind : fabrics) {
+    for (backend::BackendKind kind : benchutil::kFiveFabrics) {
         sweep::ScenarioSpec s;
         s.name = std::string("gold_") + backend::backendKindName(kind);
         s.backend = kind;

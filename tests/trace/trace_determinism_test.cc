@@ -8,8 +8,9 @@
  *  - with tracing off, the tracer is never constructed and every
  *    deterministic byte (VCD included) matches a trace-on run of the
  *    same cell -- tracing is purely observational;
- *  - a watchdog rescue produces a flight-recorder dump that names
- *    the stalled transaction.
+ *  - a watchdog rescue, and a sweep cell that hits its time limit,
+ *    each produce a flight-recorder dump that names the stalled
+ *    transaction.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "backend/backend.hh"
+#include "bench/bench_util.hh"
 #include "mbus/layer_controller.hh"
 #include "sim/simulator.hh"
 #include "sweep/sweep.hh"
@@ -29,12 +31,6 @@ using namespace mbus;
 
 namespace {
 
-const backend::BackendKind kFabrics[] = {
-    backend::BackendKind::Mbus,      backend::BackendKind::I2cStd,
-    backend::BackendKind::I2cOracle, backend::BackendKind::Bitbang,
-    backend::BackendKind::Firmware,
-};
-
 /** A small faulty grid spanning all five fabrics, traffic mixed. */
 std::vector<sweep::ScenarioSpec>
 tracedFaultyGrid()
@@ -43,7 +39,7 @@ tracedFaultyGrid()
     for (std::size_t i = 0; i < 10; ++i) {
         sweep::ScenarioSpec s;
         s.name = "trace_det" + std::to_string(i);
-        s.backend = kFabrics[i % 5];
+        s.backend = benchutil::kFiveFabrics[i % 5];
         s.nodes = 3 + static_cast<int>(i % 3);
         s.messages = 3;
         s.payloadBytes = 2 + i % 4;
@@ -200,4 +196,26 @@ TEST(TraceDeterminism, WatchdogRescueDumpNamesTheStalledTransaction)
         << "dump did not name the stalled transaction:\n"
         << d;
     simulator.setTracer(nullptr);
+}
+
+TEST(TraceDeterminism, WedgedSweepCellDumpNamesTheStalledTransaction)
+{
+    // A traced cell whose time limit cannot cover its traffic trips
+    // runScenario's wedge guard, and the flight dump taken there
+    // names the transaction still open.
+    sweep::ScenarioSpec s = tracedFaultyGrid()[0];
+    s.name = "forced_wedge";
+    s.faults = fault::FaultSpec{};
+    s.messages = 8;
+    s.payloadBytes = 16;
+    s.timeLimit = 40 * sim::kMicrosecond;
+    sweep::CellResult c = sweep::SweepDriver().runCell(s, 0);
+
+    EXPECT_TRUE(c.stats.wedged);
+    ASSERT_FALSE(c.stats.flightDumps.empty());
+    const std::string &d = c.stats.flightDumps.back();
+    EXPECT_NE(d.find("wedge-guard"), std::string::npos) << d;
+    EXPECT_NE(d.find("tx#"), std::string::npos)
+        << "dump did not name the stalled transaction:\n"
+        << d;
 }

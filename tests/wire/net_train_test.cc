@@ -252,30 +252,48 @@ TEST(NetTrain, ChunkedDispatchDeliversIdenticalEdgesInFewerCalls)
 
     // Per-edge reference: a plain listener on an unchunked net.
     Rig plain(true);
-    // Chunked: a batched listener on a chunked net (trains on too).
-    sim::Simulator sim;
-    wire::Net net(sim, "c", 10 * sim::kNanosecond, true);
-    net.enableEdgeTrains(16);
-    net.setChunkedDispatch(true);
-    RunLog batched;
-    net.listenBatched(batched);
-
-    for (const auto &d : drives) {
+    for (const auto &d : drives)
         plain.sim.scheduleAt(d.first, [&plain, v = d.second] {
             plain.net.drive(v);
         });
-        sim.scheduleAt(d.first, [&net, v = d.second] { net.drive(v); });
-    }
     plain.sim.run();
-    sim.run();
-    net.flushDeferred();
+    ASSERT_EQ(plain.log.edges.size(), drives.size());
 
-    ASSERT_EQ(batched.edges.size(), plain.log.edges.size());
-    for (std::size_t i = 0; i < batched.edges.size(); ++i)
-        EXPECT_EQ(batched.edges[i], plain.log.edges[i].second);
-    EXPECT_LT(batched.runs, static_cast<std::uint64_t>(drives.size()))
-        << "batched listener should see runs, not single edges";
-    EXPECT_EQ(net.dispatchCalls(), batched.runs);
+    // Chunked: batched listeners on a chunked net (trains on too), at
+    // 1, 4 and 16 listeners.
+    for (std::size_t listeners : {1u, 4u, 16u}) {
+        SCOPED_TRACE(std::to_string(listeners) + " listeners");
+        sim::Simulator sim;
+        wire::Net net(sim, "c", 10 * sim::kNanosecond, true);
+        net.enableEdgeTrains(16);
+        net.setChunkedDispatch(true);
+        std::vector<RunLog> batched(listeners);
+        for (RunLog &b : batched)
+            net.listenBatched(b);
+
+        for (const auto &d : drives)
+            sim.scheduleAt(d.first,
+                           [&net, v = d.second] { net.drive(v); });
+        sim.run();
+        net.flushDeferred();
+
+        std::uint64_t delivered = 0, runs = 0;
+        for (const RunLog &b : batched) {
+            ASSERT_EQ(b.edges.size(), plain.log.edges.size());
+            for (std::size_t i = 0; i < b.edges.size(); ++i)
+                EXPECT_EQ(b.edges[i], plain.log.edges[i].second);
+            EXPECT_LT(b.runs, static_cast<std::uint64_t>(drives.size()))
+                << "batched listener should see runs, not single edges";
+            delivered += b.edges.size();
+            runs += b.runs;
+        }
+        // Every edge reaches every listener, in at most half the calls
+        // per-edge delivery would make.
+        const std::uint64_t perEdgeCalls = drives.size() * listeners;
+        EXPECT_EQ(delivered, perEdgeCalls);
+        EXPECT_EQ(net.dispatchCalls(), runs);
+        EXPECT_LE(net.dispatchCalls() * 2, perEdgeCalls);
+    }
 }
 
 TEST(NetTrain, ForceAndReleaseFlushDeferredRuns)
