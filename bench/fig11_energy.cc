@@ -6,8 +6,10 @@
  * nodes -- then (c) re-derives the comparison *dynamically* by
  * running one application mix through the shared backend harness on
  * every fabric (hardware MBus, transactional I2C std/oracle, and the
- * bit-banged mixed ring) and appends the measured numbers to the
- * BENCH_kernel.json runs[] trajectory.
+ * bit-banged mixed ring) and, given --out PATH, appends the measured
+ * numbers to that file's runs[] trajectory.
+ *
+ * Usage: fig11_energy [--out PATH]
  */
 
 #include <cstdio>
@@ -26,7 +28,7 @@ using namespace mbus::analysis;
 int
 main(int argc, char **argv)
 {
-    std::string outPath = "BENCH_kernel.json";
+    std::string outPath;
     for (int i = 1; i + 1 < argc; ++i)
         if (std::strcmp(argv[i], "--out") == 0)
             outPath = argv[i + 1];
@@ -182,10 +184,12 @@ main(int argc, char **argv)
               << ", \"events_per_bit\": " << s.eventsPerBit << "}";
     }
     entry << "}";
-    if (benchutil::appendRunEntry(outPath, entry.str()))
-        std::printf("appended run entry to %s\n", outPath.c_str());
-    else
-        std::printf("WARN: could not update %s\n", outPath.c_str());
+    if (!outPath.empty()) {
+        if (benchutil::appendRunEntry(outPath, entry.str()))
+            std::printf("appended run entry to %s\n", outPath.c_str());
+        else
+            std::printf("WARN: could not update %s\n", outPath.c_str());
+    }
 
     if (!healthy || !ordering) {
         std::printf("FIG11 BACKEND COMPARISON FAILED\n");

@@ -26,7 +26,7 @@
  *  - workload_mix_dispatch / bitbang_mix_dispatch /
  *    firmware_mix_dispatch: listener virtual calls per completed
  *    wire data bit on the same cells -- the cost chunked dispatch
- *    (Net::onEdges batching) keeps down;
+ *    (muting a driving wire controller's input) keeps down;
  *
  * and fails if any metric regresses more than 10% over the
  * checked-in baseline (bench/perf_baseline.json). Regenerate the

@@ -8,10 +8,9 @@
  * (ring size x bus clock x storm on/off x gating), prints per-actor
  * latency percentiles and energy per delivered sample, projects a
  * paper-style lifetime (analysis/lifetime, the abstract's 0.6 uAh
- * cell) and goodput efficiency (analysis/goodput), and appends an
- * events_per_bit/latency entry to BENCH_kernel.json's runs[]
- * history, so the application-path trajectory accumulates alongside
- * the kernel one.
+ * cell) and goodput efficiency (analysis/goodput), and, given
+ * --out, appends an events_per_bit/latency entry to that file's
+ * runs[] history.
  *
  * Usage: workload_mix [--smoke] [--out PATH] [--csv PATH]
  */
@@ -35,7 +34,7 @@ main(int argc, char **argv)
 {
     bool smoke = false;
     bool progress = false;
-    std::string outPath = "BENCH_kernel.json";
+    std::string outPath;
     std::string csvPath;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0)
@@ -165,10 +164,12 @@ main(int argc, char **argv)
                   ? sensorEnergySum / sensorEnergyCells
                   : 0)
           << ", \"lifetime_days_0p6uah\": " << days << "}";
-    if (benchutil::appendRunEntry(outPath, entry.str()))
-        std::printf("appended run entry to %s\n", outPath.c_str());
-    else
-        std::printf("WARN: could not update %s\n", outPath.c_str());
+    if (!outPath.empty()) {
+        if (benchutil::appendRunEntry(outPath, entry.str()))
+            std::printf("appended run entry to %s\n", outPath.c_str());
+        else
+            std::printf("WARN: could not update %s\n", outPath.c_str());
+    }
 
     if (!healthy || agg.wedgedCells != 0 || agg.mismatches != 0 ||
         agg.samplesDelivered == 0) {

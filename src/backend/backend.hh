@@ -78,7 +78,7 @@ struct BusParams
     int dataLanes = 1;          ///< Parallel lanes (MBus only).
     bool powerGated = false;    ///< Power-gate member nodes.
     bool edgeTrains = true;     ///< Kernel edge-train batching.
-    bool chunkedDispatch = true; ///< Batched listener dispatch.
+    bool chunkedDispatch = true; ///< Mute idle listeners.
     bool fastForward = true;     ///< MBus rings: skip steady data
                                  ///< phases in closed form (exact).
     std::size_t softRxCapacity = 256; ///< Software member's receive

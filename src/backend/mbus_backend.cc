@@ -375,7 +375,6 @@ MbusBackend::scheduleWatchdogPoll()
 void
 MbusBackend::watchdogPoll()
 {
-    system_->flushDeferredEdges();
     // CLK progress is measured where the mediator sees it: the ring
     // tail segment feeding its CLK input. A broken ring (stuck
     // segment, dead transmitter, runaway clocking into a break)

@@ -240,8 +240,7 @@ BusController::handleRising(std::uint32_t r)
     // Address and data latches: wire cycle index from 0.
     std::uint32_t cycle = r - 4;
     if (role_ == Role::Tx) {
-        ctx_.ledger.charge(ctx_.nodeId, power::EnergyCategory::Drive,
-                           ctx_.energy.drivePerBit());
+        ++stats_.driveCycles;
         if (r == 3 + txTotalCycles_)
             requestInterjection(true);
         return;
@@ -302,8 +301,7 @@ BusController::latchDataBits()
         bool bit = sampleLane(l);
         ++dataBitsSeen_;
         if (role_ == Role::Rx) {
-            ctx_.ledger.charge(ctx_.nodeId, power::EnergyCategory::Fifo,
-                               ctx_.energy.fifoPerBit());
+            ++stats_.fifoBits;
             rxBitBuffer_ = (rxBitBuffer_ << 1) | (bit ? 1 : 0);
             if (++rxBitsPending_ == 8) {
                 commitRxByte(static_cast<std::uint8_t>(rxBitBuffer_ &
@@ -389,17 +387,14 @@ BusController::skipDataCycles(const Message &msg, std::uint64_t first,
     switch (role_) {
       case Role::Tx:
         txCyclesDriven_ += static_cast<std::uint32_t>(cycles);
-        for (std::uint64_t i = 0; i < cycles; ++i)
-            ctx_.ledger.charge(ctx_.nodeId, power::EnergyCategory::Drive,
-                               ctx_.energy.drivePerBit());
+        stats_.driveCycles += cycles;
         return;
       case Role::Rx:
         // The latch order of latchDataBits(): cycle by cycle, lane 0
         // first -- the payload's own bit order.
+        stats_.fifoBits += cycles * w;
         for (std::uint64_t p = first * w; p < (first + cycles) * w; ++p) {
             ++dataBitsSeen_;
-            ctx_.ledger.charge(ctx_.nodeId, power::EnergyCategory::Fifo,
-                               ctx_.energy.fifoPerBit());
             rxBitBuffer_ = (rxBitBuffer_ << 1) |
                            (payloadBit(msg.payload, p) ? 1 : 0);
             if (++rxBitsPending_ == 8) {

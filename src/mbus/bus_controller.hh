@@ -27,7 +27,7 @@
  * MBusSystem's data-phase fast-forward): it reports how far it may
  * skip before its next protocol decision -- its last two cycles as
  * transmitter, its RX-capacity point as receiver -- and applies the
- * skipped cycles' counts, latched bytes and energy charges exactly.
+ * skipped cycles' counts and latched bytes exactly.
  */
 
 #ifndef MBUS_BUS_BUS_CONTROLLER_HH
@@ -45,8 +45,6 @@
 #include "mbus/sleep_controller.hh"
 #include "mbus/wire_controller.hh"
 #include "power/domain.hh"
-#include "power/energy.hh"
-#include "power/switching.hh"
 #include "sim/simulator.hh"
 #include "wire/net.hh"
 
@@ -84,8 +82,6 @@ struct BusControllerContext
     InterruptController &intCtl;
     power::PowerDomain &busDomain;
     power::PowerDomain &layerDomain;
-    power::EnergyLedger &ledger;
-    const power::SwitchingEnergyModel &energy;
     std::size_t nodeId = 0;
     bool isMediatorHost = false;
     MediatorHostLink *medLink = nullptr; ///< Non-null on the host.
@@ -105,6 +101,12 @@ struct BusControllerStats
     std::uint64_t priorityWins = 0;
     std::uint64_t interjectionsRequested = 0;
     std::uint64_t rxAborts = 0;
+    /** Address and data cycles driven as transmitter (each prices
+     *  one drivePerBit() of Drive energy). */
+    std::uint64_t driveCycles = 0;
+    /** Bits latched into the RX FIFO (each prices one fifoPerBit()
+     *  of Fifo energy). */
+    std::uint64_t fifoBits = 0;
 };
 
 /**
@@ -236,8 +238,8 @@ class BusController : public ClockEdgeSink
     /**
      * Do what @p cycles skipped data cycles would have done: data
      * cycles [@p first, @p first + @p cycles) of @p msg, the message
-     * on the wire. A transmitter counts and charges its drives, a
-     * receiver latches and charges every bit, a forwarder counts.
+     * on the wire. A transmitter counts its drives, a receiver
+     * latches and counts every bit, a forwarder counts.
      */
     void skipDataCycles(const Message &msg, std::uint64_t first,
                         std::uint64_t cycles);

@@ -75,14 +75,14 @@ struct SystemConfig
     bool edgeTrains = true;
 
     /**
-     * Chunked dispatch: deliver whole edge runs to provably
-     * edge-count-driven listeners (energy taps, comb-energy charges)
-     * in one virtual call each, mute subscriptions whose FSM ignores
-     * the current mode's edges, and convert the interjection
-     * detector's CLK reset to an epoch pull. Never changes
-     * scheduling, delivery times, VCD bytes or any outcome stat --
-     * only the listener virtual-call count drops. Off restores the
-     * fully per-edge dispatch path (A/B testing).
+     * Chunked dispatch: mute a wire controller's input subscription
+     * while it drives (its FSM ignores those edges), and have the
+     * interjection detector pull the CLK edge epoch instead of hearing
+     * every CLK edge. Never changes scheduling, delivery times, VCD
+     * bytes or any outcome stat -- only the listener virtual-call
+     * count drops. Off restores the fully per-edge dispatch path (A/B
+     * testing). Switching energy needs no listener either way: the
+     * ring counts it (see MBusSystem::ledger()).
      */
     bool chunkedDispatch = true;
     /**
@@ -91,11 +91,12 @@ struct SystemConfig
      * forwards or transmits): once a transaction's data phase is
      * steady, the mediator skips whole data cycles in closed form --
      * every FSM counter, ISR count, net level, transition count and
-     * ledger accumulator lands exactly where the skipped edges would
-     * have put it -- up to two cycles before the last, the receiver's
-     * capacity point, the length limit, or the earliest pending event
-     * the ring does not own, when the skip saves kernel events. Only
-     * kernel costs change. Off simulates every edge.
+     * edge epoch, and so every energy cell they price, lands exactly
+     * where the skipped edges would have put it -- up to two cycles
+     * before the last, the receiver's capacity point, the length
+     * limit, or the earliest pending event the ring does not own,
+     * when the skip saves kernel events. Only kernel costs change.
+     * Off simulates every edge.
      */
     bool fastForward = true;
 

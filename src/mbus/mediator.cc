@@ -121,8 +121,6 @@ Mediator::onTickEdge(bool level)
     if (level) {
         ++rising_;
         ++stats_.clockCycles;
-        ctx_.ledger.charge(ctx_.nodeId, power::EnergyCategory::Mediator,
-                           ctx_.energy.mediatorPerCycle());
         afterRisingEdge(rising_); // May begin an interjection.
     } else {
         ++falling_;
@@ -235,9 +233,6 @@ Mediator::fastForward()
     falling_ += static_cast<std::uint32_t>(cycles);
     stats_.clockCycles += cycles;
     dataCyclesSeen_ += cycles;
-    for (std::uint64_t i = 0; i < cycles; ++i)
-        ctx_.ledger.charge(ctx_.nodeId, power::EnergyCategory::Mediator,
-                           ctx_.energy.mediatorPerCycle());
 
     // Resume with this tick's falling edge, cycles whole cycles on.
     clockEvent_.cancel();
@@ -428,8 +423,6 @@ Mediator::driveControlEdge()
     } else {
         ++ctlRising_;
         ++stats_.clockCycles;
-        ctx_.ledger.charge(ctx_.nodeId, power::EnergyCategory::Mediator,
-                           ctx_.energy.mediatorPerCycle());
         if (ctlRising_ == 2)
             ctlBit0_ = ctx_.dataIn.value();
         if (ctlRising_ == 3)

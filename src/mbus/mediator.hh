@@ -28,8 +28,6 @@
 #include "mbus/bus_controller.hh"
 #include "mbus/config.hh"
 #include "mbus/wire_controller.hh"
-#include "power/energy.hh"
-#include "power/switching.hh"
 #include "sim/event_queue.hh"
 #include "sim/simulator.hh"
 #include "wire/net.hh"
@@ -44,7 +42,9 @@ struct MediatorStats
     std::uint64_t interjections = 0;   ///< Ring-break interjections.
     std::uint64_t generalErrors = 0;   ///< No-winner null transactions.
     std::uint64_t watchdogKills = 0;   ///< Runaway messages terminated.
-    std::uint64_t clockCycles = 0;     ///< Bus cycles generated.
+    /** Bus cycles generated (each prices one mediatorPerCycle() of
+     *  the host's Mediator energy). */
+    std::uint64_t clockCycles = 0;
 };
 
 /**
@@ -94,9 +94,6 @@ class Mediator : private wire::EdgeListener
         wire::Net &dataIn; ///< Host chip DATA input (ring tail).
         WireController &clkCtl;  ///< Host chip CLK output mux.
         WireController &dataCtl; ///< Host chip DATA output mux.
-        power::EnergyLedger &ledger;
-        const power::SwitchingEnergyModel &energy;
-        std::size_t nodeId = 0;   ///< Host node id (energy).
         std::size_t ringSize = 0; ///< Chips (= segments) in the ring.
         MediatorHostLink &link;
     };

@@ -8,10 +8,8 @@ namespace mbus {
 namespace bus {
 
 Node::Node(sim::Simulator &sim, const SystemConfig &sysCfg, NodeConfig cfg,
-           std::size_t id, power::EnergyLedger &ledger,
-           const power::SwitchingEnergyModel &energy)
-    : sim_(sim), sysCfg_(sysCfg), cfg_(std::move(cfg)), id_(id),
-      ledger_(ledger), energy_(energy)
+           std::size_t id)
+    : sim_(sim), sysCfg_(sysCfg), cfg_(std::move(cfg)), id_(id)
 {
     aonDomain_ = std::make_unique<power::PowerDomain>(
         sim_, cfg_.name + ".aon", /*initiallyActive=*/true);
@@ -50,6 +48,7 @@ Node::bind(wire::Net &clkIn, wire::Net &clkOut, wire::Net &dataIn,
     // driven output (the mediator generates CLK); members clock off
     // their input pad.
     wire::Net &localClk = isMediatorHost ? clkOut : clkIn;
+    localClk_ = &localClk;
 
     detector_ = std::make_unique<InterjectionDetector>(
         localClk, dataIn, /*pullClkEpoch=*/sysCfg_.chunkedDispatch);
@@ -60,8 +59,7 @@ Node::bind(wire::Net &clkIn, wire::Net &clkOut, wire::Net &dataIn,
         sim_,     sysCfg_,   localClk,      dataIn,
         *wcClk_,  *wcData_,  {},            {},
         *sleepCtl_, *intCtl_, *busDomain_,  *layerDomain_,
-        ledger_,  energy_,   id_,           isMediatorHost,
-        medLink};
+        id_,      isMediatorHost, medLink};
     for (auto &lane : laneIns)
         ctx.laneIns.push_back(lane);
     for (auto &wc : wcLanes_)
@@ -82,61 +80,28 @@ Node::bind(wire::Net &clkIn, wire::Net &clkOut, wire::Net &dataIn,
             return handlePreDispatch(rx);
         });
 
-    // The node's own always-on edge logic (combinational forwarding
-    // energy, then the mutable-priority break) -- see onNetEdge().
-    // Without the arb-break role the handler is a pure edge-count
-    // energy charge, so it can ride the chunked onEdges path; the
-    // arb-break FSM needs each edge at its own timestamp.
-    if (!sysCfg_.useNodeArbBreak)
-        localClk.listenBatched(*this);
-    else
+    // The mutable-priority break needs each local CLK edge at its own
+    // time (see onNetEdge()).
+    if (sysCfg_.useNodeArbBreak)
         localClk.listen(wire::Edge::Any, *this);
-}
-
-void
-Node::onNetEdge(wire::Net &, bool rising)
-{
-    // Always-on combinational forwarding energy: half the per-cycle
-    // term on each local CLK edge.
-    ledger_.charge(id_, power::EnergyCategory::Comb,
-                   energy_.combPerCycle() / 2.0);
-
-    // Mutable-priority break (Sec 7): one bit of always-on wire
-    // logic that, when this node holds the break role, parks DATA
-    // high for the arbitration cycle.
-    onArbBreakEdge(rising);
-}
-
-void
-Node::onEdges(wire::Net &, wire::EdgeRun run)
-{
-    // Batched comb energy (only registered when the arb-break role
-    // is disabled system-wide): charge per edge, not count * e, so
-    // the ledger stays bit-identical to the per-edge path.
-    const double e = energy_.combPerCycle() / 2.0;
-    for (std::uint64_t i = 0; i < run.count; ++i)
-        ledger_.charge(id_, power::EnergyCategory::Comb, e);
 }
 
 void
 Node::skipDataCycles(const Message &msg, std::uint64_t first,
                      std::uint32_t cycles)
 {
+    // The arb-break logic is idle past the arbitration cycle.
     sleepCtl_->skipCycles(cycles);
     busCtl_->skipDataCycles(msg, first, cycles);
-    if (!sysCfg_.useNodeArbBreak)
-        return; // Comb energy rides the net's batched run.
-    // Per-edge subscription: the arb-break logic is idle past the
-    // arbitration cycle; only the comb charge of each edge remains.
-    const double e = energy_.combPerCycle() / 2.0;
-    for (std::uint64_t i = 0; i < 2 * std::uint64_t(cycles); ++i)
-        ledger_.charge(id_, power::EnergyCategory::Comb, e);
 }
 
 void
-Node::onArbBreakEdge(bool rising)
+Node::onNetEdge(wire::Net &, bool rising)
 {
-    if (rising || !sysCfg_.useNodeArbBreak)
+    // Mutable-priority break (Sec 7): one bit of always-on wire
+    // logic that, when this node holds the break role, parks DATA
+    // high for the arbitration cycle.
+    if (rising)
         return;
     std::uint32_t f = sleepCtl_->fallingCount();
     if (f == 1 && arbBreakRole_ && wcData_->forwarding()) {

@@ -32,8 +32,6 @@
 #include "mbus/sleep_controller.hh"
 #include "mbus/wire_controller.hh"
 #include "power/domain.hh"
-#include "power/energy.hh"
-#include "power/switching.hh"
 #include "sim/simulator.hh"
 #include "wire/net.hh"
 
@@ -43,16 +41,15 @@ namespace bus {
 /**
  * One chip on the MBus ring.
  *
- * The node itself is the edge listener for its local clock's
- * always-on combinational logic: per-edge forwarding energy and the
- * mutable-priority arbitration break (Sec 7).
+ * Under SystemConfig::useNodeArbBreak the node itself listens to its
+ * local clock: one bit of always-on logic for the mutable-priority
+ * arbitration break (Sec 7).
  */
 class Node : private wire::EdgeListener
 {
   public:
     Node(sim::Simulator &sim, const SystemConfig &sysCfg, NodeConfig cfg,
-         std::size_t id, power::EnergyLedger &ledger,
-         const power::SwitchingEnergyModel &energy);
+         std::size_t id);
 
     Node(const Node &) = delete;
     Node &operator=(const Node &) = delete;
@@ -112,7 +109,7 @@ class Node : private wire::EdgeListener
      * controller and the always-on edge logic across @p cycles whole
      * data cycles of @p msg starting at data cycle @p first (see
      * BusController::skipDataCycles). Ring segments skip their own
-     * edges; this charges only what per-edge listeners would.
+     * edges.
      */
     void skipDataCycles(const Message &msg, std::uint64_t first,
                         std::uint32_t cycles);
@@ -122,6 +119,10 @@ class Node : private wire::EdgeListener
     std::size_t id() const { return id_; }
     const NodeConfig &config() const { return cfg_; }
     const std::string &name() const { return cfg_.name; }
+
+    /** The net the chip's protocol logic clocks off: its CLK output
+     *  on the mediator host, its CLK input on a member. */
+    const wire::Net &localClock() const { return *localClk_; }
 
     BusController &busController() { return *busCtl_; }
     const BusController &busController() const { return *busCtl_; }
@@ -155,17 +156,14 @@ class Node : private wire::EdgeListener
     }
 
   private:
-    void onNetEdge(wire::Net &net, bool value) override;
-    void onEdges(wire::Net &net, wire::EdgeRun run) override;
+    void onNetEdge(wire::Net &net, bool rising) override;
     bool handlePreDispatch(const ReceivedMessage &rx);
-    void onArbBreakEdge(bool rising);
 
     sim::Simulator &sim_;
     const SystemConfig &sysCfg_;
     NodeConfig cfg_;
     std::size_t id_;
-    power::EnergyLedger &ledger_;
-    const power::SwitchingEnergyModel &energy_;
+    const wire::Net *localClk_ = nullptr;
 
     std::unique_ptr<power::PowerDomain> aonDomain_;
     std::unique_ptr<power::PowerDomain> busDomain_;

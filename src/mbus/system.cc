@@ -46,7 +46,7 @@ MBusSystem::addNode(NodeConfig cfg)
         cfg.name = "node" + std::to_string(nodes_.size());
     cfg.dataLanes = cfg_.dataLanes;
     nodes_.push_back(std::make_unique<Node>(
-        sim_, cfg_, std::move(cfg), nodes_.size(), ledger_, energy_));
+        sim_, cfg_, std::move(cfg), nodes_.size()));
     return *nodes_.back();
 }
 
@@ -141,30 +141,9 @@ MBusSystem::finalize()
     // runs (the forwarded CLK broadcast, steady alternating DATA
     // runs) into kernel edge trains. Confirm-or-split keeps every
     // delivery bit-identical to the discrete path.
-    forEachSegment([this](wire::Net &seg) {
-        if (cfg_.edgeTrains)
-            seg.enableEdgeTrains(kTrainMaxEdges);
-        if (cfg_.chunkedDispatch)
-            seg.setChunkedDispatch(true);
-    });
-
-    // Switching-energy taps: each transition on a segment charges the
-    // driving chip (output pad + wire + next chip's input pad).
-    // Registered batched: with chunked dispatch on, whole edge runs
-    // arrive in one onEdges call per tap; off, this is a plain
-    // Edge::Any subscription.
-    auto tap = [this](wire::Net &seg, std::size_t i,
-                      power::EnergyCategory cat) {
-        energyTaps_.push_back(
-            std::make_unique<SegmentEnergyTap>(*this, i, cat));
-        seg.listenBatched(*energyTaps_.back());
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-        tap(*clkSegs_[i], i, power::EnergyCategory::SegmentClk);
-        tap(*dataSegs_[i], i, power::EnergyCategory::SegmentData);
-        for (auto &lane : laneSegs_)
-            tap(*lane[i], i, power::EnergyCategory::SegmentData);
-    }
+    if (cfg_.edgeTrains)
+        forEachSegment(
+            [](wire::Net &seg) { seg.enableEdgeTrains(kTrainMaxEdges); });
 
     medLink_ = std::make_unique<MediatorHostLink>();
 
@@ -196,9 +175,6 @@ MBusSystem::finalize()
         *dataSegs_[n - 1],
         nodes_[0]->clkWireController(),
         nodes_[0]->dataWireController(),
-        ledger_,
-        energy_,
-        /*nodeId=*/0,
         /*ringSize=*/n,
         *medLink_};
     mediator_ = std::make_unique<Mediator>(std::move(mctx));
@@ -637,15 +613,39 @@ MBusSystem::skipDataCycles(std::uint32_t cycles, sim::SimTime half)
 }
 
 void
-MBusSystem::flushDeferredEdges() const
+MBusSystem::foldEnergy() const
 {
-    forEachSegment([](wire::Net &seg) { seg.flushDeferred(); });
+    if (!finalized_)
+        return;
+    using power::EnergyCategory;
+    // A segment's edges are priced to the slot driving it.
+    for (std::size_t i = 0; i < ringSize(); ++i) {
+        std::uint64_t data = dataSegs_[i]->edgeEpoch();
+        for (const auto &lane : laneSegs_)
+            data += lane[i]->edgeEpoch();
+        ledger_.fold(i, EnergyCategory::SegmentClk, energy_.segmentEdge(),
+                     clkSegs_[i]->edgeEpoch());
+        ledger_.fold(i, EnergyCategory::SegmentData, energy_.segmentEdge(),
+                     data);
+    }
+    // Forwarding logic: half a cycle's comb energy per local CLK edge.
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        const Node &node = *nodes_[i];
+        const BusControllerStats &s = node.busController().stats();
+        ledger_.fold(i, EnergyCategory::Comb, energy_.combPerCycle() / 2.0,
+                     node.localClock().edgeEpoch());
+        ledger_.fold(i, EnergyCategory::Fifo, energy_.fifoPerBit(),
+                     s.fifoBits);
+        ledger_.fold(i, EnergyCategory::Drive, energy_.drivePerBit(),
+                     s.driveCycles);
+    }
+    ledger_.fold(0, EnergyCategory::Mediator, energy_.mediatorPerCycle(),
+                 mediator_->stats().clockCycles);
 }
 
 std::uint64_t
 MBusSystem::dispatchCalls() const
 {
-    flushDeferredEdges();
     std::uint64_t calls = 0;
     forEachSegment(
         [&calls](wire::Net &seg) { calls += seg.dispatchCalls(); });
@@ -655,7 +655,7 @@ MBusSystem::dispatchCalls() const
 void
 MBusSystem::dumpStats(std::ostream &os) const
 {
-    flushDeferredEdges();
+    foldEnergy();
     os << "=== MBus system statistics @ "
        << sim::toSeconds(sim_.now()) << " s ===\n";
     const MediatorStats &m = mediator_->stats();

@@ -7,6 +7,13 @@
  * mediator, mirroring the paper's systems where the mediator is a
  * block on the processor chip.
  *
+ * Switching energy is counted, not charged per edge: each ledger cell
+ * prices one event -- a segment edge (edge epochs of the slot's CLK,
+ * DATA and lane segments), half a forwarding cycle (the chip's local
+ * CLK epoch), a latched RX bit, a driven TX cycle, a mediator cycle
+ * -- and ledger() folds each cell's unit over its counter, exactly
+ * the doubles a charge per event would leave.
+ *
  * A ring may also hold one software member (Sec 6.6): the ported
  * libmbus FSM on four GPIOs (firmware::FirmwareNode) in the last ring
  * slot, after every chip. Its ISR response latency is charged to the
@@ -16,12 +23,12 @@
  * The system is also the mediator's data-phase fast-forward
  * (SystemConfig::fastForward): once a transaction's data phase is
  * steady, whole data cycles are skipped in closed form -- chips, the
- * software member's ISR counters and FSM, segment levels and
- * counters, and ledger accumulators land exactly where the skipped
- * edges would have put them -- up to the next protocol decision or
- * the next event the ring does not own. A receiving, jittered or
- * edge-merging software member keeps every edge; waveform capture
- * turns it off for good.
+ * software member's ISR counters and FSM, and segment levels and
+ * counters land exactly where the skipped edges would have put them,
+ * so the energy they price does too -- up to the next protocol
+ * decision or the next event the ring does not own. A receiving,
+ * jittered or edge-merging software member keeps every edge;
+ * waveform capture turns it off for good.
  *
  * runUntilIdle() and the sendAndWait()/enumeration probes end their
  * runs with Simulator::stop(): the mediator, every bus controller
@@ -107,12 +114,11 @@ class MBusSystem : private DataPhaseSkipper
      *  hardware-only ring. */
     firmware::FirmwareNode *softMember() { return soft_.get(); }
 
-    /** The energy ledger. Flushes any deferred batched edge runs
-     *  first so readers always see complete totals. */
-    power::EnergyLedger &
-    ledger()
+    /** The energy ledger, every cell folded up to date. */
+    const power::EnergyLedger &
+    ledger() const
     {
-        flushDeferredEdges();
+        foldEnergy();
         return ledger_;
     }
     const power::SwitchingEnergyModel &energy() const { return energy_; }
@@ -185,15 +191,8 @@ class MBusSystem : private DataPhaseSkipper
     /** Attach a trace recorder to every ring segment. */
     void attachTrace(sim::TraceRecorder &recorder);
 
-    /**
-     * Deliver all deferred (chunk-dispatched) edge runs now. Must be
-     * called before reading the energy ledger or any batched-listener
-     * state; dumpStats() and the backend stat getters do.
-     */
-    void flushDeferredEdges() const;
-
     /** Listener virtual calls across all ring segments (the metric
-     *  chunked dispatch reduces); flushes deferred runs first. */
+     *  muting reduces). */
     std::uint64_t dispatchCalls() const;
 
     /**
@@ -219,6 +218,9 @@ class MBusSystem : private DataPhaseSkipper
   private:
     bool handleConfigBroadcast(const ReceivedMessage &rx);
 
+    /** Fold every ledger cell's unit over its event counter. */
+    void foldEnergy() const;
+
     /** A component may have turned idle: under runUntilIdle(), end
      *  the run after this event so idle() is checked. */
     void noteMaybeIdle();
@@ -230,10 +232,11 @@ class MBusSystem : private DataPhaseSkipper
     // --- Data-phase fast-forward (DataPhaseSkipper) ------------------
     //
     // Installed with SystemConfig::fastForward, edge trains and
-    // chunked dispatch on, and removed for good when a waveform
-    // recorder attaches. The mediator asks at each falling tick; a
-    // steady data phase means one transmitter (a chip or the software
-    // member), every chip addressed (receiving or forwarding), the
+    // chunked dispatch (for the interjection detector's CLK epoch
+    // pull) on, and removed for good when a waveform recorder
+    // attaches. The mediator asks at each falling tick; a steady data
+    // phase means one transmitter (a chip or the software member),
+    // every chip addressed (receiving or forwarding), the
     // member forwarding or transmitting with its ISRs retired, every
     // chip forwarding except where the mediator drives CLK and the
     // transmitter drives its lanes, and every segment settled,
@@ -277,49 +280,15 @@ class MBusSystem : private DataPhaseSkipper
                 f(*seg);
     }
 
-    /** Switching-energy tap: one per ring segment, charging the
-     *  driving chip for each transition (allocation-free fanout).
-     *  Edge-count driven, so it rides the chunked onEdges path. */
-    struct SegmentEnergyTap final : wire::EdgeListener
-    {
-        SegmentEnergyTap(MBusSystem &s, std::size_t n,
-                         power::EnergyCategory c)
-            : sys(&s), nodeId(n), category(c)
-        {}
-
-        void
-        onNetEdge(wire::Net &, bool) override
-        {
-            sys->ledger_.charge(nodeId, category,
-                                sys->energy_.segmentEdge());
-        }
-
-        void
-        onEdges(wire::Net &, wire::EdgeRun run) override
-        {
-            // Charge per edge (not count * e): repeated addition of
-            // the same constant keeps the ledger bit-identical to the
-            // per-edge path whatever the flush grouping.
-            const double e = sys->energy_.segmentEdge();
-            for (std::uint64_t i = 0; i < run.count; ++i)
-                sys->ledger_.charge(nodeId, category, e);
-        }
-
-        MBusSystem *sys;
-        std::size_t nodeId;
-        power::EnergyCategory category;
-    };
-
     sim::Simulator &sim_;
     SystemConfig cfg_;
-    power::EnergyLedger ledger_;
+    mutable power::EnergyLedger ledger_; ///< Folded on read.
     power::SwitchingEnergyModel energy_;
 
     std::vector<std::unique_ptr<Node>> nodes_;
     std::vector<std::unique_ptr<wire::Net>> clkSegs_;
     std::vector<std::unique_ptr<wire::Net>> dataSegs_;
     std::vector<std::vector<std::unique_ptr<wire::Net>>> laneSegs_;
-    std::vector<std::unique_ptr<SegmentEnergyTap>> energyTaps_;
     std::optional<firmware::FirmwareNode::Config> softCfg_;
     std::string softName_;
     std::unique_ptr<firmware::FirmwareNode> soft_;

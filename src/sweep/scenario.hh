@@ -78,7 +78,7 @@ struct ScenarioSpec
     sim::SimTime timeLimit = 60 * sim::kSecond; ///< Wedge guard.
     bool captureVcd = false; ///< Retain the full VCD byte stream.
     bool edgeTrains = true;  ///< Batched edge delivery (A/B studies).
-    bool chunkedDispatch = true; ///< Batched listener dispatch (A/B).
+    bool chunkedDispatch = true; ///< Mute idle listeners (A/B).
     std::size_t softRxCapacity = 256; ///< Software member's receive
                                       ///< buffer (bitbang/firmware).
 

@@ -50,9 +50,8 @@ Net::skipEdges(std::uint64_t count, sim::SimTime lastDrive,
 {
     if (count == 0)
         return;
-    if (!settled() || forced_ || recorder_ || (haveBatched_ && !chunked_))
-        mbus_panic("skipEdges needs a settled, unforced, untraced net "
-                   "with chunked dispatch");
+    if (!settled() || forced_ || recorder_)
+        mbus_panic("skipEdges needs a settled, unforced, untraced net");
     if (beat > 0)
         rider_.resumeBeat(lastDrive, beat);
     else
@@ -64,11 +63,6 @@ Net::skipEdges(std::uint64_t count, sim::SimTime lastDrive,
     if (count % 2 != 0)
         value_ = driven_ = first;
     edgeEpoch_ += count;
-    if (!haveBatched_)
-        return;
-    if (pendingCount_ == 0)
-        pendingFirst_ = first;
-    pendingCount_ += count;
 }
 
 void
@@ -103,36 +97,11 @@ Net::fanout(bool v)
 {
     ++edgeEpoch_;
     const std::uint8_t bit = v ? kMaskRising : kMaskFalling;
-    const bool defer = chunked_ && haveBatched_;
     for (const Sub &sub : subs_) {
         if (!(sub.mask & bit) || (sub.mask & kMaskMuted))
             continue;
-        if (defer && (sub.mask & kMaskBatched))
-            continue; // Accumulated below, delivered at flush.
         ++dispatchCalls_;
         sub.listener->onNetEdge(*this, v);
-    }
-    if (defer) {
-        // All batched subs are Edge::Any and deliveries strictly
-        // alternate, so one shared {first, count} run covers them.
-        if (pendingCount_ == 0)
-            pendingFirst_ = v;
-        ++pendingCount_;
-    }
-}
-
-void
-Net::flushDeferred()
-{
-    if (pendingCount_ == 0)
-        return;
-    const EdgeRun run{pendingFirst_, pendingCount_};
-    pendingCount_ = 0;
-    for (const Sub &sub : subs_) {
-        if ((sub.mask & kMaskBatched) && !(sub.mask & kMaskMuted)) {
-            ++dispatchCalls_;
-            sub.listener->onEdges(*this, run);
-        }
     }
 }
 
@@ -140,14 +109,6 @@ void
 Net::listen(Edge edge, EdgeListener &listener)
 {
     subs_.push_back(Sub{&listener, maskOf(edge)});
-}
-
-void
-Net::listenBatched(EdgeListener &listener)
-{
-    subs_.push_back(Sub{&listener,
-                        static_cast<std::uint8_t>(kMaskAny | kMaskBatched)});
-    haveBatched_ = true;
 }
 
 void
@@ -166,8 +127,6 @@ Net::setListenerMuted(EdgeListener &listener, bool muted)
 void
 Net::force(bool v)
 {
-    // Keep deferred chunks aligned with forcing-mode boundaries.
-    flushDeferred();
     bool previous = value();
     forced_ = true;
     forcedValue_ = v;
@@ -183,7 +142,6 @@ Net::release()
 {
     if (!forced_)
         return;
-    flushDeferred();
     bool previous = forcedValue_;
     forced_ = false;
     if (previous != value_) {

@@ -12,7 +12,9 @@
  *    simulator reproduce the momentary drive-to-forward glitches the
  *    paper notes in Figure 5;
  *  - edge listeners (rise / fall / any) used by the controllers;
- *  - transition counters feeding the CV^2 switching-energy model;
+ *  - transition counters and a delivered-edge epoch; the ring prices
+ *    its CV^2 switching energy from the epoch at read time, so no
+ *    listener charges energy per edge;
  *  - fault injection (stuck-at forcing) for the fault-tolerance
  *    property tests.
  *
@@ -58,34 +60,6 @@ enum class Edge {
 };
 
 /**
- * A run of consecutive delivered edges on one net, in delivery order.
- *
- * Net edges strictly alternate (a delivery only happens when the
- * visible value changes), so a run is fully described by its first
- * value and its length -- no materialized array, no allocation.
- * operator[] reconstructs any edge's value on demand.
- */
-struct EdgeRun
-{
-    bool first = false;        ///< Value of the run's first edge.
-    std::uint64_t count = 0;   ///< Number of edges in the run.
-
-    /** Value of the @p i-th edge of the run (0-based). */
-    bool
-    operator[](std::uint64_t i) const
-    {
-        return first ^ ((i & 1) != 0);
-    }
-
-    /** Value of the run's final edge (== net value after the run). */
-    bool
-    last() const
-    {
-        return (*this)[count - 1];
-    }
-};
-
-/**
  * Receiver of visible-value changes on a Net.
  *
  * Implemented once per subscribing component; registration stores
@@ -103,30 +77,6 @@ class EdgeListener
      * @param value The new visible value.
      */
     virtual void onNetEdge(Net &net, bool value) = 0;
-
-    /**
-     * Chunked delivery: a whole run of consecutive edges in ONE
-     * virtual call (the dispatch-side analogue of kernel edge
-     * trains). Only listeners registered through listenBatched() on a
-     * chunked-dispatch net ever receive this; everyone else keeps the
-     * per-edge onNetEdge path and bit-identical semantics.
-     *
-     * Delivery is deferred: the run arrives when the net flushes
-     * (flushDeferred(), a force/release boundary), not at each edge's
-     * timestamp. A batched listener must therefore be edge-COUNT
-     * driven -- commutative counters such as the CV^2 energy taps --
-     * and must never look at simulator "now" or other time-coupled
-     * state from inside onEdges.
-     *
-     * The default implementation replays the run through onNetEdge,
-     * so overriding is purely an optimization.
-     */
-    virtual void
-    onEdges(Net &net, EdgeRun run)
-    {
-        for (std::uint64_t i = 0; i < run.count; ++i)
-            onNetEdge(net, run[i]);
-    }
 
   protected:
     ~EdgeListener() = default;
@@ -182,17 +132,6 @@ class Net : private sim::EdgeSink
     void listen(Edge edge, EdgeListener &listener);
 
     /**
-     * Subscribe @p listener for chunked delivery (always Edge::Any).
-     *
-     * While chunked dispatch is enabled the listener's edges are
-     * accumulated and handed over as EdgeRun batches through
-     * onEdges() at flush points; with chunked dispatch off it behaves
-     * exactly like listen(Edge::Any, ...). See EdgeListener::onEdges
-     * for the contract a batched listener must satisfy.
-     */
-    void listenBatched(EdgeListener &listener);
-
-    /**
      * Mute or unmute @p listener's subscription: a muted listener
      * receives no deliveries at all (used by controllers whose FSM
      * provably ignores edges in the current mode, e.g. a wire
@@ -201,32 +140,16 @@ class Net : private sim::EdgeSink
      */
     void setListenerMuted(EdgeListener &listener, bool muted);
 
-    /**
-     * Enable/disable chunked dispatch (deferral of batched-listener
-     * deliveries). Purely a virtual-call-count optimization: the
-     * edge sequence each listener observes is unchanged.
-     */
-    void setChunkedDispatch(bool enabled) { chunked_ = enabled; }
-
-    /** @return true if chunked dispatch is enabled. */
-    bool chunkedDispatch() const { return chunked_; }
-
-    /**
-     * Deliver any deferred edge run to the batched listeners now.
-     * Callers that read batched-listener state (energy ledgers,
-     * stats) must flush first.
-     */
-    void flushDeferred();
-
-    /** Listener virtual calls made so far (onNetEdge + onEdges),
-     *  muted/deferred deliveries excluded -- the dispatch-cost metric
-     *  chunked mode strictly reduces. */
+    /** Listener virtual calls made so far (muted deliveries
+     *  excluded) -- the dispatch-cost metric muting reduces. */
     std::uint64_t dispatchCalls() const { return dispatchCalls_; }
 
     /**
-     * Monotone count of ALL delivered edges, forced fanouts included
-     * (transitions() freezes under force; this does not). Pull-mode
-     * consumers snapshot it to detect "did any edge happen since".
+     * Monotone count of ALL delivered edges, forced fanouts and
+     * skipped edges included (transitions() freezes under force; this
+     * does not). Pull-mode consumers snapshot it to detect "did any
+     * edge happen since"; the ring's segment and comb energy is
+     * priced per epoch step.
      */
     std::uint64_t edgeEpoch() const { return edgeEpoch_; }
 
@@ -276,11 +199,9 @@ class Net : private sim::EdgeSink
     /**
      * Fast-forward: account @p count alternating edges as if they had
      * been driven and delivered, starting from the current level, on
-     * a settled, unforced, untraced net with chunked dispatch. Levels,
-     * transition counters and the edge epoch move; batched listeners
-     * get the edges in the deferred run of the next flush; per-edge
-     * listeners hear nothing -- the caller advances their state. The
-     * edge-train rider restarts detection;
+     * a settled, unforced, untraced net. Levels, transition counters
+     * and the edge epoch move; listeners hear nothing -- the caller
+     * advances their state. The edge-train rider restarts detection;
      * with a @p beat, the skipped edges were driven every @p beat up
      * to @p lastDrive, and the next on-beat drive rides a train at
      * once.
@@ -306,13 +227,12 @@ class Net : private sim::EdgeSink
 
   private:
     /** Edge-mask bits (Edge enum folded to a bitmask, plus the
-     *  batched / muted subscription flags). */
+     *  muted subscription flag). */
     enum : std::uint8_t {
         kMaskRising = 1,
         kMaskFalling = 2,
         kMaskAny = kMaskRising | kMaskFalling,
-        kMaskBatched = 4, ///< Chunked delivery via onEdges().
-        kMaskMuted = 8,   ///< Subscription silenced by the owner.
+        kMaskMuted = 4, ///< Subscription silenced by the owner.
     };
 
     static std::uint8_t maskOf(Edge edge);
@@ -344,11 +264,6 @@ class Net : private sim::EdgeSink
     /** Edge-train batching; its destructor cancels the train. */
     sim::TrainRider rider_;
 
-    // --- Chunked dispatch state ------------------------------------
-    bool chunked_ = false;      ///< Defer batched-listener deliveries.
-    bool haveBatched_ = false;  ///< Any batched subscriber registered.
-    bool pendingFirst_ = false; ///< First value of the deferred run.
-    std::uint64_t pendingCount_ = 0; ///< Deferred edges not yet flushed.
     std::uint64_t dispatchCalls_ = 0;
     std::uint64_t edgeEpoch_ = 0;
 

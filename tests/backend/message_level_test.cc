@@ -476,7 +476,7 @@ TEST(RunLoop, StopOnCompletionMatchesPredicatePolling)
     EXPECT_EQ(sim.eventsExecuted(), 875u);
     EXPECT_TRUE(be.runUntilIdle(sim::kSecond));
     EXPECT_EQ(sim.now(), 635780000u);
-    EXPECT_EQ(be.dispatchCalls(), 6883u);
+    EXPECT_EQ(be.dispatchCalls(), 6863u);
     std::ostringstream os;
     rec.writeVcd(os);
     EXPECT_EQ(os.str().size(), 30918u);

@@ -241,11 +241,13 @@ TEST(FastForward, RandomHardwareCellsMatchTheEdgeEngine)
 // --- Boundary cases on a directly driven ring -------------------------
 
 /** Everything observable about a ring run, kernel costs excluded,
- *  and the edges the kernel delivered: events plus train edges. */
+ *  the edges the kernel delivered (events plus train edges), and
+ *  every ledger cell (%a, node-major). */
 struct RingRun
 {
     std::string state;
     std::uint64_t deliveries = 0;
+    std::string ledger;
 };
 
 std::uint64_t
@@ -272,7 +274,7 @@ ringState(bus::MBusSystem &sys)
     os << " med=" << m.transactions << "/" << m.interjections << "/"
        << m.generalErrors << "/" << m.watchdogKills << "/"
        << m.clockCycles << "\n";
-    power::EnergyLedger &ledger = sys.ledger();
+    const power::EnergyLedger &ledger = sys.ledger();
     for (std::size_t i = 0; i < sys.nodeCount(); ++i) {
         bus::Node &n = sys.node(i);
         const bus::BusControllerStats &s = n.busController().stats();
@@ -305,18 +307,20 @@ ringState(bus::MBusSystem &sys)
     return os.str();
 }
 
-/** Build a ring, let @p drive start its traffic (and schedule any
- *  mid-run disturbance), run to idle, and snapshot it. */
+/** Build a ring (with the arbitration break rotating after every
+ *  transaction when @p rotating), let @p drive start its traffic (and
+ *  schedule any mid-run disturbance), run to idle, and snapshot it. */
 RingRun
 runRing(bool fastForward, int nodes, int lanes,
         const std::function<void(bus::MBusSystem &, std::ostream &)>
             &drive,
-        std::size_t rxLimit = ~std::size_t(0))
+        std::size_t rxLimit = ~std::size_t(0), bool rotating = false)
 {
     sim::Simulator simulator;
     bus::SystemConfig cfg;
     cfg.dataLanes = lanes;
     cfg.fastForward = fastForward;
+    cfg.useNodeArbBreak = rotating;
     bus::MBusSystem sys(simulator, cfg);
     for (int i = 0; i < nodes; ++i) {
         bus::NodeConfig nc = test::nodeCfg(
@@ -326,6 +330,8 @@ runRing(bool fastForward, int nodes, int lanes,
         sys.addNode(nc);
     }
     sys.finalize();
+    if (rotating)
+        sys.enableRotatingPriority();
     std::ostringstream log;
     for (std::size_t i = 0; i < sys.nodeCount(); ++i) {
         sys.node(i).layer().setMailboxHandler(
@@ -345,6 +351,13 @@ runRing(bool fastForward, int nodes, int lanes,
     RingRun r;
     r.state = log.str() + ringState(sys);
     r.deliveries = deliveries(simulator);
+    const power::EnergyLedger &ledger = sys.ledger();
+    for (std::size_t i = 0; i < ledger.nodeCount(); ++i)
+        for (std::size_t c = 0; c < power::EnergyLedger::kNumCategories;
+             ++c)
+            r.ledger += exact(ledger.nodeCategory(
+                            i, static_cast<power::EnergyCategory>(c))) +
+                        " ";
     return r;
 }
 
@@ -368,17 +381,19 @@ sendLogged(bus::MBusSystem &sys, std::ostream &log, std::size_t from,
 }
 
 /** The same ring run with the fast-forward on and off must agree on
- *  everything but kernel events, which must drop. */
-void
+ *  everything but kernel events, which must drop; returns the run
+ *  with the fast-forward on. */
+RingRun
 expectExact(int nodes, int lanes,
             const std::function<void(bus::MBusSystem &, std::ostream &)>
                 &drive,
-            std::size_t rxLimit = ~std::size_t(0))
+            std::size_t rxLimit = ~std::size_t(0), bool rotating = false)
 {
-    RingRun on = runRing(true, nodes, lanes, drive, rxLimit);
-    RingRun off = runRing(false, nodes, lanes, drive, rxLimit);
+    RingRun on = runRing(true, nodes, lanes, drive, rxLimit, rotating);
+    RingRun off = runRing(false, nodes, lanes, drive, rxLimit, rotating);
     EXPECT_EQ(on.state, off.state);
     EXPECT_LT(on.deliveries, off.deliveries);
+    return on;
 }
 
 /** Falling tick k of the first transaction node @p s requests at 0. */
@@ -395,12 +410,49 @@ fallingTick(bus::MBusSystem &sys, std::size_t s, int k)
 
 TEST(FastForward, StormInterjectionMidDataPhase)
 {
-    expectExact(5, 2, [](bus::MBusSystem &sys, std::ostream &log) {
-        sendLogged(sys, log, 1, 3, 200, 7);
-        // A third party stomps the transfer 40 cycles into its data.
-        sys.simulator().scheduleAt(fallingTick(sys, 1, 52) + 1234,
-                                   [&sys] { sys.node(4).interject(); });
-    });
+    // On the mediator's fixed priority, and under the mutable-priority
+    // break (Sec 7), whose per-edge CLK listener on every chip the
+    // skip passes by, rotating after each transaction.
+    for (bool rotating : {false, true}) {
+        SCOPED_TRACE(rotating ? "rotating" : "fixed");
+        RingRun on = expectExact(
+            5, 2,
+            [](bus::MBusSystem &sys, std::ostream &log) {
+                sendLogged(sys, log, 1, 3, 200, 7);
+                // A third party stomps the transfer 40 cycles into
+                // its data.
+                sys.simulator().scheduleAt(
+                    fallingTick(sys, 1, 52) + 1234,
+                    [&sys] { sys.node(4).interject(); });
+            },
+            ~std::size_t(0), rotating);
+        if (!rotating)
+            continue;
+        // Pinned to the doubles a charge per edge leaves. Four lines
+        // per node: seg_clk seg_data, comb fifo, drive mediator,
+        // leakage external.
+        EXPECT_EQ(on.ledger,
+                  "0x1.0548c42da6e76p-33 0x1.009e52f5fac7ep-34 "
+                  "0x1.113d09639c22cp-38 0x0p+0 "
+                  "0x0p+0 0x1.4f72eef4931d3p-35 "
+                  "0x0p+0 0x0p+0 "
+                  "0x1.0548c42da6e76p-33 0x1.dbe91c2e94935p-35 "
+                  "0x1.113d09639c22cp-38 0x0p+0 "
+                  "0x1.6b1bb646f8e3ap-35 0x0p+0 "
+                  "0x0p+0 0x0p+0 "
+                  "0x1.0548c42da6e76p-33 0x1.dbe91c2e94935p-35 "
+                  "0x1.113d09639c22cp-38 0x0p+0 "
+                  "0x0p+0 0x0p+0 "
+                  "0x0p+0 0x0p+0 "
+                  "0x1.0548c42da6e76p-33 0x1.dbe91c2e94935p-35 "
+                  "0x1.113d09639c22cp-38 0x1.20d25153173d8p-34 "
+                  "0x0p+0 0x0p+0 "
+                  "0x0p+0 0x0p+0 "
+                  "0x1.009e52f5fac7ep-33 0x1.dbe91c2e94935p-35 "
+                  "0x1.113d09639c22cp-38 0x0p+0 "
+                  "0x0p+0 0x0p+0 "
+                  "0x0p+0 0x0p+0 ");
+    }
 }
 
 TEST(FastForward, FaultEventMidDataPhase)
@@ -490,8 +542,9 @@ TEST(FastForward, WatchdogPollsMidDataPhase)
         EXPECT_EQ(on.state, off.state);
         EXPECT_LE(on.events, off.events);
         EXPECT_LE(on.deliveries, off.deliveries);
-        if (epochs == 64)
+        if (epochs == 64) {
             EXPECT_LT(on.deliveries, off.deliveries);
+        }
     }
 }
 

@@ -195,10 +195,9 @@ TEST(Protocol, MediatorCountsOneTransactionPerMessage)
 {
     Fixture f;
     buildRing(f.system, 3);
+    const bus::Message msg{bus::Address::shortAddr(2, bus::kFuMailbox),
+                           {1, 2}};
     for (int i = 0; i < 4; ++i) {
-        bus::Message msg;
-        msg.dest = bus::Address::shortAddr(2, bus::kFuMailbox);
-        msg.payload = {1, 2};
         auto r = f.system.sendAndWait(0, msg, 50 * sim::kMillisecond);
         ASSERT_TRUE(r.has_value());
         f.system.runUntilIdle(10 * sim::kMillisecond);

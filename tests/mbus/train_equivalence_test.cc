@@ -70,8 +70,8 @@ expectSameSemantics(const ScenarioSpec &spec, std::uint64_t seed)
  * Everything that must not change when chunked dispatch is switched
  * on -- including the kernel event count: chunking changes how many
  * virtual calls deliver the edges, never what the kernel schedules.
- * Energy totals are compared exactly (not approximately): the batched
- * taps charge per edge, so the ledger doubles stay bit-identical.
+ * Energy totals are compared exactly (not approximately): the ring
+ * folds its energy from event counters, which chunking leaves alone.
  */
 void
 expectSameChunkedSemantics(const ScenarioSpec &spec, std::uint64_t seed)
@@ -198,8 +198,8 @@ TEST(TrainEquivalence, ChunkedDispatchIsByteIdentical)
 
 TEST(TrainEquivalence, ChunkedDispatchWithoutTrainsIsByteIdentical)
 {
-    // Chunking composes with the all-discrete scheduler too: runs
-    // still defer and flush, only the delivery grouping differs.
+    // Chunking composes with the all-discrete scheduler too: muted
+    // inputs and the epoch pull skip calls, never edges.
     sim::Random rng(0xd15c0u);
     for (int i = 0; i < 6; ++i) {
         ScenarioSpec spec;

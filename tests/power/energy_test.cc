@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "power/battery.hh"
 #include "power/constants.hh"
 #include "power/energy.hh"
 #include "power/switching.hh"
+#include "sim/random.hh"
 
 using namespace mbus::power;
 
@@ -72,6 +75,29 @@ TEST(EnergyLedger, ChargesAccumulatePerNodeAndCategory)
 
     ledger.reset();
     EXPECT_DOUBLE_EQ(ledger.total(), 0.0);
+}
+
+TEST(EnergyLedger, FoldEqualsOneSequentialFoldAtEveryCount)
+{
+    // A cell priced from an event counter: a read at any count holds
+    // the bits that many charge() calls leave, and count * unit would
+    // not always do.
+    const double unit = SwitchingEnergyModel().segmentEdge();
+    mbus::sim::Random rng(0xf01du);
+    EnergyLedger ledger(2);
+    int productMisses = 0;
+    for (int read = 0; read < 40; ++read) {
+        const std::uint64_t count = rng.below(1000001);
+        ledger.fold(1, EnergyCategory::Comb, unit, count);
+        double sum = 0.0;
+        for (std::uint64_t i = 0; i < count; ++i)
+            sum += unit;
+        EXPECT_EQ(ledger.nodeCategory(1, EnergyCategory::Comb), sum)
+            << "count " << count;
+        productMisses += sum != static_cast<double>(count) * unit;
+    }
+    EXPECT_GT(productMisses, 0);
+    EXPECT_EQ(ledger.nodeTotal(0), 0.0);
 }
 
 TEST(Battery, PaperCapacityArithmetic)

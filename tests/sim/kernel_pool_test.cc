@@ -4,47 +4,16 @@
  * steady-state zero-allocation scheduling, slot recycling, handle
  * validity across slab generations, and cancellation edge cases.
  *
- * The allocation assertions use a counting global operator new
- * (defined below for this test binary): the kernel's contract is
- * that once warm, schedule/execute cycles touch the allocator not at
- * all.
+ * The allocation assertions use the counting global operator new
+ * (tests/alloc_counter.hh): the kernel's contract is that once warm,
+ * schedule/execute cycles touch the allocator not at all.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "sim/event_queue.hh"
 #include "sim/simulator.hh"
-
-namespace {
-std::atomic<std::uint64_t> gAllocs{0};
-}
-
-void *
-operator new(std::size_t size)
-{
-    ++gAllocs;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    ++gAllocs;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+#include "tests/alloc_counter.hh"
 
 using namespace mbus::sim;
 

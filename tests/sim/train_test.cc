@@ -5,9 +5,9 @@
  * edges, speculative confirm-or-drop life cycle, truncation
  * semantics, slot recycling/handle safety across train retirement,
  * and the TrainRider rhythm detector that drives speculative trains
- * for ring segments and the software member. (The allocation-freedom of the train paths is asserted
- * in kernel_pool_test.cc, which owns this binary's counting
- * allocator.)
+ * for ring segments and the software member. (The allocation-freedom
+ * of the train paths is asserted in kernel_pool_test.cc, with the
+ * counting allocator of tests/alloc_counter.hh.)
  */
 
 #include <gtest/gtest.h>

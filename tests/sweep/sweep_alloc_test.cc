@@ -2,7 +2,7 @@
  * @file
  * Zero-allocation regression for the sweep hot loop.
  *
- * Extends the counting-allocator pattern of
+ * Extends the counting-allocator checks (tests/alloc_counter.hh) of
  * tests/sim/kernel_pool_test.cc from the bare kernel to a sweep
  * worker's world: a full MBusSystem built the way runScenario builds
  * one. The contract: once a cell is warm, steady-state event
@@ -14,39 +14,9 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "mbus/system.hh"
 #include "sweep/scenario.hh"
-
-namespace {
-std::atomic<std::uint64_t> gAllocs{0};
-}
-
-void *
-operator new(std::size_t size)
-{
-    ++gAllocs;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    ++gAllocs;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+#include "tests/alloc_counter.hh"
 
 using namespace mbus;
 

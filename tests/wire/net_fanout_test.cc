@@ -7,41 +7,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "sim/simulator.hh"
+#include "tests/alloc_counter.hh"
 #include "wire/net.hh"
-
-// Shared across the tests_wire binary (net_train_test externs it):
-// the global operator new below bumps it on every heap allocation.
-std::atomic<std::uint64_t> gAllocs{0};
-
-void *
-operator new(std::size_t size)
-{
-    ++gAllocs;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    ++gAllocs;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
 
 using namespace mbus;
 

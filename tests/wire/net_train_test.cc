@@ -6,27 +6,18 @@
  * (time, value) edge sequence as a discrete net for any drive
  * pattern, while retiring far fewer kernel events for rhythmic runs.
  *
- * Chunked-dispatch tests ride the same rigs: batched listeners must
- * see the exact same edges (grouped into runs), in strictly fewer
- * virtual calls, without touching the allocator in steady state.
+ * A muted subscription rides the same rigs: it hears nothing and
+ * costs no virtual call, while the edge epoch still counts the edge.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <memory>
-#include <new>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/simulator.hh"
 #include "wire/net.hh"
-
-// The counting global allocator lives in net_fanout_test.cc (one
-// definition per binary); its counter is shared across tests_wire.
-extern std::atomic<std::uint64_t> gAllocs;
 
 using namespace mbus;
 
@@ -218,186 +209,51 @@ TEST(NetTrain, ForcedNetKeepsCountersAndFanoutSemantics)
     }
     EXPECT_EQ(discrete.log.edges, trained.log.edges);
     EXPECT_EQ(discrete.net.transitions(), trained.net.transitions());
+    // The epoch counts every fanout, the forced ones included, while
+    // the transition counters freeze under the force: the ring's
+    // segment energy is priced per epoch step.
+    for (auto rig : {&discrete, &trained}) {
+        EXPECT_EQ(rig->net.edgeEpoch(), rig->log.edges.size());
+        EXPECT_GT(rig->net.edgeEpoch(), rig->net.transitions());
+    }
 }
 
-// --- Chunked dispatch -------------------------------------------------
+// --- Muting ----------------------------------------------------------
 
-/** Batched listener: records every run and reconstructs the edge
- *  sequence through EdgeRun's indexing. */
-struct RunLog final : wire::EdgeListener
+/** Per-edge listener that counts its deliveries. */
+struct CountLog final : wire::EdgeListener
 {
-    std::vector<bool> edges;
-    std::uint64_t runs = 0;
+    std::uint64_t edges = 0;
 
-    void
-    onNetEdge(wire::Net &, bool v) override
-    {
-        edges.push_back(v);
-        ++runs; // Unbatched fallback counts as a run of one.
-    }
-    void
-    onEdges(wire::Net &, wire::EdgeRun run) override
-    {
-        ++runs;
-        for (std::uint64_t i = 0; i < run.count; ++i)
-            edges.push_back(run[i]);
-        EXPECT_EQ(run.last(), edges.back());
-    }
+    void onNetEdge(wire::Net &, bool) override { ++edges; }
 };
-
-TEST(NetTrain, ChunkedDispatchDeliversIdenticalEdgesInFewerCalls)
-{
-    auto drives = rhythm(1000 * sim::kNanosecond,
-                         500 * sim::kNanosecond, 64, false);
-
-    // Per-edge reference: a plain listener on an unchunked net.
-    Rig plain(true);
-    for (const auto &d : drives)
-        plain.sim.scheduleAt(d.first, [&plain, v = d.second] {
-            plain.net.drive(v);
-        });
-    plain.sim.run();
-    ASSERT_EQ(plain.log.edges.size(), drives.size());
-
-    // Chunked: batched listeners on a chunked net (trains on too), at
-    // 1, 4 and 16 listeners.
-    for (std::size_t listeners : {1u, 4u, 16u}) {
-        SCOPED_TRACE(std::to_string(listeners) + " listeners");
-        sim::Simulator sim;
-        wire::Net net(sim, "c", 10 * sim::kNanosecond, true);
-        net.enableEdgeTrains(16);
-        net.setChunkedDispatch(true);
-        std::vector<RunLog> batched(listeners);
-        for (RunLog &b : batched)
-            net.listenBatched(b);
-
-        for (const auto &d : drives)
-            sim.scheduleAt(d.first,
-                           [&net, v = d.second] { net.drive(v); });
-        sim.run();
-        net.flushDeferred();
-
-        std::uint64_t delivered = 0, runs = 0;
-        for (const RunLog &b : batched) {
-            ASSERT_EQ(b.edges.size(), plain.log.edges.size());
-            for (std::size_t i = 0; i < b.edges.size(); ++i)
-                EXPECT_EQ(b.edges[i], plain.log.edges[i].second);
-            EXPECT_LT(b.runs, static_cast<std::uint64_t>(drives.size()))
-                << "batched listener should see runs, not single edges";
-            delivered += b.edges.size();
-            runs += b.runs;
-        }
-        // Every edge reaches every listener, in at most half the calls
-        // per-edge delivery would make.
-        const std::uint64_t perEdgeCalls = drives.size() * listeners;
-        EXPECT_EQ(delivered, perEdgeCalls);
-        EXPECT_EQ(net.dispatchCalls(), runs);
-        EXPECT_LE(net.dispatchCalls() * 2, perEdgeCalls);
-    }
-}
-
-TEST(NetTrain, ForceAndReleaseFlushDeferredRuns)
-{
-    sim::Simulator sim;
-    wire::Net net(sim, "f", 10 * sim::kNanosecond, true);
-    net.setChunkedDispatch(true);
-    RunLog batched;
-    net.listenBatched(batched);
-
-    for (const auto &d : rhythm(1000 * sim::kNanosecond,
-                                500 * sim::kNanosecond, 6, false))
-        sim.scheduleAt(d.first, [&net, v = d.second] { net.drive(v); });
-    // Force mid-stream: the deferred run must flush BEFORE the forced
-    // edge fans out, so the batched listener sees edges in order.
-    sim.scheduleAt(2200 * sim::kNanosecond, [&net] { net.force(true); });
-    sim.scheduleAt(2700 * sim::kNanosecond, [&net] { net.release(); });
-    sim.run();
-    net.flushDeferred();
-
-    // Reference: identical schedule on an unchunked net.
-    sim::Simulator refSim;
-    wire::Net refNet(refSim, "f", 10 * sim::kNanosecond, true);
-    EdgeLog ref;
-    ref.sim = &refSim;
-    refNet.listen(wire::Edge::Any, ref);
-    for (const auto &d : rhythm(1000 * sim::kNanosecond,
-                                500 * sim::kNanosecond, 6, false))
-        refSim.scheduleAt(d.first,
-                          [&refNet, v = d.second] { refNet.drive(v); });
-    refSim.scheduleAt(2200 * sim::kNanosecond,
-                      [&refNet] { refNet.force(true); });
-    refSim.scheduleAt(2700 * sim::kNanosecond,
-                      [&refNet] { refNet.release(); });
-    refSim.run();
-
-    ASSERT_EQ(batched.edges.size(), ref.edges.size());
-    for (std::size_t i = 0; i < batched.edges.size(); ++i)
-        EXPECT_EQ(batched.edges[i], ref.edges[i].second);
-}
 
 TEST(NetTrain, MutedListenerReceivesNothingAndCountsNoCalls)
 {
     sim::Simulator sim;
     wire::Net net(sim, "m", 10 * sim::kNanosecond, true);
-    net.setChunkedDispatch(true);
-    RunLog muted, live;
-    net.listenBatched(muted);
-    net.listenBatched(live);
+    net.enableEdgeTrains(16);
+    CountLog muted, live;
+    net.listen(wire::Edge::Any, muted);
+    net.listen(wire::Edge::Any, live);
     net.setListenerMuted(muted, true);
 
     for (const auto &d : rhythm(1000 * sim::kNanosecond,
                                 500 * sim::kNanosecond, 8, false))
         sim.scheduleAt(d.first, [&net, v = d.second] { net.drive(v); });
     sim.run();
-    net.flushDeferred();
 
-    EXPECT_TRUE(muted.edges.empty());
-    EXPECT_EQ(live.edges.size(), 8u);
-    EXPECT_EQ(net.dispatchCalls(), live.runs);
+    EXPECT_EQ(muted.edges, 0u);
+    EXPECT_EQ(live.edges, 8u);
+    EXPECT_EQ(net.dispatchCalls(), live.edges);
+    EXPECT_EQ(net.edgeEpoch(), 8u) << "muting hides no edge from the epoch";
 
     net.setListenerMuted(muted, false);
     sim.scheduleAt(sim.now() + 500 * sim::kNanosecond,
                    [&net] { net.drive(false); });
     sim.run();
-    net.flushDeferred();
-    EXPECT_EQ(muted.edges.size(), 1u) << "unmute must restore delivery";
-}
-
-TEST(NetTrain, BatchedPathDoesNotAllocateInSteadyState)
-{
-    sim::Simulator sim;
-    wire::Net net(sim, "z", 10 * sim::kNanosecond, true);
-    net.enableEdgeTrains(16);
-    net.setChunkedDispatch(true);
-    RunLog batched;
-    net.listenBatched(batched);
-
-    // Warm-up: slab, heap vector, listener table, log capacity.
-    batched.edges.reserve(4096);
-    for (const auto &d : rhythm(1000 * sim::kNanosecond,
-                                500 * sim::kNanosecond, 32, false))
-        sim.scheduleAt(d.first, [&net, v = d.second] { net.drive(v); });
-    sim.run();
-    net.flushDeferred();
-
-    // Steady state: rhythmic drives ride trains, fanout defers into
-    // the shared pending run, flushes deliver EdgeRun by value -- no
-    // materialized span, no allocation anywhere on the path.
-    struct Driver final : sim::EdgeSink
-    {
-        wire::Net *net = nullptr;
-        void onEdge(bool v) override { net->drive(v); }
-    } driver;
-    driver.net = &net;
-    const std::uint64_t before = gAllocs.load();
-    sim.scheduleEdgeTrain(500 * sim::kNanosecond,
-                          500 * sim::kNanosecond, 2000, driver,
-                          !net.value());
-    sim.run();
-    net.flushDeferred();
-    EXPECT_EQ(gAllocs.load() - before, 0u)
-        << "chunked dispatch steady state must not allocate";
-    EXPECT_EQ(batched.edges.size(), 32u + 2000u);
+    EXPECT_EQ(muted.edges, 1u) << "unmute must restore delivery";
+    EXPECT_EQ(net.dispatchCalls(), 10u);
 }
 
 } // namespace
