@@ -30,7 +30,9 @@
  *
  * and fails if any metric regresses more than 10% over the
  * checked-in baseline (bench/perf_baseline.json). Regenerate the
- * baseline with --write-baseline after an intentional change. Every
+ * baseline with --write-baseline after an intentional change; it
+ * writes each value with sim::formatDouble (17 significant digits,
+ * which round-trip), so even a small real move shows in the file. Every
  * cell above forces Fidelity::Edge: these gate the edge engine.
  *
  * One more cell, fig9_n4_auto, runs the fig9_n4 shape at the default
@@ -265,7 +267,8 @@ main(int argc, char **argv)
                 out << "{\n";
                 for (std::size_t i = 0; i < metrics.size(); ++i) {
                     out << "  \"" << metrics[i].name
-                        << "\": " << metrics[i].value
+                        << "\": "
+                        << mbus::sim::formatDouble(metrics[i].value)
                         << (i + 1 < metrics.size() ? ",\n" : "\n");
                 }
                 out << "}\n";

@@ -66,6 +66,16 @@ const char *backendKindName(BackendKind k);
 /** Parse a backendKindName() string. @return false on no match. */
 bool backendKindFromName(const std::string &name, BackendKind &out);
 
+/** Full prefix of node i on every fabric: kFullPrefixBase + i. */
+constexpr std::uint32_t kFullPrefixBase = 0x500u;
+
+/** A hop delay of @p ns nanoseconds in simulator ticks, rounded. */
+inline sim::SimTime
+hopDelayFromNs(double ns)
+{
+    return static_cast<sim::SimTime>(ns * 1000.0 + 0.5);
+}
+
 /** The physical/system parameters every backend builds from (the
  *  backend-relevant subset of a sweep ScenarioSpec). */
 struct BusParams

@@ -58,8 +58,8 @@ I2cBackend::resolveDest(const bus::Address &addr) const
         return nodes_.size();
     if (addr.isFull()) {
         std::uint32_t p = addr.fullPrefix();
-        if (p >= 0x500u && p < 0x500u + nodes_.size())
-            return p - 0x500u;
+        if (p >= kFullPrefixBase && p < kFullPrefixBase + nodes_.size())
+            return p - kFullPrefixBase;
         return nodes_.size();
     }
     std::uint8_t p = addr.shortPrefix();

@@ -23,8 +23,7 @@ MbusBackend::MbusBackend(sim::Simulator &sim, const BusParams &params,
 
     bus::SystemConfig cfg;
     cfg.busClockHz = params.busClockHz;
-    cfg.hopDelay =
-        static_cast<sim::SimTime>(params.hopDelayNs * 1000.0 + 0.5);
+    cfg.hopDelay = hopDelayFromNs(params.hopDelayNs);
     cfg.dataLanes = mixed ? 1 : params.dataLanes;
     cfg.wireCapF = params.wireCapF;
     cfg.edgeTrains = params.edgeTrains;
@@ -36,7 +35,7 @@ MbusBackend::MbusBackend(sim::Simulator &sim, const BusParams &params,
     for (int i = 0; i < chips; ++i) {
         bus::NodeConfig nc;
         nc.name = "n" + std::to_string(i);
-        nc.fullPrefix = 0x500u + static_cast<std::uint32_t>(i);
+        nc.fullPrefix = kFullPrefixBase + static_cast<std::uint32_t>(i);
         nc.staticShortPrefix = static_cast<std::uint8_t>(i + 1);
         // Node 0 hosts the mediator and stays on; members follow the
         // params so gated cells exercise the bus-driven wakeup path.

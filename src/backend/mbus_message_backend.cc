@@ -2,6 +2,7 @@
 
 #include <array>
 
+#include "mbus/config.hh"
 #include "mbus/data_phase.hh"
 #include "mbus/layer_controller.hh"
 #include "power/constants.hh"
@@ -10,13 +11,6 @@
 
 namespace mbus {
 namespace backend {
-
-namespace {
-
-/** Full prefix of node i (mirrors MbusBackend's node configs). */
-constexpr std::uint32_t kFullPrefixBase = 0x500u;
-
-} // namespace
 
 MbusMessageBackend::MbusMessageBackend(sim::Simulator &sim,
                                        const BusParams &params)
@@ -27,7 +21,7 @@ MbusMessageBackend::MbusMessageBackend(sim::Simulator &sim,
               2 * power::kPadCapF + (params.wireCapF >= 0
                                          ? params.wireCapF
                                          : power::kWireCapF)),
-      hop_(static_cast<sim::SimTime>(params.hopDelayNs * 1000.0 + 0.5)),
+      hop_(hopDelayFromNs(params.hopDelayNs)),
       period_(sim::periodFromHz(params.busClockHz)), half_(period_ / 2),
       flush_((static_cast<sim::SimTime>(params.nodes) + 2) * hop_)
 {
@@ -53,8 +47,9 @@ MbusMessageBackend::MbusMessageBackend(sim::Simulator &sim,
 double
 MbusMessageBackend::maxSafeClockHz() const
 {
-    double hop_s = sim::toSeconds(hop_);
-    return 1.0 / (2.0 * hop_s * (static_cast<double>(nodes_) + 2.0));
+    bus::SystemConfig ring;
+    ring.hopDelay = hop_;
+    return bus::safeClockLimitHz(ring, nodes_);
 }
 
 bus::Address

@@ -19,13 +19,6 @@ BitbangI2c::longestPath() const
     return path;
 }
 
-int
-BitbangI2c::cyclesPerByte() const
-{
-    // 8 data bits plus the ACK bit, each one write-bit/read-bit path.
-    return 9 * longestPath().cycles;
-}
-
 double
 BitbangI2c::maxSclHz() const
 {

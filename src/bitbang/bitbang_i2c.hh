@@ -40,9 +40,6 @@ class BitbangI2c
      */
     I2cPathCost longestPath() const;
 
-    /** Cycles to clock one full byte (8 bits + ACK). */
-    int cyclesPerByte() const;
-
     /** Max SCL frequency from the straight-line path. */
     double maxSclHz() const;
 

@@ -6,19 +6,6 @@ namespace mbus {
 namespace firmware {
 
 const char *
-mbusErrorName(MBus_error_t e)
-{
-    switch (e) {
-      case MBUS_NO_ERROR: return "MBUS_NO_ERROR";
-      case MBUS_CLOCK_SYNCH_ERROR: return "MBUS_CLOCK_SYNCH_ERROR";
-      case MBUS_DATA_SYNCH_ERROR: return "MBUS_DATA_SYNCH_ERROR";
-      case MBUS_RECV_OVERFLOW: return "MBUS_RECV_OVERFLOW";
-      case MBUS_INTERRUPTED: return "MBUS_INTERRUPTED";
-    }
-    return "?";
-}
-
-const char *
 mbusStateName(MBus_state_t s)
 {
     switch (s) {

@@ -51,8 +51,6 @@ enum MBus_error_t : std::uint8_t {
     MBUS_INTERRUPTED,       ///< Message cut short by a third party.
 };
 
-const char *mbusErrorName(MBus_error_t e);
-
 /**
  * libmbus MBus_state_t. The state names the meaning of the *next*
  * CLK edge: DRIVE_* states act on a falling edge, LATCH_* and the

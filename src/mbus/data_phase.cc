@@ -3,22 +3,29 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sim/train_rider.hh"
+
 namespace mbus {
 namespace bus {
 
 namespace {
 
-/** kLaneMask[w][r]: the word bits (offset 0 = MSB) at offsets i with
- *  i % w == r. */
+/** m[w][r]: the word bits (offset 0 = MSB) at offsets i with
+ *  i % w == r; div[w][j]: j / w for offsets j < 64 + w, without a
+ *  divide per bit. */
 struct LaneMasks
 {
     std::uint64_t m[kMaxDataLanes + 1][kMaxDataLanes] = {};
+    std::uint8_t div[kMaxDataLanes + 1][64 + kMaxDataLanes] = {};
 
     constexpr LaneMasks()
     {
-        for (int w = 1; w <= kMaxDataLanes; ++w)
+        for (int w = 1; w <= kMaxDataLanes; ++w) {
             for (int i = 0; i < 64; ++i)
                 m[w][i % w] |= std::uint64_t(1) << (63 - i);
+            for (int j = 0; j < 64 + kMaxDataLanes; ++j)
+                div[w][j] = static_cast<std::uint8_t>(j / w);
+        }
     }
 };
 
@@ -46,6 +53,37 @@ bitsAt(const std::vector<std::uint8_t> &payload, std::uint64_t q)
     return (word << shift) | (byte(at + 8) >> (8 - shift));
 }
 
+/** Calls @p visit(base, change) for each word of the run's changes:
+ *  offset i (bit 63 - i) marks payload bit base + i, lane (base + i)
+ *  % w, differing from its lane one cycle earlier (or, in the run's
+ *  first cycle, from the level @p start it enters at). */
+template <typename Visit>
+void
+forEachChangeWord(const std::vector<std::uint8_t> &payload,
+                  std::uint64_t w, std::uint64_t first,
+                  std::uint64_t cycles,
+                  const std::array<bool, kMaxDataLanes> &start,
+                  Visit &&visit)
+{
+    if (cycles == 0)
+        return;
+    const std::uint64_t begin = first * w;
+    const std::uint64_t end = (first + cycles) * w;
+    std::uint64_t entry = 0;
+    for (std::uint64_t l = 0; l < w; ++l)
+        entry |= static_cast<std::uint64_t>(start[l]) << (63 - l);
+    visit(begin, (bitsAt(payload, begin) ^ entry) &
+                     (~std::uint64_t(0) << (64 - w)));
+    for (std::uint64_t base = begin + w; base < end; base += 64) {
+        std::uint64_t change = bitsAt(payload, base) ^
+                               bitsAt(payload, base - w);
+        const std::uint64_t n = std::min<std::uint64_t>(64, end - base);
+        if (n < 64)
+            change &= ~std::uint64_t(0) << (64 - n);
+        visit(base, change);
+    }
+}
+
 } // namespace
 
 LaneRun
@@ -54,30 +92,19 @@ laneTransitions(const std::vector<std::uint8_t> &payload, int lanes,
                 const std::array<bool, kMaxDataLanes> &start)
 {
     LaneRun run;
-    run.last = start;
-    if (cycles == 0)
-        return run;
     const auto w = static_cast<std::uint64_t>(lanes);
-    const std::uint64_t begin = first * w;
-    const std::uint64_t end = (first + cycles) * w;
-    // The run's first bit on each lane against the level it enters at.
-    for (std::uint64_t l = 0; l < w; ++l)
-        run.edges[l] = payloadBit(payload, begin + l) != start[l];
-    // Every later bit against the same lane's bit one cycle earlier.
-    for (std::uint64_t base = begin + w; base < end; base += 64) {
-        std::uint64_t change = bitsAt(payload, base) ^
-                               bitsAt(payload, base - w);
-        const std::uint64_t n = std::min<std::uint64_t>(64, end - base);
-        if (n < 64)
-            change &= ~std::uint64_t(0) << (64 - n);
-        // Offset i of this word is lane (base + i) % w.
-        const std::uint64_t phase = base % w;
-        for (std::uint64_t l = 0; l < w; ++l)
-            run.edges[l] += static_cast<std::uint64_t>(__builtin_popcountll(
-                change & kLaneMask.m[w][(l + w - phase) % w]));
-    }
-    for (std::uint64_t l = 0; l < w; ++l)
-        run.last[l] = payloadBit(payload, end - w + l);
+    forEachChangeWord(
+        payload, w, first, cycles, start,
+        [&run, w](std::uint64_t base, std::uint64_t change) {
+            const std::uint64_t phase = base % w;
+            for (std::uint64_t l = 0; l < w; ++l)
+                run.edges[l] += static_cast<std::uint64_t>(
+                    __builtin_popcountll(
+                        change & kLaneMask.m[w][(l + w - phase) % w]));
+        });
+    // Each transition flips its lane's level.
+    for (int l = 0; l < kMaxDataLanes; ++l)
+        run.last[l] = start[l] != (run.edges[l] % 2 != 0);
     return run;
 }
 
@@ -87,71 +114,49 @@ laneRides(const std::vector<std::uint8_t> &payload, int lanes,
           const std::array<bool, kMaxDataLanes> &start,
           std::uint32_t maxEdges)
 {
+    // Each lane's segment rider, in cycle units (every gap outlasts a
+    // hop: latency 0), is primed the way Net::skipEdges primes a CLK
+    // segment: the run's first two transitions are taken as the last
+    // two of a beat already running (unsigned wrap keeps it exact).
     LaneRides rides;
     const auto w = static_cast<std::uint64_t>(lanes);
-    const std::uint64_t end = first + cycles;
-    for (std::uint64_t l = 0; l < w; ++l) {
-        // The cycles of the lane's first two transitions.
-        std::uint64_t at[2] = {};
-        int seen = 0;
-        bool level = start[l];
-        for (std::uint64_t c = first; c < end && seen < 2; ++c) {
-            const bool b = payloadBit(payload, c * w + l);
-            if (b != level)
-                at[seen++] = c;
-            level = b;
-        }
-        // TrainRider::ride in cycle units (every gap outlasts a hop),
-        // primed as if the opening beat had been running all along
-        // (unsigned wrap keeps the first gap exact).
-        bool riding = false, chained = false;
-        bool haveLast = seen == 2, haveGap = seen == 2;
-        std::uint64_t left = 0, period = 0, expect = 0;
-        std::uint64_t lastGap = seen == 2 ? at[1] - at[0] : 0;
-        std::uint64_t lastAt = at[0] - lastGap;
-        std::uint64_t &events = rides.events[l];
-        level = start[l];
-        for (std::uint64_t c = first; c < end; ++c) {
-            const bool b = payloadBit(payload, c * w + l);
-            if (b == level)
-                continue;
-            level = b;
-            chained = false;
-            if (riding) {
-                if (left > 0 && c == expect) {
-                    expect = c + period;
-                    if (--left == 0) {
-                        // Exhausted: the next on-beat edge chains.
-                        riding = false;
-                        chained = true;
-                        haveLast = haveGap = true;
-                        lastAt = c;
-                        lastGap = period;
-                    }
-                    continue;
+    std::array<sim::BeatDetector, kMaxDataLanes> beat;
+    std::array<bool, kMaxDataLanes> level = start;
+    std::array<std::uint64_t, kMaxDataLanes> opening{};
+    std::array<int, kMaxDataLanes> seen{};
+    auto offer = [&](std::uint64_t l, std::uint64_t c) {
+        level[l] = !level[l];
+        const sim::BeatEdge e =
+            beat[l].offer(c, 0, level[l], [] { return true; });
+        rides.events[l] += e != sim::BeatEdge::Confirmed;
+        rides.onBeat[l] = e != sim::BeatEdge::Discrete;
+    };
+    for (std::uint64_t l = 0; l < w; ++l)
+        beat[l].setMaxEdges(maxEdges);
+    forEachChangeWord(
+        payload, w, first, cycles, start,
+        [&](std::uint64_t base, std::uint64_t change) {
+            const std::uint64_t cycle = base / w, skew = base % w;
+            while (change != 0) {
+                const auto i =
+                    static_cast<std::uint64_t>(__builtin_clzll(change));
+                change ^= (std::uint64_t(1) << 63) >> i;
+                const std::uint64_t q = kLaneMask.div[w][skew + i];
+                const std::uint64_t l = skew + i - q * w, c = cycle + q;
+                if (seen[l] == 2) {
+                    offer(l, c);
+                } else if (seen[l]++ == 0) {
+                    opening[l] = c;
+                } else {
+                    beat[l].resumeBeat(2 * opening[l] - c, c - opening[l]);
+                    offer(l, opening[l]);
+                    offer(l, c);
                 }
-                riding = false;
-                haveLast = haveGap = false;
             }
-            const std::uint64_t gap = c - lastAt;
-            ++events; // A discrete edge, or the head of a new train.
-            if (haveGap && gap == lastGap && maxEdges > 0) {
-                riding = true;
-                period = gap;
-                left = maxEdges - 1;
-                expect = c + gap;
-                haveLast = haveGap = false;
-                continue;
-            }
-            if (haveLast) {
-                lastGap = gap;
-                haveGap = true;
-            }
-            lastAt = c;
-            haveLast = true;
-        }
-        rides.onBeat[l] = riding || chained;
-    }
+        });
+    for (std::uint64_t l = 0; l < w; ++l)
+        if (seen[l] == 1)
+            offer(l, opening[l]);
     return rides;
 }
 

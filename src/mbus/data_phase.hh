@@ -8,11 +8,11 @@
  * payload (Secs 4.8, 7). Every forwarding segment of a lane carries
  * the same level sequence, so a segment's transitions over a run of
  * cycles are the adjacent-level changes of that lane's subsequence.
- * laneTransitions() counts them 64 payload bits at a time: the bit
- * stream XOR itself one cycle (w bits) earlier marks every change,
- * and a popcount per lane mask counts them. laneRides() prices the
- * same transitions in kernel events, as a segment's edge-train rider
- * would retire them.
+ * Both functions below walk them 64 payload bits at a time: the bit
+ * stream XOR itself one cycle (w bits) earlier marks every change.
+ * laneTransitions() popcounts each lane's changes; laneRides() feeds
+ * them to a segment's sim::BeatDetector, the rule its edge-train
+ * rider retires them by, to price them in kernel events.
  */
 
 #ifndef MBUS_BUS_DATA_PHASE_HH
@@ -63,9 +63,9 @@ struct LaneRides
 /**
  * What a segment's sim::TrainRider (trains of up to @p maxEdges
  * edges) retires on each lane's transitions over the same run as
- * laneTransitions(): one event per discrete edge and per train
- * started, taking a lane whose run opens on a steady beat as
- * already riding it.
+ * laneTransitions(): every edge its sim::BeatDetector does not
+ * confirm, with the detector primed (resumeBeat) as if the lane's
+ * opening beat were already running.
  */
 LaneRides laneRides(const std::vector<std::uint8_t> &payload, int lanes,
                     std::uint64_t first, std::uint64_t cycles,

@@ -217,14 +217,10 @@ Mediator::fastForward()
          std::uint64_t(1) << 31});
     if (cycles == 0)
         return false;
-    // A skip re-arms the tick and ring-check trains, which on edges
-    // retire one event per kTickTrainEdges edges each; the ring prices
-    // its own trains and edges. Take only a skip that saves events:
-    // short ones do not, the less so the larger the ring.
-    const double ours =
-        2 * (2.0 * static_cast<double>(cycles) / kTickTrainEdges - 1);
-    if (skipper_->skipSavings(static_cast<std::uint32_t>(cycles)) + ours <=
-        0)
+    // Take only a skip that saves kernel events (the ring prices
+    // every train it restarts, ours included): short ones do not, the
+    // less so the larger the ring.
+    if (skipper_->skipSavings(static_cast<std::uint32_t>(cycles)) <= 0)
         return false;
 
     skipper_->skipDataCycles(static_cast<std::uint32_t>(cycles),

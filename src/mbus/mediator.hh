@@ -51,9 +51,11 @@ struct MediatorStats
  * The ring side of the data-phase fast-forward (MBusSystem). On each
  * falling tick of a data phase the mediator asks how many whole data
  * cycles the ring could skip, bounds the answer by its own watchdog
- * and by the earliest event the ring does not own, checks that the
- * skip saves kernel events, and has the ring skip that many before
- * re-arming its tick at the far end.
+ * and by the earliest event the ring does not own, and has the ring
+ * skip that many, if the ring prices the skip above zero, before
+ * re-arming its tick at the far end. The ring prices every train
+ * and edge a skip replaces or restarts, the mediator's included,
+ * with sim::TrainRider's rule (train_rider.hh, bus::laneRides()).
  */
 class DataPhaseSkipper
 {
@@ -63,11 +65,11 @@ class DataPhaseSkipper
      *  steady data phase). */
     virtual std::uint64_t dataCyclesSkippable(sim::SimTime half) = 0;
 
-    /** Kernel events the ring's segments and members would retire
-     *  on edges over the next @p cycles data cycles, less what
-     *  skipping them costs in restarted trains (negative when a skip
-     *  costs more than it saves). A long skip may get a lower bound
-     *  above 2 instead: enough to decide. */
+    /** Kernel events the ring's segments, members and mediator
+     *  would retire on edges over the next @p cycles data cycles,
+     *  less what skipping them costs in restarted trains (at most 0
+     *  when a skip saves nothing). A long skip may get a positive
+     *  lower bound instead: enough to decide. */
     virtual double skipSavings(std::uint32_t cycles) const = 0;
 
     /** Advance every chip and segment across @p cycles data cycles

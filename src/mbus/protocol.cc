@@ -4,18 +4,6 @@ namespace mbus {
 namespace bus {
 
 const char *
-controlCodeName(ControlCode code)
-{
-    switch (code) {
-      case ControlCode::AckEom: return "ACK_EOM";
-      case ControlCode::NakEom: return "NAK_EOM";
-      case ControlCode::GeneralError: return "GENERAL_ERROR";
-      case ControlCode::Abort: return "ABORT";
-      default: return "?";
-    }
-}
-
-const char *
 txStatusName(TxStatus status)
 {
     switch (status) {

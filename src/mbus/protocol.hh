@@ -97,9 +97,6 @@ controlCodeFromBits(bool bit0, bool bit1)
     return static_cast<ControlCode>((bit0 ? 0b10 : 0) | (bit1 ? 0b01 : 0));
 }
 
-/** @return a printable name for a control code. */
-const char *controlCodeName(ControlCode code);
-
 /** Final status of a transmission attempt, as seen by the sender. */
 enum class TxStatus : std::uint8_t {
     Ack,          ///< Message delivered and acknowledged.

@@ -551,33 +551,32 @@ double
 MBusSystem::skipSavings(std::uint32_t cycles) const
 {
     const double c = static_cast<double>(cycles);
-    // Each ring segment's CLK train retires one event per
-    // kTrainMaxEdges edges; the skip restarts it.
+    // Each ring segment's CLK train, and the member's CLK ISR train,
+    // ride two edges a cycle; the skip restarts them.
     const double ring = static_cast<double>(ringSize());
-    double saved = ring * (2 * c / kTrainMaxEdges - 1);
+    double saved = ring * sim::trainSkipSaving(2 * c, kTrainMaxEdges);
     if (soft_)
-        saved += 2 * c / kTrainMaxEdges - 1; // Its CLK ISR train.
-    // A long skip pays whatever its lanes cost (at most two events a
-    // segment each, below): answer that bound without a lane scan.
-    const double lanesWorst = 2 * ring * cfg_.dataLanes;
+        saved += sim::trainSkipSaving(2 * c, kTrainMaxEdges);
+    // So do the mediator's tick and ring-check trains.
+    const double tick = 2 * sim::trainSkipSaving(2 * c, kTickTrainEdges);
+    // A long skip pays whatever its lanes cost (at most a warm-up a
+    // segment each, below): a bound above 2, which covers the
+    // mediator's trains at their worst, needs no lane scan.
+    const double lanesWorst = sim::kBeatWarmUpEdges * ring * cfg_.dataLanes;
     if (saved - lanesWorst > 2)
-        return saved - lanesWorst;
+        return saved - lanesWorst + tick;
     // Every segment of a DATA lane retires what its rider would on
-    // the lane's transitions; a lane still on its beat warms up again
-    // after the skip (two discrete edges before a new train).
+    // the lane's transitions.
     const Stretch s = stretch(cycles);
     const LaneRides rides =
         laneRides(s.msg->payload, cfg_.dataLanes, s.first, cycles,
                   s.start, kTrainMaxEdges);
-    for (int l = 0; l < cfg_.dataLanes; ++l) {
-        const auto i = static_cast<std::size_t>(l);
-        saved += ring * (static_cast<double>(rides.events[i]) -
-                         (rides.onBeat[i] ? 2 : 0));
-    }
+    for (std::size_t l = 0; l < static_cast<std::size_t>(cfg_.dataLanes); ++l)
+        saved += ring * sim::rideSkipSaving(rides.events[l], rides.onBeat[l]);
     // The member's DIN ISRs: one event per transition.
     if (soft_)
         saved += static_cast<double>(s.run.edges[0]);
-    return saved;
+    return saved + tick;
 }
 
 void

@@ -108,15 +108,6 @@ EnergyLedger::reset()
         row.fill(0);
 }
 
-std::vector<double>
-EnergyLedger::snapshotNodeTotals() const
-{
-    std::vector<double> totals(perNode_.size());
-    for (std::size_t n = 0; n < perNode_.size(); ++n)
-        totals[n] = nodeTotal(n);
-    return totals;
-}
-
 void
 EnergyLedger::report(std::ostream &os) const
 {

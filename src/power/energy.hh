@@ -87,9 +87,6 @@ class EnergyLedger
     /** Zero every cell (keeps the node slots). */
     void reset();
 
-    /** Capture a snapshot for later differencing. */
-    std::vector<double> snapshotNodeTotals() const;
-
     /** Human-readable per-node, per-category table. */
     void report(std::ostream &os) const;
 

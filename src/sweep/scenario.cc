@@ -61,8 +61,7 @@ messageLevelEligible(const ScenarioSpec &spec)
         spec.dataLanes > 4 || spec.busClockHz <= 0 ||
         spec.payloadBytes > bus::kMinMaxMessageBytes)
         return false;
-    const auto hop =
-        static_cast<sim::SimTime>(spec.hopDelayNs * 1000.0 + 0.5);
+    const sim::SimTime hop = backend::hopDelayFromNs(spec.hopDelayNs);
     const sim::SimTime period = sim::periodFromHz(spec.busClockHz);
     const sim::SimTime half = period / 2;
     const sim::SimTime flush =

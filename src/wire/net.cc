@@ -52,10 +52,7 @@ Net::skipEdges(std::uint64_t count, sim::SimTime lastDrive,
         return;
     if (!settled() || forced_ || recorder_)
         mbus_panic("skipEdges needs a settled, unforced, untraced net");
-    if (beat > 0)
-        rider_.resumeBeat(lastDrive, beat);
-    else
-        rider_.forget();
+    rider_.resumeBeat(lastDrive, beat);
     const bool first = !value_;
     const std::uint64_t away = (count + 1) / 2; // Edges leaving value_.
     (first ? risingEdges_ : fallingEdges_) += away;

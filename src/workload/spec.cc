@@ -21,18 +21,6 @@ actorKindName(ActorKind k)
     return "?";
 }
 
-const char *
-scheduleKindName(ScheduleKind k)
-{
-    switch (k) {
-    case ScheduleKind::InterjectionStorm: return "storm";
-    case ScheduleKind::PowerGateWindow: return "gate";
-    case ScheduleKind::NodeFault: return "fault";
-    case ScheduleKind::ClockRetiming: return "retime";
-    }
-    return "?";
-}
-
 std::string
 actorDisplayName(const WorkloadSpec &spec, std::size_t i)
 {

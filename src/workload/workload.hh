@@ -114,9 +114,6 @@ enum class ScheduleKind : std::uint8_t {
     ClockRetiming,     ///< Config-channel busClockHz broadcast.
 };
 
-/** @return a short printable name ("storm", "gate", ...). */
-const char *scheduleKindName(ScheduleKind k);
-
 /** One global schedule entry. */
 struct ScheduleSpec
 {

@@ -40,6 +40,7 @@
 #include "sweep/codec.hh"
 #include "sweep/scenario.hh"
 #include "tests/mbus/testutil.hh"
+#include "wire/net.hh"
 
 using namespace mbus;
 using sweep::Fidelity;
@@ -208,6 +209,64 @@ TEST(FastForward, LaneRidesPriceTrainsAndDiscreteEdges)
     // With trains off every transition is its own event.
     r = bus::laneRides(alt, 1, 0, 100, low, 0);
     EXPECT_EQ(r.events[0], bus::laneTransitions(alt, 1, 0, 100, low).edges[0]);
+
+    // The price is what a segment retires: a bare net with trains of
+    // maxEdges edges, driven with a lane's levels one cycle apart and
+    // primed on the lane's opening beat the way Net::skipEdges primes
+    // a segment, executes exactly that many kernel events.
+    const sim::SimTime kCycle = 2500 * sim::kNanosecond;
+    const std::uint32_t kMaxEdges[] = {0, 2, 32};
+    // Bytes that toggle every lane every cycle at w = 1, 2 and 4.
+    const std::uint8_t kBeat[] = {0, 0x55, 0x33, 0x55, 0x0F};
+    sim::Random rng(0x1a9e5u);
+    std::uint64_t transitions = 0, events = 0;
+    for (int i = 0; i < 90; ++i) {
+        const auto w = 1 + rng.below(4);
+        std::vector<std::uint8_t> payload(1 + rng.below(24));
+        for (auto &b : payload)
+            b = rng.chance(0.6) ? kBeat[w]
+                                : static_cast<std::uint8_t>(rng.below(256));
+        const std::uint64_t cycles = (8 * payload.size() + w - 1) / w;
+        const std::uint64_t first = rng.below(cycles);
+        const std::uint64_t count = rng.below(cycles - first + 1);
+        std::array<bool, bus::kMaxDataLanes> start{};
+        for (bool &s : start)
+            s = rng.chance(0.5);
+        const std::uint32_t maxEdges = kMaxEdges[i % 3];
+        const bus::LaneRides want = bus::laneRides(
+            payload, static_cast<int>(w), first, count, start, maxEdges);
+        auto at = [&](std::uint64_t c) { return (count + c) * kCycle; };
+        for (std::uint64_t l = 0; l < w; ++l) {
+            std::vector<std::uint64_t> edges;
+            bool level = start[l];
+            for (std::uint64_t c = first; c < first + count; ++c) {
+                const bool b = bus::payloadBit(payload, c * w + l);
+                if (b != level)
+                    edges.push_back(c);
+                level = b;
+            }
+            sim::Simulator sim;
+            wire::Net net(sim, "lane", 10 * sim::kNanosecond, start[l]);
+            net.enableEdgeTrains(maxEdges);
+            if (edges.size() >= 2) {
+                const sim::SimTime gap = (edges[1] - edges[0]) * kCycle;
+                net.skipEdges(2, at(edges[0]) - gap, gap);
+            }
+            for (std::uint64_t c = first; c < first + count; ++c) {
+                sim.run(at(c));
+                net.drive(bus::payloadBit(payload, c * w + l));
+            }
+            sim.run();
+            SCOPED_TRACE("case " + std::to_string(i) + " lane " +
+                         std::to_string(l));
+            EXPECT_EQ(net.value(), level);
+            EXPECT_EQ(sim.eventsExecuted(), want.events[l]);
+            transitions += edges.size();
+            events += sim.eventsExecuted();
+        }
+    }
+    // A good share of the edges ride trains.
+    EXPECT_GT(transitions - events, transitions / 4);
 }
 
 TEST(FastForward, RandomHardwareCellsMatchTheEdgeEngine)

@@ -472,4 +472,34 @@ TEST(TrainRider, DestroyingARiderMidTrainCancelsItsTrain)
     EXPECT_EQ(b.sim.queue().pendingTrainEdges(), 0u);
 }
 
+TEST(BeatDetector, ClassifiesEdgesWithoutAKernel)
+{
+    constexpr BeatEdge D = BeatEdge::Discrete, H = BeatEdge::Head,
+                       C = BeatEdge::Confirmed;
+    auto yes = [] { return true; };
+    BeatDetector d;
+    d.setMaxEdges(4);
+    // Two discrete edges, a head and three confirmations exhaust a
+    // train of four; the next on-beat edge chains a new head.
+    std::vector<BeatEdge> got;
+    for (SimTime i = 0; i < 8; ++i)
+        got.push_back(d.offer(i * 100, 30, i % 2 == 0, yes));
+    EXPECT_EQ(got, (std::vector<BeatEdge>{D, D, H, C, C, C, H, C}));
+    // An off-beat edge splits the ride.
+    EXPECT_EQ(d.offer(850, 30, true, yes), D);
+    EXPECT_FALSE(d.riding());
+    // A resumed beat heads a train at once; a refused confirmation
+    // splits it.
+    d.resumeBeat(1000, 100);
+    EXPECT_EQ(d.offer(1100, 30, true, yes), H);
+    EXPECT_EQ(d.period(), 100u);
+    EXPECT_EQ(d.offer(1200, 30, false, [] { return false; }), D);
+    // A zero gap only forgets: two discrete edges before the head.
+    d.resumeBeat(1300, 0);
+    got.clear();
+    for (SimTime t = 1400; t < 1800; t += 100)
+        got.push_back(d.offer(t, 30, t % 200 == 0, yes));
+    EXPECT_EQ(got, (std::vector<BeatEdge>{D, D, H, C}));
+}
+
 } // namespace
