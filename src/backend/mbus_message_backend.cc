@@ -6,7 +6,6 @@
 #include "mbus/data_phase.hh"
 #include "mbus/layer_controller.hh"
 #include "power/constants.hh"
-#include "power/energy.hh"
 #include "sim/logging.hh"
 
 namespace mbus {
@@ -21,7 +20,7 @@ MbusMessageBackend::MbusMessageBackend(sim::Simulator &sim,
               2 * power::kPadCapF + (params.wireCapF >= 0
                                          ? params.wireCapF
                                          : power::kWireCapF)),
-      hop_(hopDelayFromNs(params.hopDelayNs)),
+      ledger_(nodes_), hop_(hopDelayFromNs(params.hopDelayNs)),
       period_(sim::periodFromHz(params.busClockHz)), half_(period_ / 2),
       flush_((static_cast<sim::SimTime>(params.nodes) + 2) * hop_)
 {
@@ -201,7 +200,7 @@ MbusMessageBackend::transact(std::size_t s, bus::Message msg,
         bool upstream = s != 0 && j < s;
         counts_[j].fifoBits += (dataCycles + (upstream ? 1 : 0)) * w;
     }
-    counts_[s].driveBits += c;
+    counts_[s].driveCycles += c;
     cycles_ += c + 7;
 
     for (std::size_t j = 0; j < nodes_; ++j)
@@ -292,50 +291,31 @@ MbusMessageBackend::attachTrace(sim::TraceRecorder &)
     mbus_fatal("message-level MBus: waveforms need the edge engine");
 }
 
-double
-MbusMessageBackend::nodeSwitchingJ(std::size_t node) const
+void
+MbusMessageBackend::priceEnergy() const
 {
-    const NodeCounts &k = counts_[node];
-    // Chip 0 clocks off its own CLK_OUT, members off their input.
-    std::uint64_t localClk = counts_[node == 0 ? 0 : node - 1].clkEdges;
-    double row[static_cast<std::size_t>(
-        power::EnergyCategory::NumCategories)] = {};
-    auto at = [&row](power::EnergyCategory cat) -> double & {
-        return row[static_cast<std::size_t>(cat)];
-    };
-    const double seg = energy_.segmentEdge();
-    at(power::EnergyCategory::SegmentClk) =
-        static_cast<double>(k.clkEdges) * seg;
-    at(power::EnergyCategory::SegmentData) =
-        static_cast<double>(k.dataEdges) * seg;
-    at(power::EnergyCategory::Comb) =
-        static_cast<double>(localClk) * (energy_.combPerCycle() / 2.0);
-    at(power::EnergyCategory::Fifo) =
-        static_cast<double>(k.fifoBits) * energy_.fifoPerBit();
-    at(power::EnergyCategory::Drive) =
-        static_cast<double>(k.driveBits) * energy_.drivePerBit();
-    if (node == 0)
-        at(power::EnergyCategory::Mediator) =
-            static_cast<double>(cycles_) * energy_.mediatorPerCycle();
-    double sum = 0.0;
-    for (double v : row)
-        sum += v;
-    return sum;
+    for (std::size_t j = 0; j < nodes_; ++j) {
+        power::SlotCounts k = counts_[j];
+        // Chip 0 clocks off its own CLK_OUT, members off their input.
+        k.localClkEdges = counts_[j == 0 ? 0 : j - 1].clkEdges;
+        if (j == 0)
+            k.mediatorCycles = cycles_;
+        energy_.priceSlot(ledger_, j, k);
+    }
 }
 
 double
 MbusMessageBackend::switchingJ() const
 {
-    double sum = 0.0;
-    for (std::size_t j = 0; j < nodes_; ++j)
-        sum += nodeSwitchingJ(j);
-    return sum;
+    priceEnergy();
+    return ledger_.total();
 }
 
 double
 MbusMessageBackend::nodeEnergyJ(std::size_t node) const
 {
-    return node < nodes_ ? nodeSwitchingJ(node) : 0.0;
+    priceEnergy();
+    return ledger_.nodeTotal(node);
 }
 
 double

@@ -37,11 +37,11 @@
  *    bus one period after its chip goes idle.
  *
  * Per-segment CLK and DATA edge counts, the per-chip comb / FIFO /
- * drive / mediator charges and the clock-cycle count follow from the
+ * drive / mediator counts and the clock-cycle count follow from the
  * same script (see transact()). Outcomes, bytes, every latency,
  * simulated time, per-node edges, clock cycles and powered time are
- * exact; energy is an edge count times a constant, equal to the edge
- * engine's repeated addition within 1e-9 relative.
+ * exact, and so is energy: the counts are priced into a ledger by
+ * SwitchingEnergyModel::priceSlot, as the edge engine prices its own.
  *
  * The model covers exactly what sweep::messageLevelEligible() admits:
  * no faults, storms, gating, retiming, VCD or tracing, one message in
@@ -102,15 +102,6 @@ class MbusMessageBackend final : public BusBackend
     std::uint64_t dispatchCalls() const override { return dispatches_; }
 
   private:
-    /** Per-chip edge and charge counts (energy = count x constant). */
-    struct NodeCounts
-    {
-        std::uint64_t clkEdges = 0;  ///< CLK_OUT segment transitions.
-        std::uint64_t dataEdges = 0; ///< DATA_OUT + extra lanes.
-        std::uint64_t fifoBits = 0;  ///< Bits latched as receiver.
-        std::uint64_t driveBits = 0; ///< Cycles driven as sender.
-    };
-
     /** Resolve @p dest to its receivers, fatal if out of model. */
     std::vector<std::size_t> receiversOf(std::size_t sender,
                                          const bus::Address &dest) const;
@@ -128,21 +119,24 @@ class MbusMessageBackend final : public BusBackend
     /** No send in flight and the mediator back asleep. */
     bool idle() const { return !busy_ && sim_.now() >= sleepAt_; }
 
-    /** Per-node switching energy, summed in category order. */
-    double nodeSwitchingJ(std::size_t node) const;
+    /** Price every chip's ledger cells from its counts. */
+    void priceEnergy() const;
 
     sim::Simulator &sim_;
     BusParams params_;
     std::size_t nodes_;
     int lanes_;
     power::SwitchingEnergyModel energy_;
+    mutable power::EnergyLedger ledger_; ///< Priced on read.
 
     sim::SimTime hop_;    ///< h
     sim::SimTime period_; ///< P
     sim::SimTime half_;   ///< H = P / 2
     sim::SimTime flush_;  ///< R = (n + 2) h
 
-    std::vector<NodeCounts> counts_;
+    /** Per-chip counts; priceEnergy() adds each chip's local CLK
+     *  and the mediator's cycles. */
+    std::vector<power::SlotCounts> counts_;
     std::vector<std::uint8_t> laneLevel_; ///< Idle level, lanes 1..
     std::uint64_t cycles_ = 0;
     std::uint64_t dispatches_ = 0;

@@ -612,34 +612,29 @@ MBusSystem::skipDataCycles(std::uint32_t cycles, sim::SimTime half)
 }
 
 void
-MBusSystem::foldEnergy() const
+MBusSystem::priceEnergy() const
 {
     if (!finalized_)
         return;
-    using power::EnergyCategory;
-    // A segment's edges are priced to the slot driving it.
+    // A segment's edges are priced to the slot driving it; the chip
+    // counters to the chip in it.
     for (std::size_t i = 0; i < ringSize(); ++i) {
-        std::uint64_t data = dataSegs_[i]->edgeEpoch();
+        power::SlotCounts c;
+        c.clkEdges = clkSegs_[i]->edgeEpoch();
+        c.dataEdges = dataSegs_[i]->edgeEpoch();
         for (const auto &lane : laneSegs_)
-            data += lane[i]->edgeEpoch();
-        ledger_.fold(i, EnergyCategory::SegmentClk, energy_.segmentEdge(),
-                     clkSegs_[i]->edgeEpoch());
-        ledger_.fold(i, EnergyCategory::SegmentData, energy_.segmentEdge(),
-                     data);
+            c.dataEdges += lane[i]->edgeEpoch();
+        if (i < nodes_.size()) {
+            const Node &node = *nodes_[i];
+            const BusControllerStats &s = node.busController().stats();
+            c.localClkEdges = node.localClock().edgeEpoch();
+            c.fifoBits = s.fifoBits;
+            c.driveCycles = s.driveCycles;
+        }
+        if (i == 0)
+            c.mediatorCycles = mediator_->stats().clockCycles;
+        energy_.priceSlot(ledger_, i, c);
     }
-    // Forwarding logic: half a cycle's comb energy per local CLK edge.
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        const Node &node = *nodes_[i];
-        const BusControllerStats &s = node.busController().stats();
-        ledger_.fold(i, EnergyCategory::Comb, energy_.combPerCycle() / 2.0,
-                     node.localClock().edgeEpoch());
-        ledger_.fold(i, EnergyCategory::Fifo, energy_.fifoPerBit(),
-                     s.fifoBits);
-        ledger_.fold(i, EnergyCategory::Drive, energy_.drivePerBit(),
-                     s.driveCycles);
-    }
-    ledger_.fold(0, EnergyCategory::Mediator, energy_.mediatorPerCycle(),
-                 mediator_->stats().clockCycles);
 }
 
 std::uint64_t
@@ -654,7 +649,7 @@ MBusSystem::dispatchCalls() const
 void
 MBusSystem::dumpStats(std::ostream &os) const
 {
-    foldEnergy();
+    priceEnergy();
     os << "=== MBus system statistics @ "
        << sim::toSeconds(sim_.now()) << " s ===\n";
     const MediatorStats &m = mediator_->stats();

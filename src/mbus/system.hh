@@ -11,8 +11,9 @@
  * prices one event -- a segment edge (edge epochs of the slot's CLK,
  * DATA and lane segments), half a forwarding cycle (the chip's local
  * CLK epoch), a latched RX bit, a driven TX cycle, a mediator cycle
- * -- and ledger() folds each cell's unit over its counter, exactly
- * the doubles a charge per event would leave.
+ * -- and ledger() sets each cell to its counter times its unit
+ * (SwitchingEnergyModel::priceSlot, shared with the message-level
+ * model).
  *
  * A ring may also hold one software member (Sec 6.6): the ported
  * libmbus FSM on four GPIOs (firmware::FirmwareNode) in the last ring
@@ -114,11 +115,11 @@ class MBusSystem : private DataPhaseSkipper
      *  hardware-only ring. */
     firmware::FirmwareNode *softMember() { return soft_.get(); }
 
-    /** The energy ledger, every cell folded up to date. */
+    /** The energy ledger, every cell priced up to date. */
     const power::EnergyLedger &
     ledger() const
     {
-        foldEnergy();
+        priceEnergy();
         return ledger_;
     }
     const power::SwitchingEnergyModel &energy() const { return energy_; }
@@ -218,8 +219,8 @@ class MBusSystem : private DataPhaseSkipper
   private:
     bool handleConfigBroadcast(const ReceivedMessage &rx);
 
-    /** Fold every ledger cell's unit over its event counter. */
-    void foldEnergy() const;
+    /** Price every ring slot's ledger cells from its counters. */
+    void priceEnergy() const;
 
     /** A component may have turned idle: under runUntilIdle(), end
      *  the run after this event so idle() is checked. */
@@ -282,7 +283,7 @@ class MBusSystem : private DataPhaseSkipper
 
     sim::Simulator &sim_;
     SystemConfig cfg_;
-    mutable power::EnergyLedger ledger_; ///< Folded on read.
+    mutable power::EnergyLedger ledger_; ///< Priced on read.
     power::SwitchingEnergyModel energy_;
 
     std::vector<std::unique_ptr<Node>> nodes_;

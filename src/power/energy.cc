@@ -31,10 +31,8 @@ EnergyLedger::EnergyLedger(std::size_t nodeCount)
 void
 EnergyLedger::resize(std::size_t nodeCount)
 {
-    if (nodeCount > perNode_.size()) {
+    if (nodeCount > perNode_.size())
         perNode_.resize(nodeCount, Row{});
-        folded_.resize(nodeCount);
-    }
 }
 
 void
@@ -46,20 +44,13 @@ EnergyLedger::charge(std::size_t node, EnergyCategory cat, double joules)
 }
 
 void
-EnergyLedger::fold(std::size_t node, EnergyCategory cat, double joules,
-                   std::uint64_t count)
+EnergyLedger::price(std::size_t node, EnergyCategory cat, double joules,
+                    std::uint64_t count)
 {
     if (node >= perNode_.size())
-        mbus_panic("energy fold to unknown node ", node);
-    const auto c = static_cast<std::size_t>(cat);
-    double &sum = perNode_[node][c];
-    std::uint64_t &done = folded_[node][c];
-    if (count < done) {
-        sum = 0.0;
-        done = 0;
-    }
-    for (; done < count; ++done)
-        sum += joules;
+        mbus_panic("energy price to unknown node ", node);
+    perNode_[node][static_cast<std::size_t>(cat)] =
+        joules * static_cast<double>(count);
 }
 
 double
@@ -104,8 +95,6 @@ EnergyLedger::reset()
 {
     for (auto &row : perNode_)
         row.fill(0.0);
-    for (auto &row : folded_)
-        row.fill(0);
 }
 
 void

@@ -7,8 +7,7 @@
  * so benches can reproduce both the per-role Table 3 figures and the
  * component-level decomposition used in the paper's I2C comparison.
  * A cell is either charged event by event (charge()) or priced from
- * an event counter when it is read (fold()); both leave the same
- * bits.
+ * an event counter (price()): count x unit, one multiplication.
  */
 
 #ifndef MBUS_POWER_ENERGY_HH
@@ -60,14 +59,12 @@ class EnergyLedger
     void charge(std::size_t node, EnergyCategory cat, double joules);
 
     /**
-     * Bring (node, category) to @p count events of @p joules each:
-     * the sequential sum s += joules taken @p count times, bit for
-     * bit what @p count charge() calls leave. Memoized per cell, so a
-     * call adds only the events since the cell's last fold; a lower
-     * count refolds from zero. A folded cell takes no charge().
+     * Set (node, category) to @p count events of @p joules each:
+     * joules x count, whatever the cell held. A priced cell takes no
+     * charge().
      */
-    void fold(std::size_t node, EnergyCategory cat, double joules,
-              std::uint64_t count);
+    void price(std::size_t node, EnergyCategory cat, double joules,
+               std::uint64_t count);
 
     /** Total for one node across all categories. */
     double nodeTotal(std::size_t node) const;
@@ -93,8 +90,6 @@ class EnergyLedger
   private:
     using Row = std::array<double, kNumCategories>;
     std::vector<Row> perNode_;
-    /** Events fold() has added to each cell so far. */
-    std::vector<std::array<std::uint64_t, kNumCategories>> folded_;
 };
 
 } // namespace power

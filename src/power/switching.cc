@@ -1,6 +1,5 @@
-// SwitchingEnergyModel is header-only; this file anchors the library
-// target and holds the static_asserts validating the calibration
-// arithmetic laid out in power/constants.hh.
+// SwitchingEnergyModel's ring-slot pricing, and the static_asserts
+// validating the calibration arithmetic laid out in power/constants.hh.
 
 #include "power/switching.hh"
 
@@ -17,6 +16,23 @@ constexpr double kFwdCheck =
 static_assert(kFwdCheck > kSimFwdJ * 0.999 && kFwdCheck < kSimFwdJ * 1.001,
               "forwarding-role calibration drifted from Table 3");
 } // namespace
+
+void
+SwitchingEnergyModel::priceSlot(EnergyLedger &ledger, std::size_t slot,
+                                const SlotCounts &counts) const
+{
+    ledger.price(slot, EnergyCategory::SegmentClk, segmentEdge(),
+                 counts.clkEdges);
+    ledger.price(slot, EnergyCategory::SegmentData, segmentEdge(),
+                 counts.dataEdges);
+    ledger.price(slot, EnergyCategory::Comb, combPerCycle() / 2.0,
+                 counts.localClkEdges);
+    ledger.price(slot, EnergyCategory::Fifo, fifoPerBit(), counts.fifoBits);
+    ledger.price(slot, EnergyCategory::Drive, drivePerBit(),
+                 counts.driveCycles);
+    ledger.price(slot, EnergyCategory::Mediator, mediatorPerCycle(),
+                 counts.mediatorCycles);
+}
 
 } // namespace power
 } // namespace mbus

@@ -12,10 +12,29 @@
 #ifndef MBUS_POWER_SWITCHING_HH
 #define MBUS_POWER_SWITCHING_HH
 
+#include <cstddef>
+#include <cstdint>
+
 #include "power/constants.hh"
+#include "power/energy.hh"
 
 namespace mbus {
 namespace power {
+
+/**
+ * The switching events one MBus ring slot is charged for. A slot
+ * without chip logic (a software member's) has only segment edges;
+ * only slot 0 hosts the mediator.
+ */
+struct SlotCounts
+{
+    std::uint64_t clkEdges = 0;       ///< Its CLK_OUT segment's edges.
+    std::uint64_t dataEdges = 0;      ///< Its DATA_OUT + lane segments'.
+    std::uint64_t localClkEdges = 0;  ///< Its chip's local CLK edges.
+    std::uint64_t fifoBits = 0;       ///< Bits latched as receiver.
+    std::uint64_t driveCycles = 0;    ///< Cycles driven as sender.
+    std::uint64_t mediatorCycles = 0; ///< Mediator clock cycles.
+};
 
 /**
  * Provides calibrated per-event energies for the simulator's charge
@@ -75,6 +94,16 @@ class SwitchingEnergyModel
 
     /** The active calibration scalar. */
     double calibration() const { return calibration_; }
+
+    /**
+     * Price ring slot @p slot's switching cells in @p ledger, each
+     * as count x unit: segment edges at segmentEdge(), half a cycle's
+     * comb energy per local CLK edge, fifoPerBit() per latched bit,
+     * drivePerBit() per driven cycle, mediatorPerCycle() per mediator
+     * cycle. Both MBus models price their energy here.
+     */
+    void priceSlot(EnergyLedger &ledger, std::size_t slot,
+                   const SlotCounts &counts) const;
 
   private:
     double calibration_;

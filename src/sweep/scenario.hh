@@ -229,8 +229,8 @@ struct ScenarioStats : workload::TrafficCounts
  * within half a period; payloads within the mediator's watchdog
  * limit; and a plan that provably finishes inside the time limit.
  * Every such cell matches the edge engine exactly (outcomes, bytes,
- * latencies, simulated time, per-node edges, clock cycles) and in
- * energy within 1e-9 relative -- the differential suite pins it.
+ * latencies, simulated time, per-node edges, clock cycles, energy) --
+ * the differential suite pins it.
  */
 bool messageLevelEligible(const ScenarioSpec &spec);
 

@@ -487,28 +487,27 @@ TEST(FastForward, StormInterjectionMidDataPhase)
             ~std::size_t(0), rotating);
         if (!rotating)
             continue;
-        // Pinned to the doubles a charge per edge leaves. Four lines
-        // per node: seg_clk seg_data, comb fifo, drive mediator,
-        // leakage external.
+        // Pinned as each cell's count x unit. Four lines per node:
+        // seg_clk seg_data, comb fifo, drive mediator, leakage external.
         EXPECT_EQ(on.ledger,
-                  "0x1.0548c42da6e76p-33 0x1.009e52f5fac7ep-34 "
-                  "0x1.113d09639c22cp-38 0x0p+0 "
-                  "0x0p+0 0x1.4f72eef4931d3p-35 "
+                  "0x1.0548c42da6e76p-33 0x1.009e52f5fac7dp-34 "
+                  "0x1.113d09639c229p-38 0x0p+0 "
+                  "0x0p+0 0x1.4f72eef4931cbp-35 "
                   "0x0p+0 0x0p+0 "
-                  "0x1.0548c42da6e76p-33 0x1.dbe91c2e94935p-35 "
-                  "0x1.113d09639c22cp-38 0x0p+0 "
-                  "0x1.6b1bb646f8e3ap-35 0x0p+0 "
+                  "0x1.0548c42da6e76p-33 0x1.dbe91c2e94933p-35 "
+                  "0x1.113d09639c229p-38 0x0p+0 "
+                  "0x1.6b1bb646f8e38p-35 0x0p+0 "
                   "0x0p+0 0x0p+0 "
-                  "0x1.0548c42da6e76p-33 0x1.dbe91c2e94935p-35 "
-                  "0x1.113d09639c22cp-38 0x0p+0 "
-                  "0x0p+0 0x0p+0 "
-                  "0x0p+0 0x0p+0 "
-                  "0x1.0548c42da6e76p-33 0x1.dbe91c2e94935p-35 "
-                  "0x1.113d09639c22cp-38 0x1.20d25153173d8p-34 "
+                  "0x1.0548c42da6e76p-33 0x1.dbe91c2e94933p-35 "
+                  "0x1.113d09639c229p-38 0x0p+0 "
                   "0x0p+0 0x0p+0 "
                   "0x0p+0 0x0p+0 "
-                  "0x1.009e52f5fac7ep-33 0x1.dbe91c2e94935p-35 "
-                  "0x1.113d09639c22cp-38 0x0p+0 "
+                  "0x1.0548c42da6e76p-33 0x1.dbe91c2e94933p-35 "
+                  "0x1.113d09639c229p-38 0x1.20d25153173d5p-34 "
+                  "0x0p+0 0x0p+0 "
+                  "0x0p+0 0x0p+0 "
+                  "0x1.009e52f5fac7dp-33 0x1.dbe91c2e94933p-35 "
+                  "0x1.113d09639c229p-38 0x0p+0 "
                   "0x0p+0 0x0p+0 "
                   "0x0p+0 0x0p+0 ");
     }

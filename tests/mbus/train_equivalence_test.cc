@@ -71,7 +71,7 @@ expectSameSemantics(const ScenarioSpec &spec, std::uint64_t seed)
  * on -- including the kernel event count: chunking changes how many
  * virtual calls deliver the edges, never what the kernel schedules.
  * Energy totals are compared exactly (not approximately): the ring
- * folds its energy from event counters, which chunking leaves alone.
+ * prices its energy from event counters, which chunking leaves alone.
  */
 void
 expectSameChunkedSemantics(const ScenarioSpec &spec, std::uint64_t seed)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "power/battery.hh"
 #include "power/constants.hh"
@@ -77,27 +78,29 @@ TEST(EnergyLedger, ChargesAccumulatePerNodeAndCategory)
     EXPECT_DOUBLE_EQ(ledger.total(), 0.0);
 }
 
-TEST(EnergyLedger, FoldEqualsOneSequentialFoldAtEveryCount)
+TEST(EnergyLedger, PriceIsCountTimesUnitAtEveryCount)
 {
-    // A cell priced from an event counter: a read at any count holds
-    // the bits that many charge() calls leave, and count * unit would
-    // not always do.
+    // A cell priced from an event counter holds count x unit at every
+    // read: random counts, zero, a lower count after a higher one and
+    // a repeated read. Charged cells beside it keep their sums.
     const double unit = SwitchingEnergyModel().segmentEdge();
     mbus::sim::Random rng(0xf01du);
+    std::vector<std::uint64_t> counts;
+    for (int read = 0; read < 40; ++read)
+        counts.push_back(rng.below(1000001));
+    counts.insert(counts.end(), {0, 1000000, 17, 17});
     EnergyLedger ledger(2);
-    int productMisses = 0;
-    for (int read = 0; read < 40; ++read) {
-        const std::uint64_t count = rng.below(1000001);
-        ledger.fold(1, EnergyCategory::Comb, unit, count);
-        double sum = 0.0;
-        for (std::uint64_t i = 0; i < count; ++i)
-            sum += unit;
-        EXPECT_EQ(ledger.nodeCategory(1, EnergyCategory::Comb), sum)
+    ledger.charge(1, EnergyCategory::Fifo, 3e-12);
+    ledger.charge(0, EnergyCategory::Comb, 5e-12);
+    for (std::uint64_t count : counts) {
+        ledger.price(1, EnergyCategory::Comb, unit, count);
+        EXPECT_EQ(ledger.nodeCategory(1, EnergyCategory::Comb),
+                  unit * static_cast<double>(count))
             << "count " << count;
-        productMisses += sum != static_cast<double>(count) * unit;
+        EXPECT_EQ(ledger.nodeCategory(1, EnergyCategory::Fifo), 3e-12);
+        EXPECT_EQ(ledger.nodeCategory(0, EnergyCategory::Comb), 5e-12);
     }
-    EXPECT_GT(productMisses, 0);
-    EXPECT_EQ(ledger.nodeTotal(0), 0.0);
+    EXPECT_EQ(ledger.nodeTotal(0), 5e-12);
 }
 
 TEST(Battery, PaperCapacityArithmetic)

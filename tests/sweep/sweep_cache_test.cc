@@ -404,5 +404,5 @@ TEST(SweepCache, SaltPinsCachedStats)
         bytes += sweep::encodeStats(c.stats);
     using Pin = std::pair<std::uint64_t, std::uint64_t>;
     EXPECT_EQ(Pin(sweep::kHarnessVersionSalt, sim::fnv1a(bytes)),
-              Pin(0x4d425553'00000007ULL, 0xa17b5339'e0595018ULL));
+              Pin(0x4d425553'00000008ULL, 0xdd73bf51'854eeaaeULL));
 }
