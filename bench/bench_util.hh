@@ -13,12 +13,14 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/fsio.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
 #include "sweep/scenario.hh"
+#include "sweep/sweep.hh"
 #include "wire/net.hh"
 
 namespace mbus {
@@ -172,6 +174,23 @@ faultyFiveFabricGrid(std::size_t cells, const std::string &namePrefix)
         grid.push_back(std::move(s));
     }
     return grid;
+}
+
+/**
+ * Faulty-grid cells whose brownout leaves ~8,400 cycles of a data
+ * phase nobody drives, one per MBus fabric (mbus, bitbang,
+ * firmware): the runaway fast-forward's pinned cells. perf_gate's
+ * faulty_runaway_auto line runs the first.
+ */
+constexpr std::size_t kFaultyRunawayCells[] = {895, 253, 3359};
+
+/** Cell @p index of sweep_runner's faulty grid and the seed it runs
+ *  that cell with (the default master seed). */
+inline std::pair<sweep::ScenarioSpec, std::uint64_t>
+faultyGridCell(std::size_t index)
+{
+    return {faultyFiveFabricGrid(index + 1, "sweep_cell")[index],
+            sweep::SweepDriver().cellSeed(index)};
 }
 
 /**

@@ -43,7 +43,13 @@
  * the workload_mix and bitbang_mix cells at Fidelity::Auto, where the
  * data-phase fast-forward must hold each under kFastForwardCeiling,
  * far below the edge engine's ~2.2 and ~2.4: CI fails if either ring
- * quietly falls back to every edge.
+ * quietly falls back to every edge. faulty_runaway_auto runs cell 895
+ * of the faulty five-fabric grid (benchutil::kFaultyRunawayCells, at
+ * sweep_runner's seed), whose browned-out sender leaves ~8,400
+ * cycles of a data phase nobody drives, at Fidelity::Auto: its
+ * kernel events plus train edges per clock cycle must stay under
+ * kRunawayCeiling, so CI fails if runaway phases fall back to edges
+ * or stop at every watchdog poll.
  *
  * Usage: perf_gate [--baseline PATH] [--write-baseline PATH]
  */
@@ -89,6 +95,23 @@ constexpr double kMessageLevelCeiling = 0.5;
  *  (mixed ring) of the edge engine's ~2.2 and ~2.4 (arbitration,
  *  address, control and short messages). */
 constexpr double kFastForwardCeiling = 0.25;
+
+/** (events + train edges) per clock cycle ceiling for the runaway
+ *  cell: about 1.17 with the transmitter-less skip running past
+ *  watchdog polls, 1.95 if every poll ends a skip, ~16.5 on edges. */
+constexpr double kRunawayCeiling = 1.5;
+
+/** The faulty grid's runaway cell at Fidelity::Auto: kernel events
+ *  plus train edges per clock cycle. */
+double
+runawayWorkPerCycle()
+{
+    const auto [spec, seed] =
+        benchutil::faultyGridCell(benchutil::kFaultyRunawayCells[0]);
+    const sweep::ScenarioStats st = sweep::runScenario(spec, seed);
+    return static_cast<double>(st.eventsExecuted + st.trainEdges) /
+           static_cast<double>(st.clockCycles);
+}
 
 double
 tickEventsPerEdge()
@@ -335,6 +358,17 @@ main(int argc, char **argv)
                          name, epb, kFastForwardCeiling);
             fail = true;
         }
+    }
+    const double runaway = runawayWorkPerCycle();
+    std::printf("%-14s %14.5f %14.5f %8.3fx  (fixed ceiling, per cycle)\n",
+                "faulty_runaway_auto", runaway, kRunawayCeiling,
+                runaway / kRunawayCeiling);
+    if (runaway > kRunawayCeiling) {
+        std::fprintf(stderr,
+                     "FAIL: faulty_runaway_auto work/cycle %f above the "
+                     "runaway ceiling %f\n",
+                     runaway, kRunawayCeiling);
+        fail = true;
     }
     if (!fail)
         std::printf("perf gate OK (all metrics within 10%% of "

@@ -6,7 +6,6 @@
 #include "mbus/layer_controller.hh"
 #include "power/constants.hh"
 #include "sim/logging.hh"
-#include "trace/trace.hh"
 
 namespace mbus {
 namespace backend {
@@ -328,18 +327,7 @@ MbusBackend::brownout(std::size_t node)
     // whose MCU is the always-on engine of the mixed ring.
     if (node == 0 || node >= system_->nodeCount())
         return;
-    bus::Node &n = system_->node(node);
-    // The gateable domains die with in-flight state; queued sends
-    // terminate with TxStatus::Reset. The always-on wire controllers
-    // survive and fall back to forwarding, exactly what a powered
-    // mux with a dead control domain does.
-    n.busController().powerFail();
-    n.clkWireController().forward();
-    n.dataWireController().forward();
-    for (std::size_t l = 0; l < n.laneWireControllers(); ++l)
-        n.laneWireController(l).forward();
-    if (n.config().powerGated)
-        n.sleep();
+    system_->node(node).brownout();
 }
 
 void
@@ -350,62 +338,6 @@ MbusBackend::brownoutRecover(std::size_t node)
     bus::Node &n = system_->node(node);
     if (n.config().powerGated && !n.awake())
         n.wake();
-}
-
-void
-MbusBackend::armWatchdog(std::uint32_t epochs)
-{
-    if (epochs == 0 || watchdogEpochs_ != 0)
-        return;
-    watchdogEpochs_ = epochs;
-    scheduleWatchdogPoll();
-}
-
-void
-MbusBackend::scheduleWatchdogPoll()
-{
-    sim::SimTime interval =
-        watchdogEpochs_ *
-        sim::periodFromHz(system_->config().busClockHz);
-    system_->simulator().schedule(interval,
-                                  [this] { watchdogPoll(); });
-}
-
-void
-MbusBackend::watchdogPoll()
-{
-    // CLK progress is measured where the mediator sees it: the ring
-    // tail segment feeding its CLK input. A broken ring (stuck
-    // segment, dead transmitter, runaway clocking into a break)
-    // stalls it even while the mediator's own output toggles.
-    std::uint64_t progress =
-        system_->clkSegment(nodeCount() - 1).edgeEpoch();
-    // "Busy" is every state runUntilIdle() waits out -- including a
-    // member wedged mid-transaction with an empty queue (its receive
-    // path lost edges to a fault) -- or the watchdog would never
-    // reclaim exactly the hangs it exists for.
-    bool busy = !system_->idle();
-    // Two stall shapes, both needing two consecutive busy polls:
-    // frozen CLK (broken ring, dead transmitter), and CLK edges
-    // arriving while the mediator sleeps -- a glitch pulse orbiting
-    // the forwarding ring, clocking phantom bits into every FSM. No
-    // transaction can make real progress without the mediator, so a
-    // sleeping mediator over two whole poll intervals is a stall no
-    // matter what the edge counter does. Reclaim via the Sec 4.9
-    // rescue path (full interjection + general error).
-    bool asleep = system_->mediator().asleep();
-    if (busy && wdLastBusy_ &&
-        (progress == wdLastProgress_ || (asleep && wdLastAsleep_))) {
-        ++busResets_;
-        if (auto *t = system_->simulator().tracer())
-            t->record(trace::EventKind::WatchdogRescue, 0,
-                      static_cast<std::int64_t>(busResets_));
-        system_->mediator().forceInterjection();
-    }
-    wdLastBusy_ = busy;
-    wdLastAsleep_ = asleep;
-    wdLastProgress_ = progress;
-    scheduleWatchdogPoll();
 }
 
 } // namespace backend

@@ -77,8 +77,14 @@ class MbusBackend final : public BusBackend
     void setClockDriftFactor(double factor) override;
     void brownout(std::size_t node) override;
     void brownoutRecover(std::size_t node) override;
-    void armWatchdog(std::uint32_t epochs) override;
-    std::uint64_t busResets() const override { return busResets_; }
+    void armWatchdog(std::uint32_t epochs) override
+    {
+        system_->armWatchdog(epochs);
+    }
+    std::uint64_t busResets() const override
+    {
+        return system_->busResets();
+    }
 
     void setDeliveryHandler(DeliveryHandler h) override;
 
@@ -113,8 +119,6 @@ class MbusBackend final : public BusBackend
     double softCpuEnergyJ() const;
 
     wire::Net &faultSegment(std::size_t node, int lane);
-    void scheduleWatchdogPoll();
-    void watchdogPoll();
 
     BackendKind kind_;
     std::unique_ptr<bus::MBusSystem> system_;
@@ -123,11 +127,6 @@ class MbusBackend final : public BusBackend
     /** Nested stuck-at holds per segment: lanes that alias one
      *  segment share one depth. */
     std::unordered_map<const wire::Net *, int> forceDepth_;
-    std::uint32_t watchdogEpochs_ = 0;
-    std::uint64_t busResets_ = 0;
-    std::uint64_t wdLastProgress_ = 0;
-    bool wdLastBusy_ = false;
-    bool wdLastAsleep_ = false;
 };
 
 } // namespace backend

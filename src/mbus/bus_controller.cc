@@ -372,16 +372,15 @@ BusController::dataCyclesSkippable() const
                static_cast<std::uint64_t>(lanes());
       }
       case Role::Fwd:
+      case Role::None: // Latches as a forwarder (latchDataBits()).
         return addressResolved_ ? ~std::uint64_t(0) : 0;
-      case Role::None:
-        break;
     }
     return 0;
 }
 
 void
-BusController::skipDataCycles(const Message &msg, std::uint64_t first,
-                              std::uint64_t cycles)
+BusController::skipDataCycles(const std::vector<std::uint8_t> &payload,
+                              std::uint64_t first, std::uint64_t cycles)
 {
     const auto w = static_cast<std::uint64_t>(lanes());
     switch (role_) {
@@ -396,7 +395,7 @@ BusController::skipDataCycles(const Message &msg, std::uint64_t first,
         for (std::uint64_t p = first * w; p < (first + cycles) * w; ++p) {
             ++dataBitsSeen_;
             rxBitBuffer_ = (rxBitBuffer_ << 1) |
-                           (payloadBit(msg.payload, p) ? 1 : 0);
+                           (payloadBit(payload, p) ? 1 : 0);
             if (++rxBitsPending_ == 8) {
                 ++dataBytesSeen_;
                 rxBytes_.push_back(
@@ -407,11 +406,10 @@ BusController::skipDataCycles(const Message &msg, std::uint64_t first,
         }
         return;
       case Role::Fwd:
+      case Role::None:
         dataBytesSeen_ += (dataBitsSeen_ % 8 + cycles * w) / 8;
         dataBitsSeen_ += cycles * w;
         return;
-      case Role::None:
-        break;
     }
 }
 

@@ -212,9 +212,11 @@ class BusController : public ClockEdgeSink
      * protocol decision: a transmitter keeps its last two cycles, a
      * receiver stops short of its RX-capacity point (and, under a
      * tracer, of its first byte, which is traced), a forwarder has no
-     * bound. 0 outside a steady data phase: unpowered, address not
-     * resolved, interjection wanted, edge counts out of step, or a
-     * layer domain still waking.
+     * bound. A chip past its address with no role (it missed the
+     * reserved cycle, e.g. powered up mid-transaction) latches like a
+     * forwarder and skips as one. 0 outside a steady data phase:
+     * unpowered, address not resolved, interjection wanted, edge
+     * counts out of step, or a layer domain still waking.
      */
     std::uint64_t dataCyclesSkippable() const;
 
@@ -237,12 +239,12 @@ class BusController : public ClockEdgeSink
 
     /**
      * Do what @p cycles skipped data cycles would have done: data
-     * cycles [@p first, @p first + @p cycles) of @p msg, the message
-     * on the wire. A transmitter counts its drives, a receiver
-     * latches and counts every bit, a forwarder counts.
+     * cycles [@p first, @p first + @p cycles) of @p payload, the bits
+     * on the wire (payloadBit()). A transmitter counts its drives, a
+     * receiver latches and counts every bit, a forwarder counts.
      */
-    void skipDataCycles(const Message &msg, std::uint64_t first,
-                        std::uint64_t cycles);
+    void skipDataCycles(const std::vector<std::uint8_t> &payload,
+                        std::uint64_t first, std::uint64_t cycles);
 
   private:
     enum class Phase : std::uint8_t {

@@ -206,10 +206,12 @@ Mediator::fastForward()
     if (cycles == 0)
         return false;
     // Our own queued edge is the next ring check; the tick train is
-    // the event running now. Anything else pending is not ours.
+    // the event running now. Anything else pending is not ours, or
+    // is the ring's to answer.
     const sim::SimTime now = ctx_.sim.now();
     const sim::SimTime until =
-        std::min(ctx_.sim.queue().nextTimeExcept(checkEvent_),
+        std::min(ctx_.sim.queue().nextTimeExcept(
+                     checkEvent_, skipper_->answeredEvent()),
                  ctx_.sim.runLimit());
     const sim::SimTime cycle = 2 * armedHalfPeriod_;
     cycles = std::min<std::uint64_t>(
@@ -219,9 +221,17 @@ Mediator::fastForward()
         return false;
     // Take only a skip that saves kernel events (the ring prices
     // every train it restarts, ours included): short ones do not, the
-    // less so the larger the ring.
-    if (skipper_->skipSavings(static_cast<std::uint32_t>(cycles)) <= 0)
-        return false;
+    // less so the larger the ring. A window may price below a shorter
+    // one (a lane that ends on a beat pays its warm-up again), so one
+    // that runs past an answered event also tries ending there.
+    if (skipper_->skipSavings(static_cast<std::uint32_t>(cycles)) <= 0) {
+        const auto shorter = static_cast<std::uint64_t>(
+            (ctx_.sim.queue().nextTimeExcept(checkEvent_) - now) / cycle);
+        if (shorter == 0 || shorter >= cycles ||
+            skipper_->skipSavings(static_cast<std::uint32_t>(shorter)) <= 0)
+            return false;
+        cycles = shorter;
+    }
 
     skipper_->skipDataCycles(static_cast<std::uint32_t>(cycles),
                              armedHalfPeriod_);

@@ -51,9 +51,9 @@ struct MediatorStats
  * The ring side of the data-phase fast-forward (MBusSystem). On each
  * falling tick of a data phase the mediator asks how many whole data
  * cycles the ring could skip, bounds the answer by its own watchdog
- * and by the earliest event the ring does not own, and has the ring
- * skip that many, if the ring prices the skip above zero, before
- * re-arming its tick at the far end. The ring prices every train
+ * and by the earliest event the ring does not own or answer, and has
+ * the ring skip that many, if the ring prices the skip above zero,
+ * before re-arming its tick at the far end. The ring prices every train
  * and edge a skip replaces or restarts, the mediator's included,
  * with sim::TrainRider's rule (train_rider.hh, bus::laneRides()).
  */
@@ -64,6 +64,11 @@ class DataPhaseSkipper
      *  segment could skip from this clock-high point (0 outside a
      *  steady data phase). */
     virtual std::uint64_t dataCyclesSkippable(sim::SimTime half) = 0;
+
+    /** A queued event the ring answers in closed form across a skip
+     *  (the bus watchdog's next poll; dataCyclesSkippable() stops
+     *  short of one it cannot answer), or an empty handle. */
+    virtual sim::EventHandle answeredEvent() const = 0;
 
     /** Kernel events the ring's segments, members and mediator
      *  would retire on edges over the next @p cycles data cycles,

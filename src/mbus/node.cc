@@ -87,12 +87,12 @@ Node::bind(wire::Net &clkIn, wire::Net &clkOut, wire::Net &dataIn,
 }
 
 void
-Node::skipDataCycles(const Message &msg, std::uint64_t first,
-                     std::uint32_t cycles)
+Node::skipDataCycles(const std::vector<std::uint8_t> &payload,
+                     std::uint64_t first, std::uint32_t cycles)
 {
     // The arb-break logic is idle past the arbitration cycle.
     sleepCtl_->skipCycles(cycles);
-    busCtl_->skipDataCycles(msg, first, cycles);
+    busCtl_->skipDataCycles(payload, first, cycles);
 }
 
 void
@@ -146,6 +146,17 @@ Node::sleep()
     layerDomain_->shutdown();
     if (busCtl_->busIdle() && busCtl_->pendingTx() == 0)
         busDomain_->shutdown();
+}
+
+void
+Node::brownout()
+{
+    busCtl_->powerFail();
+    wcClk_->forward();
+    wcData_->forward();
+    for (auto &lane : wcLanes_)
+        lane->forward();
+    sleep();
 }
 
 void

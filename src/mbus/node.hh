@@ -98,6 +98,15 @@ class Node : private wire::EdgeListener
     /** Gate the layer (and the bus controller if idle). */
     void sleep();
 
+    /**
+     * Hard brownout mid-transaction: the gateable domains die with
+     * their in-flight state and queued sends end TxStatus::Reset
+     * (BusController::powerFail); the always-on wire controllers
+     * survive and fall back to forwarding, as a powered mux with a
+     * dead control domain does; a gated chip then sleeps.
+     */
+    void brownout();
+
     /** Locally wake the layer (app decision, not bus-driven). */
     void wake();
 
@@ -107,12 +116,12 @@ class Node : private wire::EdgeListener
     /**
      * Data-phase fast-forward: advance the sleep controller, the bus
      * controller and the always-on edge logic across @p cycles whole
-     * data cycles of @p msg starting at data cycle @p first (see
+     * data cycles of @p payload starting at data cycle @p first (see
      * BusController::skipDataCycles). Ring segments skip their own
      * edges.
      */
-    void skipDataCycles(const Message &msg, std::uint64_t first,
-                        std::uint32_t cycles);
+    void skipDataCycles(const std::vector<std::uint8_t> &payload,
+                        std::uint64_t first, std::uint32_t cycles);
 
     // --- Identity / component access ----------------------------------
 

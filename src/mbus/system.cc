@@ -9,6 +9,7 @@
 #include "mbus/data_phase.hh"
 #include "power/constants.hh"
 #include "sim/logging.hh"
+#include "trace/trace.hh"
 
 namespace mbus {
 namespace bus {
@@ -423,6 +424,64 @@ MBusSystem::recoverBus(sim::SimTime timeout)
 }
 
 void
+MBusSystem::armWatchdog(std::uint32_t epochs)
+{
+    if (epochs == 0 || watchdogEpochs_ != 0)
+        return;
+    watchdogEpochs_ = epochs;
+    scheduleWatchdogPoll(sim_.now() + watchdogInterval());
+}
+
+sim::SimTime
+MBusSystem::watchdogInterval() const
+{
+    return watchdogEpochs_ * sim::periodFromHz(cfg_.busClockHz);
+}
+
+void
+MBusSystem::scheduleWatchdogPoll(sim::SimTime at)
+{
+    wdPollAt_ = at;
+    wdPoll_ = sim_.scheduleAt(at, [this] { watchdogPoll(); });
+}
+
+void
+MBusSystem::watchdogPoll()
+{
+    // CLK progress is measured where the mediator sees it: the ring
+    // tail segment feeding its CLK input. A broken ring (stuck
+    // segment, dead transmitter, runaway clocking into a break)
+    // stalls it even while the mediator's own output toggles.
+    const std::uint64_t progress = clkSegs_.back()->edgeEpoch();
+    // "Busy" is every state runUntilIdle() waits out -- including a
+    // member wedged mid-transaction with an empty queue (its receive
+    // path lost edges to a fault) -- or the watchdog would never
+    // reclaim exactly the hangs it exists for.
+    const bool busy = !idle();
+    // Two stall shapes, both needing two consecutive busy polls:
+    // frozen CLK (broken ring, dead transmitter), and CLK edges
+    // arriving while the mediator sleeps -- a glitch pulse orbiting
+    // the forwarding ring, clocking phantom bits into every FSM. No
+    // transaction can make real progress without the mediator, so a
+    // sleeping mediator over two whole poll intervals is a stall no
+    // matter what the edge counter does. Reclaim via the Sec 4.9
+    // rescue path (full interjection + general error).
+    const bool asleep = mediator_->asleep();
+    if (busy && wdLastBusy_ &&
+        (progress == wdLastProgress_ || (asleep && wdLastAsleep_))) {
+        ++busResets_;
+        if (auto *t = sim_.tracer())
+            t->record(trace::EventKind::WatchdogRescue, 0,
+                      static_cast<std::int64_t>(busResets_));
+        mediator_->forceInterjection();
+    }
+    wdLastBusy_ = busy;
+    wdLastAsleep_ = asleep;
+    wdLastProgress_ = progress;
+    scheduleWatchdogPoll(sim_.now() + watchdogInterval());
+}
+
+void
 MBusSystem::setArbBreakNode(std::size_t idx)
 {
     if (!cfg_.useNodeArbBreak)
@@ -458,7 +517,8 @@ MBusSystem::softDinDelay(std::size_t tx) const
     // drives it. A transmitting chip drives DATA as CLK reaches it,
     // so its edge keeps pace with CLK -- except the mediator host,
     // which clocks off its own output one hop late. The member's own
-    // DOUT edges come back around all n + 1 segments.
+    // DOUT edges come back around all n + 1 segments. With no
+    // transmitter (tx = n + 1) no DATA edge comes at all.
     const std::size_t n = nodes_.size();
     if (tx == n)
         return static_cast<sim::SimTime>(n + 1) * cfg_.hopDelay;
@@ -488,8 +548,6 @@ MBusSystem::dataCyclesSkippable(sim::SimTime half)
             return 0;
         tx = n;
     }
-    if (tx == none)
-        return 0;
     if (soft_) {
         room = std::min(room,
                         soft_->dataCyclesSkippable(half, softDinDelay(tx)));
@@ -508,42 +566,104 @@ MBusSystem::dataCyclesSkippable(sim::SimTime half)
                 return 0;
     }
     // Every segment settled, unforced and undamaged: CLK high, each
-    // DATA lane at the level its transmitter drives.
+    // DATA lane at the level its transmitter drives -- or, with none,
+    // at one level all around the ring.
     auto steady = [](const wire::Net &seg, bool level) {
         return seg.settled() && !seg.forced() && seg.dropsPending() == 0 &&
                seg.value() == level && seg.drivenValue() == level;
     };
-    const bool data = dataSegs_[tx]->drivenValue();
+    const std::size_t src = tx == none ? 0 : tx;
+    const bool data = dataSegs_[src]->drivenValue();
     for (std::size_t i = 0; i < none; ++i)
         if (!steady(*clkSegs_[i], true) || !steady(*dataSegs_[i], data))
             return 0;
     for (const auto &lane : laneSegs_) {
-        const bool level = lane[tx]->drivenValue();
+        const bool level = lane[src]->drivenValue();
         for (const auto &seg : lane)
             if (!steady(*seg, level))
                 return 0;
     }
     skipTx_ = tx;
-    return room;
+    return std::min(room, watchdogRoom(half));
+}
+
+std::uint64_t
+MBusSystem::tailClkEpochAt(sim::SimTime t, sim::SimTime half) const
+{
+    // The skipped edge k reaches the tail k half periods after the
+    // first, which the mediator drives now (see skipDataCycles()).
+    const std::size_t tail = ringSize() - 1;
+    const sim::SimTime lag = soft_ ? soft_->clkIsrLatency() : 0;
+    const sim::SimTime first =
+        sim_.now() + static_cast<sim::SimTime>(tail) * cfg_.hopDelay + lag +
+        clkSegs_[tail]->delay();
+    const std::uint64_t epoch = clkSegs_[tail]->edgeEpoch();
+    return t > first ? epoch + static_cast<std::uint64_t>(
+                                   (t - first + half - 1) / half)
+                     : epoch;
+}
+
+std::uint64_t
+MBusSystem::watchdogRoom(sim::SimTime half) const
+{
+    // Only the first poll a window passes can rescue: past it the
+    // last poll read busy, awake and an epoch the next one exceeds.
+    if (!wdPoll_.pending() || !wdLastBusy_ ||
+        tailClkEpochAt(wdPollAt_, half) != wdLastProgress_)
+        return ~std::uint64_t(0);
+    return static_cast<std::uint64_t>((wdPollAt_ - sim_.now()) / (2 * half));
+}
+
+void
+MBusSystem::passWatchdogPolls(sim::SimTime end, sim::SimTime half)
+{
+    if (!wdPoll_.pending() || wdPollAt_ >= end)
+        return;
+    const sim::SimTime interval = watchdogInterval();
+    const sim::SimTime last =
+        wdPollAt_ + (end - 1 - wdPollAt_) / interval * interval;
+    wdLastBusy_ = true;
+    wdLastAsleep_ = false;
+    wdLastProgress_ = tailClkEpochAt(last, half);
+    // Re-armed now, the next poll still comes after every event
+    // already queued for its time and before every ring event the
+    // run schedules for it later -- as when the last passed poll
+    // would have scheduled it.
+    wdPoll_.cancel();
+    scheduleWatchdogPoll(last + interval);
 }
 
 MBusSystem::Stretch
 MBusSystem::stretch(std::uint32_t cycles) const
 {
     Stretch s;
-    s.start[0] = dataSegs_[skipTx_]->value();
+    const std::size_t src = skipTx_ == ringSize() ? 0 : skipTx_;
+    s.start[0] = dataSegs_[src]->value();
     for (std::size_t l = 0; l < laneSegs_.size(); ++l)
-        s.start[l + 1] = laneSegs_[l][skipTx_]->value();
-    if (skipTx_ == nodes_.size()) {
-        s.msg = soft_->transmitting();
+        s.start[l + 1] = laneSegs_[l][src]->value();
+    if (skipTx_ == ringSize()) {
+        // Bit p rides lane p % w from cycle 0: the lanes' levels,
+        // repeating every w bytes.
+        const auto w = static_cast<std::uint64_t>(cfg_.dataLanes);
+        const std::uint64_t bytes = (cycles * w + 7) / 8;
+        constantLanes_.assign(bytes, 0);
+        for (std::uint64_t p = 0; p < 8 * std::min(bytes, w); ++p)
+            if (s.start[p % w])
+                constantLanes_[p / 8] |= static_cast<std::uint8_t>(
+                    0x80 >> (p % 8));
+        for (std::uint64_t b = w; b < bytes; ++b)
+            constantLanes_[b] = constantLanes_[b - w];
+        s.payload = &constantLanes_;
+    } else if (skipTx_ == nodes_.size()) {
+        s.payload = &soft_->transmitting()->payload;
         s.first = soft_->dataCyclesDriven();
     } else {
         const BusController &ctl = nodes_[skipTx_]->busController();
-        s.msg = ctl.transmitting();
+        s.payload = &ctl.transmitting()->payload;
         s.first = ctl.dataCyclesDriven();
     }
-    s.run = laneTransitions(s.msg->payload, cfg_.dataLanes, s.first,
-                            cycles, s.start);
+    s.run = laneTransitions(*s.payload, cfg_.dataLanes, s.first, cycles,
+                            s.start);
     return s;
 }
 
@@ -569,8 +689,8 @@ MBusSystem::skipSavings(std::uint32_t cycles) const
     // the lane's transitions.
     const Stretch s = stretch(cycles);
     const LaneRides rides =
-        laneRides(s.msg->payload, cfg_.dataLanes, s.first, cycles,
-                  s.start, kTrainMaxEdges);
+        laneRides(*s.payload, cfg_.dataLanes, s.first, cycles, s.start,
+                  kTrainMaxEdges);
     for (std::size_t l = 0; l < static_cast<std::size_t>(cfg_.dataLanes); ++l)
         saved += ring * sim::rideSkipSaving(rides.events[l], rides.onBeat[l]);
     // The member's DIN ISRs: one event per transition.
@@ -583,11 +703,13 @@ void
 MBusSystem::skipDataCycles(std::uint32_t cycles, sim::SimTime half)
 {
     const std::size_t n = nodes_.size();
+    const sim::SimTime now = sim_.now();
+    passWatchdogPolls(now + 2 * static_cast<sim::SimTime>(cycles) * half,
+                      half);
     const Stretch s = stretch(cycles);
     const LaneRun &run = s.run;
     for (auto &node : nodes_)
-        node->skipDataCycles(*s.msg, s.first, cycles);
-    const sim::SimTime now = sim_.now();
+        node->skipDataCycles(*s.payload, s.first, cycles);
     const sim::SimTime h = cfg_.hopDelay;
     if (soft_)
         soft_->skipDataCycles(cycles, run.edges[0], run.last[0],

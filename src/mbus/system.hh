@@ -27,7 +27,9 @@
  * software member's ISR counters and FSM, and segment levels and
  * counters land exactly where the skipped edges would have put them,
  * so the energy they price does too -- up to the next protocol
- * decision or the next event the ring does not own. A receiving,
+ * decision or the next event the ring does not own. The ring's own
+ * bus watchdog (armWatchdog) is answered across a skip in closed
+ * form rather than bounding it. A receiving,
  * jittered or edge-merging software member keeps every edge;
  * waveform capture turns it off for good.
  *
@@ -177,6 +179,18 @@ class MBusSystem : private DataPhaseSkipper
     bool recoverBus(sim::SimTime timeout = sim::kSecond);
 
     /**
+     * System-software bus watchdog: every @p epochs bus periods, poll
+     * the ring tail's CLK edge epoch, idle() and the mediator's sleep
+     * flag, and rescue the bus (Mediator::forceInterjection) when two
+     * consecutive polls find it busy with CLK frozen, or with the
+     * mediator asleep at both. Arms once; 0 is a no-op.
+     */
+    void armWatchdog(std::uint32_t epochs);
+
+    /** Bus rescues the watchdog forced. */
+    std::uint64_t busResets() const { return busResets_; }
+
+    /**
      * Mutable priority (Sec 7): assign the arbitration ring break to
      * node @p idx. Requires SystemConfig::useNodeArbBreak.
      */
@@ -230,31 +244,63 @@ class MBusSystem : private DataPhaseSkipper
      *  completed and a reply came in. */
     void checkEnumSettled();
 
+    // --- Bus watchdog ---------------------------------------------------
+
+    sim::SimTime watchdogInterval() const;
+    void scheduleWatchdogPoll(sim::SimTime at);
+    void watchdogPoll();
+
     // --- Data-phase fast-forward (DataPhaseSkipper) ------------------
     //
     // Installed with SystemConfig::fastForward, edge trains and
     // chunked dispatch (for the interjection detector's CLK epoch
     // pull) on, and removed for good when a waveform recorder
     // attaches. The mediator asks at each falling tick; a steady data
-    // phase means one transmitter (a chip or the software member),
-    // every chip addressed (receiving or forwarding), the
-    // member forwarding or transmitting with its ISRs retired, every
-    // chip forwarding except where the mediator drives CLK and the
-    // transmitter drives its lanes, and every segment settled,
-    // unforced and undamaged at its lane's level. Arbitration,
-    // address, end of message, interjection, control and all power
-    // gating stay on edges.
+    // phase means at most one transmitter (a chip or the software
+    // member), every chip addressed (receiving or forwarding; a chip
+    // with no role past its address forwards), the member forwarding
+    // or transmitting with its ISRs retired, every chip forwarding
+    // except where the mediator drives CLK and the transmitter drives
+    // its lanes, and every segment settled, unforced and undamaged at
+    // its lane's level. With no transmitter (it browned out
+    // mid-message) every lane holds one level all around the ring
+    // until the mediator's length watchdog ends the phantom message.
+    // Arbitration, address, end of message, interjection, control and
+    // all power gating stay on edges.
 
     std::uint64_t dataCyclesSkippable(sim::SimTime half) override;
+    sim::EventHandle answeredEvent() const override { return wdPoll_; }
     double skipSavings(std::uint32_t cycles) const override;
     void skipDataCycles(std::uint32_t cycles, sim::SimTime half) override;
 
-    /** The message a skip of @p cycles data cycles from here carries,
+    // A watchdog poll inside a skip window finds the bus busy, the
+    // mediator awake and the tail CLK segment's epoch a known
+    // function of time, so the skip answers every poll it passes: it
+    // stops short only of a first poll that would rescue, and moves
+    // the poll chain and the wdLast* state to where the last passed
+    // poll left them.
+
+    /** The tail CLK segment's edge epoch a poll at @p t, inside a
+     *  skip window of half period @p half starting now, reads: every
+     *  skipped edge delivered before @p t. A delivery at @p t itself
+     *  was driven after the poll was scheduled, one interval
+     *  earlier, so it comes after the poll. */
+    std::uint64_t tailClkEpochAt(sim::SimTime t, sim::SimTime half) const;
+
+    /** Whole data cycles a skip may run before a watchdog poll it
+     *  cannot answer. */
+    std::uint64_t watchdogRoom(sim::SimTime half) const;
+
+    /** Answer every watchdog poll due before @p end. */
+    void passWatchdogPolls(sim::SimTime end, sim::SimTime half);
+
+    /** The payload a skip of @p cycles data cycles from here carries
+     *  (the transmitter's, or with none the lanes' constant levels),
      *  its first data cycle, each lane's entry level and its
      *  transitions. */
     struct Stretch
     {
-        const Message *msg = nullptr;
+        const std::vector<std::uint8_t> *payload = nullptr;
         std::uint64_t first = 0;
         std::array<bool, kMaxDataLanes> start{};
         LaneRun run;
@@ -309,8 +355,21 @@ class MBusSystem : private DataPhaseSkipper
     bool enumProbeDone_ = false;
     std::uint64_t enumProbe_ = 0; ///< Current probe's generation.
 
-    /** The transmitter dataCyclesSkippable() found. */
+    /** The transmitter dataCyclesSkippable() found (ringSize() for
+     *  none). */
     std::size_t skipTx_ = 0;
+    /** With no transmitter: bits that hold every lane at its level
+     *  (stretch() fills it). */
+    mutable std::vector<std::uint8_t> constantLanes_;
+
+    // Bus watchdog: the queued poll, and what the last poll read.
+    std::uint32_t watchdogEpochs_ = 0;
+    std::uint64_t busResets_ = 0;
+    sim::EventHandle wdPoll_;
+    sim::SimTime wdPollAt_ = 0;
+    std::uint64_t wdLastProgress_ = 0;
+    bool wdLastBusy_ = false;
+    bool wdLastAsleep_ = false;
 
     // Mutable-priority bookkeeping.
     std::size_t arbBreakIdx_ = 0;

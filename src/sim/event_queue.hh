@@ -304,27 +304,35 @@ class EventQueue
     }
 
     /**
-     * The time of the earliest live event other than the heap entry
-     * of @p skip (a train's handle names its queued edge), or
-     * kTimeForever. The heap is re-ordered but never changed: the
-     * pop order is fixed by the unique (time, seq) keys.
+     * The time of the earliest live event other than the heap entries
+     * of @p skip and @p also (a train's handle names its queued edge;
+     * an empty handle names nothing), or kTimeForever. The heap is
+     * re-ordered but never changed: the pop order is fixed by the
+     * unique (time, seq) keys.
      */
     SimTime
-    nextTimeExcept(const EventHandle &skip) const
+    nextTimeExcept(const EventHandle &skip,
+                   const EventHandle &also = EventHandle()) const
     {
+        auto names = [this](const EventHandle &h, const HeapEntry &e) {
+            return h.queue_ == this && h.slot_ == e.slot &&
+                   occupiedSeq_[e.slot] == h.seq_;
+        };
+        HeapEntry held[2];
+        int n = 0;
         skipStale();
-        if (heap_.empty())
-            return kTimeForever;
-        const HeapEntry top = heap_.front();
-        if (skip.queue_ != this || skip.slot_ != top.slot ||
-            occupiedSeq_[top.slot] != skip.seq_)
-            return top.when;
-        popHeapTop();
-        skipStale();
+        while (n < 2 && !heap_.empty() &&
+               (names(skip, heap_.front()) || names(also, heap_.front()))) {
+            held[n++] = heap_.front();
+            popHeapTop();
+            skipStale();
+        }
         const SimTime next =
             heap_.empty() ? kTimeForever : heap_.front().when;
-        heap_.push_back(top);
-        siftUp(heap_.size() - 1);
+        for (int i = 0; i < n; ++i) {
+            heap_.push_back(held[i]);
+            siftUp(heap_.size() - 1);
+        }
         return next;
     }
 

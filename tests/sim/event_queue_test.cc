@@ -68,6 +68,27 @@ TEST(EventQueue, NextTimeSkipsCancelled)
     EXPECT_EQ(q.nextTime(), SimTime(9));
 }
 
+TEST(EventQueue, NextTimeExceptLooksPastUpToTwoHandles)
+{
+    EventQueue q;
+    std::vector<int> order;
+    EventHandle a = q.schedule(3, [&order] { order.push_back(3); });
+    EventHandle b = q.schedule(4, [&order] { order.push_back(4); });
+    EventHandle c = q.schedule(4, [&order] { order.push_back(5); });
+    q.schedule(7, [&order] { order.push_back(7); });
+    EXPECT_EQ(q.nextTimeExcept(EventHandle()), SimTime(3));
+    EXPECT_EQ(q.nextTimeExcept(a), SimTime(4));
+    EXPECT_EQ(q.nextTimeExcept(b), SimTime(3));
+    EXPECT_EQ(q.nextTimeExcept(a, b), SimTime(4));
+    EXPECT_EQ(q.nextTimeExcept(b, a), SimTime(4));
+    c.cancel();
+    EXPECT_EQ(q.nextTimeExcept(a, b), SimTime(7));
+    // The heap keeps its pop order.
+    while (!q.empty())
+        q.executeNext();
+    EXPECT_EQ(order, (std::vector<int>{3, 4, 7}));
+}
+
 TEST(EventQueue, EventsCanScheduleEvents)
 {
     EventQueue q;

@@ -303,8 +303,8 @@ TEST(SweepCache, SaltPinsCachedStats)
     // kernel-cost counter that leaves the salt alone would make every
     // existing cache serve stale stats. This test pins the salt to a
     // hash over every field the cache stores, for a grid spanning all
-    // five fabrics, the message-level model, a workload, a fault and
-    // a traced cell:
+    // five fabrics, the message-level model, a workload, a fault, a
+    // traced cell and a runaway data phase with no transmitter:
     // when the hash moves, bump kHarnessVersionSalt and re-pin both.
     std::vector<sweep::ScenarioSpec> grid;
     {
@@ -388,6 +388,26 @@ TEST(SweepCache, SaltPinsCachedStats)
         t.faults.watchdogEpochs = 16;
         grid.push_back(t);
     }
+    {
+        // The sender browns out 1 ms into a 200-byte message: the
+        // mediator clocks a data phase nobody drives until its 1 kB
+        // length watchdog kills it (the fast-forward's no-transmitter
+        // skip, past every watchdog poll).
+        sweep::ScenarioSpec a;
+        a.name = "pin_runaway";
+        a.nodes = 4;
+        a.messages = 1;
+        a.payloadBytes = 200;
+        fault::FaultEntry cut;
+        cut.kind = fault::FaultKind::Brownout;
+        cut.node = 1;
+        cut.startS = 1e-3;
+        cut.endS = 1.01e-3;
+        cut.durationS = 1e-4;
+        a.faults.entries.push_back(cut);
+        a.faults.watchdogEpochs = 32;
+        grid.push_back(a);
+    }
 
     sweep::SweepResult r = runSweep(grid, 1);
     ASSERT_EQ(r.cell(0).stats.fidelity, sweep::Fidelity::Message);
@@ -398,11 +418,14 @@ TEST(SweepCache, SaltPinsCachedStats)
     ASSERT_GT(traced.watchdogRescues, 0u);
     ASSERT_GT(traced.arbLosses, 0u);
     ASSERT_GT(traced.interjectRequests, 0u);
+    const sweep::ScenarioStats &runaway = r.cell(9).stats;
+    ASSERT_EQ(runaway.txResets, 1);
+    ASSERT_GT(runaway.clockCycles, 8u * 1024);
 
     std::string bytes;
     for (const sweep::CellResult &c : r.cells())
         bytes += sweep::encodeStats(c.stats);
     using Pin = std::pair<std::uint64_t, std::uint64_t>;
     EXPECT_EQ(Pin(sweep::kHarnessVersionSalt, sim::fnv1a(bytes)),
-              Pin(0x4d425553'00000008ULL, 0xdd73bf51'854eeaaeULL));
+              Pin(0x4d425553'00000009ULL, 0xe86d6b4c'1fbf4164ULL));
 }
