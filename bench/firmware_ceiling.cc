@@ -20,6 +20,7 @@
  * max-frequency sweep.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -72,15 +73,15 @@ probe(std::uint32_t jitterCycles, double clockHz, int messages)
                        : ring.unicastAddress(ring.softIndex(), false, 0);
         msg.payload = {static_cast<std::uint8_t>(i), 0x5A, 0xC3};
         std::optional<bus::TxResult> result;
-        bool waiting = true;
         ring.send(fromSoft ? ring.softIndex() : 0, msg,
                   [&](const bus::TxResult &r) {
                       result = r;
-                      if (waiting)
-                          simulator.stop();
+                      simulator.poke();
                   });
-        simulator.run(sim::kSecond);
-        waiting = false;
+        // At most until 1 s of bus time.
+        simulator.runUntil(sim::kSecond -
+                               std::min(sim::kSecond, simulator.now()),
+                           [&] { return result.has_value(); });
         if (result.has_value() &&
             result->status == bus::TxStatus::Ack)
             ++cell.acked;

@@ -7,6 +7,7 @@
  * stuck-at fault.
  */
 
+#include <algorithm>
 #include <cstdio>
 
 #include "mbus/system.hh"
@@ -89,12 +90,16 @@ main()
     victim.dest = bus::Address::shortAddr(3, bus::kFuMailbox);
     victim.payload.assign(32, 0x3C);
     std::optional<bus::TxResult> victim_result;
-    bool waiting = true; // Not while recoverBus() runs to idle.
     system.node(1).send(victim, [&](const bus::TxResult &r) {
         victim_result = r;
-        if (waiting)
-            simulator.stop();
+        simulator.poke();
     });
+    // Wait for the victim's status, at most until 2 s of bus time.
+    auto awaitVictim = [&] {
+        const sim::SimTime end = 2 * sim::kSecond;
+        simulator.runUntil(end - std::min(end, simulator.now()),
+                           [&] { return victim_result.has_value(); });
+    };
     simulator.schedule(200 * sim::kMicrosecond, [&] {
         std::printf("   [fault] CLK segment stuck high\n");
         system.clkSegment(2).force(true);
@@ -103,15 +108,13 @@ main()
         std::printf("   [fault] released\n");
         system.clkSegment(2).release();
     });
-    simulator.run(2 * sim::kSecond);
+    awaitVictim();
     if (!victim_result.has_value()) {
         std::printf("   bus wedged; host watchdog fires "
                     "recoverBus()\n");
-        waiting = false;
         system.recoverBus();
-        waiting = true;
         if (!victim_result.has_value())
-            simulator.run(2 * sim::kSecond);
+            awaitVictim();
     }
     std::printf("   victim transfer: %s\n",
                 victim_result

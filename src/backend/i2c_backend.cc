@@ -104,7 +104,7 @@ I2cBackend::pump()
     sim_.schedule(0, [this] {
         pumpScheduled_ = false;
         if (active_ || queue_.empty() || jamDepth_ > 0) {
-            noteMaybeIdle();
+            sim_.poke();
             return;
         }
         current_ = std::move(queue_.front());
@@ -332,7 +332,7 @@ I2cBackend::dropNodeTraffic(std::size_t node)
     queue_ = std::move(keep);
     if (active_ && current_.node == node)
         finishActive(bus::TxStatus::Reset, bytesDone_);
-    noteMaybeIdle();
+    sim_.poke();
 }
 
 void
@@ -507,27 +507,11 @@ I2cBackend::setDeliveryHandler(DeliveryHandler h)
 bool
 I2cBackend::runUntilIdle(sim::SimTime timeout)
 {
-    sim::SimTime limit = timeout == sim::kTimeForever
-                             ? sim::kTimeForever
-                             : sim_.now() + timeout;
-    if (idle())
-        return true;
-    watchIdle_ = true;
-    do {
-        idleStop_ = false;
-        sim_.run(limit);
-    } while (idleStop_ && !idle());
-    watchIdle_ = false;
+    // The pump and the drop step poke at every step that may leave
+    // the bus idle.
+    if (!idle())
+        sim_.runUntil(timeout, [this] { return idle(); });
     return idle();
-}
-
-void
-I2cBackend::noteMaybeIdle()
-{
-    if (!watchIdle_)
-        return;
-    idleStop_ = true;
-    sim_.stop();
 }
 
 void

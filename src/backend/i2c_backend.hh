@@ -183,13 +183,6 @@ class I2cBackend final : public BusBackend
         return !active_ && queue_.empty() && !pumpScheduled_;
     }
 
-    /** A step that may leave the bus idle: under runUntilIdle(), end
-     *  the run after this event so idle() is checked. */
-    void noteMaybeIdle();
-
-    bool watchIdle_ = false; ///< runUntilIdle() in progress.
-    bool idleStop_ = false;  ///< A step stopped the run.
-
     std::uint64_t cycles_ = 0;
     std::uint64_t aborts_ = 0;
 

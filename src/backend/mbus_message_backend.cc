@@ -246,10 +246,7 @@ MbusMessageBackend::transact(std::size_t s, bus::Message msg,
     });
     deliverUpTo(nodes_);
     // The mediator's return to sleep: runUntilIdle() ends here.
-    sim_.scheduleAt(sleepAt_, [this] {
-        if (watchIdle_ && idle())
-            sim_.stop();
-    });
+    sim_.scheduleAt(sleepAt_, [this] { sim_.poke(); });
 }
 
 void
@@ -273,15 +270,9 @@ MbusMessageBackend::retime(std::size_t, double, std::function<void()>)
 bool
 MbusMessageBackend::runUntilIdle(sim::SimTime timeout)
 {
-    sim::SimTime limit = timeout == sim::kTimeForever
-                             ? sim::kTimeForever
-                             : sim_.now() + timeout;
-    if (idle())
-        return true;
-    // Idle begins only at a return to sleep, which stops the run.
-    watchIdle_ = true;
-    sim_.run(limit);
-    watchIdle_ = false;
+    // Idle begins only at a return to sleep, which pokes.
+    if (!idle())
+        sim_.runUntil(timeout, [this] { return idle(); });
     return idle();
 }
 

@@ -146,7 +146,6 @@ class MbusMessageBackend final : public BusBackend
     std::size_t busyNode_ = 0;   ///< Its sender.
     sim::SimTime sleepAt_ = 0;   ///< Mediator asleep after the last.
     std::vector<sim::SimTime> idleAt_; ///< Per chip: back to idle.
-    bool watchIdle_ = false; ///< runUntilIdle() in progress.
 
     DeliveryHandler handler_;
 };

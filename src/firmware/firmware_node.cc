@@ -202,8 +202,8 @@ FirmwareNode::runIsr(Pin pin, bool level)
         inDataIsr_ = false;
     }
     afterIsr();
-    if (idleHook_ && idle())
-        idleHook_();
+    if (idle())
+        sim_.poke();
 }
 
 std::uint8_t
@@ -264,8 +264,8 @@ FirmwareNode::drainRun()
     runScheduled_ = false;
     while (fsm_->MBus_run())
         ++stats_.runWakeups;
-    if (idleHook_ && idle())
-        idleHook_();
+    if (idle())
+        sim_.poke();
 }
 
 void

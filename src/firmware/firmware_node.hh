@@ -144,17 +144,15 @@ class FirmwareNode : private wire::EdgeListener
     /** Messages queued but not yet terminally resolved. */
     std::size_t pendingTx() const { return txQueue_.size(); }
 
-    /** True when the FSM is IDLE and nothing is queued. */
+    /** True when the FSM is IDLE and nothing is queued. An ISR or an
+     *  MBus_run() pass that leaves the member idle pokes the
+     *  simulator (Simulator::runUntil). */
     bool
     idle() const
     {
         return fsm_->state() == MBUS_STATE_IDLE && txQueue_.empty() &&
                !fsm_->eventsPending();
     }
-
-    /** Register a callback run after an ISR or an MBus_run() pass
-     *  that leaves the member idle(). */
-    void setIdleHook(std::function<void()> fn) { idleHook_ = std::move(fn); }
 
     /** True while a CLK ISR-retirement train has undelivered edges. */
     bool isrTrainPending() const { return isrTrain_.pending(); }
@@ -293,7 +291,6 @@ class FirmwareNode : private wire::EdgeListener
     bool retryScheduled_ = false;
 
     bus::ReceiveCallback rxCb_;
-    std::function<void()> idleHook_;
     FirmwareStats stats_;
     int maxPathCycles_ = 0;
     std::uint64_t jitterState_ = 0;

@@ -82,9 +82,15 @@ BusController::onPowerLost()
     // that by resetting the FSM. The TX queue conceptually lives in
     // the layer (it re-arms the controller), so it survives.
     phase_ = Phase::Idle;
-    role_ = Role::None;
     txArmed_ = false;
     requestedThisTxn_ = false;
+    resetTransaction();
+}
+
+void
+BusController::resetTransaction()
+{
+    role_ = Role::None;
     wonArb_ = priorityDriven_ = wonPriority_ = backedOff_ = false;
     addressResolved_ = false;
     addrAccum_ = 0;
@@ -94,7 +100,26 @@ BusController::onPowerLost()
     rxBitBuffer_ = 0;
     rxBitsPending_ = 0;
     dataBitsSeen_ = dataBytesSeen_ = 0;
-    iAmInterjector_ = interjectorEom_ = wantInterject_ = false;
+    iAmInterjector_ = interjectorEom_ = false;
+    // A third-party interject() aimed at a transaction that ended
+    // before the four-byte progress rule allowed it must die with
+    // that transaction, not fire four bytes into the next one.
+    wantInterject_ = false;
+}
+
+void
+BusController::reportTx(PendingTx &tx, TxStatus status,
+                        std::size_t bytesSent)
+{
+    if (!tx.cb)
+        return;
+    TxResult result;
+    result.status = status;
+    result.bytesSent = bytesSent;
+    result.arbitrationRetries = tx.retries;
+    result.completedAt = ctx_.sim.now();
+    auto cb = std::move(tx.cb);
+    ctx_.sim.schedule(0, [cb, result] { cb(result); });
 }
 
 void
@@ -111,18 +136,9 @@ BusController::powerFail()
     for (PendingTx &tx : dead) {
         ++stats_.messagesSent;
         ++stats_.messagesFailed;
-        if (!tx.cb)
-            continue;
-        TxResult result;
-        result.status = TxStatus::Reset;
-        result.bytesSent = 0;
-        result.arbitrationRetries = tx.retries;
-        result.completedAt = ctx_.sim.now();
-        auto cb = std::move(tx.cb);
-        ctx_.sim.schedule(0, [cb, result] { cb(result); });
+        reportTx(tx, TxStatus::Reset, 0);
     }
-    if (idleHook_)
-        idleHook_();
+    ctx_.sim.poke();
 }
 
 void
@@ -160,22 +176,8 @@ BusController::beginTransactionIfNeeded()
     if (phase_ != Phase::Idle || !ctx_.sleepCtl.transactionActive())
         return;
     phase_ = Phase::Active;
-    role_ = Role::None;
     requestedThisTxn_ = txArmed_;
-    wonArb_ = priorityDriven_ = wonPriority_ = backedOff_ = false;
-    addressResolved_ = false;
-    addrAccum_ = 0;
-    addrBitsSeen_ = 0;
-    addrBitsExpected_ = 8;
-    rxBytes_.clear();
-    rxBitBuffer_ = 0;
-    rxBitsPending_ = 0;
-    dataBitsSeen_ = dataBytesSeen_ = 0;
-    iAmInterjector_ = interjectorEom_ = false;
-    // A third-party interject() aimed at a transaction that ended
-    // before the four-byte progress rule allowed it must die with
-    // that transaction, not fire four bytes into the next one.
-    wantInterject_ = false;
+    resetTransaction();
 }
 
 void
@@ -733,29 +735,20 @@ BusController::completeCurrentTx(TxStatus status)
         break;
     }
 
-    if (tx.cb) {
-        TxResult result;
-        result.status = status;
-        if (status == TxStatus::Ack || status == TxStatus::Broadcast ||
-            status == TxStatus::Nak) {
-            result.bytesSent = tx.msg.payload.size();
-        } else {
-            // Interrupted mid-message: report completed payload
-            // bytes actually put on the wire ("both TX and RX nodes
-            // know how far through a message they were", Sec 7).
-            std::size_t addr = addrBits_.size();
-            std::size_t payload_cycles =
-                txCyclesDriven_ > addr ? txCyclesDriven_ - addr : 0;
-            result.bytesSent = std::min(
-                tx.msg.payload.size(),
-                payload_cycles * static_cast<std::size_t>(lanes()) /
-                    8);
-        }
-        result.arbitrationRetries = tx.retries;
-        result.completedAt = ctx_.sim.now();
-        auto cb = std::move(tx.cb);
-        ctx_.sim.schedule(0, [cb, result] { cb(result); });
+    std::size_t bytesSent = tx.msg.payload.size();
+    if (status != TxStatus::Ack && status != TxStatus::Broadcast &&
+        status != TxStatus::Nak) {
+        // Interrupted mid-message: report completed payload bytes
+        // actually put on the wire ("both TX and RX nodes know how
+        // far through a message they were", Sec 7).
+        std::size_t addr = addrBits_.size();
+        std::size_t payload_cycles =
+            txCyclesDriven_ > addr ? txCyclesDriven_ - addr : 0;
+        bytesSent = std::min(bytesSent,
+                             payload_cycles *
+                                 static_cast<std::size_t>(lanes()) / 8);
     }
+    reportTx(tx, status, bytesSent);
 }
 
 void
@@ -771,15 +764,7 @@ BusController::requeueAfterArbLoss()
     if (tx.cancelOnArbLoss) {
         PendingTx cancelled = std::move(txQueue_.front());
         txQueue_.pop_front();
-        if (cancelled.cb) {
-            TxResult result;
-            result.status = TxStatus::LostArbitration;
-            result.bytesSent = 0;
-            result.arbitrationRetries = cancelled.retries;
-            result.completedAt = ctx_.sim.now();
-            auto cb = std::move(cancelled.cb);
-            ctx_.sim.schedule(0, [cb, result] { cb(result); });
-        }
+        reportTx(cancelled, TxStatus::LostArbitration, 0);
     }
     // Otherwise the message stays queued; the post-idle window
     // re-requests the bus.
@@ -803,8 +788,7 @@ BusController::beginIdle()
     sim::SimTime period =
         sim::periodFromHz(ctx_.sysCfg.busClockHz);
     ctx_.sim.schedule(period, [this] { postIdleWindow(); });
-    if (idleHook_)
-        idleHook_();
+    ctx_.sim.poke();
 }
 
 void

@@ -162,11 +162,6 @@ class BusController : public ClockEdgeSink
     /** Register the delivery callback (the layer controller). */
     void setReceiveCallback(ReceiveCallback cb) { rxCb_ = std::move(cb); }
 
-    /** Register a callback run whenever this controller may have
-     *  turned idle (back to idle after a transaction, or its queue
-     *  dropped by a brownout). */
-    void setIdleHook(std::function<void()> fn) { idleHook_ = std::move(fn); }
-
     /** Register a callback for serviced local interrupts. */
     void
     setInterruptCallback(std::function<void()> cb)
@@ -264,6 +259,14 @@ class BusController : public ClockEdgeSink
         std::size_t retries = 0;
     };
 
+    /** Clear every per-transaction field but the phase and the
+     *  arbitration request (onPowerLost, beginTransactionIfNeeded). */
+    void resetTransaction();
+
+    /** Schedule @p tx's completion callback, if any, with @p status
+     *  and @p bytesSent, after the current event. */
+    void reportTx(PendingTx &tx, TxStatus status, std::size_t bytesSent);
+
     // Edge handlers.
     void beginTransactionIfNeeded();
     void handleRising(std::uint32_t r);
@@ -352,7 +355,6 @@ class BusController : public ClockEdgeSink
 
     ReceiveCallback rxCb_;
     std::function<void()> irqCb_;
-    std::function<void()> idleHook_;
     BusControllerStats stats_;
 };
 

@@ -157,9 +157,6 @@ struct NodeConfig
 
     /** RX buffer limit; exceeding it makes the receiver interject. */
     std::size_t rxBufferLimit = std::numeric_limits<std::size_t>::max();
-
-    /** Number of DATA lanes this node supports (parallel MBus). */
-    int dataLanes = 1;
 };
 
 } // namespace bus

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "mbus/system.hh"
 #include "sim/logging.hh"
 
 namespace mbus {
@@ -179,7 +180,7 @@ Mediator::onTrainTick(bool level)
             armTickTrain();
         return;
     }
-    if (!level && skipper_ && fastForward())
+    if (!level && ring_ && fastForward())
         return;
     const bool refill = --tickEdgesLeft_ == 0;
     onTickEdge(level);
@@ -200,50 +201,20 @@ Mediator::fastForward()
     const std::uint64_t latchable = (8 * maxMessageBytes_ + 7) / w;
     if (latchable <= dataCyclesSeen_)
         return false;
-    std::uint64_t cycles =
-        std::min(latchable - dataCyclesSeen_,
-                 skipper_->dataCyclesSkippable(armedHalfPeriod_));
+    const std::uint32_t cycles = ring_->skipDataPhase(
+        armedHalfPeriod_, latchable - dataCyclesSeen_, checkEvent_);
     if (cycles == 0)
         return false;
-    // Our own queued edge is the next ring check; the tick train is
-    // the event running now. Anything else pending is not ours, or
-    // is the ring's to answer.
-    const sim::SimTime now = ctx_.sim.now();
-    const sim::SimTime until =
-        std::min(ctx_.sim.queue().nextTimeExcept(
-                     checkEvent_, skipper_->answeredEvent()),
-                 ctx_.sim.runLimit());
-    const sim::SimTime cycle = 2 * armedHalfPeriod_;
-    cycles = std::min<std::uint64_t>(
-        {cycles, static_cast<std::uint64_t>((until - now) / cycle),
-         std::uint64_t(1) << 31});
-    if (cycles == 0)
-        return false;
-    // Take only a skip that saves kernel events (the ring prices
-    // every train it restarts, ours included): short ones do not, the
-    // less so the larger the ring. A window may price below a shorter
-    // one (a lane that ends on a beat pays its warm-up again), so one
-    // that runs past an answered event also tries ending there.
-    if (skipper_->skipSavings(static_cast<std::uint32_t>(cycles)) <= 0) {
-        const auto shorter = static_cast<std::uint64_t>(
-            (ctx_.sim.queue().nextTimeExcept(checkEvent_) - now) / cycle);
-        if (shorter == 0 || shorter >= cycles ||
-            skipper_->skipSavings(static_cast<std::uint32_t>(shorter)) <= 0)
-            return false;
-        cycles = shorter;
-    }
-
-    skipper_->skipDataCycles(static_cast<std::uint32_t>(cycles),
-                             armedHalfPeriod_);
-    rising_ += static_cast<std::uint32_t>(cycles);
-    falling_ += static_cast<std::uint32_t>(cycles);
+    rising_ += cycles;
+    falling_ += cycles;
     stats_.clockCycles += cycles;
     dataCyclesSeen_ += cycles;
 
     // Resume with this tick's falling edge, cycles whole cycles on.
     clockEvent_.cancel();
     checkEvent_.cancel();
-    const sim::SimTime resume = static_cast<sim::SimTime>(cycles) * cycle;
+    const sim::SimTime resume =
+        static_cast<sim::SimTime>(cycles) * 2 * armedHalfPeriod_;
     tickEdgesLeft_ = kTickTrainEdges;
     checkEvent_ = ctx_.sim.scheduleEdgeTrain(
         resume + ringCheckDelay(), armedHalfPeriod_, tickEdgesLeft_,
@@ -457,6 +428,7 @@ Mediator::finishTransaction()
         state_ = State::Asleep;
         if (onIdle_)
             onIdle_();
+        ctx_.sim.poke();
         // Late request: a node may have pulled DATA low while we were
         // putting the bus to sleep.
         if (!ctx_.dataIn.value())

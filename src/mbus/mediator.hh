@@ -14,10 +14,12 @@
  * The mediator is hosted on one chip (the processor in the paper's
  * systems) and drives that chip's output wire controllers.
  *
- * In a steady data phase it may skip whole cycles through its
- * DataPhaseSkipper (the ring: MBusSystem, chips and software member
- * alike), when the skip retires fewer kernel events than the edges
- * it replaces, and resume clocking at the far end.
+ * In a steady data phase it may skip whole cycles: at each falling
+ * tick it bounds the skip by its length watchdog and hands the rest
+ * of the decision to the ring (MBusSystem::skipDataPhase: the entry
+ * test, the foreign-event bound, pricing and the skip of chips,
+ * segments and software member alike), then resumes clocking at the
+ * far end.
  */
 
 #ifndef MBUS_BUS_MEDIATOR_HH
@@ -47,45 +49,7 @@ struct MediatorStats
     std::uint64_t clockCycles = 0;
 };
 
-/**
- * The ring side of the data-phase fast-forward (MBusSystem). On each
- * falling tick of a data phase the mediator asks how many whole data
- * cycles the ring could skip, bounds the answer by its own watchdog
- * and by the earliest event the ring does not own or answer, and has
- * the ring skip that many, if the ring prices the skip above zero,
- * before re-arming its tick at the far end. The ring prices every train
- * and edge a skip replaces or restarts, the mediator's included,
- * with sim::TrainRider's rule (train_rider.hh, bus::laneRides()).
- */
-class DataPhaseSkipper
-{
-  public:
-    /** Whole data cycles of half period @p half every member and
-     *  segment could skip from this clock-high point (0 outside a
-     *  steady data phase). */
-    virtual std::uint64_t dataCyclesSkippable(sim::SimTime half) = 0;
-
-    /** A queued event the ring answers in closed form across a skip
-     *  (the bus watchdog's next poll; dataCyclesSkippable() stops
-     *  short of one it cannot answer), or an empty handle. */
-    virtual sim::EventHandle answeredEvent() const = 0;
-
-    /** Kernel events the ring's segments, members and mediator
-     *  would retire on edges over the next @p cycles data cycles,
-     *  less what skipping them costs in restarted trains (at most 0
-     *  when a skip saves nothing). A long skip may get a positive
-     *  lower bound instead: enough to decide. */
-    virtual double skipSavings(std::uint32_t cycles) const = 0;
-
-    /** Advance every chip and segment across @p cycles data cycles
-     *  of half period @p half, starting with the falling edge due
-     *  now, exactly as their edges would. */
-    virtual void skipDataCycles(std::uint32_t cycles,
-                                sim::SimTime half) = 0;
-
-  protected:
-    ~DataPhaseSkipper() = default;
-};
+class MBusSystem;
 
 /**
  * The mediator node function.
@@ -139,9 +103,9 @@ class Mediator : private wire::EdgeListener
     /** Bus clock period currently in use. */
     sim::SimTime period() const;
 
-    /** Install (or remove, with nullptr) the data-phase
-     *  fast-forward; it runs only on the edge-train clock path. */
-    void setDataPhaseSkipper(DataPhaseSkipper *s) { skipper_ = s; }
+    /** Install (or remove, with nullptr) the data-phase fast-forward
+     *  of @p ring; it runs only on the edge-train clock path. */
+    void setFastForward(MBusSystem *ring) { ring_ = ring; }
 
     /** Callback fired each time the bus returns to idle (used by
      *  rotating-priority policies, Sec 7). */
@@ -204,12 +168,10 @@ class Mediator : private wire::EdgeListener
     void armTickTrain();
 
     /**
-     * Data-phase fast-forward at a falling tick: skip whole data
-     * cycles through the skipper, then re-arm the tick and ring-check
-     * trains at the far end. Bounded by the watchdog (no skipped
-     * latch reaches the length limit), the earliest pending event the
-     * ring does not own and the end of the run, and taken only when
-     * it retires fewer kernel events than its edges would.
+     * Data-phase fast-forward at a falling tick: have the ring skip
+     * whole data cycles (MBusSystem::skipDataPhase), then re-arm the
+     * tick and ring-check trains at the far end. Bounded here by the
+     * length watchdog (no skipped latch reaches the length limit).
      *
      * @return true when cycles were skipped (the tick is not driven).
      */
@@ -280,7 +242,7 @@ class Mediator : private wire::EdgeListener
     bool ctlBit0_ = false;
     bool ctlBit1_ = false;
 
-    DataPhaseSkipper *skipper_ = nullptr;
+    MBusSystem *ring_ = nullptr; ///< Fast-forward installed.
 
     std::size_t maxMessageBytes_ = kMinMaxMessageBytes;
     std::function<void()> onIdle_;

@@ -45,7 +45,6 @@ MBusSystem::addNode(NodeConfig cfg)
         mbus_fatal("addNode() after finalize()");
     if (cfg.name.empty())
         cfg.name = "node" + std::to_string(nodes_.size());
-    cfg.dataLanes = cfg_.dataLanes;
     nodes_.push_back(std::make_unique<Node>(
         sim_, cfg_, std::move(cfg), nodes_.size()));
     return *nodes_.back();
@@ -182,19 +181,14 @@ MBusSystem::finalize()
     mediator_->setMaxMessageBytes(cfg_.maxMessageBytes);
     mediator_->arm();
     if (cfg_.fastForward && cfg_.edgeTrains && cfg_.chunkedDispatch)
-        mediator_->setDataPhaseSkipper(this);
+        mediator_->setFastForward(this);
     medLink_->requestInterjection = [this] {
         mediator_->hostInterjectionRequest();
     };
     mediator_->setOnIdle([this] {
         if (rotatingPriority_)
             setArbBreakNode((arbBreakIdx_ + 1) % nodes_.size());
-        noteMaybeIdle();
     });
-    for (auto &node : nodes_)
-        node->busController().setIdleHook([this] { noteMaybeIdle(); });
-    if (soft_)
-        soft_->setIdleHook([this] { noteMaybeIdle(); });
 
     // The mediator host listens to the configuration channel and
     // applies updates to the live mediator (Sec 7).
@@ -256,25 +250,15 @@ std::optional<TxResult>
 MBusSystem::sendAndWait(std::size_t fromNode, Message msg,
                         sim::SimTime timeout)
 {
-    // The completion ends the run; one landing after a timeout only
-    // records into the shared state.
-    struct Wait
-    {
-        std::optional<TxResult> result;
-        bool waiting = true;
-    };
-    auto wait = std::make_shared<Wait>();
-    node(fromNode).send(std::move(msg), [this, wait](const TxResult &r) {
-        wait->result = r;
-        if (wait->waiting)
-            sim_.stop();
+    // The completion ends the wait; one landing after a timeout only
+    // records into the shared result.
+    auto result = std::make_shared<std::optional<TxResult>>();
+    node(fromNode).send(std::move(msg), [this, result](const TxResult &r) {
+        *result = r;
+        sim_.poke();
     });
-    sim::SimTime limit = timeout == sim::kTimeForever
-                             ? sim::kTimeForever
-                             : sim_.now() + timeout;
-    sim_.run(limit);
-    wait->waiting = false;
-    return wait->result;
+    sim_.runUntil(timeout, [&result] { return result->has_value(); });
+    return *result;
 }
 
 bool
@@ -294,38 +278,12 @@ MBusSystem::idle() const
 bool
 MBusSystem::runUntilIdle(sim::SimTime timeout)
 {
-    sim::SimTime limit = timeout == sim::kTimeForever
-                             ? sim::kTimeForever
-                             : sim_.now() + timeout;
-    if (idle())
-        return true;
-    // Components report every step that may complete idleness (the
+    // Components poke at every step that may complete idleness (the
     // mediator falling asleep, a controller back to idle or losing
-    // its queue, the software member's FSM settling); the run stops
-    // after that event and resumes unless the whole ring is idle.
-    watchIdle_ = true;
-    do {
-        idleStop_ = false;
-        sim_.run(limit);
-    } while (idleStop_ && !idle());
-    watchIdle_ = false;
+    // its queue, the software member's FSM settling).
+    if (!idle())
+        sim_.runUntil(timeout, [this] { return idle(); });
     return idle();
-}
-
-void
-MBusSystem::noteMaybeIdle()
-{
-    if (!watchIdle_)
-        return;
-    idleStop_ = true;
-    sim_.stop();
-}
-
-void
-MBusSystem::checkEnumSettled()
-{
-    if (enumSettling_ && enumProbeDone_ && enumReplySeen_)
-        sim_.stop();
 }
 
 int
@@ -347,7 +305,7 @@ MBusSystem::enumerateAll(std::size_t enumeratorNode)
                     (std::uint32_t(rx.payload[1]) << 16) |
                     (std::uint32_t(rx.payload[2]) << 8) |
                     std::uint32_t(rx.payload[3]);
-                checkEnumSettled();
+                sim_.poke();
             }
         });
 
@@ -374,7 +332,7 @@ MBusSystem::enumerateAll(std::size_t enumeratorNode)
                             if (gen != enumProbe_)
                                 return; // An abandoned probe.
                             enumProbeDone_ = true;
-                            checkEnumSettled();
+                            sim_.poke();
                         });
 
         // Wait for the probe, the replies, and the winner's
@@ -382,9 +340,8 @@ MBusSystem::enumerateAll(std::size_t enumeratorNode)
         sim::SimTime settle =
             200 * sim::periodFromHz(cfg_.busClockHz) +
             2 * sim::kMillisecond;
-        enumSettling_ = true;
-        sim_.run(sim_.now() + settle);
-        enumSettling_ = false;
+        sim_.runUntil(settle,
+                      [this] { return enumProbeDone_ && enumReplySeen_; });
         runUntilIdle(settle);
 
         if (!enumReplySeen_)
@@ -506,7 +463,7 @@ void
 MBusSystem::attachTrace(sim::TraceRecorder &recorder)
 {
     // A waveform needs every edge at its own time.
-    mediator_->setDataPhaseSkipper(nullptr);
+    mediator_->setFastForward(nullptr);
     forEachSegment([&recorder](wire::Net &seg) { seg.trace(recorder); });
 }
 
@@ -525,13 +482,50 @@ MBusSystem::softDinDelay(std::size_t tx) const
     return tx == 0 ? cfg_.hopDelay : 0;
 }
 
+std::uint32_t
+MBusSystem::skipDataPhase(sim::SimTime half, std::uint64_t latchable,
+                          const sim::EventHandle &check)
+{
+    std::size_t tx = 0;
+    std::uint64_t cycles = std::min(latchable, dataCyclesSkippable(half, tx));
+    if (cycles == 0)
+        return 0;
+    // The mediator's queued ring check is its own, and the tick train
+    // is the event running now; the watchdog's poll is the ring's to
+    // answer. Anything else pending is not the ring's.
+    const sim::SimTime now = sim_.now();
+    const sim::SimTime until = std::min(
+        sim_.queue().nextTimeExcept(check, wdPoll_), sim_.runLimit());
+    const sim::SimTime cycle = 2 * half;
+    cycles = std::min<std::uint64_t>(
+        {cycles, static_cast<std::uint64_t>((until - now) / cycle),
+         std::uint64_t(1) << 31});
+    if (cycles == 0)
+        return 0;
+    // Take only a skip that saves kernel events (every train it
+    // restarts priced, the mediator's included): short ones do not,
+    // the less so the larger the ring. A window may price below a
+    // shorter one (a lane that ends on a beat pays its warm-up
+    // again), so one that runs past the poll also tries ending there.
+    if (skipSavings(tx, static_cast<std::uint32_t>(cycles)) <= 0) {
+        const auto shorter = static_cast<std::uint64_t>(
+            (sim_.queue().nextTimeExcept(check) - now) / cycle);
+        if (shorter == 0 || shorter >= cycles ||
+            skipSavings(tx, static_cast<std::uint32_t>(shorter)) <= 0)
+            return 0;
+        cycles = shorter;
+    }
+    skipDataCycles(tx, static_cast<std::uint32_t>(cycles), half);
+    return static_cast<std::uint32_t>(cycles);
+}
+
 std::uint64_t
-MBusSystem::dataCyclesSkippable(sim::SimTime half)
+MBusSystem::dataCyclesSkippable(sim::SimTime half, std::size_t &tx) const
 {
     const std::size_t n = nodes_.size();
     const std::size_t none = ringSize();
     std::uint64_t room = ~std::uint64_t(0);
-    std::size_t tx = none;
+    tx = none;
     for (std::size_t i = 0; i < n; ++i) {
         const BusController &ctl = nodes_[i]->busController();
         room = std::min(room, ctl.dataCyclesSkippable());
@@ -583,7 +577,6 @@ MBusSystem::dataCyclesSkippable(sim::SimTime half)
             if (!steady(*seg, level))
                 return 0;
     }
-    skipTx_ = tx;
     return std::min(room, watchdogRoom(half));
 }
 
@@ -634,14 +627,14 @@ MBusSystem::passWatchdogPolls(sim::SimTime end, sim::SimTime half)
 }
 
 MBusSystem::Stretch
-MBusSystem::stretch(std::uint32_t cycles) const
+MBusSystem::stretch(std::size_t tx, std::uint32_t cycles)
 {
     Stretch s;
-    const std::size_t src = skipTx_ == ringSize() ? 0 : skipTx_;
+    const std::size_t src = tx == ringSize() ? 0 : tx;
     s.start[0] = dataSegs_[src]->value();
     for (std::size_t l = 0; l < laneSegs_.size(); ++l)
         s.start[l + 1] = laneSegs_[l][src]->value();
-    if (skipTx_ == ringSize()) {
+    if (tx == ringSize()) {
         // Bit p rides lane p % w from cycle 0: the lanes' levels,
         // repeating every w bytes.
         const auto w = static_cast<std::uint64_t>(cfg_.dataLanes);
@@ -654,11 +647,11 @@ MBusSystem::stretch(std::uint32_t cycles) const
         for (std::uint64_t b = w; b < bytes; ++b)
             constantLanes_[b] = constantLanes_[b - w];
         s.payload = &constantLanes_;
-    } else if (skipTx_ == nodes_.size()) {
+    } else if (tx == nodes_.size()) {
         s.payload = &soft_->transmitting()->payload;
         s.first = soft_->dataCyclesDriven();
     } else {
-        const BusController &ctl = nodes_[skipTx_]->busController();
+        const BusController &ctl = nodes_[tx]->busController();
         s.payload = &ctl.transmitting()->payload;
         s.first = ctl.dataCyclesDriven();
     }
@@ -668,7 +661,7 @@ MBusSystem::stretch(std::uint32_t cycles) const
 }
 
 double
-MBusSystem::skipSavings(std::uint32_t cycles) const
+MBusSystem::skipSavings(std::size_t tx, std::uint32_t cycles)
 {
     const double c = static_cast<double>(cycles);
     // Each ring segment's CLK train, and the member's CLK ISR train,
@@ -687,7 +680,7 @@ MBusSystem::skipSavings(std::uint32_t cycles) const
         return saved - lanesWorst + tick;
     // Every segment of a DATA lane retires what its rider would on
     // the lane's transitions.
-    const Stretch s = stretch(cycles);
+    const Stretch s = stretch(tx, cycles);
     const LaneRides rides =
         laneRides(*s.payload, cfg_.dataLanes, s.first, cycles, s.start,
                   kTrainMaxEdges);
@@ -700,13 +693,14 @@ MBusSystem::skipSavings(std::uint32_t cycles) const
 }
 
 void
-MBusSystem::skipDataCycles(std::uint32_t cycles, sim::SimTime half)
+MBusSystem::skipDataCycles(std::size_t tx, std::uint32_t cycles,
+                           sim::SimTime half)
 {
     const std::size_t n = nodes_.size();
     const sim::SimTime now = sim_.now();
     passWatchdogPolls(now + 2 * static_cast<sim::SimTime>(cycles) * half,
                       half);
-    const Stretch s = stretch(cycles);
+    const Stretch s = stretch(tx, cycles);
     const LaneRun &run = s.run;
     for (auto &node : nodes_)
         node->skipDataCycles(*s.payload, s.first, cycles);
@@ -714,7 +708,7 @@ MBusSystem::skipDataCycles(std::uint32_t cycles, sim::SimTime half)
     if (soft_)
         soft_->skipDataCycles(cycles, run.edges[0], run.last[0],
                               now + static_cast<sim::SimTime>(n) * h,
-                              half, softDinDelay(skipTx_));
+                              half, softDinDelay(tx));
     // CLK keeps its beat: segment i forwarded the last skipped rising
     // edge i hops after the mediator drove it (plus the member's ISR
     // latency on its own segment), one half period before the

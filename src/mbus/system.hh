@@ -21,22 +21,23 @@
  * ring budget (SystemConfig::extraRingLatency), which throttles the
  * whole mixed ring to a fraction of its clock envelope.
  *
- * The system is also the mediator's data-phase fast-forward
- * (SystemConfig::fastForward): once a transaction's data phase is
- * steady, whole data cycles are skipped in closed form -- chips, the
- * software member's ISR counters and FSM, and segment levels and
- * counters land exactly where the skipped edges would have put them,
- * so the energy they price does too -- up to the next protocol
- * decision or the next event the ring does not own. The ring's own
- * bus watchdog (armWatchdog) is answered across a skip in closed
- * form rather than bounding it. A receiving,
- * jittered or edge-merging software member keeps every edge;
- * waveform capture turns it off for good.
+ * The system also decides the mediator's data-phase fast-forward
+ * (SystemConfig::fastForward, skipDataPhase()): once a transaction's
+ * data phase is steady, whole data cycles are skipped in closed form
+ * -- chips, the software member's ISR counters and FSM, and segment
+ * levels and counters land exactly where the skipped edges would have
+ * put them, so the energy they price does too -- up to the next
+ * protocol decision or the next event the ring does not own. The
+ * ring's own bus watchdog (armWatchdog) is answered across a skip in
+ * closed form rather than bounding it. A receiving, jittered or
+ * edge-merging software member keeps every edge; waveform capture
+ * turns it off for good.
  *
- * runUntilIdle() and the sendAndWait()/enumeration probes end their
- * runs with Simulator::stop(): the mediator, every bus controller
- * and the software member report each step that may leave the ring
- * idle, and the run stops after that event to check.
+ * runUntilIdle(), sendAndWait() and the enumeration settle are
+ * Simulator::runUntil() waits: the mediator's sleep event, every bus
+ * controller and the software member poke at each step that may
+ * leave the ring idle (so do a send's completion and the enumeration
+ * handlers), and the wait checks its condition after that event.
  */
 
 #ifndef MBUS_BUS_SYSTEM_HH
@@ -66,7 +67,7 @@ namespace bus {
 /**
  * A complete MBus system: ring, nodes, mediator, energy accounting.
  */
-class MBusSystem : private DataPhaseSkipper
+class MBusSystem
 {
   public:
     /**
@@ -231,18 +232,12 @@ class MBusSystem : private DataPhaseSkipper
     double clockCeilingHz() const;
 
   private:
+    friend class Mediator; // skipDataPhase()
+
     bool handleConfigBroadcast(const ReceivedMessage &rx);
 
     /** Price every ring slot's ledger cells from its counters. */
     void priceEnergy() const;
-
-    /** A component may have turned idle: under runUntilIdle(), end
-     *  the run after this event so idle() is checked. */
-    void noteMaybeIdle();
-
-    /** Under enumerateAll()'s settle: end the run once the probe
-     *  completed and a reply came in. */
-    void checkEnumSettled();
 
     // --- Bus watchdog ---------------------------------------------------
 
@@ -250,28 +245,61 @@ class MBusSystem : private DataPhaseSkipper
     void scheduleWatchdogPoll(sim::SimTime at);
     void watchdogPoll();
 
-    // --- Data-phase fast-forward (DataPhaseSkipper) ------------------
+    // --- Data-phase fast-forward ---------------------------------------
     //
     // Installed with SystemConfig::fastForward, edge trains and
     // chunked dispatch (for the interjection detector's CLK epoch
     // pull) on, and removed for good when a waveform recorder
-    // attaches. The mediator asks at each falling tick; a steady data
-    // phase means at most one transmitter (a chip or the software
-    // member), every chip addressed (receiving or forwarding; a chip
-    // with no role past its address forwards), the member forwarding
-    // or transmitting with its ISRs retired, every chip forwarding
-    // except where the mediator drives CLK and the transmitter drives
-    // its lanes, and every segment settled, unforced and undamaged at
-    // its lane's level. With no transmitter (it browned out
-    // mid-message) every lane holds one level all around the ring
-    // until the mediator's length watchdog ends the phantom message.
-    // Arbitration, address, end of message, interjection, control and
-    // all power gating stay on edges.
+    // attaches. The mediator asks at each falling tick of a data
+    // phase; a steady one means at most one transmitter (a chip or
+    // the software member), every chip addressed (receiving or
+    // forwarding; a chip with no role past its address forwards),
+    // the member forwarding or transmitting with its ISRs retired,
+    // every chip forwarding except where the mediator drives CLK and
+    // the transmitter drives its lanes, and every segment settled,
+    // unforced and undamaged at its lane's level. With no transmitter
+    // (it browned out mid-message) every lane holds one level all
+    // around the ring until the mediator's length watchdog ends the
+    // phantom message. Arbitration, address, end of message,
+    // interjection, control and all power gating stay on edges.
+    //
+    // The entry test names the transmitter tx by ring slot
+    // (ringSize() for none); pricing and the skip take it from there.
 
-    std::uint64_t dataCyclesSkippable(sim::SimTime half) override;
-    sim::EventHandle answeredEvent() const override { return wdPoll_; }
-    double skipSavings(std::uint32_t cycles) const override;
-    void skipDataCycles(std::uint32_t cycles, sim::SimTime half) override;
+    /**
+     * The mediator's one call at a falling tick of a data phase of
+     * half period @p half, with at most @p latchable cycles left
+     * before its length watchdog and its queued ring check @p check:
+     * skip whole data cycles up to the next protocol decision, the
+     * earliest queued event the ring neither owns nor answers (the
+     * watchdog's poll), the end of the run and 2^31, if the skip
+     * saves kernel events, retrying a window that does not pay at
+     * the poll.
+     *
+     * @return the cycles skipped (0: drive the tick).
+     */
+    std::uint32_t skipDataPhase(sim::SimTime half, std::uint64_t latchable,
+                                const sim::EventHandle &check);
+
+    /** Entry test: whole data cycles of half period @p half every
+     *  member and segment could skip from this clock-high point (0
+     *  outside a steady data phase), and the transmitter @p tx. */
+    std::uint64_t dataCyclesSkippable(sim::SimTime half,
+                                      std::size_t &tx) const;
+
+    /** Kernel events the ring's segments, members and mediator would
+     *  retire on edges over the next @p cycles data cycles, less what
+     *  skipping them costs in restarted trains (at most 0 when a skip
+     *  saves nothing), each priced with sim::TrainRider's rule. A
+     *  long skip may get a positive lower bound instead: enough to
+     *  decide. */
+    double skipSavings(std::size_t tx, std::uint32_t cycles);
+
+    /** Advance every chip and segment across @p cycles data cycles of
+     *  half period @p half, starting with the falling edge due now,
+     *  exactly as their edges would. */
+    void skipDataCycles(std::size_t tx, std::uint32_t cycles,
+                        sim::SimTime half);
 
     // A watchdog poll inside a skip window finds the bus busy, the
     // mediator awake and the tail CLK segment's epoch a known
@@ -305,7 +333,7 @@ class MBusSystem : private DataPhaseSkipper
         std::array<bool, kMaxDataLanes> start{};
         LaneRun run;
     };
-    Stretch stretch(std::uint32_t cycles) const;
+    Stretch stretch(std::size_t tx, std::uint32_t cycles);
 
     /** When a DATA edge reaches the software member's DIN in a data
      *  phase transmitted by ring slot @p tx (see
@@ -343,24 +371,16 @@ class MBusSystem : private DataPhaseSkipper
     std::unique_ptr<MediatorHostLink> medLink_;
     bool finalized_ = false;
 
-    // runUntilIdle() in progress; set when a hook stopped the run.
-    bool watchIdle_ = false;
-    bool idleStop_ = false;
-
-    // Enumeration bookkeeping (the settle run stops once the probe
+    // Enumeration bookkeeping (the settle wait ends once the probe
     // completed and a reply came in).
     bool enumReplySeen_ = false;
     std::uint32_t lastEnumFullPrefix_ = 0;
-    bool enumSettling_ = false;
     bool enumProbeDone_ = false;
     std::uint64_t enumProbe_ = 0; ///< Current probe's generation.
 
-    /** The transmitter dataCyclesSkippable() found (ringSize() for
-     *  none). */
-    std::size_t skipTx_ = 0;
     /** With no transmitter: bits that hold every lane at its level
      *  (stretch() fills it). */
-    mutable std::vector<std::uint8_t> constantLanes_;
+    std::vector<std::uint8_t> constantLanes_;
 
     // Bus watchdog: the queued poll, and what the last poll read.
     std::uint32_t watchdogEpochs_ = 0;

@@ -114,7 +114,43 @@ class Simulator
     SimTime run(SimTime limit = kTimeForever);
 
     /** Request that run() return after the current event. */
-    void stop() { stopRequested_ = true; }
+    void stop() { halt_ = Halt::Stop; }
+
+    /**
+     * The wait rule: run until an event that called poke() returns
+     * with @p done() true, or for @p timeout (kTimeForever: no
+     * bound). done() runs only after a poking event has returned,
+     * never inside it, and never per event. As with run(), events at
+     * the bound still execute, a drained queue advances time to the
+     * bound, and stop() ends the wait. A wait started inside an event
+     * restores the enclosing one when it returns.
+     *
+     * @return true when done() ended the wait.
+     */
+    template <typename Done>
+    bool
+    runUntil(SimTime timeout, Done &&done)
+    {
+        const SimTime limit = addSaturating(now_, timeout);
+        const bool outer = waiting_;
+        waiting_ = true;
+        bool met = false;
+        while (!met && loop(limit) == Halt::Poke)
+            met = done();
+        waiting_ = outer;
+        if (halt_ == Halt::Poke)
+            halt_ = Halt::None;
+        return met;
+    }
+
+    /** Under runUntil(): have the wait check its condition once the
+     *  current event returns. Outside a wait it does nothing. */
+    void
+    poke()
+    {
+        if (waiting_ && halt_ == Halt::None)
+            halt_ = Halt::Poke;
+    }
 
     /** The limit of the run in progress: no event past it executes
      *  before the run returns (kTimeForever outside a run). */
@@ -174,11 +210,18 @@ class Simulator
     void setTracer(trace::Tracer *t) { tracer_ = t; }
 
   private:
+    /** Why loop() returned before its bound. */
+    enum class Halt : std::uint8_t { None, Poke, Stop };
+
+    /** The event loop behind run() and runUntil(). */
+    Halt loop(SimTime limit);
+
     EventQueue queue_;
     StringInterner names_;
     Random rng_;
     SimTime now_ = 0;
-    bool stopRequested_ = false;
+    Halt halt_ = Halt::None;
+    bool waiting_ = false; ///< Inside runUntil() (not a nested run()).
     SimTime runLimit_ = kTimeForever;
     SimTime horizon_ = kTimeForever;
     trace::Tracer *tracer_ = nullptr;

@@ -151,6 +151,40 @@ TEST(Config, SendAndWaitTimesOutCleanly)
     system.dataSegment(2).release();
 }
 
+TEST(Config, SendAndWaitLateCompletionDoesNotStopALaterRun)
+{
+    sim::Simulator simulator;
+    bus::MBusSystem system(simulator);
+    buildRing(system, 3);
+
+    // A 64-byte message takes far longer than 10 us: the wait times
+    // out before it completes.
+    bus::Message msg;
+    msg.dest = bus::Address::shortAddr(3, bus::kFuMailbox);
+    msg.payload.assign(64, 0xA5);
+    auto r = system.sendAndWait(1, msg, 10 * sim::kMicrosecond);
+    EXPECT_FALSE(r.has_value());
+    EXPECT_EQ(simulator.now(), 10 * sim::kMicrosecond);
+    EXPECT_EQ(system.node(1).busController().stats().messagesSent, 0u);
+
+    // The completion lands inside this plain run; it still records
+    // its result, and the run goes on to its bound.
+    bool late = false;
+    simulator.schedule(sim::kSecond, [&] { late = true; });
+    simulator.run(2 * sim::kSecond);
+    EXPECT_TRUE(late);
+    EXPECT_EQ(simulator.now(), 2 * sim::kSecond);
+    EXPECT_EQ(system.node(1).busController().stats().messagesAcked, 1u);
+    EXPECT_TRUE(system.idle());
+
+    // A later wait ends on its own send, not on the stale completion.
+    msg.payload = {0x5A};
+    r = system.sendAndWait(1, msg, sim::kSecond);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->status, bus::TxStatus::Ack);
+    EXPECT_EQ(system.node(1).busController().stats().messagesAcked, 2u);
+}
+
 TEST(Config, MaxSafeClockFallsWithPopulation)
 {
     double prev = 1e18;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the Simulator: time advance, run limits, stop.
+ * Unit tests for the Simulator: time advance, run limits, stop, and
+ * the runUntil()/poke() wait rule.
  */
 
 #include <gtest/gtest.h>
@@ -67,6 +68,132 @@ TEST(Simulator, StopEndsRun)
     }
     s.run();
     EXPECT_EQ(executed, 3);
+    EXPECT_TRUE(s.hasPendingEvents());
+}
+
+TEST(Simulator, WaitChecksDoneOnlyAfterThePokingEventReturns)
+{
+    Simulator s;
+    bool done = false;
+    int checks = 0;
+    // Pokes, then makes done false again before returning: the wait
+    // goes on.
+    s.schedule(1, [&] {
+        done = true;
+        s.poke();
+        done = false;
+    });
+    // done turns true without a poke: not noticed.
+    s.schedule(2, [&] { done = true; });
+    s.schedule(3, [&] { done = false; });
+    s.schedule(4, [&] {
+        done = true;
+        s.poke();
+    });
+    s.schedule(5, [] {});
+    EXPECT_TRUE(s.runUntil(kTimeForever, [&] {
+        ++checks;
+        return done;
+    }));
+    EXPECT_EQ(s.now(), SimTime(4));
+    EXPECT_EQ(checks, 2);
+    EXPECT_TRUE(s.hasPendingEvents());
+}
+
+TEST(Simulator, PokeOutsideAWaitDoesNotStopARun)
+{
+    Simulator s;
+    int executed = 0;
+    for (int i = 1; i <= 5; ++i) {
+        s.schedule(i, [&] {
+            ++executed;
+            s.poke();
+        });
+    }
+    s.poke();
+    s.run();
+    EXPECT_EQ(executed, 5);
+    EXPECT_FALSE(s.hasPendingEvents());
+}
+
+TEST(Simulator, WaitTimeoutAndDrainedQueueAdvanceTimeAsRunDoes)
+{
+    // Timeout: events past the bound stay queued, time lands on it,
+    // and an event exactly at the bound still executes.
+    Simulator s;
+    bool atBound = false, late = false;
+    s.schedule(5, [] {});
+    s.run();
+    s.schedule(10 * kMicrosecond, [&] {
+        atBound = true;
+        s.poke();
+    });
+    s.schedule(kMillisecond, [&] { late = true; });
+    EXPECT_FALSE(s.runUntil(10 * kMicrosecond, [] { return false; }));
+    EXPECT_TRUE(atBound);
+    EXPECT_FALSE(late);
+    EXPECT_EQ(s.now(), 5 + 10 * kMicrosecond);
+
+    // Drained queue: time still advances to the bound...
+    Simulator d;
+    d.schedule(7, [&] { d.poke(); });
+    EXPECT_FALSE(d.runUntil(kMillisecond, [] { return false; }));
+    EXPECT_EQ(d.now(), kMillisecond);
+    Simulator r;
+    r.schedule(7, [] {});
+    r.run(kMillisecond);
+    EXPECT_EQ(r.now(), d.now());
+
+    // ...except with no bound, where it stays at the last event.
+    Simulator f;
+    f.schedule(7, [] {});
+    EXPECT_FALSE(f.runUntil(kTimeForever, [] { return true; }));
+    EXPECT_EQ(f.now(), SimTime(7));
+    EXPECT_EQ(f.runLimit(), kTimeForever);
+}
+
+TEST(Simulator, NestedWaitRestoresTheOuterOne)
+{
+    Simulator s;
+    bool outerDone = false, innerDone = false, innerMet = false;
+    SimTime innerLimit = 0;
+    s.schedule(1, [&] {
+        innerMet = s.runUntil(100, [&] { return innerDone; });
+    });
+    s.schedule(2, [&] {
+        innerLimit = s.runLimit();
+        innerDone = true;
+        s.poke();
+    });
+    // Back in the outer wait: pokes check the outer condition.
+    s.schedule(3, [&] { s.poke(); });
+    s.schedule(4, [&] {
+        EXPECT_EQ(s.runLimit(), SimTime(1000));
+        outerDone = true;
+        s.poke();
+    });
+    s.schedule(5, [] {});
+    EXPECT_TRUE(s.runUntil(1000, [&] { return outerDone; }));
+    EXPECT_TRUE(innerMet);
+    EXPECT_EQ(innerLimit, SimTime(101));
+    EXPECT_EQ(s.now(), SimTime(4));
+    EXPECT_TRUE(s.hasPendingEvents());
+    // Outside every wait a poke is a no-op again.
+    s.poke();
+    s.run();
+    EXPECT_EQ(s.now(), SimTime(5));
+}
+
+TEST(Simulator, StopEndsAWait)
+{
+    Simulator s;
+    s.schedule(1, [&] {
+        s.poke();
+        s.stop();
+    });
+    s.schedule(2, [] {});
+    EXPECT_FALSE(s.runUntil(kTimeForever, [] { return true; }));
+    EXPECT_EQ(s.now(), SimTime(1));
     EXPECT_TRUE(s.hasPendingEvents());
 }
 
