@@ -89,8 +89,9 @@ struct BusParams
     bool powerGated = false;    ///< Power-gate member nodes.
     bool edgeTrains = true;     ///< Kernel edge-train batching.
     bool chunkedDispatch = true; ///< Mute idle listeners.
-    bool fastForward = true;     ///< MBus rings: skip steady data
-                                 ///< phases in closed form (exact).
+    bool fastForward = true;     ///< MBus rings: skip steady address
+                                 ///< and data cycles in closed form
+                                 ///< (exact).
     std::size_t softRxCapacity = 256; ///< Software member's receive
                                       ///< buffer (bitbang/firmware).
 

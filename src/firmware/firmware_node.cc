@@ -114,13 +114,6 @@ FirmwareNode::clkIsrLatency() const
     return cfg_.cost.cyclesToTime(isrCycles(Pin::Clk));
 }
 
-std::uint64_t
-FirmwareNode::dataCyclesDriven() const
-{
-    return fsm_->txBitsDriven() -
-           static_cast<std::size_t>(txQueue_.front().msg.dest.bitCount());
-}
-
 FirmwareNode::DinSlot
 FirmwareNode::dinSlot(sim::SimTime dinDelay) const
 {
@@ -136,36 +129,44 @@ FirmwareNode::dinSlot(sim::SimTime dinDelay) const
 }
 
 std::uint64_t
-FirmwareNode::dataCyclesSkippable(sim::SimTime half,
-                                  sim::SimTime dinDelay) const
+FirmwareNode::cyclesSkippable(sim::SimTime half, sim::SimTime dinDelay,
+                              const bus::Message *msg,
+                              std::uint64_t first) const
 {
     if (cfg_.isrJitterCycles != 0 || cfg_.mergeMissedEdges ||
         clkIsrPending_ != 0 || dataIsrPending_ != 0 ||
-        cpuBusyUntil_ > sim_.now() || !fsm_->steadyDataPhase())
+        cpuBusyUntil_ > sim_.now() || !fsm_->steadyCycle())
         return 0;
     // Each cycle's ISRs retire before the next CLK edge arrives, so
     // every cycle starts on an idle CPU and CLK keeps its beat.
     if (clkIsrLatency() >= half || dinSlot(dinDelay).done >= half)
         return 0;
-    if (!fsm_->txActive())
-        return ~std::uint64_t(0);
+    if (fsm_->latchingAddress())
+        return msg ? fsm_->addressCyclesSkippable(msg->dest.encoded(),
+                                                  msg->dest.bitCount(),
+                                                  first)
+                   : 0;
+    if (!fsm_->txActive()) {
+        // Past its address: so must the transmitter be.
+        const bool inAddress =
+            msg && first < static_cast<std::uint64_t>(msg->dest.bitCount());
+        return inAddress ? 0 : ~std::uint64_t(0);
+    }
     if (!transmitting())
         return 0; // The FSM was handed a buffer directly.
-    const std::size_t addrBits = static_cast<std::size_t>(
-        txQueue_.front().msg.dest.bitCount());
     const std::size_t driven = fsm_->txBitsDriven();
     const std::size_t total = 8 * fsm_->txLength();
-    if (driven < addrBits || total < driven + 3)
+    if (total < driven + 3)
         return 0;
     return total - driven - 2;
 }
 
 void
-FirmwareNode::skipDataCycles(std::uint64_t cycles,
-                             std::uint64_t dinEdges, bool din,
-                             sim::SimTime clkAt, sim::SimTime half,
-                             sim::SimTime dinDelay)
+FirmwareNode::skipCycles(const bus::SkipWindow &win, std::uint64_t dinEdges,
+                         bool din, sim::SimTime clkAt, sim::SimTime half,
+                         sim::SimTime dinDelay)
 {
+    const std::uint64_t cycles = win.cycles;
     const auto clk = static_cast<std::uint64_t>(isrCycles(Pin::Clk));
     const auto data = static_cast<std::uint64_t>(isrCycles(Pin::Data));
     stats_.isrInvocations += 2 * cycles + dinEdges;
@@ -180,7 +181,8 @@ FirmwareNode::skipDataCycles(std::uint64_t cycles,
         clkAt + (2 * static_cast<sim::SimTime>(cycles) - 1) * half;
     cpuBusyUntil_ = lastRise + clkIsrLatency();
     isrTrain_.resumeBeat(lastRise, half);
-    fsm_->skipDataCycles(cycles, din);
+    fsm_->skipCycles(cycles, din, win.msg ? win.msg->dest.encoded() : 0,
+                     win.msg ? win.msg->dest.bitCount() : 0);
 }
 
 void

@@ -39,13 +39,16 @@
  *    every ring segment uses; see Config::isrTrainMaxEdges); every
  *    retirement still fires at its discrete timestamp and tie-break
  *    position.
- *  - Data-phase fast-forward (bus::MBusSystem): while the member
- *    forwards or transmits a steady data phase -- no ISR pending, CPU
- *    idle, no jitter, no merged edges -- skipped cycles advance it in
- *    closed form: two CLK ISRs per cycle and one DIN ISR per DATA
- *    transition in its stats (stalls included), the FSM's pins and
+ *  - Fast-forward (bus::MBusSystem): while the member forwards
+ *    (latching the address or past it) or transmits, from the
+ *    reserved cycle on -- no ISR pending, CPU idle, no jitter, no
+ *    merged edges -- skipped cycles advance it in closed form: two
+ *    CLK ISRs per cycle and one DIN ISR per DATA transition in its
+ *    stats (stalls included), the FSM's pins, address latch and
  *    transmit position, its CPU busy time, and its CLK ISR train
- *    resumed on the beat. A receiving member keeps every edge.
+ *    resumed on the beat. An address that makes it a receiver ends a
+ *    window at its last address cycle; a receiving member keeps every
+ *    edge.
  *  - `MBus_send` while the FSM is busy is undefined in the firmware
  *    (it stomps the in-flight buffer); this harness queues messages
  *    and only hands the front one to the FSM from IDLE, re-issuing
@@ -63,6 +66,7 @@
 
 #include "bitbang/cost_model.hh"
 #include "firmware/libmbus_port.hh"
+#include "mbus/data_phase.hh"
 #include "mbus/message.hh"
 #include "sim/simulator.hh"
 #include "sim/train_rider.hh"
@@ -160,7 +164,7 @@ class FirmwareNode : private wire::EdgeListener
     /** The ported FSM, for tests and introspection. */
     const LibMbus &fsm() const { return *fsm_; }
 
-    // --- Data-phase fast-forward (bus::MBusSystem) -------------------
+    // --- Fast-forward (bus::MBusSystem) --------------------------------
 
     /** The message on the wire while the member transmits it. */
     const bus::Message *
@@ -171,39 +175,43 @@ class FirmwareNode : private wire::EdgeListener
                    : nullptr;
     }
 
-    /** Payload data cycles (address cycles excluded) the member has
-     *  driven in its current transmission. */
-    std::uint64_t dataCyclesDriven() const;
+    /** Wire cycles (address included) the member has driven in its
+     *  current transmission. */
+    std::uint64_t cyclesDriven() const { return fsm_->txBitsDriven(); }
 
     /** CLK ISR response: CLKIN edge to CLKOUT write, no jitter. */
     sim::SimTime clkIsrLatency() const;
 
     /**
-     * Whole data cycles of half period @p half the member could skip
-     * from this clock-high point of a steady data phase: unbounded
-     * for a forwarder, all but the last two for a transmitter, and 0
-     * when it receives, has an ISR pending or its CPU busy, draws
-     * jitter or merges edges, or when a cycle's ISRs would not retire
-     * before the next CLK edge reaches it.
+     * Whole cycles of half period @p half the member could skip from
+     * this clock-high point past the reserved cycle, the transmitter
+     * sending @p msg (nullptr: none) with wire cycle @p first due
+     * next: unbounded for a forwarder past its address, up to the
+     * address's end for one still latching it (unbounded when the
+     * address leaves it forwarding), all but the last two for a
+     * transmitter, and 0 when it receives, has an ISR pending or its
+     * CPU busy, draws jitter or merges edges, or when a cycle's ISRs
+     * would not retire before the next CLK edge reaches it.
      *
      * @param dinDelay When a DATA edge reaches DIN: after the CLK
      *        fall reaches CLKIN (forwarder), or after the member
      *        drives DOUT (transmitter: the echo around the ring).
      */
-    std::uint64_t dataCyclesSkippable(sim::SimTime half,
-                                      sim::SimTime dinDelay) const;
+    std::uint64_t cyclesSkippable(sim::SimTime half, sim::SimTime dinDelay,
+                                  const bus::Message *msg,
+                                  std::uint64_t first) const;
 
     /**
-     * Do what @p cycles skipped data cycles would: two CLK ISRs per
-     * cycle and one DIN ISR per DATA transition (@p dinEdges, DIN
-     * left at @p din), counted, priced and serialized as the edge
-     * path would; the FSM advanced; the CPU busy until the last
-     * retirement; and the CLK ISR train resumed on the beat. The
-     * first skipped CLK fall reaches CLKIN at @p clkAt.
+     * Do what the cycles of @p win would: two CLK ISRs per cycle and
+     * one DIN ISR per DATA transition (@p dinEdges, DIN left at
+     * @p din), counted, priced and serialized as the edge path would;
+     * the FSM advanced; the CPU busy until the last retirement; and
+     * the CLK ISR train resumed on the beat. The first skipped CLK
+     * fall reaches CLKIN at @p clkAt.
      */
-    void skipDataCycles(std::uint64_t cycles, std::uint64_t dinEdges,
-                        bool din, sim::SimTime clkAt, sim::SimTime half,
-                        sim::SimTime dinDelay);
+    void skipCycles(const bus::SkipWindow &win, std::uint64_t dinEdges,
+                    bool din, sim::SimTime clkAt, sim::SimTime half,
+                    sim::SimTime dinDelay);
 
   private:
     enum class Pin : std::uint8_t { Clk, Data };

@@ -1,5 +1,7 @@
 #include "firmware/libmbus_port.hh"
 
+#include <algorithm>
+
 #include "mbus/protocol.hh"
 
 namespace mbus {
@@ -108,8 +110,23 @@ LibMbus::MBus_run()
     return true;
 }
 
+std::uint64_t
+LibMbus::addressCyclesSkippable(std::uint32_t word, int bits,
+                                std::uint64_t first) const
+{
+    const std::optional<bus::AddressLatch> done =
+        latch().completedWith(word, bits, first);
+    if (!done)
+        return 0;
+    if (addressRole(static_cast<std::uint32_t>(done->accum), bits) ==
+        MBUS_LOGICAL_FORWARD)
+        return ~std::uint64_t(0);
+    return static_cast<std::uint64_t>(bits) - first;
+}
+
 void
-LibMbus::skipDataCycles(std::uint64_t cycles, bool din)
+LibMbus::skipCycles(std::uint64_t cycles, bool din, std::uint32_t addr,
+                    int addrBits)
 {
     // Every cycle ends on a rising CLK handler (which clears the
     // interjection count); DIN handlers run under a low CLK and only
@@ -117,7 +134,26 @@ LibMbus::skipDataCycles(std::uint64_t cycles, bool din)
     last_clkin = true;
     last_din = din;
     interrupt_count = 0;
-    if (!tx_active || cycles == 0)
+    if (cycles == 0)
+        return;
+    if (latchingAddress()) {
+        bus::AddressLatch l = latch();
+        l.shiftWord(addr, addrBits,
+                    static_cast<int>(std::min<std::uint64_t>(
+                        cycles, static_cast<std::uint64_t>(
+                                    addrBits - addr_bits_seen))));
+        addr_accum = l.accum;
+        addr_bits_seen = l.seen;
+        addr_bits_expected = l.expected;
+        if (l.complete()) {
+            resolveAddress();
+            state_ = MBUS_STATE_DRIVE_DATA;
+        } else {
+            state_ = l.expected == 32 ? MBUS_STATE_DRIVE_LONG_ADDR
+                                      : MBUS_STATE_DRIVE_SHORT_ADDR;
+        }
+    }
+    if (!tx_active)
         return;
     const std::size_t next = txBitsDriven() + cycles;
     const std::size_t last = next - 1;
@@ -257,22 +293,29 @@ LibMbus::MBus_CLKIN_int_handler()
         handleFallingClk();
 }
 
+MBus_logical_t
+LibMbus::addressRole(std::uint32_t addr, int bits) const
+{
+    if (bits == 8) {
+        std::uint8_t prefix = (addr >> 4) & 0xF;
+        if (prefix == bus::kBroadcastPrefix)
+            return MBUS_LOGICAL_RECEIVE_BROADCAST;
+        if (cfg_.short_prefix != 0 && prefix == cfg_.short_prefix)
+            return MBUS_LOGICAL_RECEIVE;
+    } else {
+        std::uint32_t fp = (addr >> 8) & 0xFFFFF;
+        if (cfg_.full_prefix != 0 && fp == cfg_.full_prefix)
+            return MBUS_LOGICAL_RECEIVE;
+    }
+    return logical_;
+}
+
 void
 LibMbus::resolveAddress()
 {
     rx_addr = static_cast<std::uint32_t>(addr_accum);
     rx_addr_bits = addr_bits_expected;
-    if (addr_bits_expected == 8) {
-        std::uint8_t prefix = (rx_addr >> 4) & 0xF;
-        if (prefix == bus::kBroadcastPrefix)
-            logical_ = MBUS_LOGICAL_RECEIVE_BROADCAST;
-        else if (cfg_.short_prefix != 0 && prefix == cfg_.short_prefix)
-            logical_ = MBUS_LOGICAL_RECEIVE;
-    } else {
-        std::uint32_t fp = (rx_addr >> 8) & 0xFFFFF;
-        if (cfg_.full_prefix != 0 && fp == cfg_.full_prefix)
-            logical_ = MBUS_LOGICAL_RECEIVE;
-    }
+    logical_ = addressRole(rx_addr, rx_addr_bits);
 }
 
 void

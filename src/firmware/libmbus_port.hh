@@ -39,6 +39,8 @@
 #include <functional>
 #include <vector>
 
+#include "mbus/address.hh"
+
 namespace mbus {
 namespace firmware {
 
@@ -176,21 +178,29 @@ class LibMbus
     int interruptCount() const { return interrupt_count; }
     const std::uint8_t *txBuf() const { return tx_buf; }
 
-    // -- data-phase fast-forward (FirmwareNode; not in the C API).
+    // -- fast-forward (FirmwareNode; not in the C API).
 
-    /** True at a data-phase clock-high point: the next edge falls and
-     *  drives (transmitter) or passes (forwarder) a data bit, with no
-     *  interjection, error or hold outside the role's own. */
+    /** True at an address- or data-phase clock-high point: the next
+     *  edge falls and drives (transmitter) or passes (forwarder, still
+     *  latching the address or past it) a bit, with no interjection,
+     *  error or hold outside the role's own. */
     bool
-    steadyDataPhase() const
+    steadyCycle() const
     {
-        if (state_ != MBUS_STATE_DRIVE_DATA || !last_clkin ||
-            !clk_forwarding || i_am_interjector ||
+        if (!last_clkin || !clk_forwarding || i_am_interjector ||
             error_ != MBUS_NO_ERROR)
             return false;
-        if (tx_active)
+        if (state_ == MBUS_STATE_DRIVE_DATA && tx_active)
             return logical_ == MBUS_LOGICAL_TRANSMIT && holding_dout;
-        return logical_ == MBUS_LOGICAL_FORWARD && !holding_dout;
+        return (state_ == MBUS_STATE_DRIVE_DATA || latchingAddress()) &&
+               logical_ == MBUS_LOGICAL_FORWARD && !holding_dout;
+    }
+    /** True while a forwarder still latches the address. */
+    bool
+    latchingAddress() const
+    {
+        return state_ == MBUS_STATE_DRIVE_SHORT_ADDR ||
+               state_ == MBUS_STATE_DRIVE_LONG_ADDR;
     }
     bool txActive() const { return tx_active; }
     /** Buffer bits (address included) a transmitter has driven. */
@@ -202,13 +212,26 @@ class LibMbus
     std::size_t txLength() const { return tx_length; }
 
     /**
-     * Closed form of @p cycles steady data cycles (two CLK handlers
-     * each, plus a DIN handler per DATA transition), ending with DIN
-     * at @p din: a forwarder's state is unchanged but for the pin
-     * bookkeeping; a transmitter also advances its buffer position
-     * and last driven bit.
+     * Whole cycles a forwarder still latching the address may skip
+     * while the @p bits-bit address @p word goes by, from its bit
+     * @p first: unbounded when the address leaves it forwarding, up to
+     * its last address cycle when it makes it a receiver, and 0 out of
+     * step with the wire or reading another length.
      */
-    void skipDataCycles(std::uint64_t cycles, bool din);
+    std::uint64_t addressCyclesSkippable(std::uint32_t word, int bits,
+                                         std::uint64_t first) const;
+
+    /**
+     * Closed form of @p cycles steady cycles (two CLK handlers each,
+     * plus a DIN handler per DATA transition), ending with DIN at
+     * @p din: a forwarder still latching shifts in the bits of the
+     * @p addrBits-bit wire address @p addr the cycles carry and
+     * resolves it at its last; past it a forwarder's state is
+     * unchanged but for the pin bookkeeping; a transmitter also
+     * advances its buffer position and last driven bit.
+     */
+    void skipCycles(std::uint64_t cycles, bool din, std::uint32_t addr,
+                    int addrBits);
 
   private:
     struct Event
@@ -232,7 +255,16 @@ class LibMbus
     void SET_DOUT_TO(bool v) { cfg_.set_gpio_val(cfg_.DOUT_gpio, v); }
 
     void resetTransactionState();
+    /** The role the complete @p bits-bit address @p addr gives this
+     *  member. */
+    MBus_logical_t addressRole(std::uint32_t addr, int bits) const;
     void resolveAddress();
+    /** The address latch as a bus::AddressLatch. */
+    bus::AddressLatch
+    latch() const
+    {
+        return {addr_accum, addr_bits_seen, addr_bits_expected};
+    }
     void requestInterjection(bool end_of_message);
     void enterControl();
     void enterError(bool clkin);

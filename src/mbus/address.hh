@@ -15,6 +15,7 @@
 #define MBUS_BUS_ADDRESS_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "mbus/protocol.hh"
@@ -95,6 +96,63 @@ class Address
     std::uint8_t prefix_ = kBroadcastPrefix;
     std::uint32_t fullPrefix_ = 0;
     std::uint8_t fuId_ = 0;
+};
+
+/**
+ * A receiver's address latch (Sec 4.6): bits shift in MSB first, and
+ * the address is 8 bits long, or 32 once its first four read the
+ * full-address marker. The bus controller, the mediator's length
+ * watchdog and the software member latch through it.
+ */
+struct AddressLatch
+{
+    std::uint64_t accum = 0;
+    int seen = 0;
+    int expected = 8;
+
+    bool complete() const { return seen >= expected; }
+
+    /** Latch one bit. */
+    void
+    shift(bool bit)
+    {
+        accum = (accum << 1) | (bit ? 1 : 0);
+        if (++seen == 4 && (accum & 0xF) == kFullAddressMarker)
+            expected = 32;
+    }
+
+    /** Latch @p count bits of the @p bits-bit address @p word (as
+     *  sent, MSB first) from its bit seen on -- a latch in step with
+     *  the wire -- as @p count shift() calls would. */
+    void
+    shiftWord(std::uint32_t word, int bits, int count)
+    {
+        if (count <= 0)
+            return;
+        const std::uint64_t mask = (std::uint64_t(1) << count) - 1;
+        accum = (accum << count) | ((word >> (bits - seen - count)) & mask);
+        const int before = seen;
+        seen += count;
+        if (before < 4 && seen >= 4 &&
+            ((accum >> (seen - 4)) & 0xF) == kFullAddressMarker)
+            expected = 32;
+    }
+
+    /** This latch after the rest of the @p bits-bit address @p word,
+     *  when it is in step with it (its first @p first bits latched,
+     *  more to come) and reads the same length; none otherwise. */
+    std::optional<AddressLatch>
+    completedWith(std::uint32_t word, int bits, std::uint64_t first) const
+    {
+        if (static_cast<std::uint64_t>(seen) != first ||
+            first >= static_cast<std::uint64_t>(bits))
+            return std::nullopt;
+        AddressLatch done = *this;
+        done.shiftWord(word, bits, bits - seen);
+        if (done.expected != bits)
+            return std::nullopt;
+        return done;
+    }
 };
 
 } // namespace bus

@@ -10,21 +10,6 @@
 namespace mbus {
 namespace bus {
 
-namespace {
-
-/** Data cycles needed for @p payloadBits across @p lanes. */
-std::uint32_t
-dataCycles(std::size_t payloadBits, int lanes)
-{
-    if (payloadBits == 0)
-        return 0;
-    return static_cast<std::uint32_t>(
-        (payloadBits + static_cast<std::size_t>(lanes) - 1) /
-        static_cast<std::size_t>(lanes));
-}
-
-} // namespace
-
 BusController::BusController(BusControllerContext ctx, NodeConfig cfg)
     : ctx_(std::move(ctx)), cfg_(std::move(cfg))
 {
@@ -93,9 +78,7 @@ BusController::resetTransaction()
     role_ = Role::None;
     wonArb_ = priorityDriven_ = wonPriority_ = backedOff_ = false;
     addressResolved_ = false;
-    addrAccum_ = 0;
-    addrBitsSeen_ = 0;
-    addrBitsExpected_ = 8;
+    addr_ = AddressLatch{};
     rxBytes_.clear();
     rxBitBuffer_ = 0;
     rxBitsPending_ = 0;
@@ -230,7 +213,9 @@ BusController::handleRising(std::uint32_t r)
                 t->record(trace::EventKind::ArbWin, ctx_.nodeId,
                           wonPriority_ ? 1 : 0);
             }
-            prepareTxBits(txQueue_.front().msg);
+            txTotalCycles_ = static_cast<std::uint32_t>(
+                txWireCycles(txQueue_.front().msg, lanes()));
+            txCyclesDriven_ = 0;
         } else {
             role_ = Role::Fwd;
             if (requestedThisTxn_)
@@ -239,8 +224,7 @@ BusController::handleRising(std::uint32_t r)
         return;
     }
 
-    // Address and data latches: wire cycle index from 0.
-    std::uint32_t cycle = r - 4;
+    // Address and data latches.
     if (role_ == Role::Tx) {
         ++stats_.driveCycles;
         if (r == 3 + txTotalCycles_)
@@ -248,49 +232,46 @@ BusController::handleRising(std::uint32_t r)
         return;
     }
 
-    if (!addressResolved_) {
+    if (!addressResolved_)
         latchAddressBit(ctx_.localData.value());
-        (void)cycle;
-    } else {
+    else
         latchDataBits();
-    }
 }
 
 void
 BusController::latchAddressBit(bool bit)
 {
-    addrAccum_ = (addrAccum_ << 1) | (bit ? 1 : 0);
-    ++addrBitsSeen_;
-    if (addrBitsSeen_ == 4 &&
-        (addrAccum_ & 0xF) == kFullAddressMarker) {
-        addrBitsExpected_ = 32;
-    }
-    if (addrBitsSeen_ < addrBitsExpected_)
-        return;
+    addr_.shift(bit);
+    if (addr_.complete())
+        resolveAddress();
+}
 
+bool
+BusController::matches(const AddressLatch &latch, Address &addr) const
+{
+    if (latch.expected == 8) {
+        addr = Address::decodeShort(
+            static_cast<std::uint8_t>(latch.accum & 0xFF));
+        if (addr.isBroadcast())
+            return (cfg_.broadcastChannels >> addr.channel()) & 1;
+        return hasShortPrefix() && addr.shortPrefix() == shortPrefix_;
+    }
+    addr = Address::decodeFull(
+        static_cast<std::uint32_t>(latch.accum & 0xFFFFFFFFu));
+    return addr.fullPrefix() == cfg_.fullPrefix;
+}
+
+void
+BusController::resolveAddress()
+{
     addressResolved_ = true;
-    bool matched = false;
-    if (addrBitsExpected_ == 8) {
-        rxAddr_ = Address::decodeShort(
-            static_cast<std::uint8_t>(addrAccum_ & 0xFF));
-        if (rxAddr_.isBroadcast()) {
-            matched = (cfg_.broadcastChannels >> rxAddr_.channel()) & 1;
-        } else {
-            matched = hasShortPrefix() &&
-                      rxAddr_.shortPrefix() == shortPrefix_;
-        }
-    } else {
-        rxAddr_ = Address::decodeFull(
-            static_cast<std::uint32_t>(addrAccum_ & 0xFFFFFFFFu));
-        matched = rxAddr_.fullPrefix() == cfg_.fullPrefix;
-    }
-    if (matched) {
-        role_ = Role::Rx; // Layer wakeup begins on subsequent edges.
-        if (auto *t = ctx_.sim.tracer())
-            t->record(trace::EventKind::AddrPhase, ctx_.nodeId,
-                      static_cast<std::int64_t>(addrAccum_),
-                      static_cast<std::int32_t>(addrBitsExpected_));
-    }
+    if (!matches(addr_, rxAddr_))
+        return;
+    role_ = Role::Rx; // Layer wakeup begins on subsequent edges.
+    if (auto *t = ctx_.sim.tracer())
+        t->record(trace::EventKind::AddrPhase, ctx_.nodeId,
+                  static_cast<std::int64_t>(addr_.accum),
+                  static_cast<std::int32_t>(addr_.expected));
 }
 
 void
@@ -338,7 +319,22 @@ BusController::commitRxByte(std::uint8_t byte)
 }
 
 std::uint64_t
-BusController::dataCyclesSkippable() const
+BusController::rxRoomCycles() const
+{
+    if (ctx_.sim.tracer() && rxBytes_.empty())
+        return 0;
+    // Bytes committable before the overflow abort.
+    const std::uint64_t room =
+        rxBytes_.size() < cfg_.rxBufferLimit
+            ? std::min<std::uint64_t>(cfg_.rxBufferLimit - rxBytes_.size(),
+                                      std::uint64_t(1) << 40)
+            : 0;
+    return (8 * room + 7 - static_cast<std::uint64_t>(rxBitsPending_)) /
+           static_cast<std::uint64_t>(lanes());
+}
+
+std::uint64_t
+BusController::cyclesSkippable(const Message *msg, std::uint64_t first) const
 {
     if (!ctx_.busDomain.active() || phase_ != Phase::Active ||
         wantInterject_)
@@ -350,89 +346,78 @@ BusController::dataCyclesSkippable() const
     if ((role_ == Role::Rx || ctx_.intCtl.pending()) &&
         !ctx_.layerDomain.active())
         return 0; // The layer still steps on every edge.
-    switch (role_) {
-      case Role::Tx: {
-        // Past the address, with every falling edge since the reserved
-        // cycle driven (cycle f - 4 went out on falling edge f).
-        if (mediatorOwnsData() || txCyclesDriven_ + 3 != f ||
-            txCyclesDriven_ < addrBits_.size())
+    if (role_ == Role::Tx) {
+        // Every falling edge since the reserved cycle driven (cycle
+        // f - 4 went out on falling edge f).
+        if (mediatorOwnsData() || txCyclesDriven_ + 3 != f)
             return 0;
         const std::uint64_t left = txTotalCycles_ - txCyclesDriven_;
         return left > 2 ? left - 2 : 0;
-      }
-      case Role::Rx: {
-        if (ctx_.sim.tracer() && rxBytes_.empty())
-            return 0;
-        // Bytes committable before the overflow abort.
-        const std::uint64_t room =
-            rxBytes_.size() < cfg_.rxBufferLimit
-                ? std::min<std::uint64_t>(
-                      cfg_.rxBufferLimit - rxBytes_.size(),
-                      std::uint64_t(1) << 40)
-                : 0;
-        return (8 * room + 7 - static_cast<std::uint64_t>(rxBitsPending_)) /
-               static_cast<std::uint64_t>(lanes());
-      }
-      case Role::Fwd:
-      case Role::None: // Latches as a forwarder (latchDataBits()).
-        return addressResolved_ ? ~std::uint64_t(0) : 0;
     }
-    return 0;
+    const int bits = msg ? msg->dest.bitCount() : 0;
+    const bool inAddress = first < static_cast<std::uint64_t>(bits);
+    if (addressResolved_) {
+        if (inAddress)
+            return 0; // Its address ended before the transmitter's.
+        return role_ == Role::Rx ? rxRoomCycles() : ~std::uint64_t(0);
+    }
+    // Still latching: in step with the transmitter's address (every
+    // rising edge since the reserved cycle latched a bit of it), and
+    // reading the same length.
+    if (!inAddress || static_cast<std::uint64_t>(f) != first + 3)
+        return 0;
+    const std::optional<AddressLatch> done =
+        addr_.completedWith(msg->dest.encoded(), bits, first);
+    if (!done)
+        return 0;
+    Address addr;
+    if (!matches(*done, addr))
+        return ~std::uint64_t(0);
+    const std::uint64_t left = static_cast<std::uint64_t>(bits) - first;
+    if (ctx_.sim.tracer())
+        return left - 1; // The match is traced on its edge.
+    if (!ctx_.layerDomain.active())
+        return left; // Its layer wakes on the edges after it.
+    return left + rxRoomCycles();
 }
 
 void
-BusController::skipDataCycles(const std::vector<std::uint8_t> &payload,
-                              std::uint64_t first, std::uint64_t cycles)
+BusController::skipCycles(const SkipWindow &win)
 {
     const auto w = static_cast<std::uint64_t>(lanes());
-    switch (role_) {
-      case Role::Tx:
-        txCyclesDriven_ += static_cast<std::uint32_t>(cycles);
-        stats_.driveCycles += cycles;
-        return;
-      case Role::Rx:
-        // The latch order of latchDataBits(): cycle by cycle, lane 0
-        // first -- the payload's own bit order.
-        stats_.fifoBits += cycles * w;
-        for (std::uint64_t p = first * w; p < (first + cycles) * w; ++p) {
-            ++dataBitsSeen_;
-            rxBitBuffer_ = (rxBitBuffer_ << 1) |
-                           (payloadBit(payload, p) ? 1 : 0);
-            if (++rxBitsPending_ == 8) {
-                ++dataBytesSeen_;
-                rxBytes_.push_back(
-                    static_cast<std::uint8_t>(rxBitBuffer_ & 0xFF));
-                rxBitBuffer_ = 0;
-                rxBitsPending_ = 0;
-            }
-        }
-        return;
-      case Role::Fwd:
-      case Role::None:
-        dataBytesSeen_ += (dataBitsSeen_ % 8 + cycles * w) / 8;
-        dataBitsSeen_ += cycles * w;
+    if (role_ == Role::Tx) {
+        txCyclesDriven_ += static_cast<std::uint32_t>(win.cycles);
+        stats_.driveCycles += win.cycles;
+        // Past the address the extra lanes are driven (driveTxCycle()):
+        // each holds the last skipped cycle's bit, which the skipped
+        // segments already carry.
+        if (win.addrSkipped() > 0 && win.dataCycles() > 0)
+            for (int l = 1; l < lanes(); ++l)
+                driveLane(l, txWireBit(*win.msg, lanes(),
+                                       win.first + win.cycles - 1, l));
         return;
     }
-}
-
-void
-BusController::prepareTxBits(const Message &msg)
-{
-    addrBits_.clear();
-    payloadBits_.clear();
-
-    int addr_bits = msg.dest.bitCount();
-    std::uint32_t encoded = msg.dest.encoded();
-    for (int i = addr_bits - 1; i >= 0; --i)
-        addrBits_.push_back((encoded >> i) & 1);
-
-    for (std::uint8_t byte : msg.payload)
-        for (int i = 7; i >= 0; --i)
-            payloadBits_.push_back((byte >> i) & 1);
-
-    txTotalCycles_ = static_cast<std::uint32_t>(addrBits_.size()) +
-                     dataCycles(payloadBits_.size(), lanes());
-    txCyclesDriven_ = 0;
+    if (const std::uint64_t k = win.addrSkipped()) {
+        addr_.shiftWord(win.msg->dest.encoded(), win.msg->dest.bitCount(),
+                        static_cast<int>(k));
+        if (addr_.complete())
+            resolveAddress();
+    }
+    const std::uint64_t bits = win.dataCycles() * w;
+    if (role_ == Role::Rx) {
+        // The latch order of latchDataBits(): cycle by cycle, lane 0
+        // first -- the data's own bit order.
+        stats_.fifoBits += bits;
+        dataBitsSeen_ += bits;
+        const std::size_t before = rxBytes_.size();
+        latchBits(*win.data, win.firstData() * w, bits, rxBytes_,
+                  rxBitBuffer_, rxBitsPending_);
+        dataBytesSeen_ += rxBytes_.size() - before;
+        return;
+    }
+    // A forwarder, or a chip with no role (latchDataBits()).
+    dataBytesSeen_ += (dataBitsSeen_ % 8 + bits) / 8;
+    dataBitsSeen_ += bits;
 }
 
 void
@@ -474,18 +459,13 @@ BusController::driveTxCycle(std::uint32_t cycleIdx)
     if (mediatorOwnsData())
         return; // Watchdog fired; the mediator owns the line now.
     ++txCyclesDriven_;
-    std::size_t addr_count = addrBits_.size();
-    if (cycleIdx < addr_count) {
-        driveLane(0, addrBits_[cycleIdx]);
-        return;
-    }
-    std::uint32_t c = cycleIdx - static_cast<std::uint32_t>(addr_count);
-    int w = lanes();
-    for (int l = 0; l < w; ++l) {
-        std::size_t p = static_cast<std::size_t>(c) * w + l;
-        driveLane(l, p < payloadBits_.size() ? payloadBits_[p] != 0
-                                             : true);
-    }
+    const Message &msg = txQueue_.front().msg;
+    // An address cycle drives lane 0 alone.
+    const int w = cycleIdx < static_cast<std::uint32_t>(msg.dest.bitCount())
+                      ? 1
+                      : lanes();
+    for (int l = 0; l < w; ++l)
+        driveLane(l, txWireBit(msg, lanes(), cycleIdx, l));
 }
 
 void
@@ -741,7 +721,7 @@ BusController::completeCurrentTx(TxStatus status)
         // Interrupted mid-message: report completed payload bytes
         // actually put on the wire ("both TX and RX nodes know how
         // far through a message they were", Sec 7).
-        std::size_t addr = addrBits_.size();
+        const auto addr = static_cast<std::size_t>(tx.msg.dest.bitCount());
         std::size_t payload_cycles =
             txCyclesDriven_ > addr ? txCyclesDriven_ - addr : 0;
         bytesSent = std::min(bytesSent,

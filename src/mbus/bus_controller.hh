@@ -22,12 +22,16 @@
  * never from global state: a controller woken mid-arbitration reads
  * the same counters the hardware's always-on frontend would provide.
  *
- * In a steady data phase the controller can also be advanced whole
- * cycles at a time (dataCyclesSkippable / skipDataCycles, driven by
- * MBusSystem's data-phase fast-forward): it reports how far it may
- * skip before its next protocol decision -- its last two cycles as
- * transmitter, its RX-capacity point as receiver -- and applies the
- * skipped cycles' counts and latched bytes exactly.
+ * From the reserved cycle on, through the address and a steady data
+ * phase, the controller can also be advanced whole cycles at a time
+ * (cyclesSkippable / skipCycles, driven by MBusSystem's
+ * fast-forward): it reports how far it may skip before its next
+ * protocol decision -- its last two cycles as transmitter, its
+ * RX-capacity point as receiver, and, while it still latches the
+ * address, the last address cycle when the address will select it and
+ * wake its layer (or, under a tracer, the cycle before it) -- and
+ * applies the skipped cycles' counts, address bits and latched bytes
+ * exactly.
  */
 
 #ifndef MBUS_BUS_BUS_CONTROLLER_HH
@@ -39,6 +43,7 @@
 #include <vector>
 
 #include "mbus/config.hh"
+#include "mbus/data_phase.hh"
 #include "mbus/interrupt_controller.hh"
 #include "mbus/message.hh"
 #include "mbus/protocol.hh"
@@ -199,21 +204,28 @@ class BusController : public ClockEdgeSink
     /** Edge delivery from the sleep controller (ClockEdgeSink). */
     void onClkEdge(bool rising) override;
 
-    // --- Data-phase fast-forward (MBusSystem) -------------------------
+    // --- Fast-forward (MBusSystem) ------------------------------------
 
     /**
-     * Whole data cycles this controller could skip from the current
-     * clock-high point of a steady data phase without meeting a
-     * protocol decision: a transmitter keeps its last two cycles, a
-     * receiver stops short of its RX-capacity point (and, under a
-     * tracer, of its first byte, which is traced), a forwarder has no
-     * bound. A chip past its address with no role (it missed the
-     * reserved cycle, e.g. powered up mid-transaction) latches like a
-     * forwarder and skips as one. 0 outside a steady data phase:
-     * unpowered, address not resolved, interjection wanted, edge
-     * counts out of step, or a layer domain still waking.
+     * Whole cycles this controller could skip from the current
+     * clock-high point past the reserved cycle, the transmitter
+     * sending @p msg (nullptr: nobody transmits) with wire cycle
+     * @p first due next, without meeting a protocol decision: a
+     * transmitter keeps its last two cycles, a receiver stops short of
+     * its RX-capacity point (and, under a tracer, of its first byte,
+     * which is traced), a forwarder has no bound. A chip still
+     * latching the address must be in step with the transmitter; its
+     * match, a function of @p msg's address, ends the window at its
+     * last address cycle when it would wake the layer, before it under
+     * a tracer (the match is traced), and otherwise carries on as the
+     * receiver or forwarder it becomes. A chip past its address with
+     * no role (it missed the reserved cycle, e.g. powered up
+     * mid-transaction) latches like a forwarder and skips as one. 0
+     * elsewhere: unpowered, interjection wanted, edge counts out of
+     * step, or a layer domain still waking.
      */
-    std::uint64_t dataCyclesSkippable() const;
+    std::uint64_t cyclesSkippable(const Message *msg,
+                                  std::uint64_t first) const;
 
     /** The message on the wire while this controller transmits. */
     const Message *
@@ -224,22 +236,18 @@ class BusController : public ClockEdgeSink
                    : nullptr;
     }
 
-    /** Data cycles (address cycles excluded) a transmitter has
-     *  driven in this transaction. */
-    std::uint64_t
-    dataCyclesDriven() const
-    {
-        return txCyclesDriven_ - addrBits_.size();
-    }
+    /** Wire cycles (address included) a transmitter has driven in
+     *  this transaction. */
+    std::uint64_t cyclesDriven() const { return txCyclesDriven_; }
 
     /**
-     * Do what @p cycles skipped data cycles would have done: data
-     * cycles [@p first, @p first + @p cycles) of @p payload, the bits
-     * on the wire (payloadBit()). A transmitter counts its drives, a
-     * receiver latches and counts every bit, a forwarder counts.
+     * Do what the cycles of @p win would have done: a transmitter
+     * counts its drives (and, past its address, drives its extra
+     * lanes at the levels the skip left them), a chip latching the
+     * address shifts in its bits and resolves at the last, a receiver
+     * latches and counts every data bit, a forwarder counts.
      */
-    void skipDataCycles(const std::vector<std::uint8_t> &payload,
-                        std::uint64_t first, std::uint64_t cycles);
+    void skipCycles(const SkipWindow &win);
 
   private:
     enum class Phase : std::uint8_t {
@@ -276,9 +284,15 @@ class BusController : public ClockEdgeSink
 
     // Sub-phase helpers.
     void latchAddressBit(bool bit);
+    void resolveAddress();
+    /** Whether the complete address in @p latch selects this chip,
+     *  decoded into @p addr. */
+    bool matches(const AddressLatch &latch, Address &addr) const;
+    /** Data cycles a receiver may latch before its overflow abort (0
+     *  under a tracer until its first, traced, byte). */
+    std::uint64_t rxRoomCycles() const;
     void latchDataBits();
     void commitRxByte(std::uint8_t byte);
-    void prepareTxBits(const Message &msg);
     void driveTxCycle(std::uint32_t cycleIdx);
     void requestInterjection(bool endOfMessage);
     void resolveOutcome();
@@ -326,16 +340,12 @@ class BusController : public ClockEdgeSink
     bool wonPriority_ = false;
     bool backedOff_ = false;
 
-    // TX bit stream.
-    std::vector<std::uint8_t> addrBits_;
-    std::vector<std::uint8_t> payloadBits_;
+    // TX position (wire cycles, address included).
     std::uint32_t txTotalCycles_ = 0;
     std::uint32_t txCyclesDriven_ = 0;
 
     // RX address / data accumulation.
-    std::uint64_t addrAccum_ = 0;
-    int addrBitsSeen_ = 0;
-    int addrBitsExpected_ = 8;
+    AddressLatch addr_;
     bool addressResolved_ = false;
     Address rxAddr_;
     std::vector<std::uint8_t> rxBytes_;

@@ -86,17 +86,18 @@ struct SystemConfig
      */
     bool chunkedDispatch = true;
     /**
-     * Data-phase fast-forward (edge trains and chunked dispatch on,
-     * no waveform recorder; a software member joins in while it
-     * forwards or transmits): once a transaction's data phase is
-     * steady, the mediator skips whole data cycles in closed form --
-     * every FSM counter, ISR count, net level, transition count and
-     * edge epoch, and so every energy cell they price, lands exactly
-     * where the skipped edges would have put it -- up to two cycles
-     * before the last, the receiver's capacity point, the length
-     * limit, or the earliest pending event the ring does not own,
-     * when the skip saves kernel events. Only kernel costs change.
-     * Off simulates every edge.
+     * Address- and data-phase fast-forward (edge trains and chunked
+     * dispatch on, no waveform recorder; a software member joins in
+     * while it forwards or transmits): from a transaction's reserved
+     * cycle on, once the ring is steady, the mediator skips whole
+     * cycles in closed form -- every FSM counter, address latch, ISR
+     * count, net level, transition count and edge epoch, and so every
+     * energy cell they price, lands exactly where the skipped edges
+     * would have put it -- up to two cycles before the last, the
+     * receiver's capacity point, the last address cycle of a receiver
+     * whose layer must wake, the length limit, or the earliest pending
+     * event the ring does not own, when the skip saves kernel events.
+     * Only kernel costs change. Off simulates every edge.
      */
     bool fastForward = true;
 

@@ -86,6 +86,35 @@ forEachChangeWord(const std::vector<std::uint8_t> &payload,
 
 } // namespace
 
+void
+latchBits(const std::vector<std::uint8_t> &stream, std::uint64_t p,
+          std::uint64_t count, std::vector<std::uint8_t> &bytes,
+          std::uint32_t &buffer, int &pending)
+{
+    auto shift = [&](bool bit) {
+        buffer = (buffer << 1) | (bit ? 1 : 0);
+        if (++pending == 8) {
+            bytes.push_back(static_cast<std::uint8_t>(buffer & 0xFF));
+            buffer = 0;
+            pending = 0;
+        }
+    };
+    const std::uint64_t end = p + count;
+    for (; pending != 0 && p < end; ++p)
+        shift(payloadBit(stream, p));
+    auto byte = [&stream](std::uint64_t i) -> unsigned {
+        return i < stream.size() ? stream[i] : 0xFF;
+    };
+    const unsigned s = static_cast<unsigned>(p % 8);
+    for (; p + 8 <= end; p += 8) {
+        const unsigned hi = byte(p / 8);
+        bytes.push_back(static_cast<std::uint8_t>(
+            s == 0 ? hi : (hi << s) | (byte(p / 8 + 1) >> (8 - s))));
+    }
+    for (; p < end; ++p)
+        shift(payloadBit(stream, p));
+}
+
 LaneRun
 laneTransitions(const std::vector<std::uint8_t> &payload, int lanes,
                 std::uint64_t first, std::uint64_t cycles,

@@ -87,9 +87,7 @@ Mediator::startClocking()
     state_ = State::Clocking;
     clkLevel_ = true;
     rising_ = falling_ = 0;
-    addrBitsSeen_ = 0;
-    addrBitsExpected_ = 8;
-    addrAccum_ = 0;
+    addr_ = AddressLatch{};
     dataCyclesSeen_ = 0;
 
     // Arbitration: the mediator does not forward DATA. If the host's
@@ -191,24 +189,18 @@ Mediator::onTrainTick(bool level)
 bool
 Mediator::fastForward()
 {
-    // Data phase only, on the nominal tick, with every edge flushed
-    // by the next one (H > (n + 2) h).
-    if (addrBitsSeen_ < addrBitsExpected_ || medDrivingData_ ||
-        ctx_.cfg.clockDriftFactor != 1.0 ||
+    // Past the reserved cycle, on the nominal tick, with every edge
+    // flushed by the next one (H > (n + 2) h).
+    if (rising_ < 3 || medDrivingData_ || ctx_.cfg.clockDriftFactor != 1.0 ||
         armedHalfPeriod_ <= ringCheckDelay())
         return false;
-    const auto w = static_cast<std::uint64_t>(ctx_.cfg.dataLanes);
-    const std::uint64_t latchable = (8 * maxMessageBytes_ + 7) / w;
-    if (latchable <= dataCyclesSeen_)
-        return false;
-    const std::uint32_t cycles = ring_->skipDataPhase(
-        armedHalfPeriod_, latchable - dataCyclesSeen_, checkEvent_);
+    const std::uint32_t cycles = ring_->skipCycles(armedHalfPeriod_,
+                                                   checkEvent_);
     if (cycles == 0)
         return false;
     rising_ += cycles;
     falling_ += cycles;
     stats_.clockCycles += cycles;
-    dataCyclesSeen_ += cycles;
 
     // Resume with this tick's falling edge, cycles whole cycles on.
     clockEvent_.cancel();
@@ -222,6 +214,35 @@ Mediator::fastForward()
     clockEvent_ = ctx_.sim.scheduleEdgeTrain(
         resume, armedHalfPeriod_, tickEdgesLeft_, tickSink_, false);
     return true;
+}
+
+std::uint64_t
+Mediator::latchableCycles(const Message *msg, std::uint64_t first) const
+{
+    // Data cycles latched without passing the length limit (see
+    // watchdogLatch()).
+    const auto w = static_cast<std::uint64_t>(ctx_.cfg.dataLanes);
+    const std::uint64_t latchable = (8 * maxMessageBytes_ + 7) / w;
+    const int bits = msg ? msg->dest.bitCount() : 0;
+    if (first < static_cast<std::uint64_t>(bits)) {
+        // Still latching the transmitter's address: in step with it,
+        // and reading the same length.
+        if (!addr_.completedWith(msg->dest.encoded(), bits, first))
+            return 0;
+        return static_cast<std::uint64_t>(bits) - first + latchable;
+    }
+    if (!addr_.complete() || latchable <= dataCyclesSeen_)
+        return 0;
+    return latchable - dataCyclesSeen_;
+}
+
+void
+Mediator::skipLatches(const SkipWindow &win)
+{
+    if (const std::uint64_t k = win.addrSkipped())
+        addr_.shiftWord(win.msg->dest.encoded(), win.msg->dest.bitCount(),
+                        static_cast<int>(k));
+    dataCyclesSeen_ += win.dataCycles();
 }
 
 void
@@ -253,13 +274,8 @@ Mediator::afterRisingEdge(std::uint32_t r)
 void
 Mediator::watchdogLatch()
 {
-    if (addrBitsSeen_ < addrBitsExpected_) {
-        addrAccum_ = (addrAccum_ << 1) | (ctx_.dataIn.value() ? 1 : 0);
-        ++addrBitsSeen_;
-        if (addrBitsSeen_ == 4 &&
-            (addrAccum_ & 0xF) == kFullAddressMarker) {
-            addrBitsExpected_ = 32;
-        }
+    if (!addr_.complete()) {
+        addr_.shift(ctx_.dataIn.value());
         return;
     }
     ++dataCyclesSeen_;

@@ -14,12 +14,13 @@
  * The mediator is hosted on one chip (the processor in the paper's
  * systems) and drives that chip's output wire controllers.
  *
- * In a steady data phase it may skip whole cycles: at each falling
- * tick it bounds the skip by its length watchdog and hands the rest
- * of the decision to the ring (MBusSystem::skipDataPhase: the entry
- * test, the foreign-event bound, pricing and the skip of chips,
- * segments and software member alike), then resumes clocking at the
- * far end.
+ * From the reserved cycle on it may skip whole cycles: at each
+ * falling tick past it the ring decides (MBusSystem::skipCycles: the
+ * entry test, the foreign-event bound, pricing and the skip of chips,
+ * segments, software member and this mediator's length watchdog
+ * alike, which bounds the window at its length limit and latches the
+ * skipped address bits and data cycles in closed form), then it
+ * resumes clocking at the far end.
  */
 
 #ifndef MBUS_BUS_MEDIATOR_HH
@@ -27,8 +28,10 @@
 
 #include <cstdint>
 
+#include "mbus/address.hh"
 #include "mbus/bus_controller.hh"
 #include "mbus/config.hh"
+#include "mbus/data_phase.hh"
 #include "mbus/wire_controller.hh"
 #include "sim/event_queue.hh"
 #include "sim/simulator.hh"
@@ -103,9 +106,20 @@ class Mediator : private wire::EdgeListener
     /** Bus clock period currently in use. */
     sim::SimTime period() const;
 
-    /** Install (or remove, with nullptr) the data-phase fast-forward
-     *  of @p ring; it runs only on the edge-train clock path. */
+    /** Install (or remove, with nullptr) the fast-forward of @p ring;
+     *  it runs only on the edge-train clock path. */
     void setFastForward(MBusSystem *ring) { ring_ = ring; }
+
+    /** Whole cycles a window from wire cycle @p first of the
+     *  transmitter's @p msg (nullptr: none) may skip before the length
+     *  watchdog's kill; 0 when the watchdog's address latch is out of
+     *  step with the transmitter's address. */
+    std::uint64_t latchableCycles(const Message *msg,
+                                  std::uint64_t first) const;
+
+    /** The watchdog's latches over the cycles of @p win: the address
+     *  bits it shifts in, then the data cycles it counts. */
+    void skipLatches(const SkipWindow &win);
 
     /** Callback fired each time the bus returns to idle (used by
      *  rotating-priority policies, Sec 7). */
@@ -168,10 +182,9 @@ class Mediator : private wire::EdgeListener
     void armTickTrain();
 
     /**
-     * Data-phase fast-forward at a falling tick: have the ring skip
-     * whole data cycles (MBusSystem::skipDataPhase), then re-arm the
-     * tick and ring-check trains at the far end. Bounded here by the
-     * length watchdog (no skipped latch reaches the length limit).
+     * Fast-forward at a falling tick past the reserved cycle: have the
+     * ring skip whole cycles (MBusSystem::skipCycles), then re-arm the
+     * tick and ring-check trains at the far end.
      *
      * @return true when cycles were skipped (the tick is not driven).
      */
@@ -226,9 +239,7 @@ class Mediator : private wire::EdgeListener
     bool medDrivingData_ = false;
 
     // Watchdog address/byte tracking.
-    int addrBitsSeen_ = 0;
-    int addrBitsExpected_ = 8;
-    std::uint64_t addrAccum_ = 0;
+    AddressLatch addr_;
     std::uint64_t dataCyclesSeen_ = 0;
 
     // Interjection.

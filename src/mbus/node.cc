@@ -87,12 +87,12 @@ Node::bind(wire::Net &clkIn, wire::Net &clkOut, wire::Net &dataIn,
 }
 
 void
-Node::skipDataCycles(const std::vector<std::uint8_t> &payload,
-                     std::uint64_t first, std::uint32_t cycles)
+Node::skipCycles(const SkipWindow &win)
 {
-    // The arb-break logic is idle past the arbitration cycle.
-    sleepCtl_->skipCycles(cycles);
-    busCtl_->skipDataCycles(payload, first, cycles);
+    // The arb-break logic and the interrupt controller's null-
+    // transaction release are idle past the arbitration cycle.
+    sleepCtl_->skipCycles(static_cast<std::uint32_t>(win.cycles));
+    busCtl_->skipCycles(win);
 }
 
 void

@@ -114,14 +114,12 @@ class Node : private wire::EdgeListener
     bool awake() const { return layerDomain_->active(); }
 
     /**
-     * Data-phase fast-forward: advance the sleep controller, the bus
-     * controller and the always-on edge logic across @p cycles whole
-     * data cycles of @p payload starting at data cycle @p first (see
-     * BusController::skipDataCycles). Ring segments skip their own
-     * edges.
+     * Fast-forward: advance the sleep controller, the bus controller
+     * and the always-on edge logic across the cycles of @p win (see
+     * BusController::skipCycles). Ring segments skip their own edges,
+     * first.
      */
-    void skipDataCycles(const std::vector<std::uint8_t> &payload,
-                        std::uint64_t first, std::uint32_t cycles);
+    void skipCycles(const SkipWindow &win);
 
     // --- Identity / component access ----------------------------------
 

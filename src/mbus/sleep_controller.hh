@@ -67,7 +67,7 @@ class SleepController : private wire::EdgeListener
     /** Bus controller signals end-of-transaction; counters reset. */
     void noteIdle();
 
-    /** Data-phase fast-forward: count @p cycles whole clock cycles
+    /** Fast-forward: count @p cycles whole clock cycles
      *  (one falling and one rising edge each) without delivering
      *  them; the bus domain is already active and the bus controller
      *  skips the same cycles itself. */

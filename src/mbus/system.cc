@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <memory>
 #include <set>
 #include <utility>
@@ -483,11 +484,11 @@ MBusSystem::softDinDelay(std::size_t tx) const
 }
 
 std::uint32_t
-MBusSystem::skipDataPhase(sim::SimTime half, std::uint64_t latchable,
-                          const sim::EventHandle &check)
+MBusSystem::skipCycles(sim::SimTime half, const sim::EventHandle &check)
 {
     std::size_t tx = 0;
-    std::uint64_t cycles = std::min(latchable, dataCyclesSkippable(half, tx));
+    SkipWindow win;
+    std::uint64_t cycles = cyclesSkippable(half, tx, win);
     if (cycles == 0)
         return 0;
     // The mediator's queued ring check is its own, and the tick train
@@ -497,71 +498,82 @@ MBusSystem::skipDataPhase(sim::SimTime half, std::uint64_t latchable,
     const sim::SimTime until = std::min(
         sim_.queue().nextTimeExcept(check, wdPoll_), sim_.runLimit());
     const sim::SimTime cycle = 2 * half;
-    cycles = std::min<std::uint64_t>(
+    win.cycles = std::min<std::uint64_t>(
         {cycles, static_cast<std::uint64_t>((until - now) / cycle),
          std::uint64_t(1) << 31});
-    if (cycles == 0)
+    if (win.cycles == 0)
         return 0;
     // Take only a skip that saves kernel events (every train it
     // restarts priced, the mediator's included): short ones do not,
     // the less so the larger the ring. A window may price below a
     // shorter one (a lane that ends on a beat pays its warm-up
     // again), so one that runs past the poll also tries ending there.
-    if (skipSavings(tx, static_cast<std::uint32_t>(cycles)) <= 0) {
+    if (skipSavings(tx, win) <= 0) {
         const auto shorter = static_cast<std::uint64_t>(
             (sim_.queue().nextTimeExcept(check) - now) / cycle);
-        if (shorter == 0 || shorter >= cycles ||
-            skipSavings(tx, static_cast<std::uint32_t>(shorter)) <= 0)
+        if (shorter == 0 || shorter >= win.cycles)
             return 0;
-        cycles = shorter;
+        win.cycles = shorter;
+        if (skipSavings(tx, win) <= 0)
+            return 0;
     }
-    skipDataCycles(tx, static_cast<std::uint32_t>(cycles), half);
-    return static_cast<std::uint32_t>(cycles);
+    skipWindow(tx, win, half);
+    return static_cast<std::uint32_t>(win.cycles);
 }
 
 std::uint64_t
-MBusSystem::dataCyclesSkippable(sim::SimTime half, std::size_t &tx) const
+MBusSystem::cyclesSkippable(sim::SimTime half, std::size_t &tx,
+                            SkipWindow &win) const
 {
     const std::size_t n = nodes_.size();
     const std::size_t none = ringSize();
-    std::uint64_t room = ~std::uint64_t(0);
+    // The transmitter, and the wire cycle it drives next.
     tx = none;
     for (std::size_t i = 0; i < n; ++i) {
         const BusController &ctl = nodes_[i]->busController();
-        room = std::min(room, ctl.dataCyclesSkippable());
-        if (room == 0)
-            return 0;
         if (ctl.transmitting()) {
             if (tx != none)
                 return 0;
             tx = i;
+            win.msg = ctl.transmitting();
+            win.first = ctl.cyclesDriven();
         }
     }
     if (soft_ && soft_->transmitting()) {
         if (tx != none)
             return 0;
         tx = n;
+        win.msg = soft_->transmitting();
+        win.first = soft_->cyclesDriven();
     }
-    if (soft_) {
-        room = std::min(room,
-                        soft_->dataCyclesSkippable(half, softDinDelay(tx)));
-        if (room == 0)
-            return 0;
-    }
+    const bool inAddress = win.first < win.addrCycles();
+    std::uint64_t room = mediator_->latchableCycles(win.msg, win.first);
+    for (std::size_t i = 0; i < n && room != 0; ++i)
+        room = std::min(room, nodes_[i]->busController().cyclesSkippable(
+                                  win.msg, win.first));
+    if (soft_ && room != 0)
+        room = std::min(room, soft_->cyclesSkippable(
+                                  half, softDinDelay(tx), win.msg,
+                                  win.first));
+    if (room == 0)
+        return 0;
     // Every chip forwards, except where the mediator drives CLK
-    // (chip 0) and the transmitter drives its lanes.
+    // (chip 0) and the transmitter drives its lanes (lane 0 alone in
+    // its address).
     for (std::size_t i = 0; i < n; ++i) {
         Node &node = *nodes_[i];
         if (node.clkWireController().forwarding() == (i == 0) ||
             node.dataWireController().forwarding() == (i == tx))
             return 0;
         for (std::size_t l = 0; l < node.laneWireControllers(); ++l)
-            if (node.laneWireController(l).forwarding() == (i == tx))
+            if (node.laneWireController(l).forwarding() ==
+                (i == tx && !inAddress))
                 return 0;
     }
     // Every segment settled, unforced and undamaged: CLK high, each
-    // DATA lane at the level its transmitter drives -- or, with none,
-    // at one level all around the ring.
+    // DATA lane at the level its transmitter drives (or, in its
+    // address, forwards) -- or, with none, at one level all around the
+    // ring.
     auto steady = [](const wire::Net &seg, bool level) {
         return seg.settled() && !seg.forced() && seg.dropsPending() == 0 &&
                seg.value() == level && seg.drivenValue() == level;
@@ -584,7 +596,7 @@ std::uint64_t
 MBusSystem::tailClkEpochAt(sim::SimTime t, sim::SimTime half) const
 {
     // The skipped edge k reaches the tail k half periods after the
-    // first, which the mediator drives now (see skipDataCycles()).
+    // first, which the mediator drives now (see skipWindow()).
     const std::size_t tail = ringSize() - 1;
     const sim::SimTime lag = soft_ ? soft_->clkIsrLatency() : 0;
     const sim::SimTime first =
@@ -627,51 +639,78 @@ MBusSystem::passWatchdogPolls(sim::SimTime end, sim::SimTime half)
 }
 
 MBusSystem::Stretch
-MBusSystem::stretch(std::size_t tx, std::uint32_t cycles)
+MBusSystem::stretch(std::size_t tx, const SkipWindow &win)
 {
     Stretch s;
     const std::size_t src = tx == ringSize() ? 0 : tx;
     s.start[0] = dataSegs_[src]->value();
     for (std::size_t l = 0; l < laneSegs_.size(); ++l)
         s.start[l + 1] = laneSegs_[l][src]->value();
-    if (tx == ringSize()) {
+    const auto w = static_cast<std::uint64_t>(cfg_.dataLanes);
+    const std::uint64_t a = win.addrCycles();
+    auto set = [this](std::uint64_t p) {
+        windowLanes_[p / 8] |= static_cast<std::uint8_t>(0x80 >> (p % 8));
+    };
+    s.lanes = &windowLanes_;
+    s.first = win.first;
+    if (!win.msg) {
         // Bit p rides lane p % w from cycle 0: the lanes' levels,
         // repeating every w bytes.
-        const auto w = static_cast<std::uint64_t>(cfg_.dataLanes);
-        const std::uint64_t bytes = (cycles * w + 7) / 8;
-        constantLanes_.assign(bytes, 0);
+        const std::uint64_t bytes = (win.cycles * w + 7) / 8;
+        windowLanes_.assign(bytes, 0);
         for (std::uint64_t p = 0; p < 8 * std::min(bytes, w); ++p)
             if (s.start[p % w])
-                constantLanes_[p / 8] |= static_cast<std::uint8_t>(
-                    0x80 >> (p % 8));
+                set(p);
         for (std::uint64_t b = w; b < bytes; ++b)
-            constantLanes_[b] = constantLanes_[b - w];
-        s.payload = &constantLanes_;
-    } else if (tx == nodes_.size()) {
-        s.payload = &soft_->transmitting()->payload;
-        s.first = soft_->dataCyclesDriven();
+            windowLanes_[b] = windowLanes_[b - w];
+    } else if (win.first >= a) {
+        s.lanes = &win.msg->payload;
+        s.first = win.first - a;
     } else {
-        const BusController &ctl = nodes_[tx]->busController();
-        s.payload = &ctl.transmitting()->payload;
-        s.first = ctl.dataCyclesDriven();
+        // The address on lane 0 and every other lane's level, a * w
+        // bits (whole bytes), then the payload the window reaches.
+        windowLanes_.assign(a * w / 8, 0);
+        for (std::uint64_t c = 0; c < a; ++c) {
+            if (txWireBit(*win.msg, cfg_.dataLanes, c))
+                set(c * w);
+            for (std::uint64_t l = 1; l < w; ++l)
+                if (s.start[l])
+                    set(c * w + l);
+        }
+        const std::vector<std::uint8_t> &payload = win.msg->payload;
+        const std::uint64_t reach = std::min<std::uint64_t>(
+            payload.size(), (win.dataCycles() * w + 7) / 8);
+        windowLanes_.insert(windowLanes_.end(), payload.begin(),
+                            payload.begin() +
+                                static_cast<std::ptrdiff_t>(reach));
     }
-    s.run = laneTransitions(*s.payload, cfg_.dataLanes, s.first, cycles,
+    s.run = laneTransitions(*s.lanes, cfg_.dataLanes, s.first, win.cycles,
                             s.start);
     return s;
 }
 
 double
-MBusSystem::skipSavings(std::size_t tx, std::uint32_t cycles)
+MBusSystem::skipSavings(std::size_t tx, const SkipWindow &win)
 {
-    const double c = static_cast<double>(cycles);
+    const double c = static_cast<double>(win.cycles);
+    // A window opening in the address is often short (a waking
+    // receiver ends it at its last address cycle), so it must pay with
+    // its trains at their worst: each saves the whole trains inside
+    // the skipped edges, not its share of them, less the one the skip
+    // restarts.
+    const bool worst = win.first < win.addrCycles();
+    auto trains = [worst](double edges, std::uint32_t maxEdges) {
+        const double share = sim::trainSkipSaving(edges, maxEdges);
+        return worst ? std::floor(share) : share;
+    };
     // Each ring segment's CLK train, and the member's CLK ISR train,
     // ride two edges a cycle; the skip restarts them.
     const double ring = static_cast<double>(ringSize());
-    double saved = ring * sim::trainSkipSaving(2 * c, kTrainMaxEdges);
+    double saved = ring * trains(2 * c, kTrainMaxEdges);
     if (soft_)
-        saved += sim::trainSkipSaving(2 * c, kTrainMaxEdges);
+        saved += trains(2 * c, kTrainMaxEdges);
     // So do the mediator's tick and ring-check trains.
-    const double tick = 2 * sim::trainSkipSaving(2 * c, kTickTrainEdges);
+    const double tick = 2 * trains(2 * c, kTickTrainEdges);
     // A long skip pays whatever its lanes cost (at most a warm-up a
     // segment each, below): a bound above 2, which covers the
     // mediator's trains at their worst, needs no lane scan.
@@ -680,10 +719,9 @@ MBusSystem::skipSavings(std::size_t tx, std::uint32_t cycles)
         return saved - lanesWorst + tick;
     // Every segment of a DATA lane retires what its rider would on
     // the lane's transitions.
-    const Stretch s = stretch(tx, cycles);
-    const LaneRides rides =
-        laneRides(*s.payload, cfg_.dataLanes, s.first, cycles, s.start,
-                  kTrainMaxEdges);
+    const Stretch s = stretch(tx, win);
+    const LaneRides rides = laneRides(*s.lanes, cfg_.dataLanes, s.first,
+                                      win.cycles, s.start, kTrainMaxEdges);
     for (std::size_t l = 0; l < static_cast<std::size_t>(cfg_.dataLanes); ++l)
         saved += ring * sim::rideSkipSaving(rides.events[l], rides.onBeat[l]);
     // The member's DIN ISRs: one event per transition.
@@ -693,31 +731,29 @@ MBusSystem::skipSavings(std::size_t tx, std::uint32_t cycles)
 }
 
 void
-MBusSystem::skipDataCycles(std::size_t tx, std::uint32_t cycles,
-                           sim::SimTime half)
+MBusSystem::skipWindow(std::size_t tx, const SkipWindow &win,
+                       sim::SimTime half)
 {
     const std::size_t n = nodes_.size();
     const sim::SimTime now = sim_.now();
-    passWatchdogPolls(now + 2 * static_cast<sim::SimTime>(cycles) * half,
-                      half);
-    const Stretch s = stretch(tx, cycles);
+    const auto cycles = static_cast<sim::SimTime>(win.cycles);
+    passWatchdogPolls(now + 2 * cycles * half, half);
+    const Stretch s = stretch(tx, win);
     const LaneRun &run = s.run;
-    for (auto &node : nodes_)
-        node->skipDataCycles(*s.payload, s.first, cycles);
-    const sim::SimTime h = cfg_.hopDelay;
-    if (soft_)
-        soft_->skipDataCycles(cycles, run.edges[0], run.last[0],
-                              now + static_cast<sim::SimTime>(n) * h,
-                              half, softDinDelay(tx));
+    // With no transmitter the data are the lanes' levels.
+    SkipWindow skip = win;
+    skip.data = win.msg ? &win.msg->payload : s.lanes;
     // CLK keeps its beat: segment i forwarded the last skipped rising
     // edge i hops after the mediator drove it (plus the member's ISR
     // latency on its own segment), one half period before the
-    // resumed falling tick.
-    const sim::SimTime lastRise =
-        now + (2 * static_cast<sim::SimTime>(cycles) - 1) * half;
+    // resumed falling tick. Segments skip first: a transmitter's
+    // extra lanes then switch to driving at the level they already
+    // hold.
+    const sim::SimTime h = cfg_.hopDelay;
+    const sim::SimTime lastRise = now + (2 * cycles - 1) * half;
     for (std::size_t i = 0; i < ringSize(); ++i) {
         const sim::SimTime lag = i == n ? soft_->clkIsrLatency() : 0;
-        clkSegs_[i]->skipEdges(2 * std::uint64_t(cycles),
+        clkSegs_[i]->skipEdges(2 * win.cycles,
                                lastRise + static_cast<sim::SimTime>(i) * h +
                                    lag,
                                half);
@@ -725,6 +761,13 @@ MBusSystem::skipDataCycles(std::size_t tx, std::uint32_t cycles,
         for (std::size_t l = 0; l < laneSegs_.size(); ++l)
             laneSegs_[l][i]->skipEdges(run.edges[l + 1]);
     }
+    for (auto &node : nodes_)
+        node->skipCycles(skip);
+    if (soft_)
+        soft_->skipCycles(skip, run.edges[0], run.last[0],
+                          now + static_cast<sim::SimTime>(n) * h, half,
+                          softDinDelay(tx));
+    mediator_->skipLatches(skip);
 }
 
 void

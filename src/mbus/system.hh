@@ -21,17 +21,21 @@
  * ring budget (SystemConfig::extraRingLatency), which throttles the
  * whole mixed ring to a fraction of its clock envelope.
  *
- * The system also decides the mediator's data-phase fast-forward
- * (SystemConfig::fastForward, skipDataPhase()): once a transaction's
- * data phase is steady, whole data cycles are skipped in closed form
- * -- chips, the software member's ISR counters and FSM, and segment
- * levels and counters land exactly where the skipped edges would have
- * put them, so the energy they price does too -- up to the next
- * protocol decision or the next event the ring does not own. The
- * ring's own bus watchdog (armWatchdog) is answered across a skip in
- * closed form rather than bounding it. A receiving, jittered or
- * edge-merging software member keeps every edge; waveform capture
- * turns it off for good.
+ * The system also decides the mediator's fast-forward
+ * (SystemConfig::fastForward, skipCycles()): from a transaction's
+ * reserved cycle on, once the ring is steady, whole cycles -- the rest
+ * of the address and the data after it, in one window -- are skipped
+ * in closed form: chips (address latches and matches included), the
+ * mediator's length watchdog, the software member's ISR counters and
+ * FSM, and segment levels and counters land exactly where the skipped
+ * edges would have put them, so the energy they price does too -- up
+ * to the next protocol decision or the next event the ring does not
+ * own. The ring's own bus watchdog (armWatchdog) is answered across a
+ * skip in closed form rather than bounding it. A chip whose match
+ * wakes its layer, and a software member the address makes a
+ * receiver, end a window at their last address cycle; a receiving,
+ * jittered or edge-merging software member keeps every edge past it;
+ * waveform capture turns it off for good.
  *
  * runUntilIdle(), sendAndWait() and the enumeration settle are
  * Simulator::runUntil() waits: the mediator's sleep event, every bus
@@ -232,7 +236,7 @@ class MBusSystem
     double clockCeilingHz() const;
 
   private:
-    friend class Mediator; // skipDataPhase()
+    friend class Mediator; // skipCycles()
 
     bool handleConfigBroadcast(const ReceivedMessage &rx);
 
@@ -245,61 +249,63 @@ class MBusSystem
     void scheduleWatchdogPoll(sim::SimTime at);
     void watchdogPoll();
 
-    // --- Data-phase fast-forward ---------------------------------------
+    // --- Fast-forward ----------------------------------------------------
     //
     // Installed with SystemConfig::fastForward, edge trains and
     // chunked dispatch (for the interjection detector's CLK epoch
     // pull) on, and removed for good when a waveform recorder
-    // attaches. The mediator asks at each falling tick of a data
-    // phase; a steady one means at most one transmitter (a chip or
-    // the software member), every chip addressed (receiving or
-    // forwarding; a chip with no role past its address forwards),
-    // the member forwarding or transmitting with its ISRs retired,
-    // every chip forwarding except where the mediator drives CLK and
-    // the transmitter drives its lanes, and every segment settled,
-    // unforced and undamaged at its lane's level. With no transmitter
-    // (it browned out mid-message) every lane holds one level all
-    // around the ring until the mediator's length watchdog ends the
-    // phantom message. Arbitration, address, end of message,
-    // interjection, control and all power gating stay on edges.
+    // attaches. The mediator asks at each falling tick past the
+    // reserved cycle; a steady ring means at most one transmitter (a
+    // chip or the software member), every chip past the reserved
+    // cycle (still latching the address in step with the
+    // transmitter's, receiving or forwarding; a chip with no role past
+    // its address forwards), the member forwarding or transmitting
+    // with its ISRs retired, every chip forwarding except where the
+    // mediator drives CLK and the transmitter drives its lanes (lane 0
+    // alone in its address), and every segment settled, unforced and
+    // undamaged at its lane's level. With no transmitter (it browned
+    // out mid-message) every lane holds one level all around the ring
+    // until the mediator's length watchdog ends the phantom message.
+    // Arbitration, end of message, interjection, control and all power
+    // gating stay on edges.
     //
     // The entry test names the transmitter tx by ring slot
-    // (ringSize() for none); pricing and the skip take it from there.
+    // (ringSize() for none) and the window's wire position; pricing
+    // and the skip take them from there.
 
     /**
-     * The mediator's one call at a falling tick of a data phase of
-     * half period @p half, with at most @p latchable cycles left
-     * before its length watchdog and its queued ring check @p check:
-     * skip whole data cycles up to the next protocol decision, the
-     * earliest queued event the ring neither owns nor answers (the
-     * watchdog's poll), the end of the run and 2^31, if the skip
-     * saves kernel events, retrying a window that does not pay at
-     * the poll.
+     * The mediator's one call at a falling tick past the reserved
+     * cycle, of half period @p half, with its queued ring check
+     * @p check: skip whole cycles up to the next protocol decision
+     * (its length watchdog's included), the earliest queued event the
+     * ring neither owns nor answers (the watchdog's poll), the end of
+     * the run and 2^31, if the skip saves kernel events, retrying a
+     * window that does not pay at the poll.
      *
      * @return the cycles skipped (0: drive the tick).
      */
-    std::uint32_t skipDataPhase(sim::SimTime half, std::uint64_t latchable,
-                                const sim::EventHandle &check);
+    std::uint32_t skipCycles(sim::SimTime half,
+                             const sim::EventHandle &check);
 
-    /** Entry test: whole data cycles of half period @p half every
-     *  member and segment could skip from this clock-high point (0
-     *  outside a steady data phase), and the transmitter @p tx. */
-    std::uint64_t dataCyclesSkippable(sim::SimTime half,
-                                      std::size_t &tx) const;
+    /** Entry test: whole cycles of half period @p half every member
+     *  and segment could skip from this clock-high point (0 when the
+     *  ring is not steady), the transmitter @p tx, and the window's
+     *  wire position in @p win. */
+    std::uint64_t cyclesSkippable(sim::SimTime half, std::size_t &tx,
+                                  SkipWindow &win) const;
 
     /** Kernel events the ring's segments, members and mediator would
-     *  retire on edges over the next @p cycles data cycles, less what
-     *  skipping them costs in restarted trains (at most 0 when a skip
-     *  saves nothing), each priced with sim::TrainRider's rule. A
-     *  long skip may get a positive lower bound instead: enough to
-     *  decide. */
-    double skipSavings(std::size_t tx, std::uint32_t cycles);
+     *  retire on edges over @p win, less what skipping it costs in
+     *  restarted trains (at most 0 when a skip saves nothing), each
+     *  priced with sim::TrainRider's rule. A long skip may get a
+     *  positive lower bound instead: enough to decide. */
+    double skipSavings(std::size_t tx, const SkipWindow &win);
 
-    /** Advance every chip and segment across @p cycles data cycles of
-     *  half period @p half, starting with the falling edge due now,
-     *  exactly as their edges would. */
-    void skipDataCycles(std::size_t tx, std::uint32_t cycles,
-                        sim::SimTime half);
+    /** Advance every segment, chip, the member and the mediator's
+     *  watchdog across @p win, of half period @p half, starting with
+     *  the falling edge due now, exactly as their edges would. */
+    void skipWindow(std::size_t tx, const SkipWindow &win,
+                    sim::SimTime half);
 
     // A watchdog poll inside a skip window finds the bus busy, the
     // mediator awake and the tail CLK segment's epoch a known
@@ -315,29 +321,31 @@ class MBusSystem
      *  earlier, so it comes after the poll. */
     std::uint64_t tailClkEpochAt(sim::SimTime t, sim::SimTime half) const;
 
-    /** Whole data cycles a skip may run before a watchdog poll it
-     *  cannot answer. */
+    /** Whole cycles a skip may run before a watchdog poll it cannot
+     *  answer. */
     std::uint64_t watchdogRoom(sim::SimTime half) const;
 
     /** Answer every watchdog poll due before @p end. */
     void passWatchdogPolls(sim::SimTime end, sim::SimTime half);
 
-    /** The payload a skip of @p cycles data cycles from here carries
-     *  (the transmitter's, or with none the lanes' constant levels),
-     *  its first data cycle, each lane's entry level and its
-     *  transitions. */
+    /** A window's lane stream (cycle c, lane l at bit c w + l of
+     *  *lanes, from cycle first), each lane's entry level and its
+     *  transitions: the transmitter's payload past its address; in its
+     *  address, windowLanes_ carrying the address on lane 0 and every
+     *  other lane's level, then the payload; with no transmitter,
+     *  windowLanes_ holding every lane's level. */
     struct Stretch
     {
-        const std::vector<std::uint8_t> *payload = nullptr;
+        const std::vector<std::uint8_t> *lanes = nullptr;
         std::uint64_t first = 0;
         std::array<bool, kMaxDataLanes> start{};
         LaneRun run;
     };
-    Stretch stretch(std::size_t tx, std::uint32_t cycles);
+    Stretch stretch(std::size_t tx, const SkipWindow &win);
 
     /** When a DATA edge reaches the software member's DIN in a data
      *  phase transmitted by ring slot @p tx (see
-     *  FirmwareNode::dataCyclesSkippable). */
+     *  FirmwareNode::cyclesSkippable). */
     sim::SimTime softDinDelay(std::size_t tx) const;
 
     /** Hand @p f every ring segment: all CLK segments, then all DATA
@@ -378,9 +386,9 @@ class MBusSystem
     bool enumProbeDone_ = false;
     std::uint64_t enumProbe_ = 0; ///< Current probe's generation.
 
-    /** With no transmitter: bits that hold every lane at its level
-     *  (stretch() fills it). */
-    std::vector<std::uint8_t> constantLanes_;
+    /** A window's lane stream when it is not the payload (stretch()
+     *  fills it). */
+    std::vector<std::uint8_t> windowLanes_;
 
     // Bus watchdog: the queued poll, and what the last poll read.
     std::uint32_t watchdogEpochs_ = 0;

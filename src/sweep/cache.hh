@@ -41,7 +41,7 @@ namespace sweep {
  * SweepCache.SaltPinsCachedStats fails until this and its pinned
  * stats hash move together.
  */
-constexpr std::uint64_t kHarnessVersionSalt = 0x4d425553'00000009ULL;
+constexpr std::uint64_t kHarnessVersionSalt = 0x4d425553'0000000aULL;
 
 /** The cache key for one cell: FNV-1a over canonical spec bytes,
  *  the cell seed, and the harness-version salt. */

@@ -255,7 +255,7 @@ runScenario(const ScenarioSpec &spec, std::uint64_t seed,
     params.edgeTrains = spec.edgeTrains;
     params.chunkedDispatch = spec.chunkedDispatch;
     params.softRxCapacity = spec.softRxCapacity;
-    // Edge fidelity simulates every edge: no data-phase fast-forward.
+    // Edge fidelity simulates every edge: no fast-forward.
     params.fastForward = spec.fidelity != Fidelity::Edge;
     if (hooks.tune)
         hooks.tune(params);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "analysis/goodput.hh"
 #include "mbus/system.hh"
 #include "tests/mbus/testutil.hh"
@@ -20,6 +22,14 @@ struct LaneCase
     int lanes;
     std::size_t payloadBytes;
 };
+
+/** Stable parameter text for test names (gtest otherwise prints the
+ *  struct's raw bytes, padding included). */
+void
+PrintTo(const LaneCase &c, std::ostream *os)
+{
+    *os << "lanes=" << c.lanes << " bytes=" << c.payloadBytes;
+}
 
 class ParallelMbus : public ::testing::TestWithParam<LaneCase>
 {

@@ -427,5 +427,5 @@ TEST(SweepCache, SaltPinsCachedStats)
         bytes += sweep::encodeStats(c.stats);
     using Pin = std::pair<std::uint64_t, std::uint64_t>;
     EXPECT_EQ(Pin(sweep::kHarnessVersionSalt, sim::fnv1a(bytes)),
-              Pin(0x4d425553'00000009ULL, 0xe86d6b4c'1fbf4164ULL));
+              Pin(0x4d425553'0000000aULL, 0x9d2117d5'abf2527fULL));
 }
