@@ -1,8 +1,8 @@
 /**
  * @file
  * Small shared helpers for the reproduction benches: consistent
- * headers and number formatting so every bench prints paper-style
- * rows that EXPERIMENTS.md can quote directly.
+ * headers and number formatting so every bench prints rows laid out
+ * like the paper's tables and figures.
  */
 
 #ifndef MBUS_BENCH_BENCH_UTIL_HH

@@ -77,7 +77,7 @@ main(int argc, char **argv)
     std::printf("The conservative column is our edge-level "
                 "simulator's functional limit (a bit driven on a "
                 "falling edge must settle at wrap-around receivers "
-                "before the rising-edge latch); see EXPERIMENTS.md "
-                "for the discussion of the factor-~2 gap.\n");
+                "before the rising-edge latch), which costs a factor "
+                "2(n+2)/n against the paper's one-hop-per-node budget.\n");
     return 0;
 }

@@ -18,15 +18,16 @@
  *    mix (benchutil::canonicalWorkloadCell, the cell workload_mix
  *    documents), events per completed wire data bit through the
  *    workload engine's hot path;
- *  - i2c_std_mix / bitbang_mix / firmware_mix: the same canonical
- *    mix through the transactional-I2C backend and the mixed ring
- *    with the software member, gating the scheduler cost of the
- *    non-MBus fabrics (bitbang_mix and firmware_mix gate one engine,
- *    firmware::FirmwareNode, under its two fabric labels);
- *  - workload_mix_dispatch / bitbang_mix_dispatch /
- *    firmware_mix_dispatch: listener virtual calls per completed
- *    wire data bit on the same cells -- the cost chunked dispatch
- *    (muting a driving wire controller's input) keeps down;
+ *  - i2c_std_mix / bitbang_mix: the same canonical mix through the
+ *    transactional-I2C backend and the mixed ring with the software
+ *    member, gating the scheduler cost of the non-MBus fabrics
+ *    (bitbang_mix gates firmware::FirmwareNode, the one engine behind
+ *    both the bitbang and the firmware fabric labels, so a
+ *    firmware_mix line would repeat it);
+ *  - workload_mix_dispatch / bitbang_mix_dispatch: listener virtual
+ *    calls per completed wire data bit on the same cells -- the cost
+ *    chunked dispatch (muting a driving wire controller's input)
+ *    keeps down;
  *
  * and fails if any metric regresses more than 10% over the
  * checked-in baseline (bench/perf_baseline.json). Regenerate the
@@ -205,10 +206,7 @@ MixCosts
 backendMixCosts(backend::BackendKind kind,
                 sweep::Fidelity fidelity = sweep::Fidelity::Edge)
 {
-    int nodes = (kind == backend::BackendKind::Bitbang ||
-                 kind == backend::BackendKind::Firmware)
-                    ? 3
-                    : 4;
+    int nodes = kind == backend::BackendKind::Bitbang ? 3 : 4;
     sweep::ScenarioSpec spec = benchutil::canonicalWorkloadCell(
         nodes, /*clockHz=*/400e3, /*stormFrac=*/0.10,
         /*smoke=*/true);
@@ -276,16 +274,12 @@ main(int argc, char **argv)
     MixCosts mbusMix = backendMixCosts(backend::BackendKind::Mbus);
     MixCosts i2cMix = backendMixCosts(backend::BackendKind::I2cStd);
     MixCosts bbMix = backendMixCosts(backend::BackendKind::Bitbang);
-    MixCosts fwMix = backendMixCosts(backend::BackendKind::Firmware);
     metrics.push_back({"workload_mix", mbusMix.eventsPerBit});
     metrics.push_back({"i2c_std_mix", i2cMix.eventsPerBit});
     metrics.push_back({"bitbang_mix", bbMix.eventsPerBit});
-    metrics.push_back({"firmware_mix", fwMix.eventsPerBit});
     metrics.push_back(
         {"workload_mix_dispatch", mbusMix.dispatchPerBit});
     metrics.push_back({"bitbang_mix_dispatch", bbMix.dispatchPerBit});
-    metrics.push_back(
-        {"firmware_mix_dispatch", fwMix.dispatchPerBit});
 
     if (!writePath.empty()) {
         bool ok = mbus::sim::atomicWriteFile(

@@ -9,9 +9,9 @@
  * Our edge-level simulator additionally requires that a bit driven on
  * a falling edge settles at every receiver -- including those reached
  * through the mediator wrap-around -- before the rising-edge latch,
- * which costs a further factor of two. Both curves are exposed; the
- * bench prints them side by side and EXPERIMENTS.md discusses the
- * difference.
+ * which costs a further factor of two: the ratio of the two curves is
+ * 2(n+2)/n, between 2.3x at 14 nodes and 4x at 2. Both curves are
+ * exposed, and bench/fig9_max_frequency.cc prints them side by side.
  */
 
 #ifndef MBUS_ANALYSIS_FREQUENCY_HH

@@ -12,8 +12,7 @@ FirmwareNode::FirmwareNode(sim::Simulator &sim, Config cfg,
                            wire::Net &clkIn, wire::Net &clkOut,
                            wire::Net &dataIn, wire::Net &dataOut)
     : sim_(sim), cfg_(cfg), clkIn_(clkIn), clkOut_(clkOut),
-      dataIn_(dataIn), dataOut_(dataOut),
-      jitterState_(cfg.jitterSeed ? cfg.jitterSeed : 1)
+      dataIn_(dataIn), dataOut_(dataOut)
 {
     if (cfg.isrJitterCycles == 0 && !cfg.mergeMissedEdges)
         isrTrain_.setMaxEdges(cfg.isrTrainMaxEdges);

@@ -104,7 +104,6 @@ class FirmwareNode : private wire::EdgeListener
         /** Max extra ISR-entry cycles drawn per invocation (seeded
          *  xorshift; 0 keeps every ISR at its fixed cost). */
         std::uint32_t isrJitterCycles = 0;
-        std::uint64_t jitterSeed = 0x6669726d77617265ULL;
 
         /** Absorb edges that arrive while that pin's ISR is pending
          *  (instead of replaying every edge). Makes the firmware's
@@ -244,6 +243,8 @@ class FirmwareNode : private wire::EdgeListener
     void onRecv(std::uint32_t addr, int addrBits,
                 const std::uint8_t *buf, std::size_t len,
                 MBus_error_t err, bool eom);
+    /** The xorshift state jitterDraw() starts from ("firmware"). */
+    static constexpr std::uint64_t kJitterSeed = 0x6669726d77617265ULL;
     std::uint32_t jitterDraw();
 
     /** Pooled retirement sinks: ISR completions ride the kernel's
@@ -301,7 +302,7 @@ class FirmwareNode : private wire::EdgeListener
     bus::ReceiveCallback rxCb_;
     FirmwareStats stats_;
     int maxPathCycles_ = 0;
-    std::uint64_t jitterState_ = 0;
+    std::uint64_t jitterState_ = kJitterSeed;
 };
 
 } // namespace firmware

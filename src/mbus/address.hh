@@ -7,8 +7,8 @@
  * prefix 0xF introduces a full address. A full address is one 32-bit
  * word: {0xF marker, 20-bit full prefix, 4-bit FU-ID, 4 reserved
  * bits}. The paper fixes the marker, prefix, and FU-ID widths; the
- * placement of the reserved nibble is our documented layout choice
- * (DESIGN.md section 4).
+ * placement of the reserved nibble is our layout choice: it is the
+ * low nibble, below the FU-ID.
  */
 
 #ifndef MBUS_BUS_ADDRESS_HH

@@ -29,10 +29,11 @@ Node::bind(wire::Net &clkIn, wire::Net &clkOut, wire::Net &dataIn,
            std::vector<wire::Net *> laneOuts, bool isMediatorHost,
            MediatorHostLink *medLink)
 {
-    // Subscription order on the nets is load-bearing (see DESIGN.md):
-    // wire controllers first so forwarding precedes protocol work on
-    // the same edge, then the detector, then the sleep controller
-    // whose hook drives the bus controller.
+    // Subscription order on the nets is load-bearing (a net fans an
+    // edge out in subscription order): wire controllers first so
+    // forwarding precedes protocol work on the same edge, then the
+    // detector, then the sleep controller whose hook drives the bus
+    // controller.
     // With chunked dispatch the controllers mute their input
     // subscription while in Drive mode (where onInput is provably a
     // no-op), skipping the virtual call per ignored edge.

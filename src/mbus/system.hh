@@ -226,7 +226,7 @@ class MBusSystem
 
     /** Theoretical max bus clock for this ring in our conservative
      *  timing model (data must settle within the latch half-period;
-     *  see EXPERIMENTS.md for the relation to the paper's Fig 9). */
+     *  analysis/frequency.hh relates it to the paper's Fig 9). */
     double maxSafeClockHz() const;
 
     /** Fastest clock a config broadcast may set: maxSafeClockHz(), or

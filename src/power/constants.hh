@@ -77,7 +77,11 @@ constexpr double kSimFwdJ = kMeasuredFwdJ / kMeasuredOverheadFactor;
  * FIFO flops; the transmitter additionally runs its drive logic and
  * (being bundled with the mediator in Table 3) the clock generator.
  * Values are sized so the calibrated roles land on kSimTx/Rx/FwdJ for
- * random data; the derivation is spelled out in DESIGN.md section 6.
+ * random data: forwarding is 2.5 segment edges plus kCombPerCycleJ
+ * (kSimCalibration below makes that kSimFwdJ exactly); receiving adds
+ * kFifoPerBitJ, and transmitting adds kDrivePerBitJ and
+ * kMediatorPerCycleJ, which lands within 1% of kSimRxJ and kSimTxJ
+ * once calibrated (SwitchingModel.RoleDeltasMatchTable3).
  */
 constexpr double kCombPerCycleJ = 0.2e-12;
 constexpr double kFifoPerBitJ = 2.31e-12;

@@ -215,9 +215,10 @@ struct ScenarioStats : workload::TrafficCounts
     std::uint64_t interjectRequests = 0; ///< InterjectRequest events.
 
     /** The model that produced this record (Edge or Message). On
-     *  Message rows the kernel-cost fields (events, events/bit, train
-     *  edges, dispatch calls, slab stats) count the model's own few
-     *  events per transaction, not wire edges. */
+     *  Message rows the kernel-cost fields count the model's own few
+     *  events per transaction, not wire edges; they and this field are
+     *  the model-cost set of the record-equality rule
+     *  (tests/record_equality.hh). */
     Fidelity fidelity = Fidelity::Edge;
 };
 

@@ -42,7 +42,7 @@ TEST(Fig9, CurveIsInverseInNodeCount)
 
 TEST(Fig9, ConservativeLimitIsRoughlyHalf)
 {
-    // Our settle-before-latch simulator constraint (EXPERIMENTS.md):
+    // Our settle-before-latch simulator constraint (analysis/frequency.hh):
     // 2(n+2)/n, i.e. between 2.3x (14 nodes) and 4x (2 nodes).
     for (int n = 2; n <= 14; ++n) {
         double ratio =

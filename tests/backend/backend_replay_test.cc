@@ -22,6 +22,7 @@
 
 #include "bench/bench_util.hh"
 #include "sweep/sweep.hh"
+#include "tests/record_equality.hh"
 
 using namespace mbus;
 using namespace mbus::sweep;
@@ -146,18 +147,9 @@ TEST(BackendReplay, FourBackendGridShardedVsSoloByteIdentity)
     SweepDriver solo(one);
     for (std::size_t i = 0; i < grid.size(); ++i) {
         CellResult c = solo.runCell(grid[i], i);
-        const ScenarioStats &x = a.cell(i).stats;
         const ScenarioStats &y = c.stats;
         SCOPED_TRACE(grid[i].name);
-        EXPECT_EQ(x.vcdHash, y.vcdHash);
-        EXPECT_EQ(x.vcdBytes, y.vcdBytes);
-        EXPECT_EQ(x.acked, y.acked);
-        EXPECT_EQ(x.samplesDelivered, y.samplesDelivered);
-        EXPECT_EQ(x.eventsExecuted, y.eventsExecuted);
-        EXPECT_DOUBLE_EQ(x.switchingJ, y.switchingJ);
-        EXPECT_DOUBLE_EQ(x.latencyP99S, y.latencyP99S);
-        EXPECT_DOUBLE_EQ(x.energyPerSampleJ, y.energyPerSampleJ);
-        EXPECT_DOUBLE_EQ(x.lifetimeDays, y.lifetimeDays);
+        EXPECT_TRUE(test::sameRecord(a.cell(i).stats, y));
         EXPECT_FALSE(y.wedged);
         EXPECT_EQ(y.payloadMismatches, 0u);
         EXPECT_GT(y.samplesDelivered, 0);

@@ -5,12 +5,13 @@
  * MbusMessageBackend computes each fault-free transaction in closed
  * form; the edge-level MbusBackend simulates every wire transition.
  * The differential suite runs randomized eligible cells through both
- * (Fidelity::Edge vs Fidelity::Auto) and requires exact outcomes,
- * bytes, latencies, simulated time, per-node edges, clock cycles,
- * powered time, and switching and leakage energy, total and per node:
- * both models price the same counts with the same products. Kernel-cost
- * fields are deliberately not compared: they measure the model, not
- * the bus.
+ * (Fidelity::Edge vs Fidelity::Auto) and requires the whole sweep
+ * record to match, model costs aside (tests/record_equality.hh):
+ * outcomes, bytes, latencies, simulated time, per-node edges, clock
+ * cycles, and switching and leakage energy are exact, because both
+ * models price the same counts with the same products. Backend-level
+ * runs add powered time and energy per node. The model-cost fields
+ * measure the model, not the bus.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 #include "sim/random.hh"
 #include "sweep/codec.hh"
 #include "sweep/sweep.hh"
+#include "tests/record_equality.hh"
 
 using namespace mbus;
 using sweep::Fidelity;
@@ -87,35 +89,24 @@ describe(const ScenarioSpec &s)
     return os.str();
 }
 
-void
-expectSameOutcome(const ScenarioStats &edge, const ScenarioStats &msg)
+/** Runs @p spec at Fidelity::Auto (the message-level model) and on the
+ *  edge engine, and expects the same record, model costs aside.
+ *  @return the edge engine's record. */
+ScenarioStats
+expectModelsAgree(const ScenarioSpec &spec, std::uint64_t seed)
 {
+    ScenarioSpec edgeSpec = spec;
+    edgeSpec.fidelity = Fidelity::Edge;
+    EXPECT_FALSE(sweep::messageLevelEligible(edgeSpec));
+    ScenarioStats edge = sweep::runScenario(edgeSpec, seed);
+    ScenarioStats msg = sweep::runScenario(spec, seed);
     EXPECT_EQ(edge.fidelity, Fidelity::Edge);
     EXPECT_EQ(msg.fidelity, Fidelity::Message);
-    EXPECT_EQ(msg.planned, edge.planned);
-    EXPECT_EQ(msg.acked, edge.acked);
-    EXPECT_EQ(msg.naked, edge.naked);
-    EXPECT_EQ(msg.broadcasts, edge.broadcasts);
-    EXPECT_EQ(msg.interrupted, edge.interrupted);
-    EXPECT_EQ(msg.rxAborts, edge.rxAborts);
-    EXPECT_EQ(msg.failed, edge.failed);
-    EXPECT_EQ(msg.bytesDelivered, edge.bytesDelivered);
-    EXPECT_EQ(msg.payloadMismatches, edge.payloadMismatches);
-    EXPECT_EQ(msg.deliveredOk, edge.deliveredOk);
-    EXPECT_EQ(msg.wedged, edge.wedged);
-    EXPECT_EQ(msg.txLatenciesS, edge.txLatenciesS);
-    EXPECT_EQ(msg.firstTxLatencyS, edge.firstTxLatencyS);
-    EXPECT_EQ(msg.avgTxLatencyS, edge.avgTxLatencyS);
-    EXPECT_EQ(msg.simTime, edge.simTime);
-    EXPECT_EQ(msg.perNodeEdges, edge.perNodeEdges);
-    EXPECT_EQ(msg.clockCycles, edge.clockCycles);
-    EXPECT_EQ(msg.arbitrationRetries, edge.arbitrationRetries);
-    EXPECT_EQ(msg.switchingJ, edge.switchingJ);
-    EXPECT_EQ(msg.leakageJ, edge.leakageJ);
-    EXPECT_EQ(msg.energyPerSampleJ, edge.energyPerSampleJ);
+    EXPECT_TRUE(test::sameRecord(edge, msg, test::Except::ModelCosts));
     if (msg.planned > 0) {
         EXPECT_GT(msg.eventsExecuted, 0u); // Runs on the event kernel.
     }
+    return edge;
 }
 
 /** One terminal status or delivery, as a backend announced it. */
@@ -207,11 +198,7 @@ TEST(MessageLevel, TwoHundredRandomizedSpecsMatchTheEdgeEngine)
         std::uint64_t seed = master.next();
         SCOPED_TRACE(describe(spec));
         ASSERT_TRUE(sweep::messageLevelEligible(spec));
-        ScenarioSpec edgeSpec = spec;
-        edgeSpec.fidelity = Fidelity::Edge;
-        ASSERT_FALSE(sweep::messageLevelEligible(edgeSpec));
-        expectSameOutcome(sweep::runScenario(edgeSpec, seed),
-                          sweep::runScenario(spec, seed));
+        expectModelsAgree(spec, seed);
         if (::testing::Test::HasFailure())
             return; // One spec's report is enough to debug from.
     }
@@ -237,10 +224,7 @@ TEST(MessageLevel, PayloadsUpToTheWatchdogLimitMatchTheEdgeEngine)
                 std::uint64_t seed = master.next();
                 SCOPED_TRACE(describe(spec));
                 ASSERT_TRUE(sweep::messageLevelEligible(spec));
-                ScenarioSpec edgeSpec = spec;
-                edgeSpec.fidelity = Fidelity::Edge;
-                ScenarioStats edge = sweep::runScenario(edgeSpec, seed);
-                expectSameOutcome(edge, sweep::runScenario(spec, seed));
+                ScenarioStats edge = expectModelsAgree(spec, seed);
                 EXPECT_EQ(edge.interrupted, 0);
                 EXPECT_FALSE(edge.wedged);
                 if (::testing::Test::HasFailure())
@@ -339,8 +323,7 @@ TEST(MessageLevel, MixedFidelityGridIsByteIdenticalAcrossThreadsAndSolo)
     sweep::SweepDriver solo(one);
     for (std::size_t i = 0; i < grid.size(); ++i) {
         sweep::CellResult c = solo.runCell(grid[i], i);
-        EXPECT_EQ(sweep::encodeStats(c.stats),
-                  sweep::encodeStats(r1.cells()[i].stats))
+        EXPECT_TRUE(test::sameRecord(c.stats, r1.cells()[i].stats))
             << grid[i].name;
         ScenarioStats back;
         ASSERT_TRUE(sweep::decodeStats(sweep::encodeStats(c.stats), back));

@@ -22,6 +22,7 @@
 #include "bench/bench_util.hh"
 #include "sim/random.hh"
 #include "sweep/sweep.hh"
+#include "tests/record_equality.hh"
 
 using namespace mbus;
 
@@ -75,41 +76,6 @@ faultyGrid(std::uint64_t seed, std::size_t cells, bool captureVcd)
     return grid;
 }
 
-/** Field-by-field equality over the deterministic stats, fault and
- *  recovery columns included. */
-void
-expectIdenticalStats(const sweep::ScenarioStats &a,
-                     const sweep::ScenarioStats &b)
-{
-    EXPECT_EQ(a.planned, b.planned);
-    EXPECT_EQ(a.acked, b.acked);
-    EXPECT_EQ(a.naked, b.naked);
-    EXPECT_EQ(a.broadcasts, b.broadcasts);
-    EXPECT_EQ(a.interrupted, b.interrupted);
-    EXPECT_EQ(a.rxAborts, b.rxAborts);
-    EXPECT_EQ(a.failed, b.failed);
-    EXPECT_EQ(a.bytesDelivered, b.bytesDelivered);
-    EXPECT_EQ(a.wedged, b.wedged);
-    EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
-    EXPECT_EQ(a.simTime, b.simTime);
-    EXPECT_EQ(a.switchingJ, b.switchingJ);
-    EXPECT_EQ(a.faultEvents, b.faultEvents);
-    EXPECT_EQ(a.busResets, b.busResets);
-    EXPECT_EQ(a.txResets, b.txResets);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.recoveredTx, b.recoveredTx);
-    EXPECT_EQ(a.abandonedTx, b.abandonedTx);
-    EXPECT_EQ(a.recoveryP50S, b.recoveryP50S);
-    EXPECT_EQ(a.recoveryP95S, b.recoveryP95S);
-    EXPECT_EQ(a.recoveryP99S, b.recoveryP99S);
-    EXPECT_EQ(a.deliveredOk, b.deliveredOk);
-    EXPECT_EQ(a.deliveredInterrupted, b.deliveredInterrupted);
-    EXPECT_EQ(a.deliveredOverflow, b.deliveredOverflow);
-    EXPECT_EQ(a.vcdBytes, b.vcdBytes);
-    EXPECT_EQ(a.vcdHash, b.vcdHash);
-    EXPECT_EQ(a.vcd, b.vcd) << "VCD waveform bytes diverged";
-}
-
 std::string
 slurp(const std::string &path)
 {
@@ -138,7 +104,7 @@ TEST(FaultReplay, FaultyCellsReplaySoloWithIdenticalWaveforms)
         sweep::CellResult solo = driver.runCell(grid[i], i);
         EXPECT_EQ(solo.seed, sharded.cell(i).seed);
         ASSERT_GT(solo.stats.vcdBytes, 0u);
-        expectIdenticalStats(sharded.cell(i).stats, solo.stats);
+        EXPECT_TRUE(test::sameRecord(sharded.cell(i).stats, solo.stats));
     }
 }
 

@@ -44,7 +44,7 @@ TEST(Address, FullAddressLayout)
     Address a = Address::fullAddr(0xABCDE, 0x7);
     EXPECT_TRUE(a.isFull());
     EXPECT_EQ(a.bitCount(), 32);
-    // {0xF, 20-bit prefix, FU, 4 reserved} (DESIGN.md sec 4).
+    // {0xF, 20-bit prefix, FU, 4 reserved} (mbus/address.hh).
     EXPECT_EQ(a.encoded(), 0xF0000000u | (0xABCDEu << 8) | (0x7u << 4));
 }
 

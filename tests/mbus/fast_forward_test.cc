@@ -6,13 +6,13 @@
  * by edge -- outcomes, bytes, latencies, simulated time, per-node
  * edges, clock cycles, every energy double and every software-member
  * ISR counter -- while retiring no more kernel events. Only the
- * kernel-cost counters may differ.
+ * model costs (tests/record_equality.hh) may differ.
  *
  *  - differential sweeps of randomized hardware-ring and mixed-ring
  *    cells, each run at Fidelity::Auto (fast-forward on) and
- *    Fidelity::Edge (every edge), compared through their
- *    encodeStats() bytes with the kernel-cost fields zeroed (and, on
- *    mixed rings, the member's FirmwareStats);
+ *    Fidelity::Edge (every edge), compared as whole records, model
+ *    costs aside (tests/record_equality.hh), and on mixed rings by
+ *    the member's FirmwareStats too;
  *  - boundary cases where something lands mid-data-phase (a third-
  *    party interjection, a fault event, watchdog polls), the
  *    receiver's capacity point, the 1 kB length limit, and a glitch
@@ -39,9 +39,9 @@
 #include "mbus/data_phase.hh"
 #include "mbus/system.hh"
 #include "sim/random.hh"
-#include "sweep/codec.hh"
 #include "sweep/scenario.hh"
 #include "tests/mbus/testutil.hh"
+#include "tests/record_equality.hh"
 #include "wire/net.hh"
 
 using namespace mbus;
@@ -50,21 +50,6 @@ using sweep::ScenarioSpec;
 using sweep::ScenarioStats;
 
 namespace {
-
-/** @p st with every kernel-cost field zeroed. */
-ScenarioStats
-withoutKernelCosts(ScenarioStats st)
-{
-    st.eventsExecuted = 0;
-    st.eventsPerBit = 0;
-    st.trainEdges = 0;
-    st.trainsScheduled = 0;
-    st.dispatchCalls = 0;
-    st.slabSlots = 0;
-    st.liveHighWater = 0;
-    st.heapCallbacks = 0;
-    return st;
-}
 
 /** One randomized hardware-ring cell that runs on the edge engine at
  *  Fidelity::Auto: gated, stormy, faulty, traced or a workload mix,
@@ -328,8 +313,7 @@ TEST(FastForward, RandomHardwareCellsMatchTheEdgeEngine)
         ScenarioStats b = sweep::runScenario(edge, seed);
         SCOPED_TRACE(spec.name + " seed=" + std::to_string(seed));
         ASSERT_EQ(a.fidelity, Fidelity::Edge);
-        EXPECT_EQ(sweep::encodeStats(withoutKernelCosts(a)),
-                  sweep::encodeStats(withoutKernelCosts(b)));
+        EXPECT_TRUE(test::sameRecord(a, b, test::Except::ModelCosts));
         EXPECT_LE(a.eventsExecuted, b.eventsExecuted);
         autoEvents += a.eventsExecuted;
         edgeEvents += b.eventsExecuted;
@@ -754,8 +738,7 @@ TEST(FastForward, CanonicalMixCellStaysUnderItsEventsCeiling)
     edge.fidelity = Fidelity::Edge;
     ScenarioStats a = sweep::runScenario(spec, 0x6d6978ULL);
     ScenarioStats b = sweep::runScenario(edge, 0x6d6978ULL);
-    EXPECT_EQ(sweep::encodeStats(withoutKernelCosts(a)),
-              sweep::encodeStats(withoutKernelCosts(b)));
+    EXPECT_TRUE(test::sameRecord(a, b, test::Except::ModelCosts));
     EXPECT_GT(a.samplesDelivered, 0);
     EXPECT_LE(a.eventsExecuted, 15300u)
         << "edge engine: " << b.eventsExecuted;
@@ -892,8 +875,8 @@ expectAutoMatchesEdge(const MixedCell &cell, std::uint64_t seed)
     MixedRun a = runMixed(cell, Fidelity::Auto, seed);
     MixedRun b = runMixed(cell, Fidelity::Edge, seed);
     EXPECT_EQ(a.stats.fidelity, Fidelity::Edge);
-    EXPECT_EQ(sweep::encodeStats(withoutKernelCosts(a.stats)),
-              sweep::encodeStats(withoutKernelCosts(b.stats)));
+    EXPECT_TRUE(
+        test::sameRecord(a.stats, b.stats, test::Except::ModelCosts));
     EXPECT_EQ(a.member, b.member);
     EXPECT_LE(a.stats.eventsExecuted, b.stats.eventsExecuted);
     return {a.stats, b.stats};
@@ -1068,8 +1051,8 @@ TEST(FastForward, IsrJitterKeepsEveryEdge)
 
 TEST(FastForward, CanonicalMixedRingCellStaysUnderItsEventsCeiling)
 {
-    // perf_gate's bitbang_mix and firmware_mix cells (one engine under
-    // two fabric labels) at Fidelity::Auto: exact against the edge
+    // perf_gate's bitbang_mix cell, under both fabric labels of its
+    // one engine, at Fidelity::Auto: exact against the edge
     // engine (member counters included), under a fixed events ceiling
     // (15,566 events when pinned; 18,074 skipping data phases alone,
     // 216,189 on every edge), and at least 10x fewer kernel events
@@ -1084,8 +1067,8 @@ TEST(FastForward, CanonicalMixedRingCellStaysUnderItsEventsCeiling)
         cell.spec.backend = kind;
         MixedRun a = runMixed(cell, Fidelity::Auto, 0x6d6978ULL);
         MixedRun b = runMixed(cell, Fidelity::Edge, 0x6d6978ULL);
-        EXPECT_EQ(sweep::encodeStats(withoutKernelCosts(a.stats)),
-                  sweep::encodeStats(withoutKernelCosts(b.stats)));
+        EXPECT_TRUE(
+            test::sameRecord(a.stats, b.stats, test::Except::ModelCosts));
         EXPECT_EQ(a.member, b.member);
         EXPECT_GT(a.stats.samplesDelivered, 0);
         const std::uint64_t autoWork =
@@ -1376,7 +1359,7 @@ TEST(FastForward, AddressPhaseWindowMatchesTheEdgeEngine)
         expectAutoMatchesEdge(cell, seed);
     }
 
-    // Sweep cells through encodeStats, kernel costs zeroed: hardware
+    // Sweep cells as whole records, model costs aside: hardware
     // rings on 1-4 lanes and both mixed-ring fabrics, short and full
     // addressing, gated or not, with and without an interjection
     // storm, every traffic shape that makes the member forward,

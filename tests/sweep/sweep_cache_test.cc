@@ -33,6 +33,7 @@
 #include "sweep/cache.hh"
 #include "sweep/codec.hh"
 #include "sweep/sweep.hh"
+#include "tests/temp_dir.hh"
 
 using namespace mbus;
 namespace fs = std::filesystem;
@@ -107,15 +108,6 @@ simulated(const sweep::SweepResult &r)
     return r.size() - r.cacheHits();
 }
 
-/** An empty directory at @p dir, whatever was there before. */
-std::string
-freshDir(const std::string &dir)
-{
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
-}
-
 /** Complete value files under @p dir (temp files excluded). */
 std::size_t
 cellFiles(const std::string &dir)
@@ -140,7 +132,8 @@ expectSameBytes(const sweep::SweepResult &a, const sweep::SweepResult &b)
 
 TEST(SweepCache, ColdCachedRunMatchesUncachedByByte)
 {
-    const std::string dir = freshDir("sweep_cache_cold");
+    test::TempDir tmp;
+    const std::string dir = tmp.dir();
     std::vector<sweep::ScenarioSpec> grid = cacheGrid(10);
     sweep::SweepResult solo = runSweep(grid, 1);
 
@@ -156,7 +149,8 @@ TEST(SweepCache, ColdCachedRunMatchesUncachedByByte)
 
 TEST(SweepCache, WarmRerunSimulatesNothing)
 {
-    const std::string dir = freshDir("sweep_cache_warm");
+    test::TempDir tmp;
+    const std::string dir = tmp.dir();
     std::vector<sweep::ScenarioSpec> grid = cacheGrid(10);
     sweep::SweepResult solo = runSweep(grid, 1);
     runSweep(grid, 2, dir);
@@ -169,7 +163,8 @@ TEST(SweepCache, WarmRerunSimulatesNothing)
 
 TEST(SweepCache, GrownGridSimulatesOnlyNewCells)
 {
-    const std::string dir = freshDir("sweep_cache_grown");
+    test::TempDir tmp;
+    const std::string dir = tmp.dir();
     runSweep(cacheGrid(10), 2, dir);
 
     std::vector<sweep::ScenarioSpec> grown = cacheGrid(15);
@@ -182,7 +177,8 @@ TEST(SweepCache, GrownGridSimulatesOnlyNewCells)
 
 TEST(SweepCache, OtherSaltEntriesAreNeverServed)
 {
-    const std::string dir = freshDir("sweep_cache_salt");
+    test::TempDir tmp;
+    const std::string dir = tmp.dir();
     std::vector<sweep::ScenarioSpec> grid = cacheGrid(10);
     sweep::SweepResult solo = runSweep(grid, 1);
 
@@ -202,7 +198,8 @@ TEST(SweepCache, OtherSaltEntriesAreNeverServed)
 
 TEST(SweepCache, CorruptEntryIsAMiss)
 {
-    const std::string dir = freshDir("sweep_cache_corrupt");
+    test::TempDir tmp;
+    const std::string dir = tmp.dir();
     std::vector<sweep::ScenarioSpec> grid = cacheGrid(10);
     sweep::SweepResult solo = runSweep(grid, 1);
     runSweep(grid, 2, dir);
@@ -225,8 +222,8 @@ TEST(SweepCache, CorruptEntryIsAMiss)
 
 TEST(SweepCache, MissingParentDirectoriesAreCreated)
 {
-    fs::remove_all("sweep_cache_nested");
-    const std::string dir = "sweep_cache_nested/a/b/cells";
+    test::TempDir tmp;
+    const std::string dir = tmp.path("nested/a/b/cells");
     std::vector<sweep::ScenarioSpec> grid = cacheGrid(6);
 
     sweep::SweepResult cold = runSweep(grid, 2, dir);
@@ -238,8 +235,8 @@ TEST(SweepCache, MissingParentDirectoriesAreCreated)
 TEST(SweepCache, UnwritableDirectoryCountsEveryFailedStore)
 {
     // A regular file where the directory should be.
-    const std::string dir = "sweep_cache_not_a_dir";
-    fs::remove_all(dir);
+    test::TempDir tmp;
+    const std::string dir = tmp.path("not_a_dir");
     std::ofstream(dir) << "not a directory\n";
     std::vector<sweep::ScenarioSpec> grid = cacheGrid(6);
 
@@ -252,7 +249,8 @@ TEST(SweepCache, UnwritableDirectoryCountsEveryFailedStore)
 
 TEST(SweepCache, SigkilledSweepResumesFromWhatItStored)
 {
-    const std::string dir = freshDir("sweep_cache_kill");
+    test::TempDir tmp;
+    const std::string dir = tmp.dir();
     std::vector<sweep::ScenarioSpec> grid = cacheGrid(20);
     sweep::SweepResult solo = runSweep(grid, 1);
     const std::size_t k = 3;

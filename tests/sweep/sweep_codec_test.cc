@@ -1,8 +1,9 @@
 /**
  * @file
- * Unit tests for the canonical spec/stats codec, the content-addressed
- * cell cache's key and store, and the runRange/fromCells merge
- * contract.
+ * Unit tests for the canonical spec/stats codec, the record-equality
+ * rule's exclusion sets (tests/record_equality.hh), the
+ * content-addressed cell cache's key and store, and the
+ * runRange/fromCells merge contract.
  */
 
 #include <gtest/gtest.h>
@@ -14,15 +15,16 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
-
-#include <sys/stat.h>
 
 #include "sim/hash.hh"
 #include "sweep/cache.hh"
 #include "sweep/codec.hh"
 #include "sweep/sweep.hh"
+#include "tests/record_equality.hh"
+#include "tests/temp_dir.hh"
 
 using namespace mbus;
 
@@ -477,6 +479,55 @@ TEST(SweepCodec, EveryVisitedFieldRoundTrips)
         });
 }
 
+TEST(SweepCodec, RecordEqualityIgnoresExactlyItsExclusionSets)
+{
+    // Perturb each leaf of a rich record in turn: the whole-record
+    // comparison sees every one and names it, and each exclusion set
+    // ignores exactly the leaves of the fields it declares.
+    auto costs = [](const sweep::ScenarioStats &s) {
+        return std::tie(s.eventsExecuted, s.eventsPerBit, s.trainEdges,
+                        s.trainsScheduled, s.dispatchCalls, s.slabSlots,
+                        s.liveHighWater, s.heapCallbacks, s.fidelity);
+    };
+    auto trace = [](const sweep::ScenarioStats &s) {
+        return std::tie(s.traceEvents, s.traceHash, s.traceJson,
+                        s.flightDumps, s.watchdogRescues, s.arbLosses,
+                        s.interjectRequests);
+    };
+    const sweep::ScenarioStats base = richStats();
+    sweep::ScenarioStats probe = base;
+    Leaves all;
+    all(probe);
+    std::size_t costLeaves = 0, traceLeaves = 0;
+    for (std::size_t k = 0; k < all.count(); ++k) {
+        SCOPED_TRACE("leaf " + std::to_string(k));
+        sweep::ScenarioStats changed = base;
+        Leaves bumped(k, /*perturb=*/true);
+        bumped(changed);
+        const bool inCosts = costs(changed) != costs(base);
+        const bool inTrace = trace(changed) != trace(base);
+        costLeaves += inCosts;
+        traceLeaves += inTrace;
+
+        ::testing::AssertionResult whole = test::sameRecord(base, changed);
+        EXPECT_FALSE(whole);
+        EXPECT_NE(std::string(whole.message())
+                      .find("leaf " + std::to_string(k) + ":"),
+                  std::string::npos)
+            << whole.message();
+        EXPECT_EQ(static_cast<bool>(test::sameRecord(
+                      base, changed, test::Except::ModelCosts)),
+                  inCosts);
+        EXPECT_EQ(static_cast<bool>(test::sameRecord(
+                      base, changed, test::Except::TracePayload)),
+                  inTrace);
+    }
+    // One leaf per cost field; the two flight dumps and their count
+    // add two leaves to the seven trace fields.
+    EXPECT_EQ(costLeaves, 9u);
+    EXPECT_EQ(traceLeaves, 9u);
+}
+
 TEST(SweepCodec, TokensThatDoNotFitTheirFieldAreRejected)
 {
     // Spec: name at token 1, nodes (int) at 2, traffic (uint8_t enum)
@@ -513,8 +564,8 @@ TEST(SweepCodec, TokensThatDoNotFitTheirFieldAreRejected)
 
 TEST(SweepCache, KeySaltHitMissAndCorruption)
 {
-    const std::string dir = "sweep_codec_test_cache";
-    ::mkdir(dir.c_str(), 0777);
+    test::TempDir tmp;
+    const std::string dir = tmp.dir();
 
     std::string specBytes =
         sweep::encodeSpec(sweep::ScenarioSpec());

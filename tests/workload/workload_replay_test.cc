@@ -14,6 +14,7 @@
 
 #include "sim/random.hh"
 #include "sweep/sweep.hh"
+#include "tests/record_equality.hh"
 
 using namespace mbus;
 
@@ -103,67 +104,6 @@ randomWorkloadGrid(std::uint64_t seed, std::size_t cells,
     return grid;
 }
 
-void
-expectIdenticalActorStats(const workload::ActorStats &a,
-                          const workload::ActorStats &b)
-{
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.planned, b.planned);
-    EXPECT_EQ(a.issued, b.issued);
-    EXPECT_EQ(a.droppedOffline, b.droppedOffline);
-    EXPECT_EQ(a.acked, b.acked);
-    EXPECT_EQ(a.otherTerminal, b.otherTerminal);
-    EXPECT_EQ(a.samplesPlanned, b.samplesPlanned);
-    EXPECT_EQ(a.samplesDelivered, b.samplesDelivered);
-    EXPECT_EQ(a.missedDeadlines, b.missedDeadlines);
-    EXPECT_EQ(a.bytesIssued, b.bytesIssued);
-    EXPECT_EQ(a.bytesDelivered, b.bytesDelivered);
-    // Bit-identical doubles: each cell is a single-threaded
-    // computation of fixed order.
-    EXPECT_EQ(a.latencyP50S, b.latencyP50S);
-    EXPECT_EQ(a.latencyP95S, b.latencyP95S);
-    EXPECT_EQ(a.latencyP99S, b.latencyP99S);
-    EXPECT_EQ(a.sampleLatenciesS, b.sampleLatenciesS);
-    EXPECT_EQ(a.energyPerSampleJ, b.energyPerSampleJ);
-    EXPECT_EQ(a.dutyCycle, b.dutyCycle);
-}
-
-void
-expectIdenticalStats(const sweep::ScenarioStats &a,
-                     const sweep::ScenarioStats &b)
-{
-    EXPECT_EQ(a.planned, b.planned);
-    EXPECT_EQ(a.acked, b.acked);
-    EXPECT_EQ(a.naked, b.naked);
-    EXPECT_EQ(a.broadcasts, b.broadcasts);
-    EXPECT_EQ(a.interrupted, b.interrupted);
-    EXPECT_EQ(a.rxAborts, b.rxAborts);
-    EXPECT_EQ(a.failed, b.failed);
-    EXPECT_EQ(a.bytesDelivered, b.bytesDelivered);
-    EXPECT_EQ(a.payloadMismatches, b.payloadMismatches);
-    EXPECT_EQ(a.wedged, b.wedged);
-    EXPECT_EQ(a.missedDeadlines, b.missedDeadlines);
-    EXPECT_EQ(a.samplesPlanned, b.samplesPlanned);
-    EXPECT_EQ(a.samplesDelivered, b.samplesDelivered);
-    EXPECT_EQ(a.stormInterjections, b.stormInterjections);
-    EXPECT_EQ(a.gateWindows, b.gateWindows);
-    EXPECT_EQ(a.faultsInjected, b.faultsInjected);
-    EXPECT_EQ(a.faultsRecovered, b.faultsRecovered);
-    EXPECT_EQ(a.retimings, b.retimings);
-    EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
-    EXPECT_EQ(a.simTime, b.simTime);
-    EXPECT_EQ(a.switchingJ, b.switchingJ);
-    EXPECT_EQ(a.leakageJ, b.leakageJ);
-    ASSERT_EQ(a.actorStats.size(), b.actorStats.size());
-    for (std::size_t i = 0; i < a.actorStats.size(); ++i) {
-        SCOPED_TRACE("actor " + std::to_string(i));
-        expectIdenticalActorStats(a.actorStats[i], b.actorStats[i]);
-    }
-    EXPECT_EQ(a.vcdBytes, b.vcdBytes);
-    EXPECT_EQ(a.vcdHash, b.vcdHash);
-    EXPECT_EQ(a.vcd, b.vcd) << "VCD waveform bytes diverged";
-}
-
 } // namespace
 
 TEST(WorkloadReplay, CellsReplaySoloWithIdenticalActorStatsAndVcd)
@@ -180,7 +120,7 @@ TEST(WorkloadReplay, CellsReplaySoloWithIdenticalActorStatsAndVcd)
         sweep::CellResult solo = driver.runCell(grid[i], i);
         EXPECT_EQ(solo.seed, sharded.cell(i).seed);
         ASSERT_GT(solo.stats.vcdBytes, 0u);
-        expectIdenticalStats(sharded.cell(i).stats, solo.stats);
+        EXPECT_TRUE(test::sameRecord(sharded.cell(i).stats, solo.stats));
     }
 }
 
